@@ -21,6 +21,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .codes import BinaryCode, analyze_code, coordinate_mask, enumerate_cosets, format_word, weight
 from .errors import ResourceBoundError
+from .gf2 import GF2System
 
 BOSON, FERMION = 0, 1
 
@@ -485,28 +486,6 @@ def vertex_change(graph: Chromotopology, dashing: Dashing, v: Hashable) -> Dashi
     return Dashing.from_mask(dashing.mask ^ m, graph.edge_count)
 
 
-def _vertex_change_basis(graph: Chromotopology) -> list[int]:
-    """GF(2) echelon basis of the span of vertex-change masks (cut space)."""
-    basis: list[int] = []
-    for m in graph.incident_edge_masks:
-        r = m
-        for b in basis:
-            if r >> (b.bit_length() - 1) & 1:
-                r ^= b
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    return basis
-
-
-def _reduce_mask(mask: int, basis: Sequence[int]) -> int:
-    r = mask
-    for b in basis:
-        if r >> (b.bit_length() - 1) & 1:
-            r ^= b
-    return r
-
-
 def dashing_class(graph: Chromotopology, dashing: Dashing) -> int:
     """Canonical identifier of the vertex-change equivalence class.
 
@@ -515,7 +494,7 @@ def dashing_class(graph: Chromotopology, dashing: Dashing) -> int:
     mask after reduction by that span (membership in the incidence image,
     not a BFS over moves).
     """
-    return _reduce_mask(dashing.mask, _vertex_change_basis(graph))
+    return GF2System(graph.incident_edge_masks).reduce(dashing.mask)
 
 
 def dimer_from_color(graph: Chromotopology, color: int) -> tuple[int, ...]:
@@ -605,43 +584,28 @@ def well_dashed_masks(
     graph: Chromotopology,
     faces: Sequence[Face] | None = None,
     limit: int = DASH_ENUMERATION_LIMIT,
-    workers: int = 1,
 ) -> list[int]:
-    """All well-dashed dashing masks, by exhaustive sweep (gated)."""
+    """All well-dashed masks, ascending: the particular solution plus the
+    nullspace span of the face system (gated on 2^E <= limit)."""
     if faces is None:
         faces = two_colored_four_cycles(graph)
     _require_enumerable(graph, limit)
-    fmasks = [f.edge_mask for f in faces]
-    total = 1 << graph.edge_count
-
-    def scan(lo: int, hi: int) -> list[int]:
-        out = []
-        for m in range(lo, hi):
-            for fm in fmasks:
-                if not (m & fm).bit_count() & 1:
-                    break
-            else:
-                out.append(m)
-        return out
-
-    if workers <= 1 or total < (1 << 12):
-        return scan(0, total)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = total // workers + 1
-    spans = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda s: scan(*s), spans)
-    return [m for part in parts for m in part]
+    solution = GF2System((f.edge_mask for f in faces), rhs=1).solve(graph.edge_count)
+    if solution is None:
+        return []
+    particular, nullspace = solution
+    masks = [particular]
+    for v in nullspace:
+        masks += [m ^ v for m in masks]
+    return sorted(masks)
 
 
 def count_well_dashed(
     graph: Chromotopology,
     faces: Sequence[Face] | None = None,
     limit: int = DASH_ENUMERATION_LIMIT,
-    workers: int = 1,
 ) -> int:
-    return len(well_dashed_masks(graph, faces, limit, workers))
+    return len(well_dashed_masks(graph, faces, limit))
 
 
 def count_well_dashed_exact(graph: Chromotopology, faces: Sequence[Face] | None = None) -> int:
@@ -653,20 +617,8 @@ def count_well_dashed_exact(graph: Chromotopology, faces: Sequence[Face] | None 
     """
     if faces is None:
         faces = two_colored_four_cycles(graph)
-    rows = [(f.edge_mask, 1) for f in faces]
-    basis: list[tuple[int, int]] = []
-    for vec, rhs in rows:
-        for bvec, brhs in basis:
-            if vec >> (bvec.bit_length() - 1) & 1:
-                vec ^= bvec
-                rhs ^= brhs
-        if vec == 0:
-            if rhs:
-                return 0
-            continue
-        basis.append((vec, rhs))
-        basis.sort(reverse=True)
-    return 1 << (graph.edge_count - len(basis))
+    system = GF2System((f.edge_mask for f in faces), rhs=1)
+    return 1 << (graph.edge_count - system.rank) if system.consistent else 0
 
 
 def sample_well_dashed(
@@ -699,11 +651,8 @@ def well_dashed_class_ids(
     classes are the spin structures of the surface, 2^(2g) of them; the
     default (every 2-colored 4-cycle) is the strict well-dashed notion.
     """
-    basis = _vertex_change_basis(graph)
-    counts: Counter = Counter()
-    for m in well_dashed_masks(graph, faces=faces, limit=limit):
-        counts[_reduce_mask(m, basis)] += 1
-    return dict(counts)
+    cut = GF2System(graph.incident_edge_masks)
+    return dict(Counter(cut.reduce(m) for m in well_dashed_masks(graph, faces, limit)))
 
 
 def graph_to_json(graph: Chromotopology, dashing: Dashing | None = None) -> dict:

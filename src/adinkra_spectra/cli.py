@@ -58,7 +58,6 @@ class PipelineConfig:
 
     subcommand: str
     tolerance: float = 1e-9
-    workers: int = 1
     seed: int | None = None
     out: str | None = None
     params: dict = field(default_factory=dict)
@@ -66,8 +65,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _dump(obj) -> str:
@@ -320,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adinkra-spectra", exit_on_error=False)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--tolerance", type=float, default=1e-9)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -403,12 +399,11 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("subcommand", "tolerance", "workers", "seed", "out")}
+              if k not in ("subcommand", "tolerance", "seed", "out")}
     try:
         config = PipelineConfig(
             subcommand=ns.subcommand,
             tolerance=ns.tolerance,
-            workers=ns.workers,
             seed=ns.seed,
             out=ns.out,
             params=params,

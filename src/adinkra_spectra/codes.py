@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ResourceBoundError
+from .gf2 import GF2System
 
 MAX_LENGTH = 64
 MAX_ENUM_LENGTH = 16
@@ -48,22 +49,6 @@ def coordinate_mask(length: int, i: int) -> int:
     return 1 << (length - i)
 
 
-def _echelon(rows: Iterable[int]) -> list[int]:
-    """Row-reduce over GF(2); raise on zero or dependent rows."""
-    basis: list[int] = []  # kept in decreasing pivot order
-    for idx, row in enumerate(rows):
-        r = row
-        for b in basis:
-            if r >> (b.bit_length() - 1) & 1:
-                r ^= b
-        if r == 0:
-            kind = "zero" if row == 0 else "dependent"
-            raise DependentRowError(idx, f"generator row {idx} is {kind}")
-        basis.append(r)
-        basis.sort(reverse=True)
-    return basis
-
-
 @dataclass(frozen=True)
 class BinaryCode:
     """An [N, k] binary linear code given by k independent generator rows."""
@@ -78,7 +63,11 @@ class BinaryCode:
         for idx, g in enumerate(self.generators):
             if g & ~full:
                 raise ValueError(f"generator row {idx} exceeds length {self.length}")
-        _echelon(self.generators)
+        span = GF2System()
+        for idx, g in enumerate(self.generators):
+            if not span.insert(g):
+                kind = "zero" if g == 0 else "dependent"
+                raise DependentRowError(idx, f"generator row {idx} is {kind}")
 
     @classmethod
     def from_strings(cls, length: int, rows: Iterable[str]) -> "BinaryCode":

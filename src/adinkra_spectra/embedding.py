@@ -231,9 +231,9 @@ def _frame_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]] | Non
     "right" side (r must sit on an odd color; then top/left/bottom follow in
     boundary order).  Crossing an edge carries right to left and top to
     bottom; a consistent assignment exists iff the flat holonomy is trivial
-    (cone angles multiples of 2*pi, i.e. N = 0 mod 4), in which case the
-    dual origami is the square-tiled surface itself.  Returns primal edge ->
-    (tail face, head face), or None when the transport is obstructed.
+    (N = 0 mod 4 and every codeword meeting the odd colors an even number
+    of times), and then the dual origami is the square-tiled surface itself.
+    Returns primal edge -> (tail face, head face), or None when obstructed.
     """
     faces = surface.faces
     side_of: dict[int, list[tuple[int, int]]] = {}
@@ -308,11 +308,11 @@ def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
 
     Dual vertices are faces; the dual edge through a primal edge is labeled
     x when the primal color is odd, y when even (requires N even, N > 2).
-    Orientation: when the flat structure on the surface has trivial
-    holonomy (N = 0 mod 4) a parallel-transported square frame orients the
-    dual so the resulting origami is the surface itself; otherwise each
-    same-label cycle is oriented deterministically as in the existence
-    proof (arbitrary valid choice, lowest index first).
+    Orientation: with trivial flat holonomy (N = 0 mod 4 and every codeword
+    meeting the odd colors an even number of times) a parallel-transported
+    square frame orients the dual so the origami is the surface itself;
+    otherwise each same-label cycle is oriented deterministically as in the
+    existence proof (arbitrary valid choice, lowest index first).
     """
     graph = surface.graph
     n = graph.n_colors

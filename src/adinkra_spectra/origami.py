@@ -177,11 +177,12 @@ def genus_from_monodromy(m: Monodromy) -> int:
 
 
 def is_transitive(m: Monodromy) -> bool:
+    moves = (m.sigma_x, m.sigma_y, _inverse(m.sigma_x), _inverse(m.sigma_y))
     seen = {0}
     queue = deque(seen)
     while queue:
         i = queue.popleft()
-        for j in (m.sigma_x[i], m.sigma_y[i], _inverse(m.sigma_x)[i], _inverse(m.sigma_y)[i]):
+        for j in (perm[i] for perm in moves):
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
