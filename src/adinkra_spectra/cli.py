@@ -2,7 +2,9 @@
 
 Outputs are deterministic JSON (sorted keys, shortest round-trip float
 repr) on stdout or ``--out``; validation failures exit 1 with a JSON
-error object on stderr, resource-bound refusals exit 2.
+error object on stderr, resource-bound refusals exit 2.  ``geodesics``
+without ``--out`` writes its CSV on stdout and its convergence metadata as
+one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -210,6 +212,7 @@ def cmd_geodesics(config: PipelineConfig) -> None:
         sys.stdout.write(_dump(meta) + "\n")
     else:
         sys.stdout.write(text)
+        sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def cmd_action(config: PipelineConfig) -> None:

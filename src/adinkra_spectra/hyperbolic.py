@@ -9,15 +9,22 @@ over a/b/c with uppercase for inverses.  A hyperbolic element of absolute
 trace t > 2 translates along its axis by l = 2*arccosh(t/2); its conjugacy
 class is detected numerically by trace bucketing plus conjugation-orbit
 closure inside a matrix-norm ball, which depth-stability tests guard.
+The ball grows one word depth at a time and each new element is classified
+once, by one classifier whose memo is shared across all depths.  Inside
+the ball and the classifier a matrix [[a, b], [c, d]] is the float tuple
+(a, b, c, d); the public API takes and returns numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import perms
+from .perms import compose, cycle_lengths, inverse
 
 DET_TOL = 1e-12
 TRACE_GAP = 1e-9  # elements this close to |tr| = 2 are flagged near-parabolic
@@ -47,21 +54,6 @@ def rotation_about(z: complex, angle: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Group element with its matrix (det renormalized to 1) and a word."""
-
-    matrix: np.ndarray = field(compare=False)
-    word: str
-
-    @property
-    def trace(self) -> float:
-        return float(self.matrix[0, 0] + self.matrix[1, 1])
-
-    def det_defect(self) -> float:
-        return abs(float(np.linalg.det(self.matrix)) - 1.0)
-
-
-@dataclass(frozen=True)
 class TriangleGroup:
     p: int
     q: int
@@ -82,11 +74,7 @@ class TriangleGroup:
         m = np.eye(2)
         for letter in word:
             m = m @ self.letter_matrix(letter)
-        return _renorm(m)
-
-
-def _renorm(m: np.ndarray) -> np.ndarray:
-    return m / math.sqrt(abs(float(np.linalg.det(m))))
+        return m / math.sqrt(abs(float(np.linalg.det(m))))
 
 
 def triangle_generators(p: int, q: int, r: int) -> TriangleGroup:
@@ -120,18 +108,40 @@ def triangle_generators(p: int, q: int, r: int) -> TriangleGroup:
                          (va, complex(vb), vc), residual)
 
 
-def _sign_canonical(m: np.ndarray) -> np.ndarray:
-    flat = m.ravel()
-    for x in flat:
+Mat = tuple[float, float, float, float]  # (a, b, c, d) of [[a, b], [c, d]]
+
+
+def _as_mat(m: np.ndarray) -> Mat:
+    return tuple(map(float, m.ravel()))
+
+
+def _mul(x: Mat, y: Mat) -> Mat:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _renorm(m: Mat) -> Mat:
+    a, b, c, d = m
+    s = math.sqrt(abs(a * d - b * c))
+    return (a / s, b / s, c / s, d / s)
+
+
+def _abs_max(m: Mat) -> float:
+    a, b, c, d = m
+    return max(abs(a), abs(b), abs(c), abs(d))
+
+
+def _key(m: Mat) -> tuple[int, int, int, int]:
+    """Entries of m or -m rounded to 8 digits; the sign makes the first
+    entry above 1e-8 in absolute value positive."""
+    a, b, c, d = m
+    for x in m:
         if abs(x) > 1e-8:
-            return m if x > 0 else -m
-    return m
-
-
-def _key(m: np.ndarray, digits: int = 8) -> tuple[int, int, int, int]:
-    s = _sign_canonical(m)
-    scale = 10.0 ** digits
-    return tuple(int(round(float(x) * scale)) for x in s.ravel())
+            if x < 0:
+                a, b, c, d = -a, -b, -c, -d
+            break
+    return (round(a * 1e8), round(b * 1e8), round(c * 1e8), round(d * 1e8))
 
 
 @dataclass(frozen=True)
@@ -176,36 +186,37 @@ def length_of_trace(t: float) -> float:
 
 
 class _Ball:
-    """Breadth-first ball in the group, deduped by sign-canonical matrix."""
+    """Breadth-first ball in the group, deduped by sign-canonical matrix.
+
+    ``frontier`` holds the elements that the last :meth:`grow` added, in
+    the order they were inserted into ``elements``.
+    """
 
     def __init__(self, group: TriangleGroup):
-        self.group = group
-        self.letters = {l: group.letter_matrix(l) for l in _LETTERS}
-        ident = np.eye(2)
-        self.elements: dict[tuple, tuple[np.ndarray, str]] = {_key(ident): (ident, "")}
+        self.letters = [(l, _as_mat(group.letter_matrix(l))) for l in _LETTERS]
+        ident = (1.0, 0.0, 0.0, 1.0)
+        self.elements: dict[tuple, tuple[Mat, str]] = {_key(ident): (ident, "")}
         self.frontier = [(ident, "")]
         self.depth = 0
 
     def grow(self, max_norm: float = 1e8) -> int:
         new_frontier = []
-        added = 0
         for mat, word in self.frontier:
-            last = word[-1] if word else ""
-            for letter, gm in self.letters.items():
-                if last and letter.swapcase() == last:
+            cancelling = word[-1:].swapcase()
+            for letter, gm in self.letters:
+                if letter == cancelling:
                     continue
-                nm = _renorm(mat @ gm)
-                if float(np.abs(nm).max()) > max_norm:
+                nm = _renorm(_mul(mat, gm))
+                if _abs_max(nm) > max_norm:
                     continue
                 k = _key(nm)
                 if k in self.elements:
                     continue
                 self.elements[k] = (nm, word + letter)
                 new_frontier.append((nm, word + letter))
-                added += 1
         self.frontier = new_frontier
         self.depth += 1
-        return added
+        return len(new_frontier)
 
 
 class _Classifier:
@@ -216,48 +227,57 @@ class _Classifier:
     bounded shell of conjugates is searched and the smallest rounded
     matrix key found is the class identifier.  Keys along the way are
     memoized, so repeat members of a class resolve instantly.
+
+    One classifier serves a whole ``length_spectrum`` run, so its memo is
+    shared across depths.  Fed the ball in insertion order, it ends each
+    depth in the state a fresh classifier would reach on the whole ball.
     """
 
     SHELL_FACTOR = 2.0
     SHELL_NODE_CAP = 50_000
 
     def __init__(self, group: TriangleGroup):
-        conjugators = []
-        for l1 in _LETTERS:
-            conjugators.append(group.letter_matrix(l1))
-        for l1 in _LETTERS:
-            for l2 in _LETTERS:
-                if l2 != l1.swapcase():
-                    conjugators.append(group.letter_matrix(l1) @ group.letter_matrix(l2))
-        self.pairs = [(g, np.linalg.inv(g)) for g in conjugators]
+        letters = {l: group.letter_matrix(l) for l in _LETTERS}
+        conjugators = [letters[l] for l in _LETTERS]
+        conjugators += [letters[l1] @ letters[l2] for l1 in _LETTERS for l2 in _LETTERS
+                        if l2 != l1.swapcase()]
+        self.pairs = [(_as_mat(g), _as_mat(np.linalg.inv(g))) for g in conjugators]
         self.single_pairs = self.pairs[: len(_LETTERS)]
         self.memo: dict[tuple, tuple] = {}
 
     @staticmethod
-    def _rank(m: np.ndarray) -> tuple[float, tuple]:
-        return (round(float(np.abs(m).max()), 9), _key(m))
+    def _rank(m: Mat) -> tuple[float, tuple]:
+        return (round(_abs_max(m), 9), _key(m))
 
-    def class_key(self, m: np.ndarray) -> tuple:
+    def _remember(self, cls: tuple, *key_sets) -> tuple:
+        for keys in key_sets:
+            for k in keys:
+                self.memo[k] = cls
+        return cls
+
+    def class_key(self, m: Mat) -> tuple:
+        memo = self.memo
         path = []
         cur = _renorm(m)
         cur_rank = self._rank(cur)
         while True:
             k = cur_rank[1]
-            if k in self.memo:
-                cls = self.memo[k]
-                for pk in path:
-                    self.memo[pk] = cls
-                return cls
+            if k in memo:
+                return self._remember(memo[k], path)
             path.append(k)
             best = None
+            bound = cur_rank
             for g, gi in self.pairs:
-                cm = _renorm(g @ cur @ gi)
-                r = self._rank(cm)
-                if r < cur_rank and (best is None or r < best[0]):
-                    best = (r, cm)
+                cm = _renorm(_mul(_mul(g, cur), gi))
+                norm = round(_abs_max(cm), 9)
+                if norm > bound[0]:
+                    continue  # ranks compare the norm first: no key needed
+                r = (norm, _key(cm))
+                if r < bound:
+                    bound, best = r, cm
             if best is None:
                 break
-            cur_rank, cur = best
+            cur_rank, cur = bound, best
         # bounded search around the local minimum for the true class minimum
         cap = max(3.0, self.SHELL_FACTOR * cur_rank[0])
         seen = {cur_rank[1]}
@@ -266,40 +286,19 @@ class _Classifier:
         while queue and len(seen) < self.SHELL_NODE_CAP:
             x = queue.popleft()
             for g, gi in self.single_pairs:
-                cm = _renorm(g @ x @ gi)
-                if float(np.abs(cm).max()) > cap:
+                cm = _renorm(_mul(_mul(g, x), gi))
+                if _abs_max(cm) > cap:
                     continue
                 k = _key(cm)
                 if k in seen:
                     continue
                 seen.add(k)
                 queue.append(cm)
-                if k in self.memo:
-                    cls = self.memo[k]
-                    for pk in path:
-                        self.memo[pk] = cls
-                    for pk in seen:
-                        self.memo[pk] = cls
-                    return cls
+                if k in memo:
+                    return self._remember(memo[k], path, seen)
                 if k < best_key:
                     best_key = k
-        cls = best_key
-        for pk in path:
-            self.memo[pk] = cls
-        for pk in seen:
-            self.memo[pk] = cls
-        return cls
-
-
-def _conjugacy_partition(
-    group: TriangleGroup, hyperbolics: list[tuple[np.ndarray, str]]
-) -> dict[tuple, list[tuple[np.ndarray, str]]]:
-    """Group hyperbolic (matrix, word) pairs into conjugacy classes."""
-    classifier = _Classifier(group)
-    classes: dict[tuple, list[tuple[np.ndarray, str]]] = {}
-    for m, w in hyperbolics:
-        classes.setdefault(classifier.class_key(m), []).append((m, w))
-    return classes
+        return self._remember(best_key, path, seen)
 
 
 def length_spectrum(
@@ -317,7 +316,8 @@ def length_spectrum(
     for ``stable_rounds`` consecutive depths (then the spectrum is
     reported converged and certified below l_max) or the element budget
     runs out (reported not converged, certified only below the last
-    length at which the two final rounds agreed).
+    length at which the two final rounds agreed).  Each depth classifies
+    only the elements it added, with one classifier for the whole run.
 
     Classes at equal length within ``dedupe_tol`` are merged into one
     entry with their count as multiplicity; elliptic and near-parabolic
@@ -326,53 +326,45 @@ def length_spectrum(
     if l_max <= 0:
         raise ValueError("l_max must be positive")
     ball = _Ball(group)
+    classifier = _Classifier(group)
+    partition: dict[tuple, list[tuple[Mat, str]]] = {}
+    bucket_width = max(dedupe_tol, 1e-12)
+    buckets: dict[int, int] = {}  # classes per length bucket
     previous: dict | None = None
     last_two: tuple[dict | None, dict | None] = (None, None)
     stable = 0
-    result_classes: dict | None = None
     elliptic = 0
     near_parabolic = 0
     converged = False
     while ball.depth < max_depth:
-        added = ball.grow()
-        if added == 0:
+        if ball.grow() == 0:
             converged = True
             break
-        hyperbolics = []
-        elliptic = 0
-        near_parabolic = 0
-        for mat, word in ball.elements.values():
-            if not word:
-                continue  # identity
-            t = abs(float(mat[0, 0] + mat[1, 1]))
+        for mat, word in ball.frontier:
+            t = abs(mat[0] + mat[3])
             if t <= 2.0 - TRACE_GAP:
                 elliptic += 1
-                continue
-            if t <= 2.0 + TRACE_GAP:
+            elif t <= 2.0 + TRACE_GAP:
                 near_parabolic += 1
-                continue
-            if length_of_trace(t) <= l_max + 1e-12:
-                hyperbolics.append((mat, word))
-        partition = _conjugacy_partition(group, hyperbolics)
-        signature: dict[int, int] = {}
-        for members in partition.values():
-            t = abs(float(members[0][0][0, 0] + members[0][0][1, 1]))
-            bucket = int(round(length_of_trace(t) / max(dedupe_tol, 1e-12)))
-            signature[bucket] = signature.get(bucket, 0) + 1
+            elif length_of_trace(t) <= l_max + 1e-12:
+                members = partition.setdefault(classifier.class_key(mat), [])
+                if not members:
+                    bucket = int(round(length_of_trace(t) / bucket_width))
+                    buckets[bucket] = buckets.get(bucket, 0) + 1
+                members.append((mat, word))
+        signature = dict(buckets)
         if previous is not None and signature == previous:
             stable += 1
             if stable >= stable_rounds:
-                result_classes = partition
                 converged = True
                 break
         else:
             stable = 0
         last_two = (previous, signature)
         previous = signature
-        result_classes = partition
         if len(ball.elements) > max_elements:
             break
-    classes = _classes_from_partition(group, result_classes or {}, dedupe_tol)
+    classes = _merge_equal_lengths(_class_records(classifier, partition), dedupe_tol)
     if converged:
         certified = l_max
     else:
@@ -383,7 +375,7 @@ def length_spectrum(
         if prev_sig is not None and last_sig is not None:
             disagree = [b for b in set(prev_sig) | set(last_sig)
                         if prev_sig.get(b) != last_sig.get(b)]
-            certified = (min(disagree) * max(dedupe_tol, 1e-12)) if disagree else l_max
+            certified = (min(disagree) * bucket_width) if disagree else l_max
     return SpectrumResult(
         classes,
         l_max,
@@ -396,52 +388,67 @@ def length_spectrum(
     )
 
 
-def _classes_from_partition(
-    group: TriangleGroup,
-    partition: dict[tuple, list[tuple[np.ndarray, str]]],
-    dedupe_tol: float,
-) -> tuple[GeodesicClass, ...]:
-    """Turn raw conjugacy classes into GeodesicClass entries.
+def _power(m: Mat, n: int) -> Mat:
+    out = m
+    for _ in range(n - 1):
+        out = _mul(out, m)
+    return out
 
-    Primitivity: a class of length l is a power iff some class of length
-    l/m (m >= 2) has a representative whose m-th power lands in it;
-    checked with the same classifier, ascending in length.
+
+def _class_records(
+    classifier: _Classifier, partition: dict[tuple, list[tuple[Mat, str]]]
+) -> list[tuple[float, float, str, bool]]:
+    """(length, trace, word, primitive) per class, ascending in length.
+
+    The word is the member's with the fewest letters, then the first
+    alphabetically.  Primitivity: a class of length l is a power iff some
+    class of length l/m (m >= 2) has a representative whose m-th power
+    lands in it; checked with the run's classifier, ascending in length.
     """
-    classifier = _Classifier(group)
     raw = []
-    for members in partition.values():
+    for key, members in partition.items():
         mat, word = min(members, key=lambda mw: (len(mw[1]), mw[1]))
-        t = abs(float(mat[0, 0] + mat[1, 1]))
-        raw.append((length_of_trace(t), t, mat, word))
-    raw.sort(key=lambda r: (r[0], r[3]))
-    keys = [classifier.class_key(mat) for _l, _t, mat, _w in raw]
-    prim_len: list[float] = []
-    primitive: list[bool] = []
-    for i, (l, _t, _mat, _w) in enumerate(raw):
-        base_len = l
-        is_prim = True
-        for j in range(i):
-            lj = raw[j][0]
+        t = abs(mat[0] + mat[3])
+        raw.append((length_of_trace(t), t, word, mat, key))
+    raw.sort(key=lambda r: (r[0], r[2]))
+    records = []
+    for i, (l, t, word, _mat, key) in enumerate(raw):
+        primitive = True
+        for lj, _tj, _wj, mat_j, _kj in raw[:i]:
             m = l / lj
             mi = round(m)
-            if mi >= 2 and abs(m - mi) < 1e-7:
-                power = np.linalg.matrix_power(raw[j][2], mi)
-                if classifier.class_key(_renorm(power)) == keys[i]:
-                    base_len = prim_len[j]
-                    is_prim = False
-                    break
-        prim_len.append(base_len)
-        primitive.append(is_prim)
+            if (mi >= 2 and abs(m - mi) < 1e-7
+                    and classifier.class_key(_power(mat_j, mi)) == key):
+                primitive = False
+                break
+        records.append((l, t, word, primitive))
+    return records
 
-    merged: list[GeodesicClass] = []
-    for i, (l, t, _mat, w) in enumerate(raw):
-        if not primitive[i]:
+
+def _merge_equal_lengths(
+    records: list[tuple[float, float, str, bool]], dedupe_tol: float
+) -> tuple[GeodesicClass, ...]:
+    """One entry per run of primitive classes whose lengths lie within
+    ``dedupe_tol`` of the run's shortest, the run's size its multiplicity.
+
+    The entry takes the word that is least by (len(word), word) over the
+    run, and that class's trace, with the length recomputed from it.  The
+    lengths passed in only order and group the classes, so ulp noise in
+    them cannot pick another word, trace or length.
+    """
+    runs: list[list[tuple[float, float, str]]] = []
+    for length, trace, word, primitive in sorted(records):
+        if not primitive:
             continue
-        if merged and abs(merged[-1].length - l) <= dedupe_tol:
-            prev = merged[-1]
-            merged[-1] = replace(prev, multiplicity=prev.multiplicity + 1)
+        if runs and length - runs[-1][0][0] <= dedupe_tol:
+            runs[-1].append((length, trace, word))
         else:
-            merged.append(GeodesicClass(t, l, prim_len[i], 1, w, True))
+            runs.append([(length, trace, word)])
+    merged = []
+    for run in runs:
+        _l, t, w = min(run, key=lambda r: (len(r[2]), r[2]))
+        length = length_of_trace(t)
+        merged.append(GeodesicClass(t, length, length, len(run), w, True))
     return tuple(merged)
 
 
@@ -491,16 +498,7 @@ class CosetAction:
             raise ValueError("coset action is not transitive")
 
     def is_transitive(self) -> bool:
-        seen = {0}
-        queue = deque(seen)
-        inv = {l: _perm_inverse(p) for l, p in self.perms.items()}
-        while queue:
-            i = queue.popleft()
-            for p in list(self.perms.values()) + list(inv.values()):
-                if p[i] not in seen:
-                    seen.add(p[i])
-                    queue.append(p[i])
-        return len(seen) == self.degree
+        return perms.is_transitive(self.perms.values(), self.degree)
 
     def word_permutation(self, word: str) -> tuple[int, ...]:
         """Image of a word: left-to-right letters compose left-to-right."""
@@ -509,8 +507,7 @@ class CosetAction:
             base = self.perms.get(letter.lower())
             if base is None:
                 raise ValueError(f"no permutation for generator {letter.lower()!r}")
-            p = base if letter.islower() else _perm_inverse(base)
-            out = tuple(out[p[i]] for i in range(self.degree))
+            out = compose(out, base if letter.islower() else inverse(base))
         return out
 
     def to_json(self) -> dict:
@@ -525,28 +522,6 @@ class CosetAction:
             int(obj["degree"]),
             {l: tuple(int(i) - 1 for i in p) for l, p in obj["perms"].items()},
         )
-
-
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _cycle_lengths(p: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if not seen[i]:
-            c = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                c += 1
-            out.append(c)
-    return out
 
 
 def cover_length_spectrum(
@@ -567,7 +542,7 @@ def cover_length_spectrum(
     for cls in classes:
         sigma = action.word_permutation(cls.word)
         counts: dict[int, int] = {}
-        for c in _cycle_lengths(sigma):
+        for c in cycle_lengths(sigma):
             counts[c] = counts.get(c, 0) + 1
         for c, cnt in sorted(counts.items()):
             out.append(

@@ -13,8 +13,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from . import perms
 from .adinkra import Chromotopology
 from .errors import ResourceBoundError
+from .perms import compose, cycle_lengths, inverse
 
 LabeledEdge = tuple[int, int, str]  # (tail, head, "x"|"y"); parallel edges allowed
 
@@ -138,55 +140,21 @@ def monodromy(graph: OrigamiGraph) -> tuple[Monodromy, int]:
     return m, genus_from_monodromy(m)
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return count
-
-
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def commutator(m: Monodromy) -> tuple[int, ...]:
     sx, sy = m.sigma_x, m.sigma_y
-    return _compose(_compose(sx, sy), _compose(_inverse(sx), _inverse(sy)))
+    return compose(compose(sx, sy), compose(inverse(sx), inverse(sy)))
 
 
 def genus_from_monodromy(m: Monodromy) -> int:
     d = m.degree
-    v = _cycle_count(commutator(m))
+    v = len(cycle_lengths(commutator(m)))
     if (d - v) % 2:
         raise ValueError(f"non-integral genus: d={d}, commutator cycles={v}")
     return 1 + (d - v) // 2
 
 
 def is_transitive(m: Monodromy) -> bool:
-    moves = (m.sigma_x, m.sigma_y, _inverse(m.sigma_x), _inverse(m.sigma_y))
-    seen = {0}
-    queue = deque(seen)
-    while queue:
-        i = queue.popleft()
-        for j in (perm[i] for perm in moves):
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == m.degree
+    return perms.is_transitive((m.sigma_x, m.sigma_y), m.degree)
 
 
 def origami_from_monodromy(m: Monodromy) -> OrigamiGraph:

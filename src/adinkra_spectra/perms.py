@@ -1,0 +1,51 @@
+"""Permutations of range(d) as tuples, p[i] the image of i: inverse,
+composition, cycle type, and transitivity of the group they generate."""
+
+from __future__ import annotations
+
+from collections.abc import Collection
+
+Perm = tuple[int, ...]
+
+
+def inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """(p o q)(i) = p[q[i]]."""
+    return tuple(p[j] for j in q)
+
+
+def cycle_lengths(p: Perm) -> list[int]:
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        c, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            c += 1
+        if c:
+            out.append(c)
+    return out
+
+
+def is_transitive(gens: Collection[Perm], degree: int) -> bool:
+    """Whether the group generated by ``gens`` moves 0 to every point.
+
+    Forward images suffice: on a finite set each inverse is a power of
+    its permutation.
+    """
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for p in gens:
+            if p[i] not in seen:
+                seen.add(p[i])
+                stack.append(p[i])
+    return len(seen) == degree

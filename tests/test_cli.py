@@ -163,6 +163,18 @@ def test_geodesics_csv(capsys, tmp_path):
     assert len(text.strip().splitlines()) == 1 + meta["classes"]
 
 
+def test_geodesics_meta_on_stderr_without_out(capsys, tmp_path):
+    argv = ["geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "2.0"]
+    out_path = tmp_path / "spec.csv"
+    _code, meta_text, _err = run_capture(capsys, ["--out", str(out_path), *argv])
+    code, out, err = run_capture(capsys, argv)
+    assert code == 0
+    assert out == out_path.read_text()
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == json.loads(meta_text)
+
+
 def test_action_from_spectrum_csv(capsys, tmp_path):
     out_path = tmp_path / "spec.csv"
     run_capture(

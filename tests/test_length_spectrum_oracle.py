@@ -1,0 +1,247 @@
+"""``length_spectrum`` against a frozen copy of its slow per-depth form.
+
+The oracle below is the numpy implementation that classified the whole
+ball afresh at every depth, with a new classifier each time, and decided
+primitivity with yet another one.  The library classifies each element
+once, on float tuples, with one memo for the run; both must find the same
+conjugacy partition, primitivity, merged multiplicities and ball counts,
+with lengths equal to 1e-12.
+"""
+
+import itertools
+import math
+from collections import deque
+
+import numpy as np
+import pytest
+
+from adinkra_spectra import hyperbolic
+from adinkra_spectra.hyperbolic import length_of_trace, length_spectrum, triangle_generators
+
+# -- frozen oracle ----------------------------------------------------------
+
+_LETTERS = ("a", "A", "b", "B", "c", "C")
+TRACE_GAP = 1e-9
+
+
+def _renorm(m):
+    return m / math.sqrt(abs(float(np.linalg.det(m))))
+
+
+def _key(m):
+    flat = m.ravel()
+    for x in flat:
+        if abs(x) > 1e-8:
+            m = m if x > 0 else -m
+            break
+    return tuple(int(round(float(x) * 1e8)) for x in m.ravel())
+
+
+class _OracleBall:
+    def __init__(self, group):
+        self.letters = {l: group.letter_matrix(l) for l in _LETTERS}
+        ident = np.eye(2)
+        self.elements = {_key(ident): (ident, "")}
+        self.frontier = [(ident, "")]
+        self.depth = 0
+
+    def grow(self, max_norm=1e8):
+        new_frontier = []
+        added = 0
+        for mat, word in self.frontier:
+            last = word[-1] if word else ""
+            for letter, gm in self.letters.items():
+                if last and letter.swapcase() == last:
+                    continue
+                nm = _renorm(mat @ gm)
+                if float(np.abs(nm).max()) > max_norm:
+                    continue
+                k = _key(nm)
+                if k in self.elements:
+                    continue
+                self.elements[k] = (nm, word + letter)
+                new_frontier.append((nm, word + letter))
+                added += 1
+        self.frontier = new_frontier
+        self.depth += 1
+        return added
+
+
+class _OracleClassifier:
+    def __init__(self, group):
+        conjugators = [group.letter_matrix(l1) for l1 in _LETTERS]
+        for l1 in _LETTERS:
+            for l2 in _LETTERS:
+                if l2 != l1.swapcase():
+                    conjugators.append(group.letter_matrix(l1) @ group.letter_matrix(l2))
+        self.pairs = [(g, np.linalg.inv(g)) for g in conjugators]
+        self.single_pairs = self.pairs[: len(_LETTERS)]
+        self.memo = {}
+
+    @staticmethod
+    def _rank(m):
+        return (round(float(np.abs(m).max()), 9), _key(m))
+
+    def class_key(self, m):
+        path = []
+        cur = _renorm(m)
+        cur_rank = self._rank(cur)
+        while True:
+            k = cur_rank[1]
+            if k in self.memo:
+                cls = self.memo[k]
+                for pk in path:
+                    self.memo[pk] = cls
+                return cls
+            path.append(k)
+            best = None
+            for g, gi in self.pairs:
+                cm = _renorm(g @ cur @ gi)
+                r = self._rank(cm)
+                if r < cur_rank and (best is None or r < best[0]):
+                    best = (r, cm)
+            if best is None:
+                break
+            cur_rank, cur = best
+        cap = max(3.0, 2.0 * cur_rank[0])
+        seen = {cur_rank[1]}
+        queue = deque([cur])
+        best_key = cur_rank[1]
+        while queue and len(seen) < 50_000:
+            x = queue.popleft()
+            for g, gi in self.single_pairs:
+                cm = _renorm(g @ x @ gi)
+                if float(np.abs(cm).max()) > cap:
+                    continue
+                k = _key(cm)
+                if k in seen:
+                    continue
+                seen.add(k)
+                queue.append(cm)
+                if k in self.memo:
+                    cls = self.memo[k]
+                    for pk in path:
+                        self.memo[pk] = cls
+                    for pk in seen:
+                        self.memo[pk] = cls
+                    return cls
+                if k < best_key:
+                    best_key = k
+        for pk in path:
+            self.memo[pk] = best_key
+        for pk in seen:
+            self.memo[pk] = best_key
+        return best_key
+
+
+def oracle_spectrum(group, l_max, dedupe_tol=1e-9, max_depth=24, stable_rounds=1):
+    """Per-class (length, primitive) by member-word set, merged
+    (length, multiplicity) entries, and the ball counts."""
+    ball = _OracleBall(group)
+    previous = None
+    stable = 0
+    partition = {}
+    elliptic = near_parabolic = 0
+    converged = False
+    while ball.depth < max_depth:
+        if ball.grow() == 0:
+            converged = True
+            break
+        hyperbolics = []
+        elliptic = near_parabolic = 0
+        for mat, word in ball.elements.values():
+            if not word:
+                continue
+            t = abs(float(mat[0, 0] + mat[1, 1]))
+            if t <= 2.0 - TRACE_GAP:
+                elliptic += 1
+            elif t <= 2.0 + TRACE_GAP:
+                near_parabolic += 1
+            elif length_of_trace(t) <= l_max + 1e-12:
+                hyperbolics.append((mat, word))
+        classifier = _OracleClassifier(group)
+        partition = {}
+        for m, w in hyperbolics:
+            partition.setdefault(classifier.class_key(m), []).append((m, w))
+        signature = {}
+        for members in partition.values():
+            t = abs(float(members[0][0][0, 0] + members[0][0][1, 1]))
+            bucket = int(round(length_of_trace(t) / max(dedupe_tol, 1e-12)))
+            signature[bucket] = signature.get(bucket, 0) + 1
+        if previous is not None and signature == previous:
+            stable += 1
+            if stable >= stable_rounds:
+                converged = True
+                break
+        else:
+            stable = 0
+        previous = signature
+
+    classifier = _OracleClassifier(group)
+    raw = []
+    for members in partition.values():
+        mat, word = min(members, key=lambda mw: (len(mw[1]), mw[1]))
+        t = abs(float(mat[0, 0] + mat[1, 1]))
+        raw.append((length_of_trace(t), word, mat, frozenset(w for _m, w in members)))
+    raw.sort(key=lambda r: (r[0], r[1]))
+    keys = [classifier.class_key(mat) for _l, _w, mat, _ws in raw]
+    per_class = {}
+    merged = []
+    for i, (l, _w, _mat, words) in enumerate(raw):
+        primitive = True
+        for j in range(i):
+            m = l / raw[j][0]
+            mi = round(m)
+            if mi >= 2 and abs(m - mi) < 1e-7:
+                power = np.linalg.matrix_power(raw[j][2], mi)
+                if classifier.class_key(_renorm(power)) == keys[i]:
+                    primitive = False
+                    break
+        per_class[words] = (l, primitive)
+        if not primitive:
+            continue
+        if merged and abs(merged[-1][0] - l) <= dedupe_tol:
+            merged[-1][1] += 1
+        else:
+            merged.append([l, 1])
+    counts = (ball.depth, len(ball.elements), elliptic, near_parabolic, converged)
+    return per_class, [tuple(e) for e in merged], counts
+
+
+# -- comparison -------------------------------------------------------------
+
+ORDERS = sorted({order for sig in ((5, 5, 2), (3, 3, 4), (6, 6, 2), (2, 4, 6), (2, 4, 5))
+                 for order in itertools.permutations(sig)})
+CASES = [(order, 4.0) for order in ORDERS] + [((5, 5, 2), 3.2), ((5, 5, 2), 5.0)]
+
+
+@pytest.mark.parametrize("order,l_max", CASES)
+def test_length_spectrum_matches_per_depth_oracle(monkeypatch, order, l_max):
+    group = triangle_generators(*order)
+    seen = []
+
+    def capture(classifier, partition):
+        records = real(classifier, partition)
+        seen.append((partition, records))
+        return records
+
+    real = hyperbolic._class_records
+    monkeypatch.setattr(hyperbolic, "_class_records", capture)
+    spec = length_spectrum(group, l_max)
+    (partition, records), = seen
+    oracle_classes, oracle_merged, oracle_counts = oracle_spectrum(group, l_max)
+
+    classes = [frozenset(w for _m, w in members) for members in partition.values()]
+    assert set(classes) == set(oracle_classes)
+    class_of = {w: words for words in classes for w in words}
+    for length, _trace, word, primitive in records:
+        oracle_length, oracle_primitive = oracle_classes[class_of[word]]
+        assert primitive == oracle_primitive, word
+        assert abs(length - oracle_length) <= 1e-12, word
+
+    assert [c.multiplicity for c in spec.classes] == [m for _l, m in oracle_merged]
+    for c, (oracle_length, _m) in zip(spec.classes, oracle_merged):
+        assert abs(c.length - oracle_length) <= 1e-12, c.word
+    counts = (spec.depth, spec.element_count, spec.elliptic_count,
+              spec.near_parabolic_count, spec.converged)
+    assert counts == oracle_counts
