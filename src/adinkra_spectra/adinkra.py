@@ -17,6 +17,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
 from .codes import BinaryCode, analyze_code, coordinate_mask, enumerate_cosets, format_word, weight
@@ -350,8 +351,7 @@ def two_colored_four_cycles(
     well-dashed predicate quantifies over exactly these.
     """
     if pairs is None:
-        n = graph.n_colors
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        pairs = combinations(range(1, graph.n_colors + 1), 2)
     faces = []
     for first, second in pairs:
         for quad in _walk_four_cycles(graph, first, second):
@@ -407,7 +407,8 @@ def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
     cycles_ok = True
     if color_bad is None and not loops:
         try:
-            two_colored_four_cycles(graph)
+            for first, second in combinations(range(1, graph.n_colors + 1), 2):
+                _walk_four_cycles(graph, first, second)
         except ValueError as exc:
             cycles_ok = False
             cycle_witness = str(exc)

@@ -616,21 +616,22 @@ def spectrum_to_csv(classes) -> str:
 
 
 def spectrum_from_csv(text: str) -> list[GeodesicClass]:
+    """Primitive classes from ``spectrum_to_csv`` output.
+
+    The CSV does not carry the primitive length of a power, so a row with
+    primitive_flag 0 is refused rather than read with a wrong weight.
+    """
     lines = [l for l in text.strip().splitlines() if l]
     if not lines or not lines[0].startswith("length"):
         raise ValueError("missing length-spectrum CSV header")
     out = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         length_s, trace_s, mult_s, word, prim_s = line.split(",")
-        length = float(length_s)
-        out.append(
-            GeodesicClass(
-                float(trace_s),
-                length,
-                length,
-                int(mult_s),
-                word,
-                bool(int(prim_s)),
+        if not int(prim_s):
+            raise ValueError(
+                f"CSV row {row} ({word}) is not primitive; the CSV does not carry "
+                "its primitive length"
             )
-        )
+        length = float(length_s)
+        out.append(GeodesicClass(float(trace_s), length, length, int(mult_s), word, True))
     return out

@@ -11,22 +11,31 @@ the half-line integrals to an exact h-side first moment
 plus an exponentially convergent correction, which keeps conditionally
 convergent tails (C^1 windows decay like 1/r^2) out of the quadrature.
 
-Actions implemented, with Lambda the cutoff scale and all sums truncated
-exactly by supp h:
+Every action is an identity term plus one geodesic power sum, truncated
+exactly by supp h, with Lambda the cutoff scale:
+
+    sum over classes P, powers k with k L_P <= 1/Lambda of
+    m_P L_P / (2 sinh(k L_P / 2)) * Phi(k L_P, chi(P)^k).
+
+``_power_sum`` validates the input, expands (P, k) into arrays once and
+evaluates h over all terms in one call; the actions differ only in Phi
+and in their identity term:
 
 * Laplace, geodesic form: Lambda^2 (g-1) int_0^inf r f(r) tanh(Lambda pi r) dr
   + Lambda * sum over closed geodesics of length <= 1/Lambda of
-  lam(gamma) / (N^1/2 - N^-1/2) * h(Lambda log N).
+  lam(gamma) / (N^1/2 - N^-1/2) * h(Lambda log N); each listed geodesic
+  is one term, k = 1, with its primitive length as L_P.
 * Laplace, conjugacy-class form: the same sum regrouped over primitive
-  classes P and powers l with 2 l arccosh(t_P/2) <= 1/Lambda.
-* Dirac: coth identity kernel and character weights chi(P^l).
-* Supersymmetric (supertrace): G_Lambda built from h_Lambda(t) =
+  classes P and powers k, Phi = Lambda h(Lambda x).
+* Dirac: coth identity kernel, Phi = Lambda chi(P)^k h(Lambda x).
+* Supersymmetric (supertrace): Phi = G_Lambda built from h_Lambda(t) =
   Lambda e^{-t(Lambda-1)/2} h(Lambda t) (lambda_scaled variant) or
-  Lambda-scaled arguments of the unscaled G (r_scaled variant).
+  Lambda G(Lambda x) with the unscaled h (r_scaled variant).
 
 The supertrace identity integrand f(ir + 1/2) grows exponentially for
 compact-support pairs, so that integral is evaluated over a documented
-symmetric window (``identity_window``); see the README note.
+symmetric window (``identity_window``), one f_complex product per panel
+and its mirror image; see the README note.
 """
 
 from __future__ import annotations
@@ -109,9 +118,11 @@ class TestFunctionPair:
         vals = (w * ht) @ np.cos(np.outer(x, rr))
         return vals if np.ndim(r) else float(vals[0])
 
-    def f_complex(self, z: complex) -> complex:
+    def f_complex(self, z) -> np.ndarray | complex:
         x, w, ht = self._quad
-        return complex(np.sum(w * ht * np.exp(1j * z * x)))
+        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        vals = (w * ht) @ np.exp(1j * np.outer(x, zz))
+        return vals if np.ndim(z) else complex(vals[0])
 
     def h_at(self, t) -> np.ndarray | float:
         vals = self.h(np.atleast_1d(np.asarray(t, dtype=float)))
@@ -246,7 +257,26 @@ def _identity_coth(pair, lam: float, quad_nodes: int = 64) -> float:
     return 2.0 * (t_moment + corr)
 
 
-def _coerce_spectrum(spectrum, lam: float, need_below: float):
+def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> complex:
+    """int f(ir + 1/2) tanh(Lambda pi r) dr over [-window, window].
+
+    Each of 16 panels is evaluated with its mirror image in one f_complex
+    call, so the imaginary parts cancel to rounding within the panel.
+    """
+    x, w = np.polynomial.legendre.leggauss(quad_nodes)
+    w2 = np.concatenate([w, w])
+    edges = np.linspace(0.0, window, 17)
+    total = 0.0 + 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        pts = mid + half * x
+        pts = np.concatenate([pts, -pts])
+        vals = pair.f_complex(1j * pts + 0.5)
+        total += half * np.sum(w2 * vals * np.tanh(lam * math.pi * pts))
+    return complex(total)
+
+
+def _coerce_spectrum(spectrum, need_below: float):
     if isinstance(spectrum, SpectrumResult):
         if not spectrum.converged or spectrum.certified_below < min(need_below, spectrum.l_max):
             raise ValueError(
@@ -259,6 +289,64 @@ def _coerce_spectrum(spectrum, lam: float, need_below: float):
             )
         return spectrum.classes
     return tuple(spectrum)
+
+
+def _power_sum(
+    genus: int,
+    spectrum: Sequence[GeodesicClass] | SpectrumResult,
+    pair: TestFunctionPair,
+    lam: float,
+    phi: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    chi: Sequence[complex] | None = None,
+    power_form: str | None = None,
+) -> tuple[float | complex, int]:
+    """Geodesic term and contributing count of one trace-formula action.
+
+    The sum runs over classes P and powers k with k L_P <= 1/Lambda of
+
+        m L_P / (2 sinh(k L_P / 2)) * phi(k L_P, chi(P)^k, h(Lambda k L_P)),
+
+    with h evaluated once over all terms (chi = 1 when not given).  A
+    ``power_form`` (its name goes in the error) takes primitive classes and
+    expands their powers; without one each class is a single term, k = 1,
+    whose L_P is its ``primitive_length``.  The input is validated here:
+    genus, Lambda, spectrum completeness, one chi value per class.
+    """
+    if genus < 2:
+        raise ValueError("hyperbolic trace formula needs genus >= 2")
+    if lam <= 0:
+        raise ValueError("Lambda must be positive")
+    cutoff = pair.support_radius / lam
+    classes = _coerce_spectrum(spectrum, cutoff)
+    if chi is None:
+        chi = [1.0] * len(classes)
+    elif len(chi) != len(classes):
+        raise ValueError(
+            f"need one character value per class: got {len(chi)} for {len(classes)}"
+        )
+    if power_form and not all(c.primitive for c in classes):
+        raise ValueError(f"{power_form} expects primitive classes only")
+    length = np.array([c.length for c in classes], dtype=float)
+    if np.any(length <= 0.0):
+        raise ValueError("geodesic lengths must be positive")
+    cut = cutoff + 1e-15
+    top = int(cut / length.min()) + 1 if power_form and len(classes) else 1
+    x = np.outer(length, np.arange(1.0, top + 1.0))  # k L_P per class and power
+    i, j = np.nonzero(x <= cut)
+    x = x[i, j]
+    mult = np.array([c.multiplicity for c in classes], dtype=int)[i]
+    l_p = np.array([c.primitive_length for c in classes], dtype=float)[i]
+    chi_k = np.asarray(chi, dtype=complex)[i] ** (j + 1)
+    weight = mult * l_p / (2.0 * np.sinh(x / 2.0))
+    total = complex(np.sum(weight * phi(x, chi_k, pair.h_at(lam * x))))
+    if abs(total.imag) < 1e-14 * max(1.0, abs(total.real)):
+        return total.real, int(mult.sum())
+    return total, int(mult.sum())
+
+
+def _laplace_phi(lam: float):
+    """phi of the Laplace and Dirac actions: Lambda chi(P)^k h(Lambda k L_P)."""
+    return lambda x, chi_k, hx: lam * chi_k * hx
 
 
 def laplace_action_geodesic(
@@ -274,22 +362,8 @@ def laplace_action_geodesic(
     powers) of length <= 1/Lambda; entries beyond the cutoff contribute
     exactly zero and are skipped.
     """
-    if genus < 2:
-        raise ValueError("hyperbolic trace formula needs genus >= 2")
-    if lam <= 0:
-        raise ValueError("Lambda must be positive")
-    cutoff = pair.support_radius / lam
-    classes = _coerce_spectrum(spectrum, lam, cutoff)
+    geodesic, count = _power_sum(genus, spectrum, pair, lam, _laplace_phi(lam))
     identity = lam * lam * (genus - 1) * _identity_tanh(pair, lam, quad_nodes)
-    geodesic = 0.0
-    count = 0
-    for c in classes:
-        if c.length > cutoff + 1e-15:
-            continue
-        weight = c.primitive_length / (2.0 * math.sinh(c.length / 2.0))
-        geodesic += c.multiplicity * weight * float(pair.h_at(lam * c.length))
-        count += c.multiplicity
-    geodesic *= lam
     return _result(identity, geodesic, count, lam)
 
 
@@ -303,32 +377,11 @@ def laplace_action_conjugacy(
     """Laplace spectral action, primitive-conjugacy-class form.
 
     Powers are generated internally over the finite sets
-    S_Lambda(P) = {l : 2 l arccosh(t_P/2) <= 1/Lambda}.
+    S_Lambda(P) = {l : l L_P <= 1/Lambda}.
     """
-    if genus < 2:
-        raise ValueError("hyperbolic trace formula needs genus >= 2")
-    if lam <= 0:
-        raise ValueError("Lambda must be positive")
-    cutoff = pair.support_radius / lam
-    classes = _coerce_spectrum(primitive_classes, lam, cutoff)
+    geodesic, count = _power_sum(genus, primitive_classes, pair, lam, _laplace_phi(lam),
+                                 power_form="conjugacy form")
     identity = lam * lam * (genus - 1) * _identity_tanh(pair, lam, quad_nodes)
-    geodesic = 0.0
-    count = 0
-    for c in classes:
-        if not c.primitive:
-            raise ValueError("conjugacy form expects primitive classes only")
-        half = c.half_trace_arccosh  # arccosh(t_P/2) = primitive length / 2
-        ell = 1
-        while 2.0 * ell * half <= cutoff + 1e-15:
-            geodesic += (
-                c.multiplicity
-                * half
-                * float(pair.h_at(lam * 2.0 * ell * half))
-                / math.sinh(ell * half)
-            )
-            count += c.multiplicity
-            ell += 1
-    geodesic *= lam
     return _result(identity, geodesic, count, lam)
 
 
@@ -347,45 +400,18 @@ def dirac_action(
     conjugacy-form geodesic term.  The identity kernel is r f(r)
     coth(Lambda pi r) over the whole line.
     """
-    if genus < 2:
-        raise ValueError("hyperbolic trace formula needs genus >= 2")
-    if lam <= 0:
-        raise ValueError("Lambda must be positive")
-    cutoff = pair.support_radius / lam
-    classes = _coerce_spectrum(primitive_classes, lam, cutoff)
-    if len(chi) != len(classes):
-        raise ValueError(
-            f"need one character value per class: got {len(chi)} for {len(classes)}"
-        )
+    geodesic, count = _power_sum(genus, primitive_classes, pair, lam, _laplace_phi(lam),
+                                 chi=chi, power_form="Dirac action")
     identity = lam * lam * (genus - 1) * _identity_coth(pair, lam, quad_nodes)
-    geodesic = 0.0 + 0.0j
-    count = 0
-    for c, chi_p in zip(classes, chi):
-        if not c.primitive:
-            raise ValueError("Dirac action expects primitive classes only")
-        half = c.half_trace_arccosh
-        ell = 1
-        while 2.0 * ell * half <= cutoff + 1e-15:
-            geodesic += (
-                c.multiplicity
-                * (chi_p ** ell)
-                * half
-                * float(pair.h_at(lam * 2.0 * ell * half))
-                / math.sinh(ell * half)
-            )
-            count += c.multiplicity
-            ell += 1
-    geodesic *= lam
-    if abs(geodesic.imag) < 1e-14 * max(1.0, abs(geodesic.real)):
-        geodesic = geodesic.real
     return _result(identity, geodesic, count, lam)
 
 
-def supertrace_g(x: float, chi: complex, h_fn) -> complex:
-    """G(x, chi) = h(x) + h(-x) - chi (e^{-x/2} h(x) + e^{x/2} h(-x))."""
+def supertrace_g(x: float | np.ndarray, chi: complex | np.ndarray, h_fn):
+    """G(x, chi) = h(x) + h(-x) - chi (e^{-x/2} h(x) + e^{x/2} h(-x)),
+    elementwise when x and chi are arrays (h_fn then takes arrays)."""
     hp = h_fn(x)
     hm = h_fn(-x)
-    return hp + hm - chi * (math.exp(-x / 2.0) * hp + math.exp(x / 2.0) * hm)
+    return hp + hm - chi * (np.exp(-x / 2.0) * hp + np.exp(x / 2.0) * hm)
 
 
 def super_action(
@@ -411,56 +437,20 @@ def super_action(
     cancels by symmetry and the residual is reported, flagged above
     ``imag_tol``.
     """
-    if genus < 2:
-        raise ValueError("hyperbolic trace formula needs genus >= 2")
-    if lam <= 0:
-        raise ValueError("Lambda must be positive")
     if variant not in ("lambda_scaled", "r_scaled"):
         raise ValueError(f"unknown variant {variant!r}")
-    cutoff = pair.support_radius / lam
-    classes = _coerce_spectrum(primitive_classes, lam, cutoff)
-    if len(chi) != len(classes):
-        raise ValueError(
-            f"need one character value per class: got {len(chi)} for {len(classes)}"
-        )
 
-    # identity term: symmetric panels so Im cancels to rounding
-    x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    edges = np.linspace(0.0, identity_window, 17)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for sign in (+1.0, -1.0):
-            pts = sign * (mid + half * x)
-            vals = np.array([pair.f_complex(1j * r + 0.5) for r in pts])
-            total += half * np.sum(w * vals * np.tanh(lam * math.pi * pts))
-    identity_c = 1j * lam * (genus - 1) * complex(total)
+    # h is even, so hx = h(Lambda x) is also h at -Lambda x
+    def phi(x, chi_k, hx):
+        if variant == "lambda_scaled":
+            return supertrace_g(x, chi_k, lambda t: lam * np.exp(-t * (lam - 1.0) / 2.0) * hx)
+        return lam * supertrace_g(lam * x, chi_k, lambda t: hx)
+
+    geodesic, count = _power_sum(genus, primitive_classes, pair, lam, phi,
+                                 chi=chi, power_form="super action")
+    identity_c = 1j * lam * (genus - 1) * _identity_super(pair, lam, identity_window, quad_nodes)
     imag_residual = float(abs(identity_c.imag))
-    identity = float(identity_c.real)
-
-    def h_lambda(t: float) -> float:
-        return lam * math.exp(-t * (lam - 1.0) / 2.0) * float(pair.h_at(lam * t))
-
-    geodesic = 0.0 + 0.0j
-    count = 0
-    for c, chi_p in zip(classes, chi):
-        if not c.primitive:
-            raise ValueError("super action expects primitive classes only")
-        k = 1
-        while k * c.length <= cutoff + 1e-15:
-            x_arg = k * c.length
-            weight = c.primitive_length / (2.0 * math.sinh(x_arg / 2.0))
-            if variant == "lambda_scaled":
-                term = supertrace_g(x_arg, chi_p ** k, h_lambda)
-            else:
-                term = lam * supertrace_g(lam * x_arg, chi_p ** k,
-                                          lambda t: float(pair.h_at(t)))
-            geodesic += c.multiplicity * weight * term
-            count += c.multiplicity
-            k += 1
-    if abs(geodesic.imag) < 1e-14 * max(1.0, abs(geodesic.real)):
-        geodesic = geodesic.real
-    return _result(identity, geodesic, count, lam,
+    return _result(float(identity_c.real), geodesic, count, lam,
                    imag_residual=imag_residual, flagged=bool(imag_residual > imag_tol))
 
 

@@ -183,34 +183,12 @@ class TransferMatrix:
         return vals[np.argsort(-np.abs(vals))]
 
 
-def _weight_and_cardinals(
-    sys: BranchSystem, beta: complex, grids: Sequence[np.ndarray],
-    bweights: np.ndarray, allx: np.ndarray
-) -> list[np.ndarray]:
-    """Per branch: the (all nodes) x (branch grid) weighted cardinal block."""
-    blocks = []
-    for s, b in enumerate(sys.branches):
-        y = b.apply(allx)
-        wt = b.deriv_abs(allx) ** beta
-        card = _cardinal_matrix(grids[s], bweights, y)
-        blocks.append(wt[:, None] * card)
-    return blocks
-
-
 def build_transfer_matrix(
     sys: BranchSystem, beta: complex, nodes_per_interval: int = 32
 ) -> TransferMatrix:
-    """Collocation discretization of the transfer operator at parameter beta."""
-    if nodes_per_interval < 2:
-        raise ValueError("need at least 2 nodes per interval")
-    grids = tuple(_cheb_nodes(b.lo, b.hi, nodes_per_interval) for b in sys.branches)
-    bweights = _bary_weights(nodes_per_interval)
-    allx = np.concatenate(grids)
-    blocks = _weight_and_cardinals(sys, beta, grids, bweights, allx)
-    matrix = np.concatenate(blocks, axis=1)
-    if np.iscomplexobj(matrix) and np.all(matrix.imag == 0.0):
-        matrix = matrix.real
-    return TransferMatrix(beta, sys, nodes_per_interval, 1, matrix, grids)
+    """Collocation discretization of the transfer operator at parameter beta:
+    the degree-1 coset extension."""
+    return extend_to_coset(sys, {b.label: (0,) for b in sys.branches}, beta, nodes_per_interval)
 
 
 def extend_to_coset(
@@ -224,8 +202,11 @@ def extend_to_coset(
     The branch labelled s acts on cosets by its permutation; the extended
     operator reads (L f)(x, a) = sum_s |g_s'(x)|^beta f(g_s x, g_s a), so
     the (a, b) block carries branch s's weights iff b = g_s a.  Degree 1
-    reproduces the base matrix entry-for-entry.
+    is the base discretization.  A complex beta whose weights come out
+    real gives a real matrix.
     """
+    if nodes_per_interval < 2:
+        raise ValueError("need at least 2 nodes per interval")
     labels = sys.labels()
     missing = [l for l in labels if l not in perms]
     if missing:
@@ -237,15 +218,19 @@ def extend_to_coset(
     grids = tuple(_cheb_nodes(b.lo, b.hi, nodes_per_interval) for b in sys.branches)
     bweights = _bary_weights(nodes_per_interval)
     allx = np.concatenate(grids)
-    blocks = _weight_and_cardinals(sys, beta, grids, bweights, allx)
+    # per branch: the (all nodes) x (branch grid) weighted cardinal block
+    blocks = [(b.deriv_abs(allx) ** beta)[:, None] * _cardinal_matrix(grids[s], bweights, b.apply(allx))
+              for s, b in enumerate(sys.branches)]
     n_base = len(allx)
     k = nodes_per_interval
     big = np.zeros((n_base * degree, n_base * degree), dtype=blocks[0].dtype)
     for a in range(degree):
-        for s, _b in enumerate(sys.branches):
+        for s, block in enumerate(blocks):
             target = perms[labels[s]][a]
             big[a * n_base:(a + 1) * n_base,
-                target * n_base + s * k: target * n_base + (s + 1) * k] = blocks[s]
+                target * n_base + s * k: target * n_base + (s + 1) * k] = block
+    if np.iscomplexobj(big) and np.all(big.imag == 0.0):
+        big = big.real
     return TransferMatrix(beta, sys, nodes_per_interval, degree, big, grids)
 
 

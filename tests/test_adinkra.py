@@ -97,6 +97,18 @@ def test_recolored_edge_fails_one_per_color():
     assert any(c.witness for c in failed)
 
 
+def test_open_two_colored_walk_is_reported():
+    # an 8-cycle alternating colors 1 and 2: simple, 2-regular, bipartite and
+    # one edge of each color per vertex, but its {1,2}-subgraph is no 4-cycle
+    edges = tuple((i, i + 1, 1 + i % 2) for i in range(7)) + ((0, 7, 2),)
+    g = Chromotopology(2, tuple(range(8)), edges, tuple(i % 2 for i in range(8)))
+    rep = validate_chromotopology(g)
+    assert [c.name for c in rep.failures()] == ["2-colored subgraphs are unions of 4-cycles"]
+    assert rep.failures()[0].witness == (
+        "colors (1,2) do not close a 4-cycle at vertex 0: walk (0, 1, 2, 3) returns to 4"
+    )
+
+
 def test_default_ranking_square():
     g = square()
     r = default_ranking(g)

@@ -218,6 +218,16 @@ def test_csv_round_trip(spectrum552):
     ]
 
 
+def test_csv_refuses_power_rows(delta552):
+    # the CSV has no primitive-length column: reading a power row back with
+    # L_P = length would silently change its trace-formula weight
+    spec = length_spectrum(delta552, 5.0)
+    closed = power_closure(spec.classes, 5.0)
+    assert not all(c.primitive for c in closed)
+    with pytest.raises(ValueError, match=r"CSV row \d+ .* not primitive"):
+        spectrum_from_csv(spectrum_to_csv(closed))
+
+
 def test_nontransitive_action_rejected():
     with pytest.raises(ValueError, match="transitive"):
         CosetAction(2, {"a": (0, 1), "b": (0, 1), "c": (0, 1)})

@@ -205,6 +205,13 @@ def test_dirac_sign_flip():
     assert minus.geodesic_term == pytest.approx(-plus.geodesic_term, rel=1e-12)
 
 
+def test_nonpositive_length_rejected():
+    pair = make_test_pair("smooth_bump")
+    flat = GeodesicClass(2.0, 0.0, 0.0, 1, "w", True)
+    with pytest.raises(ValueError, match="positive"):
+        laplace_action_conjugacy(2, [flat], pair, 1.0)
+
+
 def test_dirac_missing_character_rejected():
     pair = make_test_pair("smooth_bump")
     with pytest.raises(ValueError, match="character value"):
