@@ -230,7 +230,7 @@ def extend_to_coset(
             big[a * n_base:(a + 1) * n_base,
                 target * n_base + s * k: target * n_base + (s + 1) * k] = block
     if np.iscomplexobj(big) and np.all(big.imag == 0.0):
-        big = big.real
+        big = np.ascontiguousarray(big.real)  # a copy, so the complex buffer is freed
     return TransferMatrix(beta, sys, nodes_per_interval, degree, big, grids)
 
 
