@@ -96,40 +96,38 @@ class Chromotopology:
             masks[v] |= 1 << e
         return tuple(masks)
 
-    def neighbor(self, v: int, color: int) -> int:
-        """The unique color-neighbor of vertex index v; raises if not unique."""
+    def slot(self, v: int, color: int) -> tuple[int, int]:
+        """(edge index, other endpoint) of the unique color edge at vertex
+        index v; raises if not unique."""
         slots = self.incidence[v].get(color, [])
         if len(slots) != 1:
             raise ValueError(f"vertex {v} has {len(slots)} edges of color {color}")
-        return slots[0][1]
-
-    def edge_of(self, v: int, color: int) -> int:
-        slots = self.incidence[v].get(color, [])
-        if len(slots) != 1:
-            raise ValueError(f"vertex {v} has {len(slots)} edges of color {color}")
-        return slots[0][0]
+        return slots[0]
 
     def edges_of_color(self, color: int) -> list[int]:
         if not 1 <= color <= self.n_colors:
             raise ValueError(f"color {color} out of range 1..{self.n_colors}")
         return [e for e, (_u, _v, c) in enumerate(self.edges) if c == color]
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {0}
-        queue = deque([0])
-        adj: list[list[int]] = [[] for _ in self.vertices]
+    @cached_property
+    def component_count(self) -> int:
+        """Connected components, by union-find over the edges."""
+        parent = list(range(self.vertex_count))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
         for u, v, _c in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.vertex_count
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+        return len({find(i) for i in range(self.vertex_count)})
+
+    def is_connected(self) -> bool:
+        return self.component_count <= 1
 
     def label_texts(self) -> tuple[str, ...]:
         return tuple(label_text(l, self.n_colors) for l in self.vertices)
@@ -179,8 +177,11 @@ class Face:
     """A 2-colored 4-cycle with a stored cyclic orientation.
 
     ``vertices[j]`` to ``vertices[j+1]`` runs along ``edge_indices[j]``;
-    edge colors alternate ``colors[0], colors[1]`` starting at the lowest
-    vertex index on the cycle.
+    edge colors alternate ``colors[0], colors[1]``, first step on
+    ``colors[0]``.  Strict faces (:func:`two_colored_four_cycles`) start
+    at the lowest vertex index on the cycle; surface faces
+    (``embedding.attach_faces``) start at the smaller fermion, with the
+    first step on the family color.
     """
 
     vertices: tuple[int, int, int, int]
@@ -291,22 +292,27 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
     return Chromotopology(n, tuple(reps), edges, bipartition, tuple(warnings))
 
 
-def _walk_four_cycles(graph: Chromotopology, first: int, second: int) -> list[tuple[int, int, int, int]]:
-    """Cycles of the {first, second}-colored subgraph as 4-tuples of vertices.
+def _walk_four_cycles(
+    graph: Chromotopology, first: int, second: int, starts: Iterable[int]
+) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """Cycles of the {first, second}-colored subgraph as (vertices, edge
+    indices) 4-tuples, edge j running from vertex j to vertex j + 1.
 
-    Raises ValueError (with a witness) when the subgraph is not a disjoint
-    union of 4-cycles; cycle starts at its lowest vertex index, first step
-    along ``first``.
+    Each cycle is walked from the first of ``starts`` on it, first step
+    along ``first``; ascending starts therefore begin each cycle at its
+    lowest start vertex.  Raises ValueError (with a witness) when a walk
+    does not close a 4-cycle or two walks share a vertex.
     """
     seen = [False] * graph.vertex_count
+    slot = graph.slot
     cycles = []
-    for v0 in range(graph.vertex_count):
+    for v0 in starts:
         if seen[v0]:
             continue
-        v1 = graph.neighbor(v0, first)
-        v2 = graph.neighbor(v1, second)
-        v3 = graph.neighbor(v2, first)
-        back = graph.neighbor(v3, second)
+        e0, v1 = slot(v0, first)
+        e1, v2 = slot(v1, second)
+        e2, v3 = slot(v2, first)
+        e3, back = slot(v3, second)
         quad = (v0, v1, v2, v3)
         if back != v0 or len(set(quad)) != 4:
             raise ValueError(
@@ -319,27 +325,8 @@ def _walk_four_cycles(graph: Chromotopology, first: int, second: int) -> list[tu
                     f"colors ({first},{second}): vertex {x} lies on two cycles"
                 )
             seen[x] = True
-        # start the stored cycle at its minimal vertex with the first step on
-        # color `first`: even rotations keep the color pattern, odd positions
-        # need the reversed traversal (which also starts on `first`)
-        start = quad.index(min(quad))
-        if start == 1:
-            quad = (v1, v0, v3, v2)
-        elif start == 2:
-            quad = (v2, v3, v0, v1)
-        elif start == 3:
-            quad = (v3, v2, v1, v0)
-        cycles.append(quad)
+        cycles.append((quad, (e0, e1, e2, e3)))
     return cycles
-
-
-def _face_from_quad(graph: Chromotopology, quad: tuple[int, int, int, int], first: int, second: int) -> Face:
-    v0, v1, v2, v3 = quad
-    e0 = graph.edge_of(v0, first)
-    e1 = graph.edge_of(v1, second)
-    e2 = graph.edge_of(v2, first)
-    e3 = graph.edge_of(v3, second)
-    return Face((v0, v1, v2, v3), (e0, e1, e2, e3), (first, second))
 
 
 def two_colored_four_cycles(
@@ -352,11 +339,12 @@ def two_colored_four_cycles(
     """
     if pairs is None:
         pairs = combinations(range(1, graph.n_colors + 1), 2)
-    faces = []
-    for first, second in pairs:
-        for quad in _walk_four_cycles(graph, first, second):
-            faces.append(_face_from_quad(graph, quad, first, second))
-    return tuple(faces)
+    starts = range(graph.vertex_count)
+    return tuple(
+        Face(quad, edges, (first, second))
+        for first, second in pairs
+        for quad, edges in _walk_four_cycles(graph, first, second, starts)
+    )
 
 
 def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
@@ -408,7 +396,7 @@ def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
     if color_bad is None and not loops:
         try:
             for first, second in combinations(range(1, graph.n_colors + 1), 2):
-                _walk_four_cycles(graph, first, second)
+                _walk_four_cycles(graph, first, second, range(graph.vertex_count))
         except ValueError as exc:
             cycles_ok = False
             cycle_witness = str(exc)
@@ -601,14 +589,6 @@ def well_dashed_masks(
     return sorted(masks)
 
 
-def count_well_dashed(
-    graph: Chromotopology,
-    faces: Sequence[Face] | None = None,
-    limit: int = DASH_ENUMERATION_LIMIT,
-) -> int:
-    return len(well_dashed_masks(graph, faces, limit))
-
-
 def count_well_dashed_exact(graph: Chromotopology, faces: Sequence[Face] | None = None) -> int:
     """Exact well-dashed count by solving the odd-parity system over GF(2).
 
@@ -620,6 +600,9 @@ def count_well_dashed_exact(graph: Chromotopology, faces: Sequence[Face] | None 
         faces = two_colored_four_cycles(graph)
     system = GF2System((f.edge_mask for f in faces), rhs=1)
     return 1 << (graph.edge_count - system.rank) if system.consistent else 0
+
+
+count_well_dashed = count_well_dashed_exact
 
 
 def sample_well_dashed(
@@ -641,19 +624,30 @@ def sample_well_dashed(
     return hits, n_samples
 
 
-def well_dashed_class_ids(
-    graph: Chromotopology,
-    faces: Sequence[Face] | None = None,
-    limit: int = DASH_ENUMERATION_LIMIT,
-) -> dict[int, int]:
+def well_dashed_class_ids(graph: Chromotopology, faces: Sequence[Face] | None = None) -> dict[int, int]:
     """Map vertex-change class id -> count over all well-dashed dashings.
 
     With ``faces`` = the embedded (consecutively colored) 2-cells, the
     classes are the spin structures of the surface, 2^(2g) of them; the
     default (every 2-colored 4-cycle) is the strict well-dashed notion.
+    Reduction modulo the cut space is linear, so the ids are
+    reduce(particular) + span(reduced nullspace basis), each class of
+    2^(nullity - rank of the reduced basis) members; no mask is listed.
     """
+    if faces is None:
+        faces = two_colored_four_cycles(graph)
+    solution = GF2System((f.edge_mask for f in faces), rhs=1).solve(graph.edge_count)
+    if solution is None:
+        return {}
+    particular, nullspace = solution
     cut = GF2System(graph.incident_edge_masks)
-    return dict(Counter(cut.reduce(m) for m in well_dashed_masks(graph, faces, limit)))
+    span = GF2System()
+    ids = [cut.reduce(particular)]
+    for v in nullspace:
+        r = cut.reduce(v)
+        if span.insert(r):
+            ids += [x ^ r for x in ids]
+    return dict.fromkeys(sorted(ids), 1 << (len(nullspace) - span.rank))
 
 
 def graph_to_json(graph: Chromotopology, dashing: Dashing | None = None) -> dict:

@@ -95,10 +95,6 @@ class BinaryCode:
     def __iter__(self) -> Iterator[int]:
         return iter(self.codewords())
 
-    def coset_representative(self, word: int) -> int:
-        """Lexicographically smallest member of word + L."""
-        return min(word ^ c for c in self.codewords())
-
     def to_json(self) -> dict:
         return {
             "n": self.length,

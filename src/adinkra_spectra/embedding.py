@@ -3,9 +3,14 @@ the labeled dual origami graph, and Cartesian / fibered products.
 
 Faces are the consecutively colored 4-cycles {i, i+1 mod N}, one 2-cell per
 color family i = 1..N (for N = 2 both families attach to the single square,
-giving the sphere).  The rotation convention: each face is stored with the
-cyclic order that alternates colors (i, i+1, i, i+1) starting at its lowest
-vertex index.
+giving the sphere).  The rotation convention (colors run 1..N
+counterclockwise at bosons, reversed at fermions) orients every face so
+each edge is traversed once in each direction: a family-i face is stored as
+(i, i+1, i, i+1) starting at the smaller of its two fermions, so its first
+step is on the family color i.  (Strict 4-cycles from
+``adinkra.two_colored_four_cycles`` start at their lowest vertex index
+instead.)  For N = 2 the square is walked as (1, 2) once from its smaller
+fermion and once from its smaller boson.
 """
 
 from __future__ import annotations
@@ -14,13 +19,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .adinkra import (
+    FERMION,
     Adinkra,
     Chromotopology,
     Dashing,
     Face,
     Ranking,
+    _walk_four_cycles,
     default_ranking,
 )
 from .origami import OrigamiGraph
@@ -46,6 +54,16 @@ class SurfaceData:
     @property
     def face_count(self) -> int:
         return len(self.faces)
+
+    @cached_property
+    def edge_sides(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge index, the (face index, boundary position) of each side,
+        flat: ``(fa, ja, fb, jb)`` on a closed surface."""
+        sides: list[tuple[int, ...]] = [()] * len(self.graph.edges)
+        for fi, f in enumerate(self.faces):
+            for j, e in enumerate(f.edge_indices):
+                sides[e] += (fi, j)
+        return tuple(sides)
 
     def to_json(self) -> dict:
         return {
@@ -78,14 +96,6 @@ class TriangulationStats:
     triangle_area_pi: Fraction
     total_area_pi: Fraction
 
-    @property
-    def triangle_area(self) -> float:
-        return float(self.triangle_area_pi) * math.pi
-
-    @property
-    def total_area(self) -> float:
-        return float(self.total_area_pi) * math.pi
-
     def to_json(self) -> dict:
         return {
             "triangle_count": self.triangle_count,
@@ -106,105 +116,47 @@ def closed_form_genus(n: int, k: int) -> int:
     return int(g)
 
 
-def _component_count(graph: Chromotopology) -> int:
-    parent = list(range(graph.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _c in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(i) for i in range(graph.vertex_count)})
-
-
-def _rotation_faces(graph: Chromotopology) -> list[Face]:
-    """Oriented faces of the dessin rotation system.
-
-    Rotation: colors run 1..N counterclockwise at bosons and reversed at
-    fermions, so face-tracing closes up the consecutively colored 4-gons
-    with globally consistent boundary orientations (each edge is traversed
-    once in each direction by its two faces).  A family-i face is stored
-    as (i, i+1, i, i+1) starting from the smaller fermion endpoint of its
-    color-i edges.
-    """
-    n = graph.n_colors
-
-    def next_dart(tail: int, head: int, color: int) -> tuple[int, int, int]:
-        if graph.bipartition[head] == 1:  # fermion: descend the rainbow
-            c = color - 1 if color > 1 else n
-        else:
-            c = color + 1 if color < n else 1
-        return head, graph.neighbor(head, c), c
-
-    darts_seen: set[tuple[int, int, int]] = set()
-    faces: list[Face] = []
-    for e, (u, v, c) in enumerate(graph.edges):
-        for tail, head in ((u, v), (v, u)):
-            if (tail, head, c) in darts_seen:
-                continue
-            cycle = [(tail, head, c)]
-            while True:
-                nxt = next_dart(*cycle[-1])
-                if nxt == cycle[0]:
-                    break
-                cycle.append(nxt)
-                if len(cycle) > 4:
-                    raise ValueError(
-                        f"rotation face through edge {e} does not close in 4 steps"
-                    )
-            if len(cycle) != 4:
-                raise ValueError(f"rotation face through edge {e} has length {len(cycle)}")
-            darts_seen.update(cycle)
-            colors = {d[2] for d in cycle}
-            low = min(colors) if colors != {1, n} or n == 2 else n
-            # rotate so the boundary starts on a color-`low` dart (the
-            # family's first color), at the smaller of the two tails
-            starts = [i for i, d in enumerate(cycle) if d[2] == low]
-            start = min(starts, key=lambda i: cycle[i][0])
-            cycle = cycle[start:] + cycle[:start]
-            faces.append(Face(
-                tuple(d[0] for d in cycle),
-                tuple(graph.edge_of(d[0], d[2]) for d in cycle),
-                (cycle[0][2], cycle[1][2]),
-            ))
-    faces.sort(key=lambda f: (f.colors, f.vertices))
-    return faces
-
-
 def attach_faces(graph: Chromotopology) -> SurfaceData:
     """Attach 2-cells to all consecutively colored 4-cycles.
 
-    Family i uses the pair {i, i mod N + 1}; every edge must end up on
-    exactly two faces (closed surface), otherwise a non-surface error is
-    raised with the offending edge.
+    Family i uses the pair (i, i mod N + 1), walked from the fermions in
+    ascending order; an edge within one side of the bipartition is refused
+    first.  Every edge must end up on exactly two faces (closed surface),
+    otherwise a non-surface error is raised with the offending edge.
     """
     n = graph.n_colors
-    components = _component_count(graph)
+    components = graph.component_count
     if n < 2:
         # a single edge (or vertex) embeds in the sphere; no 4-cycles exist
         return SurfaceData(graph, (), 2 * components, components, 0, (n, n, 2),
                            graph.edge_count)
-    faces = _rotation_faces(graph)
-    counts = [0] * graph.edge_count
-    for f in faces:
-        for e in f.edge_indices:
-            counts[e] += 1
-    for e, c in enumerate(counts):
-        if c != 2:
-            raise ValueError(
-                f"not a closed surface: edge {e} {graph.edges[e]} lies on {c} faces"
-            )
+    side = graph.bipartition
+    for e, (u, v, _c) in enumerate(graph.edges):
+        if side[u] == side[v]:
+            raise ValueError(f"edge {e} {graph.edges[e]} does not cross the bipartition")
+    fermions = [v for v in range(graph.vertex_count) if side[v] == FERMION]
+    walks = [((i, i % n + 1), fermions) for i in range(1, n + 1)]
+    if n == 2:
+        bosons = [v for v in range(graph.vertex_count) if side[v] != FERMION]
+        walks = [((1, 2), fermions), ((1, 2), bosons)]
+    faces = sorted(
+        (Face(quad, edges, pair)
+         for pair, starts in walks
+         for quad, edges in _walk_four_cycles(graph, *pair, starts)),
+        key=lambda f: (f.colors, f.vertices),
+    )
     chi = graph.vertex_count - graph.edge_count + len(faces)
     genus2 = 2 * components - chi
+    surface = SurfaceData(graph, tuple(faces), chi, components, genus2 // 2,
+                          (n, n, 2), graph.edge_count)
+    for e, sides in enumerate(surface.edge_sides):
+        if len(sides) != 4:
+            raise ValueError(
+                f"not a closed surface: edge {e} {graph.edges[e]} lies on {len(sides) // 2} faces"
+            )
     if genus2 % 2:
         raise ValueError(f"odd 2-2g count: chi={chi}, components={components}")
-    return SurfaceData(graph, tuple(faces), chi, components, genus2 // 2,
-                       (n, n, 2), graph.edge_count)
+    return surface
 
 
 def triangulation_stats(surface: SurfaceData) -> TriangulationStats:
@@ -224,7 +176,9 @@ def triangulation_stats(surface: SurfaceData) -> TriangulationStats:
     return TriangulationStats(2 * d, d, hyper, tri, total)
 
 
-def _frame_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]] | None:
+def _frame_orientation(
+    faces: tuple[Face, ...], sides: tuple[tuple[int, ...], ...]
+) -> dict[int, tuple[int, int]] | None:
     """Directions per primal edge via parallel transport of a square frame.
 
     Each face gets a frame r in 0..3 marking which boundary position is its
@@ -233,13 +187,9 @@ def _frame_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]] | Non
     bottom; a consistent assignment exists iff the flat holonomy is trivial
     (N = 0 mod 4 and every codeword meeting the odd colors an even number
     of times), and then the dual origami is the square-tiled surface itself.
-    Returns primal edge -> (tail face, head face), or None when obstructed.
+    ``sides`` is ``SurfaceData.edge_sides``.  Returns primal edge ->
+    (tail face, head face), or None when obstructed.
     """
-    faces = surface.faces
-    side_of: dict[int, list[tuple[int, int]]] = {}
-    for fi, f in enumerate(faces):
-        for j, e in enumerate(f.edge_indices):
-            side_of.setdefault(e, []).append((fi, j))
     frame: dict[int, int] = {}
     for f0 in range(len(faces)):
         if f0 in frame:
@@ -251,7 +201,7 @@ def _frame_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]] | Non
             fi = queue.popleft()
             r = frame[fi]
             for j, e in enumerate(faces[fi].edge_indices):
-                (fa, ja), (fb, jb) = side_of[e]
+                fa, ja, fb, jb = sides[e]
                 other, jo = ((fb, jb) if fa == fi and ja == j else (fa, ja))
                 want = (jo - ((j - r) + 2)) % 4
                 if other in frame:
@@ -263,27 +213,24 @@ def _frame_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]] | Non
     directed: dict[int, tuple[int, int]] = {}
     for fi, f in enumerate(faces):
         r = frame[fi]
-        for e, kind in ((f.edge_indices[r], "right"), (f.edge_indices[(r + 1) % 4], "top")):
-            (fa, _ja), (fb, _jb) = side_of[e]
+        for e in (f.edge_indices[r], f.edge_indices[(r + 1) % 4]):  # right, top
+            fa, _ja, fb, _jb = sides[e]
             other = fb if fa == fi else fa
             directed[e] = (fi, other)
     return directed
 
 
-def _cycle_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]]:
+def _cycle_orientation(
+    graph: Chromotopology, sides: tuple[tuple[int, ...], ...]
+) -> dict[int, tuple[int, int]]:
     """Proof-style orientation: walk each same-label dual cycle, lowest
     face/edge index first, orienting edges as traversed."""
-    graph = surface.graph
-    edge_faces: dict[int, list[int]] = {}
-    for fi, f in enumerate(surface.faces):
-        for e in f.edge_indices:
-            edge_faces.setdefault(e, []).append(fi)
     directed: dict[int, tuple[int, int]] = {}
     for parity in (1, 0):  # x edges (odd colors) first
         ends: dict[int, list[tuple[int, int]]] = {}
         members = [e for e in range(graph.edge_count) if graph.edges[e][2] % 2 == parity]
         for e in members:
-            fa, fb = edge_faces[e]
+            fa, _ja, fb, _jb = sides[e]
             ends.setdefault(fa, []).append((e, fb))
             ends.setdefault(fb, []).append((e, fa))
         for v, slots in ends.items():
@@ -292,10 +239,10 @@ def _cycle_orientation(surface: SurfaceData) -> dict[int, tuple[int, int]]:
         for e0 in members:
             if e0 in directed:
                 continue
-            fa, fb = edge_faces[e0]
+            fa, _ja, fb, _jb = sides[e0]
             tail, e = min(fa, fb), e0
             while e not in directed:
-                a, b = edge_faces[e]
+                a, _ja, b, _jb = sides[e]
                 head = b if tail == a else a
                 directed[e] = (tail, head)
                 e = next(s for s in ends[head] if s[0] != e)[0]
@@ -323,9 +270,9 @@ def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
             f"N = {n} is odd: faces with colors {{1,{n}}} would carry only "
             "x-labels, so no origami labeling exists"
         )
-    directed = _frame_orientation(surface)
+    directed = _frame_orientation(surface.faces, surface.edge_sides)
     if directed is None:
-        directed = _cycle_orientation(surface)
+        directed = _cycle_orientation(graph, surface.edge_sides)
     edges = []
     for e in range(graph.edge_count):
         tail, head = directed[e]

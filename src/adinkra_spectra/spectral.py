@@ -132,9 +132,6 @@ class TestFunctionPair:
         x, w, _ht = self._quad
         return -float(np.sum(w * self.dh(x) / x))
 
-    def with_nodes(self, nodes: int) -> "TestFunctionPair":
-        return TestFunctionPair(self.name, self.h, self.dh, nodes, self.support_radius)
-
 
 def _check_user_pair(h, grid_tol: float = 1e-12) -> None:
     grid = np.linspace(0.0, 0.999, 211)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from typing import Sequence
 
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from adinkra_spectra.adinkra import (
     count_well_dashed_exact,
     dashing_class,
     two_colored_four_cycles,
+    well_dashed_class_ids,
     well_dashed_masks,
 )
 from adinkra_spectra.codes import BinaryCode
@@ -134,6 +136,20 @@ def test_well_dashed_masks_match_brute_force_listing():
         listed = [m for m in range(1 << g.edge_count)
                   if all((m & fm).bit_count() & 1 for fm in fmasks)]
         assert well_dashed_masks(g, faces) == listed
+
+
+def test_class_ids_match_reduced_mask_sweep():
+    for g in small_graphs():
+        cut = GF2System(g.incident_edge_masks)
+        for faces in (two_colored_four_cycles(g), attach_faces(g).faces):
+            swept = Counter(cut.reduce(m) for m in well_dashed_masks(g, faces))
+            assert well_dashed_class_ids(g, faces) == swept
+
+
+def test_class_ids_of_an_inconsistent_system_are_empty():
+    g = build_quotient(6, BinaryCode.from_strings(6, ["111111"]))  # even, not doubly-even
+    assert count_well_dashed_exact(g) == 0
+    assert well_dashed_class_ids(g) == {}
 
 
 # -- dashing classes against the former sorted-basis reduction ------------
