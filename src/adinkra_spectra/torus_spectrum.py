@@ -16,7 +16,6 @@ enumerate each lattice index once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -153,26 +152,52 @@ def solution_set(pd: PeriodData, box_bound: int, tol: float = 1e-9) -> list[Spec
     The multiples (k n, k m) always qualify; the box search may find more
     for special period matrices (no completeness claim beyond the box).
     """
+    g = pd.genus
+    idx, ratios, lams = _solutions(pd, box_bound, tol)
+    return [SpectrumEntry(tuple(row[:g]), tuple(row[g:]), w, lam, math.sqrt(lam))
+            for row, w, lam in zip(idx.tolist(), ratios, lams)]
+
+
+# lattice points per array pass: memory stays bounded when (2B + 1)^{2g} is large
+_CHUNK_ROWS = 1 << 16
+
+
+def _solutions(pd: PeriodData, box_bound: int, tol: float) -> tuple[np.ndarray, list, list]:
+    """The solution set as rows (n', m') of an int array, with the ratios w
+    and eigenvalues lambda as Python lists, in (lambda, n', m') order.
+
+    The parallelism test runs on arrays, a chunk of lattice points at a
+    time.  The kept rows' w (numpy's vdot) and lambda (Python scalar
+    arithmetic) repeat the one-point-at-a-time evaluation operation for
+    operation, so the values do not depend on the chunking and match it
+    bit for bit.
+    """
     if box_bound < 1:
         raise ValueError("box bound must be >= 1")
     _c0, a0 = primitive_coefficients(pd)
     base = _u_vector(pd, pd.n, pd.m)
     norm0 = np.linalg.norm(base)
     g = pd.genus
-    entries = []
-    rng = [range(-box_bound, box_bound + 1)] * (2 * g)
-    for idx in itertools.product(*rng):
-        nv, mv = idx[:g], idx[g:]
-        if not any(nv) and not any(mv):
-            continue
-        u = _u_vector(pd, nv, mv)
-        w = np.vdot(base, u) / (norm0 ** 2)
-        if np.linalg.norm(u - w * base) > tol * max(1.0, np.linalg.norm(u)):
-            continue
-        lam = 2.0 * a0 * abs(w) ** 2
-        entries.append(SpectrumEntry(nv, mv, complex(w), float(lam), math.sqrt(lam)))
-    entries.sort(key=lambda e: (e.lam, e.n, e.m))
-    return entries
+    conj_omega = np.conj(pd.omega)
+    shape = (2 * box_bound + 1,) * (2 * g)
+    total = math.prod(shape)
+    kept_idx, kept_u = [], []
+    for start in range(0, total, _CHUNK_ROWS):
+        # C order over the box is itertools.product order over [-B, B]^{2g}
+        flat = np.arange(start, min(start + _CHUNK_ROWS, total))
+        idx = np.stack(np.unravel_index(flat, shape), axis=1) - box_bound
+        idx = idx[idx.any(axis=1)]
+        u = idx[:, g:] - (idx[:, :g, None] * conj_omega[None]).sum(axis=1)
+        w = (u @ np.conj(base)) / norm0 ** 2
+        resid = np.linalg.norm(u - w[:, None] * base, axis=1)
+        keep = resid <= tol * np.maximum(1.0, np.linalg.norm(u, axis=1))
+        kept_idx.append(idx[keep])
+        kept_u.append(u[keep])
+    idx = np.concatenate(kept_idx)
+    ratios = [complex(np.vdot(base, u) / norm0 ** 2) for u in np.concatenate(kept_u)]
+    lams = [2.0 * a0 * abs(w) ** 2 for w in ratios]
+    order = np.lexsort((*idx.T[::-1], lams))
+    return idx[order], [ratios[k] for k in order], [lams[k] for k in order]
 
 
 def _u_vector(pd: PeriodData, n, m) -> np.ndarray:
@@ -231,15 +256,15 @@ def origami_action(
     fn = getattr(f, "f", f)
     if not _is_even_callable(fn):
         raise ValueError("test function must be even")
-    entries = solution_set(pd, box_bound)
-    rhos = np.array([e.rho for e in entries])
-    vals = np.asarray(fn(rhos / lam), dtype=float)
+    idx, _ratios, lams = _solutions(pd, box_bound, 1e-9)
+    vals = np.asarray(fn(np.sqrt(lams) / lam), dtype=float)
     value = float(vals.sum())
 
     # shell decay estimate from the outermost two shells
+    shell = np.abs(idx).max(axis=1)
+
     def shell_sum(b: int) -> float:
-        mask = [max(max(abs(x) for x in e.n), max(abs(x) for x in e.m)) == b for e in entries]
-        return float(vals[np.asarray(mask)].sum()) if any(mask) else 0.0
+        return float(vals[shell == b].sum())
 
     s_last = abs(shell_sum(box_bound))
     s_prev = abs(shell_sum(box_bound - 1)) if box_bound > 1 else 0.0
@@ -248,7 +273,7 @@ def origami_action(
         tail = s_last * ratio / (1.0 - ratio)
     else:
         tail = s_last
-    return OrigamiActionResult(value, len(entries), box_bound, tail, lam)
+    return OrigamiActionResult(value, len(idx), box_bound, tail, lam)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ maps converge spectrally in the node count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -174,13 +175,31 @@ class TransferMatrix:
         return vals[np.argsort(-np.abs(vals))]
 
     def leading_eigenvalues(self, k: int = 2) -> np.ndarray:
-        if self.size <= max(8, k + 2):
-            return self.eigenvalues()[:k]
+        return _arnoldi(self.matrix, k)
+
+
+def _arnoldi(matrix: np.ndarray, k: int, sigma: float | None = None, opinv=None) -> np.ndarray:
+    """The k eigenvalues of ``matrix`` largest in modulus, or with ``sigma``
+    the k nearest sigma, in that order.
+
+    ARPACK (tol 1e-13, maxiter 10000) runs in shift-invert mode when sigma
+    is given, with ``opinv`` applying (matrix - sigma)^-1 to a vector; a run
+    that does not converge raises.  The start vector is fixed, so a repeated
+    call gives the same digits.  Matrices of size <= max(8, k + 2) get a
+    dense eigensolve instead.
+    """
+    n = matrix.shape[0]
+    if n <= max(8, k + 2):
+        vals = np.linalg.eigvals(matrix)
+    else:
         import scipy.sparse.linalg as spla
 
-        vals = spla.eigs(self.matrix, k=k, which="LM", return_eigenvectors=False,
-                         maxiter=10000, tol=1e-13)
-        return vals[np.argsort(-np.abs(vals))]
+        op = None if opinv is None else spla.LinearOperator(matrix.shape, opinv, dtype=matrix.dtype)
+        v0 = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
+        vals = spla.eigs(matrix, k=k, sigma=sigma, OPinv=op, which="LM", v0=v0,
+                         return_eigenvectors=False, maxiter=10000, tol=1e-13)
+    dist = -np.abs(vals) if sigma is None else np.abs(vals - sigma)
+    return vals[np.argsort(dist)][:k]
 
 
 def build_transfer_matrix(
@@ -242,7 +261,6 @@ class FredholmResult:
     spectral_radius: float
     singular: bool
     eigenvalues_used: int
-    truncation_order: int | None
 
     def to_json(self) -> dict:
         return {
@@ -251,39 +269,55 @@ class FredholmResult:
             "spectral_radius": self.spectral_radius,
             "singular": self.singular,
             "eigenvalues_used": self.eigenvalues_used,
-            "truncation_order": self.truncation_order,
         }
 
 
-def fredholm_det(
-    tm: TransferMatrix | np.ndarray,
-    truncation_order: int | None = None,
-    singular_tol: float = 1e-12,
-) -> FredholmResult:
-    """det(1 - L) as a product over eigenvalues of the discretized operator.
+def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -> FredholmResult:
+    """det(1 - L) of the discretized operator, from one LU factorisation.
 
-    ``truncation_order`` keeps only the largest-modulus eigenvalues (the
-    nuclear truncation); an eigenvalue within ``singular_tol`` of 1 marks
-    a zeta zero/pole candidate via ``singular`` rather than failing.
+    1 - L is factored in place in a Fortran-ordered copy; the determinant
+    is the product of U's diagonal times the sign of the row pivots.
+    ``spectral_radius`` is the modulus of the leading eigenvalue from
+    Arnoldi.  An eigenvalue within ``singular_tol`` of 1 marks a zeta
+    zero/pole candidate via ``singular`` rather than failing: the flag is
+    False without further work when the radius is below 1 - singular_tol,
+    True on an exactly zero pivot, and otherwise set by the eigenvalue
+    nearest 1, from shift-invert Arnoldi on the same LU factors.
+    ``eigenvalues_used`` is the matrix size, the number of factors
+    1 - lambda in the determinant.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     matrix = tm.matrix if isinstance(tm, TransferMatrix) else np.asarray(tm)
-    vals = np.linalg.eigvals(matrix)
-    vals = vals[np.argsort(-np.abs(vals))]
-    used = vals if truncation_order is None else vals[:truncation_order]
-    det = complex(np.prod(1.0 - used))
-    radius = float(np.abs(vals[0])) if len(vals) else 0.0
-    singular = bool(np.any(np.abs(1.0 - vals) < singular_tol))
-    return FredholmResult(det, radius, singular, len(used), truncation_order)
+    n = matrix.shape[0]
+    work = np.negative(matrix, out=np.empty(matrix.shape, np.result_type(matrix, np.float64), order="F"))
+    work[np.diag_indices(n)] += 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot sets ``singular``
+        lu, piv = lu_factor(work, overwrite_a=True, check_finite=False)
+    pivots = np.diagonal(lu)
+    swaps = np.count_nonzero(piv != np.arange(n))
+    det = complex((-1.0) ** swaps * np.prod(pivots))
+    radius = float(np.abs(_arnoldi(matrix, 1)[0])) if n else 0.0
+    singular = False
+    if radius >= 1.0 - singular_tol:
+        if not pivots.all():
+            singular = True
+        else:
+            # (L - 1)^-1 x = -(1 - L)^-1 x
+            near = _arnoldi(matrix, 1, sigma=1.0,
+                            opinv=lambda x: -lu_solve((lu, piv), x, check_finite=False))
+            singular = bool(abs(1.0 - near[0]) < singular_tol)
+    return FredholmResult(det, radius, singular, n)
 
 
 def fredholm_ratio(
     numerator: TransferMatrix | np.ndarray,
     denominator: TransferMatrix | np.ndarray,
-    truncation_order: int | None = None,
 ) -> complex:
     """det(1 - L_s) / det(1 - K_s) for a supplied operator pair."""
-    num = fredholm_det(numerator, truncation_order)
-    den = fredholm_det(denominator, truncation_order)
+    num = fredholm_det(numerator)
+    den = fredholm_det(denominator)
     if den.value == 0:
         raise ZeroDivisionError("denominator determinant vanishes")
     return num.value / den.value

@@ -1,0 +1,276 @@
+"""Fredholm determinants and torus solution sets against frozen copies of
+their earlier implementations.
+
+``fredholm_det`` factors 1 - L once by LU, takes the spectral radius from
+Arnoldi and decides the singular flag from the radius or by shift-invert
+Arnoldi at 1.  The oracle is the eigen-product it replaced: a full dense
+eigensolve, det = prod(1 - lambda), radius max |lambda| and the flag from
+every eigenvalue.  Determinants must agree to 1e-12 relative, radii to
+1e-10, flags exactly.
+
+``solution_set`` tests the whole box in array passes; the oracle is the
+loop over ``itertools.product`` that evaluated one lattice point at a
+time.  Entries must agree exactly, in order.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from adinkra_spectra import torus_spectrum, transfer
+from adinkra_spectra.torus_spectrum import (
+    PeriodData,
+    SpectrumEntry,
+    _u_vector,
+    gaussian,
+    origami_action,
+    primitive_coefficients,
+    solution_set,
+)
+from adinkra_spectra.transfer import (
+    Branch,
+    BranchSystem,
+    build_transfer_matrix,
+    extend_to_coset,
+    fredholm_det,
+    gauss_branch_system,
+)
+
+# -- frozen oracles ---------------------------------------------------------
+
+
+def _oracle_fredholm(matrix, singular_tol=1e-12):
+    vals = np.linalg.eigvals(matrix)
+    vals = vals[np.argsort(-np.abs(vals))]
+    det = complex(np.prod(1.0 - vals))
+    radius = float(np.abs(vals[0])) if len(vals) else 0.0
+    singular = bool(np.any(np.abs(1.0 - vals) < singular_tol))
+    return det, radius, singular
+
+
+def _oracle_solution_set(pd, box_bound, tol=1e-9):
+    _c0, a0 = primitive_coefficients(pd)
+    base = _u_vector(pd, pd.n, pd.m)
+    norm0 = np.linalg.norm(base)
+    g = pd.genus
+    entries = []
+    rng = [range(-box_bound, box_bound + 1)] * (2 * g)
+    for idx in itertools.product(*rng):
+        nv, mv = idx[:g], idx[g:]
+        if not any(nv) and not any(mv):
+            continue
+        u = _u_vector(pd, nv, mv)
+        w = np.vdot(base, u) / (norm0 ** 2)
+        if np.linalg.norm(u - w * base) > tol * max(1.0, np.linalg.norm(u)):
+            continue
+        lam = 2.0 * a0 * abs(w) ** 2
+        entries.append(SpectrumEntry(nv, mv, complex(w), float(lam), math.sqrt(lam)))
+    entries.sort(key=lambda e: (e.lam, e.n, e.m))
+    return entries
+
+
+def _oracle_action(pd, fn, lam, box_bound):
+    entries = _oracle_solution_set(pd, box_bound)
+    rhos = np.array([e.rho for e in entries])
+    vals = np.asarray(fn(rhos / lam), dtype=float)
+    value = float(vals.sum())
+
+    def shell_sum(b):
+        mask = [max(max(abs(x) for x in e.n), max(abs(x) for x in e.m)) == b for e in entries]
+        return float(vals[np.asarray(mask)].sum()) if any(mask) else 0.0
+
+    s_last = abs(shell_sum(box_bound))
+    s_prev = abs(shell_sum(box_bound - 1)) if box_bound > 1 else 0.0
+    if s_prev > 0 and s_last > 0 and s_last < s_prev:
+        ratio = s_last / s_prev
+        tail = s_last * ratio / (1.0 - ratio)
+    else:
+        tail = s_last
+    return value, len(entries), box_bound, tail, lam
+
+
+# -- Fredholm determinant ---------------------------------------------------
+
+
+def _assert_matches_oracle(matrix, singular_tol=1e-12):
+    res = fredholm_det(matrix, singular_tol=singular_tol)
+    det, radius, singular = _oracle_fredholm(matrix, singular_tol)
+    assert abs(res.value - det) <= 1e-12 * abs(det)
+    assert abs(res.spectral_radius - radius) <= 1e-10
+    assert res.singular == singular
+    assert res.eigenvalues_used == matrix.shape[0]
+    return res
+
+
+def test_gauss_base_20_branches():
+    tm = build_transfer_matrix(gauss_branch_system(20), 2.0, 32)
+    res = _assert_matches_oracle(tm.matrix)
+    assert not res.singular and res.spectral_radius < 1.0
+
+
+def test_cyclic_degree_four_coset_10_branches():
+    # branch s shifts the 4 cosets by s mod 4
+    perms = {str(s): tuple((a + s) % 4 for a in range(4)) for s in range(1, 11)}
+    tm = extend_to_coset(gauss_branch_system(10), perms, 1.7, 16)
+    assert tm.size == 640
+    _assert_matches_oracle(tm.matrix)
+
+
+def test_complex_beta():
+    tm = build_transfer_matrix(gauss_branch_system(10), 1.5 + 0.7j, 16)
+    assert np.iscomplexobj(tm.matrix)
+    _assert_matches_oracle(tm.matrix)
+
+
+def test_singular_affine_beta_zero():
+    # a single affine branch at beta = 0 has eigenvalue exactly 1
+    sys = BranchSystem((Branch(0.0, 1.0, np.array([[0.5, 0.0], [0.0, 1.0]]), "h"),))
+    for nodes in (6, 12, 24):
+        res = _assert_matches_oracle(build_transfer_matrix(sys, 0.0, nodes).matrix)
+        assert res.singular
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.floats(0.1, 2.5), st.booleans())
+def test_random_matrices(n, seed, scale, complex_entries):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, (n, n))
+    if complex_entries:
+        m = m + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    m *= scale / math.sqrt(n)
+    # keep 1 - L well conditioned, so 1e-12 bounds both routes' rounding
+    sv = np.linalg.svd(np.eye(n) - m, compute_uv=False)
+    assume(sv[-1] >= 1e-2 * sv[0])
+    _assert_matches_oracle(m)
+
+
+def _spectrum_matrix(eigenvalues, seed):
+    """A real matrix with the given eigenvalues, in a random orthogonal basis."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+def _record_shifts(monkeypatch):
+    shifts = []
+    arnoldi = transfer._arnoldi
+
+    def recording(matrix, k, sigma=None, opinv=None):
+        shifts.append(sigma)
+        return arnoldi(matrix, k, sigma, opinv)
+
+    monkeypatch.setattr(transfer, "_arnoldi", recording)
+    return shifts
+
+
+def test_shift_invert_finds_eigenvalue_next_to_one(monkeypatch):
+    vals = np.linspace(-0.9, 0.9, 29)
+    m = _spectrum_matrix(np.append(vals, 1.0 + 1e-13), 1)
+    assert m.shape[0] > 8
+    shifts = _record_shifts(monkeypatch)
+    res = fredholm_det(m)
+    assert shifts == [None, 1.0]  # the radius, then shift-invert at 1
+    assert res.singular
+    # det(1 - L) is ~1e-13 here, known to either route only to ~1e-15
+    # absolute, so the determinants are compared absolutely
+    det, radius, singular = _oracle_fredholm(m)
+    assert singular and abs(res.spectral_radius - radius) <= 1e-10
+    assert abs(res.value - det) <= 1e-12
+
+
+def test_shift_invert_clears_flag_without_eigenvalue_near_one(monkeypatch):
+    vals = np.linspace(-0.9, 0.9, 29)
+    m = _spectrum_matrix(np.append(vals, 1.5), 2)
+    shifts = _record_shifts(monkeypatch)
+    res = _assert_matches_oracle(m)
+    assert shifts == [None, 1.0]
+    assert not res.singular
+    assert res.spectral_radius == pytest.approx(1.5, abs=1e-10)
+
+
+def test_radius_below_one_skips_shift_invert(monkeypatch):
+    m = _spectrum_matrix(np.linspace(-0.9, 0.9, 30), 3)
+    shifts = _record_shifts(monkeypatch)
+    assert not _assert_matches_oracle(m).singular
+    assert shifts == [None]
+
+
+def test_arpack_failure_is_raised(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spla, "eigs", no_convergence)
+    m = _spectrum_matrix(np.linspace(-0.9, 0.9, 30), 4)
+    with pytest.raises(spla.ArpackNoConvergence):
+        fredholm_det(m)
+
+
+def test_repeated_calls_give_identical_digits():
+    # the zeta JSON prints the radius in full, so it must not depend on
+    # how many ARPACK runs came before in the process
+    tm = build_transfer_matrix(gauss_branch_system(20), 2.0, 32)
+    first = [fredholm_det(tm) for _ in range(3)]
+    tm.leading_eigenvalues(4)
+    assert all(res == first[0] for res in first + [fredholm_det(tm)])
+
+
+def test_determinant_sign_follows_pivots():
+    # 1 - L = [[0, 1], [1, 0]] needs one row swap; det = -1
+    assert fredholm_det(np.array([[1.0, -1.0], [-1.0, 1.0]])).value == -1.0
+    # 1 - L = diag(-1, -1, 2): no swap, two negative pivots
+    res = fredholm_det(np.diag([2.0, 2.0, -1.0]))
+    assert res.value == 2.0 and not res.singular and res.spectral_radius == 2.0
+
+
+# -- torus solution set -----------------------------------------------------
+
+
+def _period(omega, n, m):
+    return PeriodData(np.asarray(omega, dtype=complex), tuple(n), tuple(m))
+
+
+TORUS_CASES = [
+    (_period([[0.21 + 1.13j]], [0], [1]), 12),
+    (_period([[-0.37 + 0.84j]], [2], [-1]), 9),
+    (_period([[1j]], [1], [1]), 6),
+    # diagonal genus 2 with (n, m) = ((0, 0), (1, 0)): every (n1, m1) qualifies
+    (_period(np.diag([0.1 + 1.2j, -0.2 + 0.9j]), [0, 0], [1, 0]), 4),
+    # equal diagonal entries: u_1 = u_2 for the marked pair
+    (_period(np.diag([0.3 + 1.1j, 0.3 + 1.1j]), [1, 1], [0, 0]), 3),
+    # off-diagonal genus 2: only the multiples
+    (_period([[0.1 + 1.2j, 0.15 + 0.05j], [0.15 + 0.05j, -0.2 + 0.9j]], [1, 0], [1, 1]), 3),
+    (_period([[0.4 + 1.3j, -0.25 + 0.1j], [-0.25 + 0.1j, 0.05 + 1.0j]], [0, 1], [2, -1]), 3),
+]
+
+
+def _fields(entries):
+    return [(e.n, e.m, e.c_ratio, e.lam, e.rho) for e in entries]
+
+
+@pytest.mark.parametrize("pd,box", TORUS_CASES)
+def test_solution_set_matches_loop(pd, box):
+    got = solution_set(pd, box)
+    want = _oracle_solution_set(pd, box)
+    assert _fields(got) == _fields(want)
+    assert all(type(x) is int for e in got for x in e.n + e.m)
+    assert (pd.n, pd.m) in {(e.n, e.m) for e in got}
+
+
+@pytest.mark.parametrize("pd,box", TORUS_CASES)
+def test_origami_action_matches_loop(pd, box):
+    fn = gaussian(1.3)
+    got = dataclasses.astuple(origami_action(pd, fn, 0.8, box))
+    assert got == _oracle_action(pd, fn, 0.8, box)
+
+
+def test_solution_set_chunks_keep_loop_order(monkeypatch):
+    pd, box = TORUS_CASES[3]
+    monkeypatch.setattr(torus_spectrum, "_CHUNK_ROWS", 37)
+    assert _fields(solution_set(pd, box)) == _fields(_oracle_solution_set(pd, box))
