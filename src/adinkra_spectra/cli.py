@@ -10,6 +10,7 @@ one JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass, field
@@ -52,6 +53,18 @@ from .transfer import (
 )
 
 TEST_KINDS = {"bump": "smooth_bump", "coswin": "cosine_window", "poly": "polynomial"}
+
+
+def real_or_complex(text: str) -> float | complex:
+    """A finite float when ``text`` is real (``2.0``), else a finite complex
+    (``1.5+0.7j``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = complex(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"not finite: {text}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -371,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variant", choices=["lambda", "r"], default="lambda")
 
     s = sub.add_parser("zeta", exit_on_error=False)
-    s.add_argument("--beta", type=float, required=True)
+    s.add_argument("--beta", type=real_or_complex, required=True, help="real or complex, e.g. 1.5+0.7j")
     s.add_argument("--system", default=None, help="branch-system JSON")
     s.add_argument("--gauss", type=int, default=None, help="use the n-branch Gauss system")
     s.add_argument("--nodes", type=int, default=32)

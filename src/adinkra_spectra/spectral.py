@@ -34,12 +34,15 @@ and in their identity term:
 
 The supertrace identity integrand f(ir + 1/2) grows exponentially for
 compact-support pairs, so that integral is evaluated over a documented
-symmetric window (``identity_window``), one f_complex product per panel
-and its mirror image; see the README note.
+symmetric window (``identity_window``).  All its panel points share one
+real exponential table, which also gives the mirror points; see the README
+note.  Every quadrature takes its nodes from ``_gauss_legendre``, which
+builds the rule once per node count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -89,15 +92,27 @@ def _poly_deriv(t: np.ndarray) -> np.ndarray:
     return np.where(np.abs(t) <= 1.0, -4.0 * t * (1.0 - t ** 2), 0.0)
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``leggauss(n)`` nodes and weights, built once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class TestFunctionPair:
     """Even compactly supported h with its Fourier transform f.
 
     ``f(r)`` is the quadrature transform (cosine form, exactly even);
     ``f_complex(z)`` analytically continues the quadrature integrand
-    e^{izt} h(t), which is what the supertrace identity term evaluates at
-    z = i r + 1/2.  ``radial_first_moment`` is the exact h-side value of
-    int_0^inf r f(r) dr.
+    e^{izt} h(t), which the supertrace identity term integrates at
+    z = i r + 1/2 (``_identity_super`` evaluates it from ``_quad``).
+    ``radial_first_moment`` is the exact h-side value of int_0^inf r f(r) dr.
     """
 
     name: str
@@ -108,7 +123,7 @@ class TestFunctionPair:
     _quad: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        x, w = np.polynomial.legendre.leggauss(self.nodes)
+        x, w = _gauss_legendre(self.nodes)
         ht = np.asarray(self.h(x), dtype=float)
         object.__setattr__(self, "_quad", (x, w, ht))
 
@@ -215,7 +230,7 @@ def _result(identity, geodesic, count, lam, imag_residual=0.0, flagged=False) ->
 
 def _gl_panel_integral(fn, lo: float, hi: float, panels: int, nodes: int) -> float:
     """Composite Gauss-Legendre over [lo, hi] with geometric panel growth."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     edges = np.geomspace(1.0, 2.0 ** panels, panels + 1) - 1.0
     edges = lo + (hi - lo) * edges / edges[-1]
     total = 0.0
@@ -257,20 +272,26 @@ def _identity_coth(pair, lam: float, quad_nodes: int = 64) -> float:
 def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> complex:
     """int f(ir + 1/2) tanh(Lambda pi r) dr over [-window, window].
 
-    Each of 16 panels is evaluated with its mirror image in one f_complex
-    call, so the imaginary parts cancel to rounding within the panel.
+    16 Gauss-Legendre panels cover [0, window], each paired with its
+    mirror image.  Over the pair's nodes t, f(ir + 1/2) = (w h e^{it/2}) @
+    e^{-t r}, so one real table e^{-t r} over every panel point r serves
+    all 16 panels, and with the coefficients reversed it gives f at -r
+    (``leggauss`` nodes are exactly symmetric, t[::-1] == -t).  Each point
+    and its mirror are summed as complex values.  When the sampled h is
+    exactly even the two coefficient rows are conjugate and the real part
+    cancels exactly; what is left measures the asymmetry of the samples.
     """
-    x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    w2 = np.concatenate([w, w])
-    edges = np.linspace(0.0, window, 17)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        pts = mid + half * x
-        pts = np.concatenate([pts, -pts])
-        vals = pair.f_complex(1j * pts + 0.5)
-        total += half * np.sum(w2 * vals * np.tanh(lam * math.pi * pts))
-    return complex(total)
+    x, w = _gauss_legendre(quad_nodes)
+    t, wt, ht = pair._quad
+    edges = np.linspace(0.0, window, 17)[:, None]
+    half = (edges[1:] - edges[:-1]) / 2.0
+    pts = (edges[:-1] + edges[1:]) / 2.0 + half * x  # one row per panel
+    table = np.exp(-np.outer(t, pts))
+    coef = wt * ht * np.exp(0.5j * t)
+    coef = np.stack([coef, coef[::-1]])  # rows: f at r, f at -r
+    f_pos, f_neg = (coef.real @ table + 1j * (coef.imag @ table)).reshape(2, *pts.shape)
+    tanh = np.tanh(lam * math.pi * pts)
+    return complex(np.sum(half * w * (f_pos * tanh - f_neg * tanh)))
 
 
 def _coerce_spectrum(spectrum, need_below: float):

@@ -278,11 +278,14 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     1 - L is factored in place in a Fortran-ordered copy; the determinant
     is the product of U's diagonal times the sign of the row pivots.
     ``spectral_radius`` is the modulus of the leading eigenvalue from
-    Arnoldi.  An eigenvalue within ``singular_tol`` of 1 marks a zeta
-    zero/pole candidate via ``singular`` rather than failing: the flag is
-    False without further work when the radius is below 1 - singular_tol,
-    True on an exactly zero pivot, and otherwise set by the eigenvalue
-    nearest 1, from shift-invert Arnoldi on the same LU factors.
+    Arnoldi with six wanted Ritz values: with one, ARPACK can converge to
+    the second of two eigenvalues whose moduli differ by 4e-4 (relative)
+    and report it as the radius.  An eigenvalue within ``singular_tol`` of
+    1 marks a zeta zero/pole candidate via ``singular`` rather than
+    failing: the flag is False without further work when the radius is
+    below 1 - singular_tol, True on an exactly zero pivot, and otherwise
+    set by the eigenvalue nearest 1, from shift-invert Arnoldi on the same
+    LU factors.
     ``eigenvalues_used`` is the matrix size, the number of factors
     1 - lambda in the determinant.
     """
@@ -298,7 +301,7 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     pivots = np.diagonal(lu)
     swaps = np.count_nonzero(piv != np.arange(n))
     det = complex((-1.0) ** swaps * np.prod(pivots))
-    radius = float(np.abs(_arnoldi(matrix, 1)[0])) if n else 0.0
+    radius = float(np.abs(_arnoldi(matrix, 6)[0])) if n else 0.0
     singular = False
     if radius >= 1.0 - singular_tol:
         if not pivots.all():

@@ -1,7 +1,9 @@
 import json
 
+import pytest
 
 from adinkra_spectra.cli import run
+from adinkra_spectra.transfer import build_transfer_matrix, fredholm_det, gauss_branch_system
 
 
 def run_capture(capsys, argv):
@@ -199,6 +201,22 @@ def test_zeta_gauss(capsys):
     assert payload["matrix_size"] == 12 * 16
     assert not payload["singular"]
     assert payload["spectral_radius"] < 1.0
+
+
+def test_zeta_complex_beta(capsys):
+    code, out, _err = run_capture(capsys, ["zeta", "--beta", "1.5+0.7j", "--gauss", "5"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["beta"] == [1.5, 0.7]
+    res = fredholm_det(build_transfer_matrix(gauss_branch_system(5), 1.5 + 0.7j, 32))
+    assert payload["det"] == [res.value.real, res.value.imag]
+
+
+@pytest.mark.parametrize("beta", ["nan", "1e400", "inf+1j", "1+2"])
+def test_zeta_bad_beta_is_usage_error(capsys, beta):
+    code, out, err = run_capture(capsys, ["zeta", "--beta", beta, "--gauss", "5"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_zeta_with_coset_file(capsys, tmp_path):

@@ -149,6 +149,13 @@ def test_random_matrices(n, seed, scale, complex_entries):
     _assert_matches_oracle(m)
 
 
+def test_radius_with_close_leading_moduli():
+    # the two leading eigenvalue pairs' moduli differ by 4e-4 relative;
+    # ARPACK with one wanted Ritz value converged to the second pair
+    m = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 40)) / math.sqrt(40)
+    _assert_matches_oracle(m)
+
+
 def _spectrum_matrix(eigenvalues, seed):
     """A real matrix with the given eigenvalues, in a random orthogonal basis."""
     n = len(eigenvalues)

@@ -7,6 +7,7 @@ from scipy.special import sici
 
 from adinkra_spectra.hyperbolic import GeodesicClass
 from adinkra_spectra.spectral import (
+    _gauss_legendre,
     dirac_action,
     laplace_action_conjugacy,
     laplace_action_geodesic,
@@ -73,6 +74,20 @@ def test_f_is_exactly_even():
     pair = make_test_pair("smooth_bump")
     r = np.linspace(0.1, 20, 57)
     assert np.max(np.abs(pair.f(r) - pair.f(-r))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 64, 151, 200])
+def test_gauss_legendre_rule_is_shared_leggauss(n):
+    x, w = _gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    a, b = make_test_pair("smooth_bump", n), make_test_pair("polynomial", n)
+    assert a._quad[0] is b._quad[0] is x and a._quad[1] is b._quad[1] is w
+    # the supertrace identity term reads f at -r off the reversed nodes
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
 
 
 def test_user_pair_checks():

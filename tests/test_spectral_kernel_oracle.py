@@ -32,6 +32,7 @@ from adinkra_spectra.spectral import (
 
 KINDS = ("smooth_bump", "cosine_window", "polynomial")
 PAIRS = {kind: make_test_pair(kind) for kind in KINDS}
+ODD_PAIRS = {kind: make_test_pair(kind, quadrature_nodes=151) for kind in KINDS}
 GENUS = 3
 
 # -- frozen oracle ----------------------------------------------------------
@@ -193,13 +194,14 @@ def test_dirac_matches_oracle(data, prims, lam, kind):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data(), spectra(), lams, kinds)
-def test_super_matches_oracle(data, prims, lam, kind):
+@given(st.data(), spectra(), lams, kinds, st.floats(4.0, 14.0), st.sampled_from((16, 32, 64)))
+def test_super_matches_oracle(data, prims, lam, kind, window, quad_nodes):
     chi = data.draw(characters(len(prims)))
-    pair = PAIRS[kind]
-    identity, imag_residual = _oracle_super_identity(pair, lam)
+    pair = data.draw(st.sampled_from((PAIRS[kind], ODD_PAIRS[kind])))
+    identity, imag_residual = _oracle_super_identity(pair, lam, window, quad_nodes)
     for variant in ("lambda_scaled", "r_scaled"):
-        res = super_action(GENUS, prims, chi, pair, lam, variant=variant)
+        res = super_action(GENUS, prims, chi, pair, lam, variant=variant,
+                           identity_window=window, quad_nodes=quad_nodes)
         assert_matches(res, identity, *_oracle_super_geodesic(prims, chi, pair, lam, variant))
         assert res.flagged == (imag_residual > 1e-9)
         assert res.imag_residual < 1e-9
