@@ -49,6 +49,12 @@ class Chromotopology:
     products, strings after JSON ingestion); edges refer to vertex indices.
     ``warnings`` carries construction-time defect notes (loops, parallel
     edges, non-doubly-even code), never validation results.
+
+    ``slot_table`` is the per-(vertex, color) incidence as three flat tuples
+    of length V·N, indexed by ``v * N + color - 1``: the other endpoint, the
+    edge index, and the count of such edges.  A loop counts once; where the
+    count is not 1 the first two hold the first edge seen, or -1 when there
+    is none.
     """
 
     n_colors: int
@@ -79,14 +85,21 @@ class Chromotopology:
         return {label: i for i, label in enumerate(self.vertices)}
 
     @cached_property
-    def incidence(self) -> tuple[dict[int, list[tuple[int, int]]], ...]:
-        """Per vertex: color -> list of (edge index, other endpoint)."""
-        inc: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in self.vertices]
-        for e, (u, v, c) in enumerate(self.edges):
-            inc[u].setdefault(c, []).append((e, v))
-            if v != u:
-                inc[v].setdefault(c, []).append((e, u))
-        return tuple(inc)
+    def slot_table(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(other endpoint, edge index, edge count) per ``v * N + color - 1``."""
+        n = self.n_colors
+        size = self.vertex_count * n
+        other, edge, count = [-1] * size, [-1] * size, [0] * size
+        edges = self.edges
+        for e in range(len(edges) - 1, -1, -1):  # backwards: the first edge is written last
+            u, v, c = edges[e]
+            i, j = u * n + c - 1, v * n + c - 1
+            other[i], edge[i] = v, e
+            count[i] += 1
+            if j != i:
+                other[j], edge[j] = u, e
+                count[j] += 1
+        return tuple(other), tuple(edge), tuple(count)
 
     @cached_property
     def incident_edge_masks(self) -> tuple[int, ...]:
@@ -99,10 +112,12 @@ class Chromotopology:
     def slot(self, v: int, color: int) -> tuple[int, int]:
         """(edge index, other endpoint) of the unique color edge at vertex
         index v; raises if not unique."""
-        slots = self.incidence[v].get(color, [])
-        if len(slots) != 1:
-            raise ValueError(f"vertex {v} has {len(slots)} edges of color {color}")
-        return slots[0]
+        other, edge, count = self.slot_table
+        i = v * self.n_colors + color - 1
+        k = count[i] if 1 <= color <= self.n_colors else 0
+        if k != 1:
+            raise ValueError(f"vertex {v} has {k} edges of color {color}")
+        return edge[i], other[i]
 
     def edges_of_color(self, color: int) -> list[int]:
         if not 1 <= color <= self.n_colors:
@@ -256,11 +271,11 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
     if code.length != n:
         raise ValueError(f"code length {code.length} != n = {n}")
     reps = enumerate_cosets(code)
-    index = {r: i for i, r in enumerate(reps)}
+    coset = [0] * (1 << n)  # member -> index of its coset
     words = code.codewords()
-
-    def rep_of(x: int) -> int:
-        return min(x ^ c for c in words)
+    for i, r in enumerate(reps):
+        for c in words:
+            coset[r ^ c] = i
 
     warnings: list[str] = []
     report = analyze_code(code)
@@ -269,16 +284,20 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
     elif not report.is_doubly_even:
         warnings.append("code is even but not doubly-even: quotient admits no well-dashing")
 
-    edge_set = {}
-    for i, v in enumerate(reps):
-        for color in range(1, n + 1):
-            w = rep_of(v ^ coordinate_mask(n, color))
-            j = index[w]
-            if j == i:
-                warnings.append(f"loop: color {color} fixes coset {format_word(v, n)}")
-            key = (min(i, j), max(i, j), color)
-            edge_set[key] = None
-    edges = tuple(sorted(edge_set, key=lambda e: (e[2], e[0], e[1])))
+    # flipping a coordinate is an involution on cosets, so each edge is
+    # emitted once, from its lower end: (color, u, v) order by construction
+    edges = []
+    loops = []
+    for color in range(1, n + 1):
+        flip = coordinate_mask(n, color)
+        for i, r in enumerate(reps):
+            j = coset[r ^ flip]
+            if i <= j:
+                edges.append((i, j, color))
+                if i == j:
+                    loops.append((i, color))
+    warnings += [f"loop: color {color} fixes coset {format_word(reps[i], n)}"
+                 for i, color in sorted(loops)]
 
     pair_counts = Counter((u, v) for u, v, _c in edges if u != v)
     for (u, v), cnt in sorted(pair_counts.items()):
@@ -289,7 +308,7 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
             )
 
     bipartition = tuple(weight(r) & 1 for r in reps)
-    return Chromotopology(n, tuple(reps), edges, bipartition, tuple(warnings))
+    return Chromotopology(n, tuple(reps), tuple(edges), bipartition, tuple(warnings))
 
 
 def _walk_four_cycles(
@@ -301,31 +320,45 @@ def _walk_four_cycles(
     Each cycle is walked from the first of ``starts`` on it, first step
     along ``first``; ascending starts therefore begin each cycle at its
     lowest start vertex.  Raises ValueError (with a witness) when a walk
-    does not close a 4-cycle or two walks share a vertex.
+    does not close a 4-cycle, and with :meth:`Chromotopology.slot`'s
+    message when a step has no unique edge.
     """
+    n = graph.n_colors
+    if not (1 <= first <= n and 1 <= second <= n):
+        for v0 in starts:  # the first walk meets the missing color and raises
+            graph.slot(graph.slot(v0, first)[1], second)
+        return []
+    other, edge, count = graph.slot_table
+    a, b = first - 1, second - 1
     seen = [False] * graph.vertex_count
-    slot = graph.slot
     cycles = []
     for v0 in starts:
         if seen[v0]:
             continue
-        e0, v1 = slot(v0, first)
-        e1, v2 = slot(v1, second)
-        e2, v3 = slot(v2, first)
-        e3, back = slot(v3, second)
+        i0 = v0 * n + a
+        v1 = other[i0]
+        i1 = v1 * n + b
+        v2 = other[i1]
+        i2 = v2 * n + a
+        v3 = other[i2]
+        i3 = v3 * n + b
+        back = other[i3]
+        if count[i0] != 1 or count[i1] != 1 or count[i2] != 1 or count[i3] != 1:
+            # steps past the first bad slot read garbage (-1 wraps to the
+            # last vertex) and are never reported: slot raises before them
+            for v, color in ((v0, first), (v1, second), (v2, first), (v3, second)):
+                graph.slot(v, color)
         quad = (v0, v1, v2, v3)
-        if back != v0 or len(set(quad)) != 4:
+        if (back != v0 or v0 == v1 or v1 == v2 or v2 == v3 or v3 == v0
+                or v0 == v2 or v1 == v3):
             raise ValueError(
                 f"colors ({first},{second}) do not close a 4-cycle at vertex {v0}: "
                 f"walk {quad} returns to {back}"
             )
-        for x in quad:
-            if seen[x]:
-                raise ValueError(
-                    f"colors ({first},{second}): vertex {x} lies on two cycles"
-                )
-            seen[x] = True
-        cycles.append((quad, (e0, e1, e2, e3)))
+        # no vertex of a closed walk is seen: a unique-edge step from a
+        # walked cycle stays on it, so the walk could not return to v0
+        seen[v0] = seen[v1] = seen[v2] = seen[v3] = True
+        cycles.append((quad, (edge[i0], edge[i1], edge[i2], edge[i3])))
     return cycles
 
 
@@ -377,23 +410,17 @@ def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
         "bipartite: edges cross the bipartition", not cross,
         "" if not cross else f"edge {cross[0]} joins same-class vertices"))
 
-    color_bad = None
-    for v in range(graph.vertex_count):
-        for color in range(1, graph.n_colors + 1):
-            slots = graph.incidence[v].get(color, [])
-            if len(slots) != 1:
-                color_bad = (v, color, len(slots))
-                break
-        if color_bad:
-            break
+    n = graph.n_colors
+    count = graph.slot_table[2]
+    bad = next((i for i, k in enumerate(count) if k != 1), None)
     checks.append(AxiomCheck(
-        "one edge of each color per vertex", color_bad is None,
-        "" if color_bad is None else
-        f"vertex {color_bad[0]} has {color_bad[2]} edges of color {color_bad[1]}"))
+        "one edge of each color per vertex", bad is None,
+        "" if bad is None else
+        f"vertex {bad // n} has {count[bad]} edges of color {bad % n + 1}"))
 
     cycle_witness = ""
     cycles_ok = True
-    if color_bad is None and not loops:
+    if bad is None and not loops:
         try:
             for first, second in combinations(range(1, graph.n_colors + 1), 2):
                 _walk_four_cycles(graph, first, second, range(graph.vertex_count))

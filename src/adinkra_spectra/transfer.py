@@ -175,7 +175,10 @@ class TransferMatrix:
         return vals[np.argsort(-np.abs(vals))]
 
     def leading_eigenvalues(self, k: int = 2) -> np.ndarray:
-        return _arnoldi(self.matrix, k)
+        """The k eigenvalues largest in modulus, leading first.  ARPACK is
+        asked for at least 6: with fewer wanted Ritz values it can settle
+        on the second of two close leading moduli."""
+        return _arnoldi(self.matrix, max(k, 6))[:k]
 
 
 def _arnoldi(matrix: np.ndarray, k: int, sigma: float | None = None, opinv=None) -> np.ndarray:

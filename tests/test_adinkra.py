@@ -109,6 +109,52 @@ def test_open_two_colored_walk_is_reported():
     )
 
 
+def test_slot_table_layout():
+    g = square()  # edges (0,2,1), (1,3,1), (0,1,2), (2,3,2)
+    other, edge, count = g.slot_table
+    assert other == (2, 1, 3, 0, 0, 3, 1, 2)
+    assert edge == (0, 2, 1, 2, 0, 3, 1, 3)
+    assert count == (1,) * 8
+    assert [g.slot(v, c) for v in range(4) for c in (1, 2)] == list(zip(edge, other))
+
+
+@pytest.mark.parametrize("color", [0, 3, -1, 7])
+def test_slot_refuses_colors_outside_1_to_n(color):
+    # color 0 / N + 1 would index the previous / next vertex's slot
+    g = square()
+    for v in range(4):
+        with pytest.raises(ValueError, match=f"^vertex {v} has 0 edges of color {color}$"):
+            g.slot(v, color)
+
+
+@pytest.mark.parametrize("pair,message", [
+    ((1, 3), "vertex 2 has 0 edges of color 3"),
+    ((3, 1), "vertex 0 has 0 edges of color 3"),
+    ((0, 2), "vertex 0 has 0 edges of color 0"),
+    ((2, 0), "vertex 1 has 0 edges of color 0"),
+])
+def test_walk_on_a_color_outside_1_to_n_raises_the_slot_error(pair, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        two_colored_four_cycles(square(), [pair])
+
+
+def test_slot_reports_missing_and_repeated_colors():
+    g = square()
+    edges = (g.edges[0], g.edges[0]) + g.edges[2:]  # (1,3,1) becomes a second (0,2,1)
+    bad = Chromotopology(2, g.vertices, edges, g.bipartition)
+    # the repeated slots keep the first edge; the empty ones hold -1
+    assert bad.slot_table == ((2, 1, -1, 0, 0, 3, -1, 2), (0, 2, -1, 2, 0, 3, -1, 3),
+                              (2, 1, 0, 1, 2, 1, 0, 1))
+    with pytest.raises(ValueError, match="^vertex 0 has 2 edges of color 1$"):
+        bad.slot(0, 1)
+    with pytest.raises(ValueError, match="^vertex 1 has 0 edges of color 1$"):
+        bad.slot(1, 1)
+    with pytest.raises(ValueError, match="^vertex 0 has 2 edges of color 1$"):
+        two_colored_four_cycles(bad, [(1, 2)])
+    with pytest.raises(ValueError, match="^vertex 1 has 0 edges of color 1$"):
+        two_colored_four_cycles(bad, [(2, 1)])
+
+
 def test_default_ranking_square():
     g = square()
     r = default_ranking(g)

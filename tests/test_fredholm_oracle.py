@@ -156,6 +156,19 @@ def test_radius_with_close_leading_moduli():
     _assert_matches_oracle(m)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_leading_eigenvalues_with_close_leading_moduli(k):
+    # the same matrix: ARPACK asked for 2 Ritz values returned the second pair
+    m = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 40)) / math.sqrt(40)
+    tm = dataclasses.replace(build_transfer_matrix(gauss_branch_system(5), 1.0, 8), matrix=m)
+    expected = tm.eigenvalues()[:k]
+    lead = tm.leading_eigenvalues(k)
+    assert len(lead) == k
+    np.testing.assert_allclose(np.abs(lead), np.abs(expected), rtol=1e-10)
+    if k % 2 == 0:  # whole conjugate pairs
+        np.testing.assert_allclose(np.sort_complex(lead), np.sort_complex(expected), rtol=1e-10)
+
+
 def _spectrum_matrix(eigenvalues, seed):
     """A real matrix with the given eigenvalues, in a random orthogonal basis."""
     n = len(eigenvalues)

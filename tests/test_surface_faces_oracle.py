@@ -26,11 +26,14 @@ from adinkra_spectra.codes import BinaryCode
 from adinkra_spectra.embedding import attach_faces, cartesian_product, fibered_product
 
 
-def _lookup(graph: Chromotopology, v: int, color: int) -> tuple[int, int]:
-    slots = graph.incidence[v].get(color, [])
-    if len(slots) != 1:
-        raise ValueError(f"vertex {v} has {len(slots)} edges of color {color}")
-    return slots[0]
+def _incidence(graph: Chromotopology) -> list[dict[int, list[tuple[int, int]]]]:
+    """Per vertex: color -> list of (edge index, other endpoint)."""
+    inc: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in graph.vertices]
+    for e, (u, v, c) in enumerate(graph.edges):
+        inc[u].setdefault(c, []).append((e, v))
+        if v != u:
+            inc[v].setdefault(c, []).append((e, u))
+    return inc
 
 
 def _frozen_rotation_faces(graph: Chromotopology) -> tuple[Face, ...]:
@@ -39,13 +42,20 @@ def _frozen_rotation_faces(graph: Chromotopology) -> tuple[Face, ...]:
     family's first color, at the smaller tail.  Sorted, then every edge
     must lie on exactly two faces."""
     n = graph.n_colors
+    incidence = _incidence(graph)
+
+    def lookup(v: int, color: int) -> tuple[int, int]:
+        slots = incidence[v].get(color, [])
+        if len(slots) != 1:
+            raise ValueError(f"vertex {v} has {len(slots)} edges of color {color}")
+        return slots[0]
 
     def next_dart(tail: int, head: int, color: int) -> tuple[int, int, int]:
         if graph.bipartition[head] == 1:  # fermion: descend the rainbow
             c = color - 1 if color > 1 else n
         else:
             c = color + 1 if color < n else 1
-        return head, _lookup(graph, head, c)[1], c
+        return head, lookup(head, c)[1], c
 
     darts_seen: set[tuple[int, int, int]] = set()
     faces: list[Face] = []
@@ -71,7 +81,7 @@ def _frozen_rotation_faces(graph: Chromotopology) -> tuple[Face, ...]:
             cycle = cycle[start:] + cycle[:start]
             faces.append(Face(
                 tuple(d[0] for d in cycle),
-                tuple(_lookup(graph, d[0], d[2])[0] for d in cycle),
+                tuple(lookup(d[0], d[2])[0] for d in cycle),
                 (cycle[0][2], cycle[1][2]),
             ))
     faces.sort(key=lambda f: (f.colors, f.vertices))
