@@ -1,9 +1,10 @@
 """Permutations of range(d) as tuples, p[i] the image of i: inverse,
-composition, cycle type, and transitivity of the group they generate."""
+composition, cycle type, transitivity of the group they generate, and
+exponents over a generating cycle."""
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 
 Perm = tuple[int, ...]
 
@@ -49,3 +50,23 @@ def is_transitive(gens: Collection[Perm], degree: int) -> bool:
                 seen.add(p[i])
                 stack.append(p[i])
     return len(seen) == degree
+
+
+def cyclic_exponents(gens: Sequence[Perm], degree: int) -> list[int] | None:
+    """Exponents e_s with gens[s] = t^e_s for one ``degree``-cycle t in gens.
+
+    A permutation commuting with a d-cycle t is a power of t, so this
+    succeeds exactly when the generators commute, act transitively and
+    include a d-cycle; otherwise (Klein-4, S3, intransitive actions, or a
+    cyclic group with no generating d-cycle among gens) it returns None.
+    """
+    t = next((p for p in gens if cycle_lengths(p) == [degree]), None)
+    if t is None:
+        return None
+    power_of: dict[Perm, int] = {}
+    p = tuple(range(degree))
+    for e in range(degree):
+        power_of[p] = e
+        p = compose(t, p)
+    exps = [power_of.get(tuple(g)) for g in gens]
+    return None if None in exps else exps

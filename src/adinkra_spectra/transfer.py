@@ -17,12 +17,16 @@ maps converge spectrally in the node count.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .perms import cyclic_exponents
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,11 @@ class TransferMatrix:
     """Collocation matrix of the transfer operator.
 
     Grid index is (coset, interval, node), cosets outermost; with degree 1
-    this is exactly the base discretization.
+    this is exactly the base discretization.  ``base`` is the degree-1
+    matrix (branch s's weighted cardinal block in columns s*k..(s+1)*k,
+    the same array as ``matrix`` at degree 1) and ``branch_perms`` the
+    coset permutation of each branch, in branch order; ``fredholm_det``
+    factors abelian coset actions from these two.
     """
 
     beta: complex
@@ -146,6 +154,8 @@ class TransferMatrix:
     coset_degree: int
     matrix: np.ndarray = field(compare=False)
     grids: tuple = field(compare=False)
+    base: np.ndarray = field(compare=False)
+    branch_perms: tuple = field(compare=False)
 
     @property
     def size(self) -> int:
@@ -225,7 +235,8 @@ def extend_to_coset(
     operator reads (L f)(x, a) = sum_s |g_s'(x)|^beta f(g_s x, g_s a), so
     the (a, b) block carries branch s's weights iff b = g_s a.  Degree 1
     is the base discretization.  A complex beta whose weights come out
-    real gives a real matrix.
+    real gives a real matrix.  Every branch label needs a permutation, and
+    every permutation a branch.
     """
     if nodes_per_interval < 2:
         raise ValueError("need at least 2 nodes per interval")
@@ -233,6 +244,10 @@ def extend_to_coset(
     missing = [l for l in labels if l not in perms]
     if missing:
         raise ValueError(f"no coset permutation for branch labels {missing}")
+    known = set(labels)
+    extra = [l for l in perms if l not in known]
+    if extra:
+        raise ValueError(f"coset permutations for labels the system lacks: {extra}")
     degree = len(next(iter(perms.values())))
     for l, p in perms.items():
         if sorted(p) != list(range(degree)):
@@ -240,20 +255,25 @@ def extend_to_coset(
     grids = tuple(_cheb_nodes(b.lo, b.hi, nodes_per_interval) for b in sys.branches)
     bweights = _bary_weights(nodes_per_interval)
     allx = np.concatenate(grids)
-    # per branch: the (all nodes) x (branch grid) weighted cardinal block
-    blocks = [(b.deriv_abs(allx) ** beta)[:, None] * _cardinal_matrix(grids[s], bweights, b.apply(allx))
-              for s, b in enumerate(sys.branches)]
     n_base = len(allx)
     k = nodes_per_interval
-    big = np.zeros((n_base * degree, n_base * degree), dtype=blocks[0].dtype)
-    for a in range(degree):
-        for s, block in enumerate(blocks):
-            target = perms[labels[s]][a]
-            big[a * n_base:(a + 1) * n_base,
-                target * n_base + s * k: target * n_base + (s + 1) * k] = block
-    if np.iscomplexobj(big) and np.all(big.imag == 0.0):
-        big = np.ascontiguousarray(big.real)  # a copy, so the complex buffer is freed
-    return TransferMatrix(beta, sys, nodes_per_interval, degree, big, grids)
+    # branch s's (all nodes) x (branch grid) weighted cardinal block, side by side
+    base = np.empty((n_base, n_base), dtype=np.result_type(allx.dtype, beta))
+    for s, b in enumerate(sys.branches):
+        base[:, s * k:(s + 1) * k] = (b.deriv_abs(allx) ** beta)[:, None] * _cardinal_matrix(
+            grids[s], bweights, b.apply(allx))
+    if np.iscomplexobj(base) and np.all(base.imag == 0.0):
+        base = np.ascontiguousarray(base.real)  # a copy, so the complex buffer is freed
+    branch_perms = tuple(tuple(perms[l]) for l in labels)
+    if degree == 1:
+        big = base
+    else:
+        big = np.zeros((n_base * degree, n_base * degree), dtype=base.dtype)
+        for a in range(degree):
+            for s, p in enumerate(branch_perms):
+                big[a * n_base:(a + 1) * n_base,
+                    p[a] * n_base + s * k: p[a] * n_base + (s + 1) * k] = base[:, s * k:(s + 1) * k]
+    return TransferMatrix(beta, sys, nodes_per_interval, degree, big, grids, base, branch_perms)
 
 
 @dataclass(frozen=True)
@@ -275,46 +295,97 @@ class FredholmResult:
         }
 
 
-def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -> FredholmResult:
-    """det(1 - L) of the discretized operator, from one LU factorisation.
+def _character(m: int, d: int) -> complex:
+    """exp(2 pi i m / d), exact at the quarter turns so real characters
+    stay real."""
+    m %= d
+    if 4 * m % d == 0:
+        return (1.0, 1j, -1.0, -1j)[4 * m // d]
+    return complex(math.cos(2 * math.pi * m / d), math.sin(2 * math.pi * m / d))
 
-    1 - L is factored in place in a Fortran-ordered copy; the determinant
-    is the product of U's diagonal times the sign of the row pivots.
-    ``spectral_radius`` is the modulus of the leading eigenvalue from
-    Arnoldi with six wanted Ritz values: with one, ARPACK can converge to
-    the second of two eigenvalues whose moduli differ by 4e-4 (relative)
-    and report it as the radius.  An eigenvalue within ``singular_tol`` of
-    1 marks a zeta zero/pole candidate via ``singular`` rather than
-    failing: the flag is False without further work when the radius is
-    below 1 - singular_tol, True on an exactly zero pivot, and otherwise
-    set by the eigenvalue nearest 1, from shift-invert Arnoldi on the same
-    LU factors.
-    ``eigenvalues_used`` is the matrix size, the number of factors
+
+def _det_blocks(tm: TransferMatrix | np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+    """The operators whose determinants multiply to det(1 - L), one at a
+    time, each with the power its determinant enters with.
+
+    A cyclic coset action with g_s = t^e_s splits L into the twisted
+    operators L_j = sum_s omega^(j e_s) B_s, j = 0..d-1, where B_s is the
+    base matrix restricted to branch s's columns.  For a real base L_j and
+    L_(d-j) are conjugate, so only j <= d/2 is yielded, the complex ones
+    with power 2 (entering as |det|^2).  Anything else is one dense block.
+    """
+    if not isinstance(tm, TransferMatrix):
+        yield np.asarray(tm), 1
+        return
+    d, k = tm.coset_degree, tm.nodes_per_interval
+    exps = cyclic_exponents(tm.branch_perms, d) if d > 1 else None
+    if exps is None:
+        yield tm.matrix, 1
+        return
+    real = not np.iscomplexobj(tm.base)
+    for j in range(d // 2 + 1 if real else d):
+        if j == 0:
+            yield tm.base, 1
+            continue
+        chars = np.array([_character(j * e, d) for e in exps])
+        if not chars.imag.any():
+            chars = chars.real
+        yield tm.base * np.repeat(chars, k)[None, :], 2 if real and 2 * j < d else 1
+
+
+def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -> FredholmResult:
+    """det(1 - L) of the discretized operator, from LU factorisations.
+
+    A ``TransferMatrix`` whose coset permutations are powers g_s = t^e_s of
+    one d-cycle t among them is factored by the characters of Z/d
+    (Venkov-Zograf): det(1 - L) = prod_j det(1 - L_j) with the twisted
+    operators L_j = sum_s omega^(j e_s) B_s of base size.  For a real
+    base, L_j and L_(d-j) are conjugate, so j <= d/2 is factored and the
+    complex blocks enter as |det_j|^2: a real operator's det has an
+    imaginary part of exactly 0.0.  Any other action, degree 1 and a bare
+    array are one dense block.
+
+    Each block's 1 - L_j is factored in place in a Fortran-ordered copy;
+    its determinant is the product of U's diagonal times the sign of the
+    row pivots.  The spectral radius is the largest over the blocks of
+    the modulus of the leading eigenvalue from Arnoldi with six wanted
+    Ritz values: with one, ARPACK can converge to the second of two
+    eigenvalues whose moduli differ by 4e-4 (relative) and report it as
+    the radius.  An eigenvalue within ``singular_tol`` of 1 marks a zeta
+    zero/pole candidate via ``singular`` rather than failing: a block's
+    flag is False without further work when its radius is below
+    1 - singular_tol, True on an exactly zero pivot, and otherwise set by
+    the eigenvalue nearest 1, from shift-invert Arnoldi on the same LU
+    factors; ``singular`` is any block's flag.
+    ``eigenvalues_used`` is the full matrix size, the number of factors
     1 - lambda in the determinant.
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-    matrix = tm.matrix if isinstance(tm, TransferMatrix) else np.asarray(tm)
-    n = matrix.shape[0]
-    work = np.negative(matrix, out=np.empty(matrix.shape, np.result_type(matrix, np.float64), order="F"))
-    work[np.diag_indices(n)] += 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot sets ``singular``
-        lu, piv = lu_factor(work, overwrite_a=True, check_finite=False)
-    pivots = np.diagonal(lu)
-    swaps = np.count_nonzero(piv != np.arange(n))
-    det = complex((-1.0) ** swaps * np.prod(pivots))
-    radius = float(np.abs(_arnoldi(matrix, 6)[0])) if n else 0.0
-    singular = False
-    if radius >= 1.0 - singular_tol:
-        if not pivots.all():
-            singular = True
-        else:
-            # (L - 1)^-1 x = -(1 - L)^-1 x
-            near = _arnoldi(matrix, 1, sigma=1.0,
-                            opinv=lambda x: -lu_solve((lu, piv), x, check_finite=False))
-            singular = bool(abs(1.0 - near[0]) < singular_tol)
-    return FredholmResult(det, radius, singular, n)
+    dets, radius, singular = [], 0.0, False
+    for block, power in _det_blocks(tm):
+        n = block.shape[0]
+        work = np.negative(block, out=np.empty(block.shape, np.result_type(block, np.float64), order="F"))
+        work[np.diag_indices(n)] += 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot sets ``singular``
+            lu, piv = lu_factor(work, overwrite_a=True, check_finite=False)
+        pivots = np.diagonal(lu)
+        swaps = np.count_nonzero(piv != np.arange(n))
+        block_det = (-1.0) ** swaps * np.prod(pivots)
+        dets.append(block_det if power == 1 else abs(block_det) ** 2)
+        block_radius = float(np.abs(_arnoldi(block, 6)[0])) if n else 0.0
+        radius = max(radius, block_radius)
+        if block_radius >= 1.0 - singular_tol and not singular:
+            if not pivots.all():
+                singular = True
+            else:
+                # (L - 1)^-1 x = -(1 - L)^-1 x
+                near = _arnoldi(block, 1, sigma=1.0,
+                                opinv=lambda x: -lu_solve((lu, piv), x, check_finite=False))
+                singular = bool(abs(1.0 - near[0]) < singular_tol)
+    size = tm.size if isinstance(tm, TransferMatrix) else n
+    return FredholmResult(complex(functools.reduce(operator.mul, dets)), radius, singular, size)
 
 
 def fredholm_ratio(
@@ -349,12 +420,24 @@ def gauss_leading_pair(
     The truncated n_max-branch operator's eigenvalues converge like a
     power series in 1/n_max; Neville extrapolation over the sweep recovers
     the infinite-branch values (1 and the Gauss-Kuzmin-Wirsing constant
-    -0.30366... at beta = 1).
+    -0.30366... at beta = 1).  The n-branch grids are the first n
+    intervals of the largest one's, so each truncated matrix is the
+    leading (n * nodes)^2 block of the max(n_values)-branch matrix, which
+    is built once.  ``n_values`` must be distinct positive integers.
     """
+    if not n_values:
+        raise ValueError("n_values is empty")
+    bad = [n for n in n_values if n < 1]
+    if bad:
+        raise ValueError(f"n_values must be positive, got {bad}")
+    dup = sorted({n for n in n_values if n_values.count(n) > 1})
+    if dup:
+        raise ValueError(f"n_values repeats {dup}")
+    full = build_transfer_matrix(gauss_branch_system(max(n_values)), beta, nodes).matrix
     l1s, l2s = [], []
     for n in n_values:
-        tm = build_transfer_matrix(gauss_branch_system(n), beta, nodes)
-        lead = tm.leading_eigenvalues(2)
+        m = n * nodes
+        lead = _arnoldi(np.ascontiguousarray(full[:m, :m]), 6)
         l1s.append(float(lead[0].real))
         l2s.append(float(lead[1].real))
     xs = [1.0 / n for n in n_values]

@@ -231,6 +231,17 @@ def test_zeta_with_coset_file(capsys, tmp_path):
     assert payload["matrix_size"] == 2 * 6 * 8
 
 
+def test_zeta_coset_file_with_unknown_label(capsys, tmp_path):
+    action = {"degree": 2, "perms": {"1": [2, 1], "2": [1, 2], "3": [2, 1], "7": [1, 2]}}
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(action))
+    code, out, err = run_capture(capsys, ["zeta", "--beta", "1.0", "--gauss", "3", "--coset", str(path)])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == "coset permutations for labels the system lacks: ['7']"
+
+
 def test_torus_action(capsys, tmp_path):
     pd = {"g": 1, "omega": [[[0.0, 1.0]]], "n": [0], "m": [1]}
     path = tmp_path / "omega.json"

@@ -1,11 +1,12 @@
 """Fredholm determinants and torus solution sets against frozen copies of
 their earlier implementations.
 
-``fredholm_det`` factors 1 - L once by LU, takes the spectral radius from
+``fredholm_det`` factors 1 - L by LU, takes the spectral radius from
 Arnoldi and decides the singular flag from the radius or by shift-invert
-Arnoldi at 1.  The oracle is the eigen-product it replaced: a full dense
-eigensolve, det = prod(1 - lambda), radius max |lambda| and the flag from
-every eigenvalue.  Determinants must agree to 1e-12 relative, radii to
+Arnoldi at 1; on cyclic coset actions it does so per character block.
+The oracle is the eigen-product it replaced: a full dense eigensolve of
+the whole coset-extended matrix, det = prod(1 - lambda), radius
+max |lambda| and the flag from every eigenvalue.  Determinants must agree to 1e-12 relative, radii to
 1e-10, flags exactly.
 
 ``solution_set`` tests the whole box in array passes; the oracle is the
@@ -23,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adinkra_spectra import torus_spectrum, transfer
+from adinkra_spectra.perms import cyclic_exponents
 from adinkra_spectra.torus_spectrum import (
     PeriodData,
     SpectrumEntry,
@@ -97,8 +99,11 @@ def _oracle_action(pd, fn, lam, box_bound):
 # -- Fredholm determinant ---------------------------------------------------
 
 
-def _assert_matches_oracle(matrix, singular_tol=1e-12):
-    res = fredholm_det(matrix, singular_tol=singular_tol)
+def _assert_matches_oracle(operator, singular_tol=1e-12):
+    """``operator`` is a bare matrix or a ``TransferMatrix``, whose dense
+    matrix the oracle reads."""
+    res = fredholm_det(operator, singular_tol=singular_tol)
+    matrix = getattr(operator, "matrix", operator)
     det, radius, singular = _oracle_fredholm(matrix, singular_tol)
     assert abs(res.value - det) <= 1e-12 * abs(det)
     assert abs(res.spectral_radius - radius) <= 1e-10
@@ -247,6 +252,73 @@ def test_determinant_sign_follows_pivots():
     # 1 - L = diag(-1, -1, 2): no swap, two negative pivots
     res = fredholm_det(np.diag([2.0, 2.0, -1.0]))
     assert res.value == 2.0 and not res.singular and res.spectral_radius == 2.0
+
+
+
+# -- factored coset determinant ---------------------------------------------
+
+
+def _cyclic_action(n, d, seed):
+    """Branch s shifts the d cosets by a seeded amount (branch 1 by one
+    step, so a d-cycle is present), with the coset labels shuffled."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(d)
+    position = np.argsort(label)
+    shifts = [1] + list(rng.integers(0, d, n - 1))
+    return {str(s + 1): tuple(int(label[(position[a] + shifts[s]) % d]) for a in range(d))
+            for s in range(n)}
+
+
+# beta = 1 + 2j: a twisted block, not the trivial character's, holds the radius
+@pytest.mark.parametrize("beta", [1.7, 2.3, 1.5 + 0.7j, 1.0 + 2.0j])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_cyclic_coset_factored_matches_oracle(d, beta):
+    perms = _cyclic_action(6, d, seed=10 * d)
+    tm = extend_to_coset(gauss_branch_system(6), perms, beta, 12)
+    assert cyclic_exponents(tm.branch_perms, d) is not None
+    res = _assert_matches_oracle(tm)
+    if isinstance(beta, float):
+        # conjugate characters pair up, so a real operator's det is real
+        assert res.value.imag == 0.0 and math.copysign(1.0, res.value.imag) == 1.0
+
+
+KLEIN4 = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+NON_CYCLIC_ACTIONS = {
+    "klein4": (4, [KLEIN4[s % 4] for s in range(6)]),
+    "s3": (3, [(1, 0, 2), (1, 2, 0)] * 3),  # a 3-cycle with a transposition
+    "intransitive": (4, [(1, 0, 2, 3), (0, 1, 3, 2), (0, 1, 2, 3)] * 2),
+    "even-shifts": (4, [tuple((a + 2 * (s % 2)) % 4 for a in range(4)) for s in range(6)]),
+    # cyclic of order 6, but no generator is a 6-cycle
+    "shifts-2-and-3": (6, [tuple((a + (2, 3)[s % 2]) % 6 for a in range(6)) for s in range(6)]),
+}
+
+
+@pytest.mark.parametrize("beta", [1.7, 1.5 + 0.7j])
+@pytest.mark.parametrize("name", sorted(NON_CYCLIC_ACTIONS))
+def test_non_cyclic_actions_stay_dense(name, beta):
+    d, gens = NON_CYCLIC_ACTIONS[name]
+    assert cyclic_exponents(gens, d) is None
+    tm = extend_to_coset(gauss_branch_system(6), {str(s + 1): g for s, g in enumerate(gens)}, beta, 12)
+    assert fredholm_det(tm) == fredholm_det(tm.matrix)
+    _assert_matches_oracle(tm)
+
+
+def test_degree_one_is_the_dense_path():
+    tm = build_transfer_matrix(gauss_branch_system(10), 2.3, 16)
+    assert tm.base is tm.matrix
+    assert fredholm_det(tm) == fredholm_det(tm.matrix)
+
+
+def test_singular_affine_beta_zero_cyclic_degree_three():
+    sys = BranchSystem((Branch(0.0, 1.0, np.array([[0.5, 0.0], [0.0, 1.0]]), "h"),))
+    for nodes in (6, 12):
+        tm = extend_to_coset(sys, {"h": (2, 0, 1)}, 0.0, nodes)
+        res = fredholm_det(tm)
+        _det, radius, singular = _oracle_fredholm(tm.matrix)
+        assert res.singular and singular
+        assert abs(res.value) < 1e-10
+        assert abs(res.spectral_radius - radius) <= 1e-10
+        assert res.eigenvalues_used == 3 * nodes
 
 
 # -- torus solution set -----------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adinkra_spectra.perms import compose, cyclic_exponents
 from adinkra_spectra.transfer import (
     Branch,
     BranchSystem,
@@ -239,3 +240,72 @@ def test_complex_beta_supported():
     assert np.iscomplexobj(tm.matrix)
     res = fredholm_det(tm)
     assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
+
+
+def test_coset_extra_label_rejected():
+    perms = {"1": (1, 0), "2": (0, 1), "3": (1, 0), "7": (0, 1)}
+    with pytest.raises(ValueError, match=r"lacks: \['7'\]"):
+        extend_to_coset(gauss_branch_system(3), perms, 1.0, 8)
+
+
+def test_coset_keeps_base_and_branch_perms():
+    sys = gauss_branch_system(4)
+    perms = {"1": (1, 2, 0), "2": (0, 1, 2), "3": (2, 0, 1), "4": (1, 2, 0)}
+    ext = extend_to_coset(sys, perms, 1.3, 8)
+    assert np.array_equal(ext.base, build_transfer_matrix(sys, 1.3, 8).matrix)
+    assert ext.branch_perms == tuple(perms[l] for l in "1234")
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 6])
+def test_cyclic_exponents_recover_powers(d):
+    rng = np.random.default_rng(d)
+    label = rng.permutation(d)
+    position = np.argsort(label)
+    t = tuple(int(label[(position[a] + 1) % d]) for a in range(d))  # a shuffled d-cycle
+    exps = [int(e) for e in rng.integers(0, d, 5)]
+    gens = []
+    for e in exps:
+        p = tuple(range(d))
+        for _ in range(e):
+            p = compose(t, p)
+        gens.append(p)
+    got = cyclic_exponents([t] + gens, d)
+    assert got == [1 % d] + exps
+
+
+def test_cyclic_exponents_refuse_non_cyclic_actions():
+    klein4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
+    assert cyclic_exponents(klein4, 4) is None
+    assert cyclic_exponents([(1, 2, 0), (1, 0, 2)], 3) is None  # S3
+    assert cyclic_exponents([(1, 0, 2, 3), (0, 1, 3, 2)], 4) is None  # intransitive
+    assert cyclic_exponents([(2, 3, 0, 1), (0, 1, 2, 3)], 4) is None  # even shifts only
+
+
+SWEEP = (12, 16, 20, 24, 28, 32, 36, 40)
+
+
+@pytest.mark.parametrize("nodes", [24, 32])
+@pytest.mark.parametrize("beta", [1.0, 2.3, 1.5 + 0.7j])
+def test_sweep_matrices_are_leading_blocks(beta, nodes):
+    # gauss_leading_pair reads every truncation from the largest matrix
+    full = build_transfer_matrix(gauss_branch_system(max(SWEEP)), beta, nodes).matrix
+    for n in SWEEP:
+        m = n * nodes
+        small = build_transfer_matrix(gauss_branch_system(n), beta, nodes).matrix
+        assert small.dtype == full.dtype
+        assert np.array_equal(small, full[:m, :m])
+
+
+def test_gauss_leading_pair_default_digits():
+    assert gauss_leading_pair() == (0.9999999993946068, -0.30366300031024435)
+
+
+@pytest.mark.parametrize("n_values,message", [
+    ((), "empty"),
+    ((12, 12, 16), r"repeats \[12\]"),
+    ((0, 4), r"positive, got \[0\]"),
+    ((-3, 8, 12), r"positive, got \[-3\]"),
+])
+def test_gauss_leading_pair_refuses_bad_sweeps(n_values, message):
+    with pytest.raises(ValueError, match=message):
+        gauss_leading_pair(n_values=n_values)
