@@ -10,8 +10,10 @@ trace t > 2 translates along its axis by l = 2*arccosh(t/2); its conjugacy
 class is detected numerically by trace bucketing plus conjugation-orbit
 closure inside a matrix-norm ball, which depth-stability tests guard.
 The ball grows one word depth at a time and each new element is classified
-once, by one classifier whose memo is shared across all depths.  Inside
-the ball and the classifier a matrix [[a, b], [c, d]] is the float tuple
+once, by one classifier whose memo is shared across all depths.  Most
+elements resolve by a lookup of their own key or of a one-letter
+conjugate's; only the rest descend to a class minimum.  Inside the ball
+and the classifier a matrix [[a, b], [c, d]] is the float tuple
 (a, b, c, d); the public API takes and returns numpy arrays.
 """
 
@@ -222,15 +224,23 @@ class _Ball:
 class _Classifier:
     """Numerical conjugacy detection by canonical minimal representatives.
 
-    Each element is conjugated greedily toward smaller matrix norm (with
-    two-letter lookahead to step over plateaus); from the local minimum a
-    bounded shell of conjugates is searched and the smallest rounded
-    matrix key found is the class identifier.  Keys along the way are
-    memoized, so repeat members of a class resolve instantly.
+    :meth:`class_key` looks an element up in three steps:
+
+    1. its own rounded key in the memo;
+    2. the keys of its six one-letter conjugates g m g^-1, in
+       ``single_pairs`` order.  The first one in the memo gives the class,
+       which is also stored under the element's key.  Conjugates share a
+       class, so this step is only as wrong as the memo already is;
+    3. otherwise the element is conjugated greedily toward smaller matrix
+       norm (with two-letter lookahead to step over plateaus); from the
+       local minimum a bounded shell of conjugates is searched and the
+       smallest rounded matrix key found is the class identifier.  The
+       keys of the descent path and the shell are memoized.
 
     One classifier serves a whole ``length_spectrum`` run, so its memo is
-    shared across depths.  Fed the ball in insertion order, it ends each
-    depth in the state a fresh classifier would reach on the whole ball.
+    shared across depths.  The memo is a function of the sequence of
+    calls alone, so fed the ball in insertion order it ends each depth in
+    the state a fresh classifier would reach on the whole ball.
     """
 
     SHELL_FACTOR = 2.0
@@ -245,10 +255,6 @@ class _Classifier:
         self.single_pairs = self.pairs[: len(_LETTERS)]
         self.memo: dict[tuple, tuple] = {}
 
-    @staticmethod
-    def _rank(m: Mat) -> tuple[float, tuple]:
-        return (round(_abs_max(m), 9), _key(m))
-
     def _remember(self, cls: tuple, *key_sets) -> tuple:
         for keys in key_sets:
             for k in keys:
@@ -257,9 +263,17 @@ class _Classifier:
 
     def class_key(self, m: Mat) -> tuple:
         memo = self.memo
-        path = []
         cur = _renorm(m)
-        cur_rank = self._rank(cur)
+        k0 = _key(cur)
+        if k0 in memo:
+            return memo[k0]
+        for g, gi in self.single_pairs:
+            k = _key(_renorm(_mul(_mul(g, cur), gi)))
+            if k in memo:
+                cls = memo[k0] = memo[k]
+                return cls
+        path = []
+        cur_rank = (round(_abs_max(cur), 9), k0)
         while True:
             k = cur_rank[1]
             if k in memo:
@@ -323,8 +337,8 @@ def length_spectrum(
     entry with their count as multiplicity; elliptic and near-parabolic
     elements are excluded and counted separately.
     """
-    if l_max <= 0:
-        raise ValueError("l_max must be positive")
+    if not (math.isfinite(l_max) and l_max > 0):
+        raise ValueError(f"l_max must be positive and finite, got {l_max}")
     ball = _Ball(group)
     classifier = _Classifier(group)
     partition: dict[tuple, list[tuple[Mat, str]]] = {}
@@ -626,7 +640,10 @@ def spectrum_from_csv(text: str) -> list[GeodesicClass]:
         raise ValueError("missing length-spectrum CSV header")
     out = []
     for row, line in enumerate(lines[1:], start=1):
-        length_s, trace_s, mult_s, word, prim_s = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"CSV row {row} has {len(fields)} fields, expected 5: {line!r}")
+        length_s, trace_s, mult_s, word, prim_s = fields
         if not int(prim_s):
             raise ValueError(
                 f"CSV row {row} ({word}) is not primitive; the CSV does not carry "

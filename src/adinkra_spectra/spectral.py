@@ -328,12 +328,13 @@ def _power_sum(
     ``power_form`` (its name goes in the error) takes primitive classes and
     expands their powers; without one each class is a single term, k = 1,
     whose L_P is its ``primitive_length``.  The input is validated here:
-    genus, Lambda, spectrum completeness, one chi value per class.
+    genus, a finite positive Lambda, spectrum completeness, one chi value
+    per class, positive lengths and multiplicities of at least 1.
     """
     if genus < 2:
         raise ValueError("hyperbolic trace formula needs genus >= 2")
-    if lam <= 0:
-        raise ValueError("Lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"Lambda must be positive and finite, got {lam}")
     cutoff = pair.support_radius / lam
     classes = _coerce_spectrum(spectrum, cutoff)
     if chi is None:
@@ -347,12 +348,16 @@ def _power_sum(
     length = np.array([c.length for c in classes], dtype=float)
     if np.any(length <= 0.0):
         raise ValueError("geodesic lengths must be positive")
+    mult = np.array([c.multiplicity for c in classes], dtype=int)
+    if np.any(mult < 1):
+        bad = next(c for c in classes if c.multiplicity < 1)
+        raise ValueError(f"class {bad.word!r} has multiplicity {bad.multiplicity}; need >= 1")
     cut = cutoff + 1e-15
     top = int(cut / length.min()) + 1 if power_form and len(classes) else 1
     x = np.outer(length, np.arange(1.0, top + 1.0))  # k L_P per class and power
     i, j = np.nonzero(x <= cut)
     x = x[i, j]
-    mult = np.array([c.multiplicity for c in classes], dtype=int)[i]
+    mult = mult[i]
     l_p = np.array([c.primitive_length for c in classes], dtype=float)[i]
     chi_k = np.asarray(chi, dtype=complex)[i] ** (j + 1)
     weight = mult * l_p / (2.0 * np.sinh(x / 2.0))

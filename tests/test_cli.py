@@ -194,6 +194,37 @@ def test_action_from_spectrum_csv(capsys, tmp_path):
     assert payload["total"] == payload["identity_term"] + payload["geodesic_term"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "nan"],
+     "l_max must be positive and finite, got nan"),
+    (["geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "inf"],
+     "l_max must be positive and finite, got inf"),
+    (["action", "laplace", "--genus", "2", "--lam", "inf"],
+     "Lambda must be positive and finite, got inf"),
+    (["action", "dirac", "--genus", "2", "--lam", "nan"],
+     "Lambda must be positive and finite, got nan"),
+    (["action", "super", "--genus", "2", "--lam", "nan"],
+     "Lambda must be positive and finite, got nan"),
+])
+def test_non_finite_parameters_are_refused(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1.0,2.2,-3,ab,1", "class 'ab' has multiplicity -3; need >= 1"),
+    ("1.0,2.2,3,ab", "CSV row 1 has 4 fields, expected 5: '1.0,2.2,3,ab'"),
+])
+def test_action_refuses_bad_spectrum_row(capsys, tmp_path, row, message):
+    path = tmp_path / "spec.csv"
+    path.write_text(f"length,trace,multiplicity,word,primitive_flag\n{row}\n")
+    code, out, err = run_capture(
+        capsys, ["action", "laplace", "--genus", "2", "--spectrum", str(path), "--lam", "0.5"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_zeta_gauss(capsys):
     code, out, _err = run_capture(capsys, ["zeta", "--beta", "2.0", "--gauss", "12", "--nodes", "16"])
     assert code == 0

@@ -228,6 +228,20 @@ def test_csv_refuses_power_rows(delta552):
         spectrum_from_csv(spectrum_to_csv(closed))
 
 
+@pytest.mark.parametrize("l_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_l_max_rejected(delta552, l_max):
+    with pytest.raises(ValueError, match="l_max must be positive and finite"):
+        length_spectrum(delta552, l_max)
+
+
+@pytest.mark.parametrize("row", ["1.0,2.2,3,ab", "1.0,2.2,3,ab,1,7", "1.0"])
+def test_csv_refuses_wrong_field_count(row):
+    text = f"length,trace,multiplicity,word,primitive_flag\n1.0,2.2,1,c,1\n{row}\n"
+    n = len(row.split(","))
+    with pytest.raises(ValueError, match=rf"CSV row 2 has {n} fields, expected 5"):
+        spectrum_from_csv(text)
+
+
 def test_nontransitive_action_rejected():
     with pytest.raises(ValueError, match="transitive"):
         CosetAction(2, {"a": (0, 1), "b": (0, 1), "c": (0, 1)})

@@ -6,14 +6,21 @@ primitivity with yet another one.  The library classifies each element
 once, on float tuples, with one memo for the run; both must find the same
 conjugacy partition, primitivity, merged multiplicities and ball counts,
 with lengths equal to 1e-12.
+
+A second frozen copy is the tuple classifier without the one-letter
+conjugate lookup (descent and shell only).  A run with it in place of the
+library's classifier must give an equal ``SpectrumResult``.
 """
 
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinkra_spectra import hyperbolic
 from adinkra_spectra.hyperbolic import length_of_trace, length_spectrum, triangle_generators
@@ -245,3 +252,174 @@ def test_length_spectrum_matches_per_depth_oracle(monkeypatch, order, l_max):
     counts = (spec.depth, spec.element_count, spec.elliptic_count,
               spec.near_parabolic_count, spec.converged)
     assert counts == oracle_counts
+
+
+# -- frozen descent classifier ----------------------------------------------
+# The tuple-arithmetic classifier as it was before the one-letter probe:
+# greedy descent over all 36 one- and two-letter conjugators, then a shell
+# search around the local minimum, memoising the path and shell keys.  Its
+# arithmetic matches the library's operation for operation, so a run with it
+# must give an equal SpectrumResult, not just equal partitions.
+
+
+def _t_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _t_renorm(m):
+    a, b, c, d = m
+    s = math.sqrt(abs(a * d - b * c))
+    return (a / s, b / s, c / s, d / s)
+
+
+def _t_abs_max(m):
+    return max(abs(x) for x in m)
+
+
+def _t_key(m):
+    a, b, c, d = m
+    for x in m:
+        if abs(x) > 1e-8:
+            if x < 0:
+                a, b, c, d = -a, -b, -c, -d
+            break
+    return (round(a * 1e8), round(b * 1e8), round(c * 1e8), round(d * 1e8))
+
+
+class _DescentClassifier:
+    def __init__(self, group):
+        letters = {l: group.letter_matrix(l) for l in _LETTERS}
+        conjugators = [letters[l] for l in _LETTERS]
+        conjugators += [letters[l1] @ letters[l2] for l1 in _LETTERS for l2 in _LETTERS
+                        if l2 != l1.swapcase()]
+        self.pairs = [(tuple(map(float, g.ravel())), tuple(map(float, np.linalg.inv(g).ravel())))
+                      for g in conjugators]
+        self.single_pairs = self.pairs[: len(_LETTERS)]
+        self.memo = {}
+
+    def _remember(self, cls, *key_sets):
+        for keys in key_sets:
+            for k in keys:
+                self.memo[k] = cls
+        return cls
+
+    def class_key(self, m):
+        memo = self.memo
+        path = []
+        cur = _t_renorm(m)
+        cur_rank = (round(_t_abs_max(cur), 9), _t_key(cur))
+        while True:
+            k = cur_rank[1]
+            if k in memo:
+                return self._remember(memo[k], path)
+            path.append(k)
+            best = None
+            bound = cur_rank
+            for g, gi in self.pairs:
+                cm = _t_renorm(_t_mul(_t_mul(g, cur), gi))
+                norm = round(_t_abs_max(cm), 9)
+                if norm > bound[0]:
+                    continue
+                r = (norm, _t_key(cm))
+                if r < bound:
+                    bound, best = r, cm
+            if best is None:
+                break
+            cur_rank, cur = bound, best
+        cap = max(3.0, 2.0 * cur_rank[0])
+        seen = {cur_rank[1]}
+        queue = deque([cur])
+        best_key = cur_rank[1]
+        while queue and len(seen) < 50_000:
+            x = queue.popleft()
+            for g, gi in self.single_pairs:
+                cm = _t_renorm(_t_mul(_t_mul(g, x), gi))
+                if _t_abs_max(cm) > cap:
+                    continue
+                k = _t_key(cm)
+                if k in seen:
+                    continue
+                seen.add(k)
+                queue.append(cm)
+                if k in memo:
+                    return self._remember(memo[k], path, seen)
+                if k < best_key:
+                    best_key = k
+        return self._remember(best_key, path, seen)
+
+
+def _with_descent_classifier(group, l_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolic, "_Classifier", _DescentClassifier)
+        return length_spectrum(group, l_max)
+
+
+PROBE_ORDERS = sorted({order for sig in ((5, 5, 2), (3, 3, 4), (6, 6, 2), (2, 4, 6), (2, 4, 5),
+                                         (2, 5, 5), (3, 4, 4), (2, 6, 6), (5, 2, 6))
+                       for order in itertools.permutations(sig)})
+PROBE_CASES = ([(order, 4.0) for order in PROBE_ORDERS]
+               + [((5, 5, 2), 3.2), ((5, 5, 2), 5.0), ((5, 5, 2), 6.0), ((3, 4, 4), 6.0),
+                  ((2, 6, 6), 6.0), ((2, 4, 5), 5.5)])
+
+
+@pytest.mark.parametrize("order,l_max", PROBE_CASES)
+def test_spectrum_equals_descent_classifier_run(order, l_max):
+    group = triangle_generators(*order)
+    assert length_spectrum(group, l_max) == _with_descent_classifier(group, l_max)
+
+
+HYPERBOLIC_SIGNATURES = st.tuples(*[st.integers(2, 8)] * 3).filter(
+    lambda s: Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(HYPERBOLIC_SIGNATURES, st.floats(3.0, 4.5))
+def test_spectrum_equals_descent_classifier_run_on_random_signatures(sig, l_max):
+    # no convergence assertion: (2,3,7)-(2,3,9) stop on empty signatures
+    group = triangle_generators(*sig)
+    assert length_spectrum(group, l_max) == _with_descent_classifier(group, l_max)
+
+
+def _conjugate(group, letter, m):
+    g = group.letter_matrix(letter)
+    return tuple(map(float, (g @ m @ np.linalg.inv(g)).ravel()))
+
+
+@pytest.mark.parametrize("sig", [(5, 5, 2), (2, 4, 5)])
+def test_one_letter_conjugates_share_the_class(sig):
+    group = triangle_generators(*sig)
+    for cls in length_spectrum(group, 4.0).classes:
+        m = group.word_matrix(cls.word)
+        member = tuple(map(float, m.ravel()))
+        for letter in _LETTERS:
+            # member first, so the conjugate resolves through the probe ...
+            classifier = hyperbolic._Classifier(group)
+            key = classifier.class_key(member)
+            assert classifier.class_key(_conjugate(group, letter, m)) == key, (cls.word, letter)
+            # ... and conjugate first, so the member does
+            classifier = hyperbolic._Classifier(group)
+            key = classifier.class_key(_conjugate(group, letter, m))
+            assert classifier.class_key(member) == key, (cls.word, letter)
+
+
+def test_probed_element_is_remembered(monkeypatch):
+    # an element resolved through a conjugate keeps its own key in the memo,
+    # so meeting it again costs one lookup and no matrix product
+    group = triangle_generators(5, 5, 2)
+
+    def no_products(x, y):
+        raise AssertionError("repeat element was not resolved by its own key")
+
+    for cls in length_spectrum(group, 4.0).classes:
+        m = group.word_matrix(cls.word)
+        member = tuple(map(float, m.ravel()))
+        classifier = hyperbolic._Classifier(group)
+        key = classifier.class_key(_conjugate(group, "b", m))
+        # leave the member reachable only through its conjugates
+        classifier.memo.pop(hyperbolic._key(hyperbolic._renorm(member)), None)
+        assert classifier.class_key(member) == key
+        with monkeypatch.context() as mp:
+            mp.setattr(hyperbolic, "_mul", no_products)
+            assert classifier.class_key(member) == key, cls.word

@@ -227,6 +227,28 @@ def test_nonpositive_length_rejected():
         laplace_action_conjugacy(2, [flat], pair, 1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_lambda_rejected(lam):
+    pair = make_test_pair("smooth_bump")
+    cls = synthetic_class(0.8)
+    for action in (
+        lambda: laplace_action_conjugacy(2, [cls], pair, lam),
+        lambda: laplace_action_geodesic(2, [cls], pair, lam),
+        lambda: dirac_action(2, [cls], [1.0], pair, lam),
+        lambda: super_action(2, [cls], [1.0], pair, lam),
+    ):
+        with pytest.raises(ValueError, match="Lambda must be positive and finite"):
+            action()
+
+
+@pytest.mark.parametrize("mult", [0, -3])
+def test_multiplicity_below_one_rejected(mult):
+    pair = make_test_pair("smooth_bump")
+    bad = GeodesicClass(2.2, 1.0, 1.0, mult, "ab", True)
+    with pytest.raises(ValueError, match=f"class 'ab' has multiplicity {mult}"):
+        laplace_action_conjugacy(2, [synthetic_class(0.8), bad], pair, 0.5)
+
+
 def test_dirac_missing_character_rejected():
     pair = make_test_pair("smooth_bump")
     with pytest.raises(ValueError, match="character value"):
