@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,8 +79,8 @@ class PipelineConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def _dump(obj) -> str:

@@ -339,6 +339,8 @@ def length_spectrum(
     """
     if not (math.isfinite(l_max) and l_max > 0):
         raise ValueError(f"l_max must be positive and finite, got {l_max}")
+    if not (math.isfinite(dedupe_tol) and dedupe_tol >= 0):
+        raise ValueError(f"dedupe_tol must be non-negative and finite, got {dedupe_tol}")
     ball = _Ball(group)
     classifier = _Classifier(group)
     partition: dict[tuple, list[tuple[Mat, str]]] = {}

@@ -3,13 +3,16 @@
 The pair convention follows the compact-support side: h is even, real,
 supported in [-1, 1]; the spectral-side function is f(r) = integral of
 h(t) e^{irt} dt, evaluated by Gauss-Legendre quadrature (so f is exact
-only for |r| up to roughly the node count).  All identity terms reduce
-the half-line integrals to an exact h-side first moment
+only for |r| up to roughly the node count).  The Laplace and Dirac
+identity terms reduce the half-line integrals to an exact h-side first
+moment
 
     T = int_0^inf r f(r) dr = -int_{-1}^{1} h'(t)/t dt
 
 plus an exponentially convergent correction, which keeps conditionally
 convergent tails (C^1 windows decay like 1/r^2) out of the quadrature.
+T is taken on the nodes of the pair's rule, so it needs an even node
+count: an odd rule has a node at t = 0, and there it is refused.
 
 Every action is an identity term plus one geodesic power sum, truncated
 exactly by supp h, with Lambda the cutoff scale:
@@ -37,7 +40,12 @@ compact-support pairs, so that integral is evaluated over a documented
 symmetric window (``identity_window``).  All its panel points share one
 real exponential table, which also gives the mirror points; see the README
 note.  Every quadrature takes its nodes from ``_gauss_legendre``, which
-builds the rule once per node count.
+builds the rule once per node count and checks that its nodes are exactly
+symmetric.  Every transform folds onto the positive half of the rule: f
+sums one cosine per node pair +-t (``TestFunctionPair._fold``), the
+correction integral evaluates f once over all its panels' points, and the
+supertrace table is exponentiated on the positive nodes only, the rows of
+the mirror nodes -t being its reciprocals.
 """
 
 from __future__ import annotations
@@ -96,9 +104,13 @@ def _poly_deriv(t: np.ndarray) -> np.ndarray:
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's ``leggauss(n)`` nodes and weights, built once per n.
 
-    The arrays are shared by every caller, so they are read-only.
+    The arrays are shared by every caller, so they are read-only.  Every
+    transform here folds onto the positive nodes, which needs the nodes to
+    be exactly symmetric (``leggauss`` symmetrises them); that is checked.
     """
     x, w = np.polynomial.legendre.leggauss(n)
+    if not np.array_equal(x[::-1], -x):
+        raise ArithmeticError(f"{n}-node Gauss-Legendre nodes are not exactly symmetric")
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -108,11 +120,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 class TestFunctionPair:
     """Even compactly supported h with its Fourier transform f.
 
-    ``f(r)`` is the quadrature transform (cosine form, exactly even);
+    ``f(r)`` is the quadrature transform (cosine form, exactly even),
+    evaluated on the folded rule ``_fold``: the positive nodes x+, the
+    coefficients c+ = (w h)(x+) + (w h)(-x+), and the coefficient c0 of the
+    t = 0 node of an odd rule (else 0.0), so f(r) = c+ @ cos(x+ r) + c0.
     ``f_complex(z)`` analytically continues the quadrature integrand
     e^{izt} h(t), which the supertrace identity term integrates at
     z = i r + 1/2 (``_identity_super`` evaluates it from ``_quad``).
-    ``radial_first_moment`` is the exact h-side value of int_0^inf r f(r) dr.
+    ``radial_first_moment`` is the exact h-side value of int_0^inf r f(r) dr;
+    it needs an even node count.
     """
 
     name: str
@@ -121,16 +137,21 @@ class TestFunctionPair:
     nodes: int = 200
     support_radius: float = 1.0
     _quad: tuple = field(init=False, repr=False, compare=False, default=None)
+    _fold: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         x, w = _gauss_legendre(self.nodes)
         ht = np.asarray(self.h(x), dtype=float)
         object.__setattr__(self, "_quad", (x, w, ht))
+        n, m = self.nodes, self.nodes // 2
+        wh = w * ht
+        c0 = float(wh[m]) if n % 2 else 0.0
+        object.__setattr__(self, "_fold", (x[n - m:], wh[n - m:] + wh[:m][::-1], c0))
 
     def f(self, r) -> np.ndarray | float:
-        x, w, ht = self._quad
+        xp, cp, c0 = self._fold
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = (w * ht) @ np.cos(np.outer(x, rr))
+        vals = cp @ np.cos(np.outer(xp, rr)) + c0
         return vals if np.ndim(r) else float(vals[0])
 
     def f_complex(self, z) -> np.ndarray | complex:
@@ -144,6 +165,11 @@ class TestFunctionPair:
         return vals if np.ndim(t) else float(vals[0])
 
     def radial_first_moment(self) -> float:
+        if self.nodes % 2:
+            raise ValueError(
+                f"the radial first moment divides by t, and t = 0 is a node of the "
+                f"{self.nodes}-node rule; use an even node count"
+            )
         x, w, _ht = self._quad
         return -float(np.sum(w * self.dh(x) / x))
 
@@ -229,14 +255,19 @@ def _result(identity, geodesic, count, lam, imag_residual=0.0, flagged=False) ->
 
 
 def _gl_panel_integral(fn, lo: float, hi: float, panels: int, nodes: int) -> float:
-    """Composite Gauss-Legendre over [lo, hi] with geometric panel growth."""
+    """Composite Gauss-Legendre over [lo, hi] with geometric panel growth.
+
+    ``fn`` is called once, on the points of every panel; the panel sums
+    are added in panel order.
+    """
     x, w = _gauss_legendre(nodes)
     edges = np.geomspace(1.0, 2.0 ** panels, panels + 1) - 1.0
     edges = lo + (hi - lo) * edges / edges[-1]
+    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    vals = fn((mid[:, None] + half[:, None] * x).ravel()).reshape(panels, nodes)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        total += half * float(np.sum(w * fn(mid + half * x)))
+    for half_k, vals_k in zip(half, vals):
+        total += half_k * float(np.sum(w * vals_k))
     return total
 
 
@@ -276,8 +307,11 @@ def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> co
     mirror image.  Over the pair's nodes t, f(ir + 1/2) = (w h e^{it/2}) @
     e^{-t r}, so one real table e^{-t r} over every panel point r serves
     all 16 panels, and with the coefficients reversed it gives f at -r
-    (``leggauss`` nodes are exactly symmetric, t[::-1] == -t).  Each point
-    and its mirror are summed as complex values.  When the sampled h is
+    (``leggauss`` nodes are exactly symmetric, t[::-1] == -t).  The table
+    is exponentiated on the positive nodes only: the row of a mirror node
+    -t is the reciprocal of the row of t, and the t = 0 row of an odd rule
+    is 1.  Each point and its mirror are summed as complex values.  The
+    coefficients of t and -t stay separate, so when the sampled h is
     exactly even the two coefficient rows are conjugate and the real part
     cancels exactly; what is left measures the asymmetry of the samples.
     """
@@ -286,7 +320,11 @@ def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> co
     edges = np.linspace(0.0, window, 17)[:, None]
     half = (edges[1:] - edges[:-1]) / 2.0
     pts = (edges[:-1] + edges[1:]) / 2.0 + half * x  # one row per panel
-    table = np.exp(-np.outer(t, pts))
+    n, m = len(t), len(t) // 2
+    table = np.empty((n, pts.size))
+    np.exp(-np.outer(t[n - m:], pts), out=table[n - m:])
+    np.divide(1.0, table[n - m:][::-1], out=table[:m])
+    table[m:n - m] = 1.0
     coef = wt * ht * np.exp(0.5j * t)
     coef = np.stack([coef, coef[::-1]])  # rows: f at r, f at -r
     f_pos, f_neg = (coef.real @ table + 1j * (coef.imag @ table)).reshape(2, *pts.shape)

@@ -206,8 +206,8 @@ def _u_vector(pd: PeriodData, n, m) -> np.ndarray:
 
 def gaussian(width: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """Even Gaussian test function exp(-(x / width)^2 / 2)."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"width must be positive and finite, got {width}")
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -253,6 +253,8 @@ def origami_action(
     outermost shell's decay geometrically; for positive f the partial
     sums increase monotonically in the box bound.
     """
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"Lambda must be positive and finite, got {lam}")
     fn = getattr(f, "f", f)
     if not _is_even_callable(fn):
         raise ValueError("test function must be even")
@@ -328,8 +330,9 @@ def poisson_reference(
     sum (zero mode included) into a theta value for the quadratic form
     Q / (2 pi lam^2 width^2); the dual side is the transformed theta.
     """
-    if width <= 0 or lam <= 0:
-        raise ValueError("width and Lambda must be positive")
+    for name, value in (("width", width), ("Lambda", lam)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     gram = _gram_matrix(pd) / (2.0 * math.pi * (lam * width) ** 2)
     return PoissonResult(
         direct_theta_sum(gram, box_bound), dual_theta_sum(gram, box_bound)

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from adinkra_spectra.cli import run
+from adinkra_spectra.cli import PipelineConfig, run
 from adinkra_spectra.transfer import build_transfer_matrix, fredholm_det, gauss_branch_system
 
 
@@ -205,9 +206,33 @@ def test_action_from_spectrum_csv(capsys, tmp_path):
      "Lambda must be positive and finite, got nan"),
     (["action", "super", "--genus", "2", "--lam", "nan"],
      "Lambda must be positive and finite, got nan"),
+    (["--tolerance", "inf", "geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "4.0"],
+     "tolerance must be positive and finite, got inf"),
+    (["--tolerance", "nan", "geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "4.0"],
+     "tolerance must be positive and finite, got nan"),
 ])
 def test_non_finite_parameters_are_refused(capsys, argv, message):
     code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_pipeline_config_refuses_bad_tolerance(tol):
+    with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):
+        PipelineConfig("geodesics", tolerance=tol)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--lam", "nan"], "Lambda must be positive and finite, got nan"),
+    (["--lam", "inf"], "Lambda must be positive and finite, got inf"),
+    (["--width", "inf"], "width must be positive and finite, got inf"),
+    (["--width", "nan"], "width must be positive and finite, got nan"),
+])
+def test_torus_action_refuses_non_finite_reals(capsys, tmp_path, args, message):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"g": 1, "omega": [[[0.2, 1.1]]], "n": [0], "m": [1]}))
+    code, out, err = run_capture(capsys, ["torus", "action", "--omega", str(path), *args])
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": message}
 

@@ -234,6 +234,12 @@ def test_non_finite_or_non_positive_l_max_rejected(delta552, l_max):
         length_spectrum(delta552, l_max)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_non_finite_or_negative_dedupe_tol_rejected(delta552, tol):
+    with pytest.raises(ValueError, match="dedupe_tol must be non-negative and finite"):
+        length_spectrum(delta552, 4.0, dedupe_tol=tol)
+
+
 @pytest.mark.parametrize("row", ["1.0,2.2,3,ab", "1.0,2.2,3,ab,1,7", "1.0"])
 def test_csv_refuses_wrong_field_count(row):
     text = f"length,trace,multiplicity,word,primitive_flag\n1.0,2.2,1,c,1\n{row}\n"

@@ -123,6 +123,35 @@ def test_radial_first_moment_against_fourier_quadrature():
     assert pair.radial_first_moment() == pytest.approx(head + t1 + t2 + t3, abs=1e-9)
 
 
+@pytest.mark.parametrize("nodes", [151, 201])
+def test_odd_node_count_refuses_the_first_moment(nodes):
+    # t = 0 is a node of an odd rule, where -h'(t)/t is 0/0
+    pair = make_test_pair("smooth_bump", nodes)
+    cls = synthetic_class(1.2)
+    message = f"t = 0 is a node of the {nodes}-node rule; use an even node count"
+    with pytest.raises(ValueError, match=message):
+        laplace_action_conjugacy(2, [cls], pair, 0.5)
+    with pytest.raises(ValueError, match=message):
+        laplace_action_geodesic(2, [cls], pair, 0.5)
+    with pytest.raises(ValueError, match=message):
+        dirac_action(2, [cls], [-1.0], pair, 0.5)
+    # the supertrace identity term never takes the moment
+    res = super_action(2, [cls], [-1.0], pair, 0.5)
+    assert math.isfinite(res.total) and res.imag_residual == 0.0 and not res.flagged
+
+
+def test_asymmetric_gauss_legendre_rule_is_refused(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+
+    def skewed(n):
+        x, w = leggauss(n)
+        return np.nextafter(x, np.inf), w
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", skewed)
+    with pytest.raises(ArithmeticError, match="13-node Gauss-Legendre nodes are not exactly symmetric"):
+        _gauss_legendre(13)  # a node count no other test builds, so not cached
+
+
 def test_identity_term_against_direct_quadrature():
     # split evaluation vs direct tanh quadrature with analytic tails
     from adinkra_spectra.spectral import _identity_tanh

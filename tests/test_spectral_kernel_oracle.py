@@ -10,6 +10,12 @@ same contributing count and flag.
 Classes are built the way ``length_spectrum`` builds them: the length is
 computed from the trace, so the oracle's trace-based conjugacy loops and
 its length-based super loop see the same primitive length.
+
+A second frozen oracle keeps the unfolded quadrature: f(r) over all nodes
+of the rule, the panel integral with one f call per panel, and the
+supertrace identity table exponentiated at every node.  The library folds
+each onto the positive nodes; f must agree to 1e-14 of sum |w h|, and every
+identity term to 1e-14 relative.
 """
 
 import cmath
@@ -22,6 +28,7 @@ from hypothesis import strategies as st
 from adinkra_spectra.hyperbolic import GeodesicClass, length_of_trace, power_closure
 from adinkra_spectra.spectral import (
     _identity_coth,
+    _identity_super,
     _identity_tanh,
     dirac_action,
     laplace_action_conjugacy,
@@ -205,3 +212,100 @@ def test_super_matches_oracle(data, prims, lam, kind, window, quad_nodes):
         assert_matches(res, identity, *_oracle_super_geodesic(prims, chi, pair, lam, variant))
         assert res.flagged == (imag_residual > 1e-9)
         assert res.imag_residual < 1e-9
+
+
+# -- frozen unfolded quadrature ----------------------------------------------
+
+
+def _unfolded_f(pair, r):
+    x, w, ht = pair._quad
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    vals = (w * ht) @ np.cos(np.outer(x, rr))
+    return vals if np.ndim(r) else float(vals[0])
+
+
+def _unfolded_panel_integral(fn, lo, hi, panels, nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.geomspace(1.0, 2.0 ** panels, panels + 1) - 1.0
+    edges = lo + (hi - lo) * edges / edges[-1]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        total += half * float(np.sum(w * fn(mid + half * x)))
+    return total
+
+
+def _unfolded_tanh(pair, lam, quad_nodes):
+    t_moment = pair.radial_first_moment()
+    cut = 45.0 / (2.0 * lam * math.pi)
+
+    def integrand(r):
+        return -2.0 * r * _unfolded_f(pair, r) / (np.exp(2.0 * lam * math.pi * r) + 1.0)
+
+    return t_moment + _unfolded_panel_integral(integrand, 0.0, cut, 8, quad_nodes)
+
+
+def _unfolded_coth(pair, lam, quad_nodes):
+    t_moment = pair.radial_first_moment()
+    cut = 45.0 / (2.0 * lam * math.pi)
+
+    def integrand(r):
+        r = np.asarray(r, dtype=float)
+        return 2.0 * r * _unfolded_f(pair, r) / np.expm1(2.0 * lam * math.pi * r)
+
+    return 2.0 * (t_moment + _unfolded_panel_integral(integrand, 0.0, cut, 8, quad_nodes))
+
+
+def _unfolded_super(pair, lam, window, quad_nodes):
+    x, w = np.polynomial.legendre.leggauss(quad_nodes)
+    t, wt, ht = pair._quad
+    edges = np.linspace(0.0, window, 17)[:, None]
+    half = (edges[1:] - edges[:-1]) / 2.0
+    pts = (edges[:-1] + edges[1:]) / 2.0 + half * x
+    table = np.exp(-np.outer(t, pts))
+    coef = wt * ht * np.exp(0.5j * t)
+    coef = np.stack([coef, coef[::-1]])
+    f_pos, f_neg = (coef.real @ table + 1j * (coef.imag @ table)).reshape(2, *pts.shape)
+    tanh = np.tanh(lam * math.pi * pts)
+    return complex(np.sum(half * w * (f_pos * tanh - f_neg * tanh)))
+
+
+FOLD_PAIRS = {(kind, n): make_test_pair(kind, n) for kind in KINDS for n in (200, 151, 64, 2)}
+even_nodes = st.sampled_from((200, 64, 2))
+any_nodes = st.sampled_from((200, 151, 64, 2))
+fold_lams = st.floats(0.1, 3.0)
+panel_nodes = st.sampled_from((16, 64))
+
+
+def assert_close(got, ref, rel=1e-14):
+    assert abs(got - ref) <= rel * abs(ref), (got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds, any_nodes, st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40))
+def test_folded_f_matches_unfolded(kind, nodes, r):
+    pair = FOLD_PAIRS[kind, nodes]
+    _x, w, ht = pair._quad
+    scale = float(np.sum(np.abs(w * ht)))
+    assert np.max(np.abs(pair.f(np.array(r)) - _unfolded_f(pair, np.array(r)))) <= 1e-14 * scale
+    assert abs(pair.f(r[0]) - _unfolded_f(pair, r[0])) <= 1e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds, even_nodes, fold_lams, panel_nodes)
+def test_folded_tanh_and_coth_match_unfolded(kind, nodes, lam, quad_nodes):
+    pair = FOLD_PAIRS[kind, nodes]
+    assert_close(_identity_tanh(pair, lam, quad_nodes), _unfolded_tanh(pair, lam, quad_nodes))
+    assert_close(_identity_coth(pair, lam, quad_nodes), _unfolded_coth(pair, lam, quad_nodes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds, any_nodes, fold_lams, st.sampled_from((4.0, 12.0, 14.0)), panel_nodes)
+def test_folded_super_identity_matches_unfolded(kind, nodes, lam, window, quad_nodes):
+    pair = FOLD_PAIRS[kind, nodes]
+    ref = _unfolded_super(pair, lam, window, quad_nodes)
+    got = _identity_super(pair, lam, window, quad_nodes)
+    assert_close(got, ref)
+    res = super_action(GENUS, [], [], pair, lam, identity_window=window, quad_nodes=quad_nodes)
+    assert res.imag_residual == 0.0 and not res.flagged
+    assert_close(res.identity_term, (1j * lam * (GENUS - 1) * ref).real)

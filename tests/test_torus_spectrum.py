@@ -177,6 +177,27 @@ def test_origami_action_rejects_odd_function():
         origami_action(pd_square(), lambda x: np.asarray(x), 1.0, 3)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+def test_origami_action_refuses_bad_lambda(lam):
+    with pytest.raises(ValueError, match=f"Lambda must be positive and finite, got {lam}"):
+        origami_action(pd_square(), gaussian(1.0), lam, 3)
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, 0.0])
+def test_gaussian_refuses_bad_width(width):
+    with pytest.raises(ValueError, match=f"width must be positive and finite, got {width}"):
+        gaussian(width)
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("width", {"width": math.inf}), ("width", {"width": math.nan}),
+    ("Lambda", {"lam": math.nan}), ("Lambda", {"lam": -math.inf}),
+])
+def test_poisson_refuses_bad_width_or_lambda(name, kwargs):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        poisson_reference(pd_square(), **kwargs)
+
+
 def test_poisson_identity_flat_torus():
     res = poisson_reference(pd_square(), width=1.0, lam=1.0, box_bound=50)
     assert res.discrepancy < 1e-10
