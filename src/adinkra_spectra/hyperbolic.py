@@ -1,34 +1,35 @@
-"""Fuchsian triangle groups: generators in SL(2,R), breadth-first element
-enumeration, primitive geodesic length spectra, finite covers via coset
-actions, and unitary characters.
+"""Fuchsian triangle groups: generators in SL(2,R), exact primitive geodesic
+length spectra, finite covers via coset actions, and unitary characters.
 
 Conventions.  Generators a, b, c are counterclockwise rotations by
 2*pi/p, 2*pi/q, 2*pi/r about the vertices of a geodesic triangle with
 angles pi/p, pi/q, pi/r, normalized so a*b*c = +-1.  Words are strings
 over a/b/c with uppercase for inverses.  A hyperbolic element of absolute
-trace t > 2 translates along its axis by l = 2*arccosh(t/2); its conjugacy
-class is detected numerically by trace bucketing plus conjugation-orbit
-closure inside a matrix-norm ball, which depth-stability tests guard.
-The ball grows one word depth at a time and each new element is classified
-once, by one classifier whose memo is shared across all depths.  Most
-elements resolve by a lookup of their own key or of a one-letter
-conjugate's; only the rest descend to a class minimum.  Inside the ball
-and the classifier a matrix [[a, b], [c, d]] is the float tuple
-(a, b, c, d); the public API takes and returns numpy arrays.
+trace t > 2 translates along its axis by l = 2*arccosh(t/2).
+
+Length spectrum.  The triangle and its mirror image in one side form a
+kite D, a fundamental domain with base point z0 and radius R.  An element
+of length at most L whose axis meets D moves z0 by at most L + 2R, so a
+breadth-first ball pruned at that displacement holds the set S of all of
+them.  A union-find joins one-letter conjugates in S; its components are
+exactly the conjugacy classes.  The ball's size is estimated from its area
+before it is grown and refused above a fixed budget.  Inside the ball a
+matrix [[a, b], [c, d]] is the float tuple (a, b, c, d), written in the
+frame that moves z0 to i; the public API takes and returns numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from . import perms
+from .errors import ResourceBoundError
 from .perms import compose, cycle_lengths, inverse
 
-DET_TOL = 1e-12
 TRACE_GAP = 1e-9  # elements this close to |tr| = 2 are flagged near-parabolic
 
 _LETTERS = ("a", "A", "b", "B", "c", "C")
@@ -129,21 +130,40 @@ def _renorm(m: Mat) -> Mat:
     return (a / s, b / s, c / s, d / s)
 
 
-def _abs_max(m: Mat) -> float:
+def _scaled(m: Mat) -> Mat:
+    """Entries of m or -m times 1e8; the sign makes the first entry above
+    1e-8 in absolute value positive."""
+    s = 1e8
+    for x in m:
+        if abs(x) > 1e-8:
+            s = 1e8 if x > 0 else -1e8
+            break
     a, b, c, d = m
-    return max(abs(a), abs(b), abs(c), abs(d))
+    return (a * s, b * s, c * s, d * s)
 
 
 def _key(m: Mat) -> tuple[int, int, int, int]:
-    """Entries of m or -m rounded to 8 digits; the sign makes the first
-    entry above 1e-8 in absolute value positive."""
-    a, b, c, d = m
-    for x in m:
-        if abs(x) > 1e-8:
-            if x < 0:
-                a, b, c, d = -a, -b, -c, -d
-            break
-    return (round(a * 1e8), round(b * 1e8), round(c * 1e8), round(d * 1e8))
+    """m up to sign, rounded to 8 digits."""
+    a, b, c, d = _scaled(m)
+    return (round(a), round(b), round(c), round(d))
+
+
+def _find(table: dict, m: Mat) -> tuple[int, int, int, int] | None:
+    """The key under which ``table`` holds m up to sign, or None.
+
+    Besides ``_key(m)`` this probes the neighbouring cell of every
+    coordinate whose scaled value lies within 1e-3 of a cell boundary, so a
+    copy of m that rounding noise pushed across the boundary is still found.
+    """
+    key = _key(m)
+    if key in table:
+        return key
+    cells = [(k, k + 1) if y - k > 0.499 else (k, k - 1) if y - k < -0.499 else (k,)
+             for y, k in zip(_scaled(m), key)]
+    for probe in product(*cells):
+        if probe in table:
+            return probe
+    return None
 
 
 @dataclass(frozen=True)
@@ -187,258 +207,231 @@ def length_of_trace(t: float) -> float:
     return 2.0 * math.acosh(abs(t) / 2.0)
 
 
-class _Ball:
-    """Breadth-first ball in the group, deduped by sign-canonical matrix.
+BALL_BUDGET = 400_000  # estimated ball size above which length_spectrum refuses
 
-    ``frontier`` holds the elements that the last :meth:`grow` added, in
-    the order they were inserted into ``elements``.
+
+def _hyperboloid(z: complex) -> tuple[float, float, float]:
+    """z in the upper half plane as a point of the hyperboloid model."""
+    x, y = z.real, z.imag
+    s = (x * x + y * y) / (2.0 * y)
+    return (s + 0.5 / y, s - 0.5 / y, x / y)
+
+
+def _half_plane(x) -> complex:  # the inverse of _hyperboloid
+    return complex(x[2], 1.0) / (x[0] - x[1])
+
+
+def _lorentz(x, y) -> float:
+    """Minus the Minkowski product: cosh d(x, y) for hyperboloid points."""
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
+
+
+def _kite(group: TriangleGroup) -> tuple[complex, float, tuple[complex, ...]]:
+    """Base point z0, radius R and the four vertices of the kite D.
+
+    D is the triangle together with its mirror image in one side, a
+    fundamental domain whose sides are paired by the rotations about that
+    side's ends.  z0 is D's minimax point, which by symmetry lies on the
+    mirror axis: there the largest vertex distance is least either at the
+    foot of the perpendicular from the apex or where two vertex distances
+    are equal, and R is that least distance.  Of the three sides the one
+    giving the smallest R is used, ties going to the smaller order at the
+    apex, so D depends on {p, q, r} alone up to isometry.
     """
+    pts = [_hyperboloid(v) for v in group.vertices]
+    best = None
+    for i, order in enumerate(group.signature):
+        apex, u, v = pts[i], pts[i - 2], pts[i - 1]
+        n = (u[2] * v[1] - u[1] * v[2], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        s = _lorentz(apex, n) / _lorentz(n, n)
+        foot = [a - s * m for a, m in zip(apex, n)]  # projection onto the side's plane
+        mirror = [2.0 * f - a for f, a in zip(foot, apex)]
+        candidates = [foot, [a + b for a, b in zip(u, v)]]
+        for end in (u, v):  # where the apex is as far as that end
+            w = [a - b for a, b in zip(apex, end)]
+            lu, lv = _lorentz(u, w), _lorentz(v, w)
+            candidates.append([lv * a - lu * b for a, b in zip(u, v)])
+        for x in candidates:
+            norm = _lorentz(x, x)
+            if norm <= 0.0:
+                continue  # the bisector misses the mirror axis
+            x = [xi / math.copysign(math.sqrt(norm), x[0]) for xi in x]
+            radius = math.acosh(max(_lorentz(x, u), _lorentz(x, v), _lorentz(x, apex)))
+            rank = (round(radius, 9), order)
+            if best is None or rank < best[0]:
+                best = (rank, x, radius, (u, apex, v, mirror))
+    _rank, x, radius, kite = best
+    return _half_plane(x), radius, tuple(_half_plane(w) for w in kite)
 
-    def __init__(self, group: TriangleGroup):
-        self.letters = [(l, _as_mat(group.letter_matrix(l))) for l in _LETTERS]
-        ident = (1.0, 0.0, 0.0, 1.0)
-        self.elements: dict[tuple, tuple[Mat, str]] = {_key(ident): (ident, "")}
-        self.frontier = [(ident, "")]
-        self.depth = 0
 
-    def grow(self, max_norm: float = 1e8) -> int:
-        new_frontier = []
-        for mat, word in self.frontier:
+def _axis_meets(m: Mat, vertices: list[tuple[float, float]]) -> bool:
+    """Whether the axis of hyperbolic m meets the convex polygon whose
+    vertices z are given as (|z|^2, Re z).
+
+    The axis is the zero set of c|z|^2 + (d - a) Re z - b; it misses the
+    polygon only when every vertex lies strictly on one side, by more than
+    1e-9 times the size of m.  This form keeps axes through infinity (c = 0).
+    """
+    a, b, c, d = m
+    tol = 1e-9 * (abs(a) + abs(b) + abs(c) + abs(d))
+    values = [c * n2 + (d - a) * x - b for n2, x in vertices]
+    return not (min(values) > tol or max(values) < -tol)
+
+
+def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float) -> tuple[dict, int]:
+    """Breadth-first ball of the elements with a^2 + b^2 + c^2 + d^2 <= cap,
+    one per element up to sign: (key -> (matrix, word), rounds that added
+    elements).  A word is the first found, so it has the fewest letters
+    among the paths inside the ball."""
+    ident = (1.0, 0.0, 0.0, 1.0)
+    elements = {_key(ident): (ident, "")}
+    frontier = [(ident, "")]
+    rounds = 0
+    while True:
+        added = []
+        for mat, word in frontier:
             cancelling = word[-1:].swapcase()
-            for letter, gm in self.letters:
+            for letter, gm in letters:
                 if letter == cancelling:
                     continue
-                nm = _renorm(_mul(mat, gm))
-                if _abs_max(nm) > max_norm:
+                nm = _mul(mat, gm)
+                a, b, c, d = nm
+                if a * a + b * b + c * c + d * d > cap:
                     continue
-                k = _key(nm)
-                if k in self.elements:
+                nm = _renorm(nm)
+                if _find(elements, nm) is not None:
                     continue
-                self.elements[k] = (nm, word + letter)
-                new_frontier.append((nm, word + letter))
-        self.frontier = new_frontier
-        self.depth += 1
-        return len(new_frontier)
+                elements[_key(nm)] = (nm, word + letter)
+                added.append((nm, word + letter))
+        if not added:
+            return elements, rounds
+        frontier = added
+        rounds += 1
 
 
-class _Classifier:
-    """Numerical conjugacy detection by canonical minimal representatives.
+@dataclass(frozen=True)
+class _Classes:
+    """A ball and S, written in the frame of ``letters`` (z0 at i);
+    ``root`` maps each key of ``members`` (S) to its component's root."""
 
-    :meth:`class_key` looks an element up in three steps:
+    letters: tuple[tuple[str, Mat], ...]
+    elements: dict
+    depth: int
+    members: dict
+    root: dict
+    elliptic: int
+    near_parabolic: int
 
-    1. its own rounded key in the memo;
-    2. the keys of its six one-letter conjugates g m g^-1, in
-       ``single_pairs`` order.  The first one in the memo gives the class,
-       which is also stored under the element's key.  Conjugates share a
-       class, so this step is only as wrong as the memo already is;
-    3. otherwise the element is conjugated greedily toward smaller matrix
-       norm (with two-letter lookahead to step over plateaus); from the
-       local minimum a bounded shell of conjugates is searched and the
-       smallest rounded matrix key found is the class identifier.  The
-       keys of the descent path and the shell are memoized.
 
-    One classifier serves a whole ``length_spectrum`` run, so its memo is
-    shared across depths.  The memo is a function of the sequence of
-    calls alone, so fed the ball in insertion order it ends each depth in
-    the state a fresh classifier would reach on the whole ball.
+def _classify(group: TriangleGroup, l_max: float) -> _Classes:
+    """Grow the ball for ``l_max``, select S and join one-letter conjugates.
+
+    Raises ResourceBoundError, before growing anything, when the ball's
+    estimated size exceeds BALL_BUDGET.
     """
+    z0, radius, kite = _kite(group)
+    reach = l_max + 2.0 * radius
+    p, q, r = group.signature
+    estimate = (math.cosh(reach) - 1.0) / (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
+    if estimate > BALL_BUDGET:
+        raise ResourceBoundError(
+            f"the ({p},{q},{r}) ball for l_max {l_max:g} would hold about "
+            f"{estimate:.0f} elements, above the bound of {BALL_BUDGET}; "
+            "lower l_max"
+        )
+    mv = _mover(z0)
+    mvi = np.linalg.inv(mv)
+    letters = tuple((l, _as_mat(mvi @ group.letter_matrix(l) @ mv)) for l in _LETTERS)
+    # in this frame a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0)
+    elements, depth = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
+    vertices = [(abs(w) ** 2, w.real) for w in (mobius(mvi, v) for v in kite)]
+    members = {}
+    elliptic = near_parabolic = 0
+    for key, (mat, word) in elements.items():
+        if not word:
+            continue  # the identity
+        t = abs(mat[0] + mat[3])
+        if t <= 2.0 - TRACE_GAP:
+            elliptic += 1
+        elif t <= 2.0 + TRACE_GAP:
+            near_parabolic += 1
+        elif length_of_trace(t) <= l_max + 1e-12 and _axis_meets(mat, vertices):
+            members[key] = (mat, word)
+    root = {k: k for k in members}
 
-    SHELL_FACTOR = 2.0
-    SHELL_NODE_CAP = 50_000
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
 
-    def __init__(self, group: TriangleGroup):
-        letters = {l: group.letter_matrix(l) for l in _LETTERS}
-        conjugators = [letters[l] for l in _LETTERS]
-        conjugators += [letters[l1] @ letters[l2] for l1 in _LETTERS for l2 in _LETTERS
-                        if l2 != l1.swapcase()]
-        self.pairs = [(_as_mat(g), _as_mat(np.linalg.inv(g))) for g in conjugators]
-        self.single_pairs = self.pairs[: len(_LETTERS)]
-        self.memo: dict[tuple, tuple] = {}
-
-    def _remember(self, cls: tuple, *key_sets) -> tuple:
-        for keys in key_sets:
-            for k in keys:
-                self.memo[k] = cls
-        return cls
-
-    def class_key(self, m: Mat) -> tuple:
-        memo = self.memo
-        cur = _renorm(m)
-        k0 = _key(cur)
-        if k0 in memo:
-            return memo[k0]
-        for g, gi in self.single_pairs:
-            k = _key(_renorm(_mul(_mul(g, cur), gi)))
-            if k in memo:
-                cls = memo[k0] = memo[k]
-                return cls
-        path = []
-        cur_rank = (round(_abs_max(cur), 9), k0)
-        while True:
-            k = cur_rank[1]
-            if k in memo:
-                return self._remember(memo[k], path)
-            path.append(k)
-            best = None
-            bound = cur_rank
-            for g, gi in self.pairs:
-                cm = _renorm(_mul(_mul(g, cur), gi))
-                norm = round(_abs_max(cm), 9)
-                if norm > bound[0]:
-                    continue  # ranks compare the norm first: no key needed
-                r = (norm, _key(cm))
-                if r < bound:
-                    bound, best = r, cm
-            if best is None:
-                break
-            cur_rank, cur = bound, best
-        # bounded search around the local minimum for the true class minimum
-        cap = max(3.0, self.SHELL_FACTOR * cur_rank[0])
-        seen = {cur_rank[1]}
-        queue = deque([cur])
-        best_key = cur_rank[1]
-        while queue and len(seen) < self.SHELL_NODE_CAP:
-            x = queue.popleft()
-            for g, gi in self.single_pairs:
-                cm = _renorm(_mul(_mul(g, x), gi))
-                if _abs_max(cm) > cap:
-                    continue
-                k = _key(cm)
-                if k in seen:
-                    continue
-                seen.add(k)
-                queue.append(cm)
-                if k in memo:
-                    return self._remember(memo[k], path, seen)
-                if k < best_key:
-                    best_key = k
-        return self._remember(best_key, path, seen)
+    # conjugating by a, b and c finds every one-letter edge from one of its ends
+    frame = dict(letters)
+    for key, (mat, _word) in members.items():
+        for g in "abc":
+            other = _find(members, _renorm(_mul(_mul(frame[g], mat), frame[g.upper()])))
+            if other is not None:
+                root[find(other)] = find(key)
+    return _Classes(letters, elements, depth, members, {k: find(k) for k in members},
+                    elliptic, near_parabolic)
 
 
-def length_spectrum(
-    group: TriangleGroup,
-    l_max: float,
-    dedupe_tol: float = 1e-9,
-    max_depth: int = 24,
-    max_elements: int = 400_000,
-    stable_rounds: int = 1,
-) -> SpectrumResult:
+def _records(classes: _Classes, l_max: float) -> list[tuple[float, float, str, bool]]:
+    """(length, trace, word, primitive) per component.
+
+    The word is the member's with the fewest letters, then the first
+    alphabetically.  A component is not primitive when the m-th power of a
+    shorter component's word lands in it; that power has the same axis, so
+    it is a member whenever its length is at most ``l_max``.
+    """
+    members, root = classes.members, classes.root
+    words: dict = {}
+    for key, (mat, word) in members.items():
+        best = words.get(root[key])
+        if best is None or (len(word), word) < (len(best[1]), best[1]):
+            words[root[key]] = (mat, word)
+    powers = set()
+    for mat, _word in words.values():
+        length = length_of_trace(abs(mat[0] + mat[3]))
+        power, m = _mul(mat, mat), 2
+        while m * length <= l_max + 1e-9:
+            key = _find(members, _renorm(power))
+            if key is not None:
+                powers.add(root[key])
+            power, m = _mul(power, mat), m + 1
+    records = []
+    for rt, (mat, word) in words.items():
+        t = abs(mat[0] + mat[3])
+        records.append((length_of_trace(t), t, word, rt not in powers))
+    return records
+
+
+def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9) -> SpectrumResult:
     """Primitive geodesic classes with length <= l_max, with multiplicity.
 
-    Words are expanded breadth-first with matrix dedupe up to sign; the
-    expansion deepens until the class multiset below l_max is unchanged
-    for ``stable_rounds`` consecutive depths (then the spectrum is
-    reported converged and certified below l_max) or the element budget
-    runs out (reported not converged, certified only below the last
-    length at which the two final rounds agreed).  Each depth classifies
-    only the elements it added, with one classifier for the whole run.
+    Every class of length l <= l_max has a member h whose axis meets the
+    kite D at some y.  Each tile g D that the axis crosses from y to h y
+    has d(z0, g z0) <= l + 2R, and consecutive tiles differ by one letter,
+    so the ball pruned at l_max + 2R reaches every such h: S is complete.
+    The members of one class in S are joined through the tiles along their
+    axis, so the union-find components are exactly the classes, and the
+    result is always converged and certified below l_max.
 
-    Classes at equal length within ``dedupe_tol`` are merged into one
-    entry with their count as multiplicity; elliptic and near-parabolic
-    elements are excluded and counted separately.
+    Classes at equal length within ``dedupe_tol`` are merged into one entry
+    with their count as multiplicity; powers, elliptic and near-parabolic
+    elements are excluded, the latter two counted.  ``depth`` is the number
+    of breadth-first rounds and ``element_count`` the ball's size.  A ball
+    estimated at more than BALL_BUDGET elements raises ResourceBoundError
+    before anything is grown.
     """
     if not (math.isfinite(l_max) and l_max > 0):
         raise ValueError(f"l_max must be positive and finite, got {l_max}")
     if not (math.isfinite(dedupe_tol) and dedupe_tol >= 0):
         raise ValueError(f"dedupe_tol must be non-negative and finite, got {dedupe_tol}")
-    ball = _Ball(group)
-    classifier = _Classifier(group)
-    partition: dict[tuple, list[tuple[Mat, str]]] = {}
-    bucket_width = max(dedupe_tol, 1e-12)
-    buckets: dict[int, int] = {}  # classes per length bucket
-    previous: dict | None = None
-    last_two: tuple[dict | None, dict | None] = (None, None)
-    stable = 0
-    elliptic = 0
-    near_parabolic = 0
-    converged = False
-    while ball.depth < max_depth:
-        if ball.grow() == 0:
-            converged = True
-            break
-        for mat, word in ball.frontier:
-            t = abs(mat[0] + mat[3])
-            if t <= 2.0 - TRACE_GAP:
-                elliptic += 1
-            elif t <= 2.0 + TRACE_GAP:
-                near_parabolic += 1
-            elif length_of_trace(t) <= l_max + 1e-12:
-                members = partition.setdefault(classifier.class_key(mat), [])
-                if not members:
-                    bucket = int(round(length_of_trace(t) / bucket_width))
-                    buckets[bucket] = buckets.get(bucket, 0) + 1
-                members.append((mat, word))
-        signature = dict(buckets)
-        if previous is not None and signature == previous:
-            stable += 1
-            if stable >= stable_rounds:
-                converged = True
-                break
-        else:
-            stable = 0
-        last_two = (previous, signature)
-        previous = signature
-        if len(ball.elements) > max_elements:
-            break
-    classes = _merge_equal_lengths(_class_records(classifier, partition), dedupe_tol)
-    if converged:
-        certified = l_max
-    else:
-        # budget ran out: certify only below the first length bucket on
-        # which the final two depths disagreed
-        prev_sig, last_sig = last_two
-        certified = 0.0
-        if prev_sig is not None and last_sig is not None:
-            disagree = [b for b in set(prev_sig) | set(last_sig)
-                        if prev_sig.get(b) != last_sig.get(b)]
-            certified = (min(disagree) * bucket_width) if disagree else l_max
-    return SpectrumResult(
-        classes,
-        l_max,
-        certified,
-        converged,
-        ball.depth,
-        len(ball.elements),
-        elliptic,
-        near_parabolic,
-    )
-
-
-def _power(m: Mat, n: int) -> Mat:
-    out = m
-    for _ in range(n - 1):
-        out = _mul(out, m)
-    return out
-
-
-def _class_records(
-    classifier: _Classifier, partition: dict[tuple, list[tuple[Mat, str]]]
-) -> list[tuple[float, float, str, bool]]:
-    """(length, trace, word, primitive) per class, ascending in length.
-
-    The word is the member's with the fewest letters, then the first
-    alphabetically.  Primitivity: a class of length l is a power iff some
-    class of length l/m (m >= 2) has a representative whose m-th power
-    lands in it; checked with the run's classifier, ascending in length.
-    """
-    raw = []
-    for key, members in partition.items():
-        mat, word = min(members, key=lambda mw: (len(mw[1]), mw[1]))
-        t = abs(mat[0] + mat[3])
-        raw.append((length_of_trace(t), t, word, mat, key))
-    raw.sort(key=lambda r: (r[0], r[2]))
-    records = []
-    for i, (l, t, word, _mat, key) in enumerate(raw):
-        primitive = True
-        for lj, _tj, _wj, mat_j, _kj in raw[:i]:
-            m = l / lj
-            mi = round(m)
-            if (mi >= 2 and abs(m - mi) < 1e-7
-                    and classifier.class_key(_power(mat_j, mi)) == key):
-                primitive = False
-                break
-        records.append((l, t, word, primitive))
-    return records
+    classes = _classify(group, l_max)
+    return SpectrumResult(_merge_equal_lengths(_records(classes, l_max), dedupe_tol), l_max,
+                          l_max, True, classes.depth, len(classes.elements),
+                          classes.elliptic, classes.near_parabolic)
 
 
 def _merge_equal_lengths(

@@ -124,9 +124,6 @@ class TestFunctionPair:
     evaluated on the folded rule ``_fold``: the positive nodes x+, the
     coefficients c+ = (w h)(x+) + (w h)(-x+), and the coefficient c0 of the
     t = 0 node of an odd rule (else 0.0), so f(r) = c+ @ cos(x+ r) + c0.
-    ``f_complex(z)`` analytically continues the quadrature integrand
-    e^{izt} h(t), which the supertrace identity term integrates at
-    z = i r + 1/2 (``_identity_super`` evaluates it from ``_quad``).
     ``radial_first_moment`` is the exact h-side value of int_0^inf r f(r) dr;
     it needs an even node count.
     """
@@ -153,12 +150,6 @@ class TestFunctionPair:
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         vals = cp @ np.cos(np.outer(xp, rr)) + c0
         return vals if np.ndim(r) else float(vals[0])
-
-    def f_complex(self, z) -> np.ndarray | complex:
-        x, w, ht = self._quad
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        vals = (w * ht) @ np.exp(1j * np.outer(x, zz))
-        return vals if np.ndim(z) else complex(vals[0])
 
     def h_at(self, t) -> np.ndarray | float:
         vals = self.h(np.atleast_1d(np.asarray(t, dtype=float)))

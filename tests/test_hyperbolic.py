@@ -1,8 +1,14 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adinkra_spectra import hyperbolic
+from adinkra_spectra.errors import ResourceBoundError
 from adinkra_spectra.hyperbolic import (
     CosetAction,
     GeodesicClass,
@@ -26,7 +32,7 @@ def delta552():
 
 @pytest.fixture(scope="module")
 def spectrum552(delta552):
-    return length_spectrum(delta552, 4.0, max_depth=14, stable_rounds=2)
+    return length_spectrum(delta552, 4.0)
 
 
 def test_generator_traces(delta552):
@@ -60,11 +66,8 @@ def test_237_is_hyperbolic():
 
 
 def test_determinants_stay_normalized(delta552):
-    from adinkra_spectra.hyperbolic import _Ball
-
-    ball = _Ball(delta552)
-    for _ in range(8):
-        ball.grow()
+    ball = hyperbolic._classify(delta552, 5.0)
+    assert ball.depth >= 8
     worst = max(abs(float(np.linalg.det(np.reshape(m, (2, 2)))) - 1.0)
                 for m, _w in ball.elements.values())
     assert worst < 1e-12
@@ -83,12 +86,13 @@ def test_spectrum_converged(spectrum552):
     assert spectrum552.certified_below == 4.0
 
 
-def test_spectrum_stable_under_depth_increase(delta552, spectrum552):
-    deeper = length_spectrum(delta552, 4.0, max_depth=spectrum552.depth + 1,
-                             stable_rounds=99)
-    sig = [(round(c.length, 8), c.multiplicity) for c in spectrum552.classes]
-    sig2 = [(round(c.length, 8), c.multiplicity) for c in deeper.classes]
-    assert sig == sig2
+def test_spectrum_restricts_to_shorter_l_max(delta552, spectrum552):
+    # the l_max-5 ball is a different, larger ball; below 4.0 it must find
+    # the same classes
+    longer = [c for c in length_spectrum(delta552, 5.0).classes if c.length <= 4.0]
+    assert len(longer) == len(spectrum552.classes)
+    for c, d in zip(spectrum552.classes, longer):
+        assert abs(c.length - d.length) <= 1e-12 and c.multiplicity == d.multiplicity
 
 
 def test_power_length_doubles(delta552, spectrum552):
@@ -101,22 +105,30 @@ def test_power_length_doubles(delta552, spectrum552):
 
 def test_powers_marked_non_primitive(delta552):
     # widen the window so the square of the shortest class falls inside
-    spec = length_spectrum(delta552, 3.2, max_depth=12, stable_rounds=2)
+    records = hyperbolic._records(hyperbolic._classify(delta552, 3.2), 3.2)
+    l0 = min(length for length, _t, _w, _p in records)
+    squares = [p for length, _t, _w, p in records if abs(length - 2 * l0) < 1e-9]
+    assert squares and not any(squares)
+    spec = length_spectrum(delta552, 3.2)
     lengths = [round(c.length, 6) for c in spec.classes]
-    l0 = spec.classes[0].length
     assert round(2 * l0, 6) not in lengths  # powers are excluded from output
 
 
 def test_inversion_closure(delta552, spectrum552):
-    # gamma and gamma^-1 have equal length; each class's inverse class is
-    # present (possibly the class itself, via an order-2 axis symmetry)
-    from adinkra_spectra.hyperbolic import _Classifier
-
-    classifier = _Classifier(delta552)
+    # gamma and gamma^-1 have equal length and the same axis; each member's
+    # inverse is a member (possibly of its own class, via an order-2 axis
+    # symmetry) of a class of equal length
+    ball = hyperbolic._classify(delta552, 4.0)
+    length = {}
+    for key, (m, _w) in ball.members.items():
+        length[ball.root[key]] = length_of_trace(abs(m[0] + m[3]))
+    for key, (m, _w) in ball.members.items():
+        a, b, c, d = m
+        inv = hyperbolic._find(ball.members, (d, -b, -c, a))
+        assert inv is not None
+        assert length[ball.root[inv]] == pytest.approx(length[ball.root[key]], abs=1e-10)
     for c in spectrum552.classes:
-        m = delta552.word_matrix(c.word)
-        assert classifier.class_key(tuple(np.linalg.inv(m).ravel())) is not None
-        t_inv = abs(float(np.trace(np.linalg.inv(m))))
+        t_inv = abs(float(np.trace(np.linalg.inv(delta552.word_matrix(c.word)))))
         assert length_of_trace(t_inv) == pytest.approx(c.length, abs=1e-10)
 
 
@@ -255,25 +267,117 @@ def test_nontransitive_action_rejected():
 
 def test_ball_dedupe_is_sign_correct(delta552):
     # M and -M never both stored: sign-canonical keys collide them
-    from adinkra_spectra.hyperbolic import _Ball, _key
+    from adinkra_spectra.hyperbolic import _key
 
-    ball = _Ball(delta552)
-    for _ in range(6):
-        ball.grow()
+    ball = hyperbolic._classify(delta552, 4.0)
     keys = set()
-    for m, _w in ball.elements.values():
-        k_pos = _key(m)
-        k_neg = _key(tuple(-x for x in m))
-        assert k_pos == k_neg
-        assert k_pos not in keys or True
-        keys.add(k_pos)
+    for key, (m, _w) in ball.elements.items():
+        assert _key(m) == _key(tuple(-x for x in m)) == key
+        keys.add(key)
     assert len(keys) == len(ball.elements)
 
 
-def test_budget_exhaustion_reports_subthreshold(delta552):
-    spec = length_spectrum(delta552, 4.0, max_depth=3, stable_rounds=5)
-    assert not spec.converged
-    assert spec.certified_below < 4.0
+def test_lookup_probes_the_neighbouring_cell():
+    # 0.1234567850005 scales to 12345678.50005, which rounds up; a copy
+    # stored a rounding error below the cell boundary is still found
+    below = (100000000, 12345678, 0, 100000000)
+    table = {below: None}
+    assert hyperbolic._key((1.0, 0.1234567850005, 0.0, 1.0)) != below
+    assert hyperbolic._find(table, (1.0, 0.1234567850005, 0.0, 1.0)) == below
+    assert hyperbolic._find(table, (-1.0, -0.1234567850005, -0.0, -1.0)) == below
+    assert hyperbolic._find(table, (1.0, 0.123456785400, 0.0, 1.0)) is None
+
+
+@pytest.mark.parametrize("sig", [(5, 5, 2), (3, 4, 4)])
+def test_ball_is_the_same_for_every_vertex_order(sig):
+    # the kite and z0 depend on {p, q, r} alone, so the ball is one set of
+    # group elements; a duplicate stored across a rounding boundary would
+    # show as one order holding an element more
+    specs = [length_spectrum(triangle_generators(*order), 6.0)
+             for order in sorted(set(itertools.permutations(sig)))]
+    counts = {(s.element_count, s.depth, s.elliptic_count) for s in specs}
+    assert len(counts) == 1, counts
+
+
+def test_oversized_ball_raises_before_growing(delta552, monkeypatch):
+    def no_growth(*args):
+        raise AssertionError("the ball was grown")
+
+    monkeypatch.setattr(hyperbolic, "_grow_ball", no_growth)
+    with pytest.raises(ResourceBoundError, match=r"about \d+ elements, above the bound of 400000"):
+        length_spectrum(delta552, 12.0)
+
+
+def test_axis_meets_closed_polygon():
+    # diag(e, 1/e) translates along the imaginary axis, where c = 0
+    e = math.e
+    h = (e, 0.0, 0.0, 1.0 / e)
+    square = [complex(x, y) for x, y in ((0.5, 1.0), (1.5, 1.0), (1.5, 2.0), (0.5, 2.0))]
+
+    def meets(points):
+        return hyperbolic._axis_meets(h, [(abs(z) ** 2, z.real) for z in points])
+
+    assert not meets(square)
+    assert not meets([-z.conjugate() for z in square])
+    assert meets(square[:3] + [complex(-0.5, 2.0)])  # only the last vertex crosses
+    assert meets(square[:3] + [complex(0.0, 2.0)])  # a vertex on the axis: closed
+
+
+@pytest.mark.parametrize("sig,l_max", [((5, 5, 2), 4.0), ((2, 3, 7), 4.0), ((3, 4, 4), 5.0)])
+def test_members_are_every_conjugate_whose_axis_meets_the_kite(sig, l_max):
+    # walk each class through one-letter conjugates whose axis meets D, with
+    # no norm bound: every element reached must be a member of that class
+    group = triangle_generators(*sig)
+    ball = hyperbolic._classify(group, l_max)
+    z0, _radius, kite = hyperbolic._kite(group)
+    to_frame = np.linalg.inv(hyperbolic._mover(z0))
+    vertices = [(abs(w) ** 2, w.real) for w in (hyperbolic.mobius(to_frame, v) for v in kite)]
+    frame = dict(ball.letters)
+    representatives = {}
+    for key, (m, _w) in ball.members.items():
+        representatives.setdefault(ball.root[key], m)
+    for root, m in representatives.items():
+        seen, queue = {hyperbolic._key(m)}, [m]
+        while queue:
+            y = queue.pop()
+            key = hyperbolic._find(ball.members, y)
+            assert key is not None and ball.root[key] == root
+            for letter in "abc":
+                for g, gi in ((frame[letter], frame[letter.upper()]),
+                              (frame[letter.upper()], frame[letter])):
+                    z = hyperbolic._renorm(hyperbolic._mul(hyperbolic._mul(g, y), gi))
+                    if hyperbolic._axis_meets(z, vertices) and hyperbolic._key(z) not in seen:
+                        seen.add(hyperbolic._key(z))
+                        queue.append(z)
+            assert len(seen) < 10_000
+
+
+HYPERBOLIC_SIGNATURES = st.tuples(*[st.integers(2, 8)] * 3).filter(
+    lambda s: Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(HYPERBOLIC_SIGNATURES, st.floats(3.0, 4.0))
+def test_spectrum_independent_of_vertex_order(sig, l_max):
+    spec = length_spectrum(triangle_generators(*sig), l_max)
+    ref = length_spectrum(triangle_generators(*sorted(sig)), l_max)
+    assert spec.element_count == ref.element_count
+    assert [c.multiplicity for c in spec.classes] == [c.multiplicity for c in ref.classes]
+    for c, d in zip(spec.classes, ref.classes):
+        assert abs(c.length - d.length) <= 1e-12
+
+
+@pytest.mark.parametrize("sig", [(2, 3, 7), (2, 3, 8), (2, 3, 9)])
+def test_small_triangle_groups_are_certified_and_not_empty(sig):
+    spec = length_spectrum(triangle_generators(*sig), 4.0)
+    assert spec.converged and spec.certified_below == 4.0
+    assert spec.classes
+
+
+def test_shortest_237_class_has_the_klein_trace():
+    shortest = length_spectrum(triangle_generators(2, 3, 7), 4.0).classes[0]
+    assert abs(shortest.trace - (1 + 2 * math.cos(2 * math.pi / 7))) <= 1e-12
+    assert shortest.multiplicity == 1
 
 
 def test_merged_entry_ignores_length_noise(monkeypatch):

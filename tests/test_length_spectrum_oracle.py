@@ -1,15 +1,20 @@
-"""``length_spectrum`` against a frozen copy of its slow per-depth form.
+"""``length_spectrum`` against two frozen copies of its heuristic forms.
 
-The oracle below is the numpy implementation that classified the whole
+The library grows one displacement ball around the kite D and joins
+one-letter conjugates among the elements whose axis meets D by a
+union-find.  Both oracles below grow word balls until the class count is
+stable for one depth and classify by greedy descent plus a shell search.
+
+The first oracle is the numpy implementation that classified the whole
 ball afresh at every depth, with a new classifier each time, and decided
-primitivity with yet another one.  The library classifies each element
-once, on float tuples, with one memo for the run; both must find the same
-conjugacy partition, primitivity, merged multiplicities and ball counts,
-with lengths equal to 1e-12.
-
-A second frozen copy is the tuple classifier without the one-letter
-conjugate lookup (descent and shell only).  A run with it in place of the
-library's classifier must give an equal ``SpectrumResult``.
+primitivity with yet another one.  The second is the depth-stability
+loop on float tuples with the descent classifier.  Wherever they
+converge to the right answer, the merged spectrum must be equal:
+multiplicities exactly and lengths to 1e-12.  Their balls are a different
+quantity from the library's, so ball counts and member words are not
+compared.  Both copies stop on an empty class signature, so they return
+no classes for (2,3,7) and (2,3,8); those are left out here and checked
+in ``test_hyperbolic`` instead.
 """
 
 import itertools
@@ -222,44 +227,29 @@ ORDERS = sorted({order for sig in ((5, 5, 2), (3, 3, 4), (6, 6, 2), (2, 4, 6), (
 CASES = [(order, 4.0) for order in ORDERS] + [((5, 5, 2), 3.2), ((5, 5, 2), 5.0)]
 
 
+def _merged(spec):
+    return [(c.length, c.multiplicity) for c in spec.classes]
+
+
+def _assert_same_merged(got, ref):
+    assert [m for _l, m in got] == [m for _l, m in ref]
+    for (length, _m), (ref_length, _rm) in zip(got, ref):
+        assert abs(length - ref_length) <= 1e-12, (length, ref_length)
+
+
 @pytest.mark.parametrize("order,l_max", CASES)
-def test_length_spectrum_matches_per_depth_oracle(monkeypatch, order, l_max):
+def test_length_spectrum_matches_per_depth_oracle(order, l_max):
     group = triangle_generators(*order)
-    seen = []
-
-    def capture(classifier, partition):
-        records = real(classifier, partition)
-        seen.append((partition, records))
-        return records
-
-    real = hyperbolic._class_records
-    monkeypatch.setattr(hyperbolic, "_class_records", capture)
-    spec = length_spectrum(group, l_max)
-    (partition, records), = seen
-    oracle_classes, oracle_merged, oracle_counts = oracle_spectrum(group, l_max)
-
-    classes = [frozenset(w for _m, w in members) for members in partition.values()]
-    assert set(classes) == set(oracle_classes)
-    class_of = {w: words for words in classes for w in words}
-    for length, _trace, word, primitive in records:
-        oracle_length, oracle_primitive = oracle_classes[class_of[word]]
-        assert primitive == oracle_primitive, word
-        assert abs(length - oracle_length) <= 1e-12, word
-
-    assert [c.multiplicity for c in spec.classes] == [m for _l, m in oracle_merged]
-    for c, (oracle_length, _m) in zip(spec.classes, oracle_merged):
-        assert abs(c.length - oracle_length) <= 1e-12, c.word
-    counts = (spec.depth, spec.element_count, spec.elliptic_count,
-              spec.near_parabolic_count, spec.converged)
-    assert counts == oracle_counts
+    _per_class, oracle_merged, oracle_counts = oracle_spectrum(group, l_max)
+    assert oracle_counts[-1]  # the oracle converged
+    _assert_same_merged(_merged(length_spectrum(group, l_max)), oracle_merged)
 
 
-# -- frozen descent classifier ----------------------------------------------
-# The tuple-arithmetic classifier as it was before the one-letter probe:
+# -- frozen descent loop ----------------------------------------------------
+# The tuple-arithmetic loop as it was before the displacement ball: word
+# depths grown until no new class appears, each new element classified by
 # greedy descent over all 36 one- and two-letter conjugators, then a shell
-# search around the local minimum, memoising the path and shell keys.  Its
-# arithmetic matches the library's operation for operation, so a run with it
-# must give an equal SpectrumResult, not just equal partitions.
+# search around the local minimum, memoising the path and shell keys.
 
 
 def _t_mul(x, y):
@@ -276,6 +266,13 @@ def _t_renorm(m):
 
 def _t_abs_max(m):
     return max(abs(x) for x in m)
+
+
+def _t_power(m, n):
+    out = m
+    for _ in range(n - 1):
+        out = _t_mul(out, m)
+    return out
 
 
 def _t_key(m):
@@ -350,10 +347,56 @@ class _DescentClassifier:
         return self._remember(best_key, path, seen)
 
 
-def _with_descent_classifier(group, l_max):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyperbolic, "_Classifier", _DescentClassifier)
-        return length_spectrum(group, l_max)
+def _descent_spectrum(group, l_max, dedupe_tol=1e-9, max_depth=24, max_elements=400_000):
+    """Merged (length, multiplicity) entries of the depth-stability loop."""
+    letters = [(l, tuple(map(float, group.letter_matrix(l).ravel()))) for l in _LETTERS]
+    ident = (1.0, 0.0, 0.0, 1.0)
+    seen = {_t_key(ident)}
+    frontier = [(ident, "")]
+    classifier = _DescentClassifier(group)
+    partition = {}
+    previous = None
+    for _depth in range(max_depth):
+        grown = []
+        for mat, word in frontier:
+            for letter, gm in letters:
+                if letter == word[-1:].swapcase():
+                    continue
+                nm = _t_renorm(_t_mul(mat, gm))
+                if _t_key(nm) not in seen:
+                    seen.add(_t_key(nm))
+                    grown.append((nm, word + letter))
+        frontier = grown
+        if not frontier:
+            break
+        for mat, word in frontier:
+            t = abs(mat[0] + mat[3])
+            if t > 2.0 + TRACE_GAP and length_of_trace(t) <= l_max + 1e-12:
+                partition.setdefault(classifier.class_key(mat), []).append((mat, word))
+        if len(partition) == previous or len(seen) > max_elements:
+            break  # the class signature only grows, so equal counts mean stable
+        previous = len(partition)
+    raw = []
+    for key, members in partition.items():
+        mat, word = min(members, key=lambda mw: (len(mw[1]), mw[1]))
+        raw.append((length_of_trace(mat[0] + mat[3]), word, mat, key))
+    raw.sort(key=lambda r: (r[0], r[1]))
+    primitive = []
+    for i, (length, _w, _mat, key) in enumerate(raw):
+        for lj, _wj, mat_j, _kj in raw[:i]:
+            m = round(length / lj)
+            if (m >= 2 and abs(length / lj - m) < 1e-7
+                    and classifier.class_key(_t_power(mat_j, m)) == key):
+                break
+        else:
+            primitive.append(length)
+    merged = []
+    for length in sorted(primitive):
+        if merged and length - merged[-1][0] <= dedupe_tol:
+            merged[-1][1] += 1
+        else:
+            merged.append([length, 1])
+    return [tuple(entry) for entry in merged]
 
 
 PROBE_ORDERS = sorted({order for sig in ((5, 5, 2), (3, 3, 4), (6, 6, 2), (2, 4, 6), (2, 4, 5),
@@ -367,59 +410,56 @@ PROBE_CASES = ([(order, 4.0) for order in PROBE_ORDERS]
 @pytest.mark.parametrize("order,l_max", PROBE_CASES)
 def test_spectrum_equals_descent_classifier_run(order, l_max):
     group = triangle_generators(*order)
-    assert length_spectrum(group, l_max) == _with_descent_classifier(group, l_max)
+    _assert_same_merged(_merged(length_spectrum(group, l_max)), _descent_spectrum(group, l_max))
 
 
+# the frozen loop returns no classes for these: every short word is elliptic
+DESCENT_WRONG = ([2, 3, 7], [2, 3, 8])
 HYPERBOLIC_SIGNATURES = st.tuples(*[st.integers(2, 8)] * 3).filter(
-    lambda s: Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1)
+    lambda s: Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1
+    and sorted(s) not in DESCENT_WRONG)
 
 
 @settings(max_examples=40, deadline=None)
 @given(HYPERBOLIC_SIGNATURES, st.floats(3.0, 4.5))
 def test_spectrum_equals_descent_classifier_run_on_random_signatures(sig, l_max):
-    # no convergence assertion: (2,3,7)-(2,3,9) stop on empty signatures
     group = triangle_generators(*sig)
-    assert length_spectrum(group, l_max) == _with_descent_classifier(group, l_max)
-
-
-def _conjugate(group, letter, m):
-    g = group.letter_matrix(letter)
-    return tuple(map(float, (g @ m @ np.linalg.inv(g)).ravel()))
+    _assert_same_merged(_merged(length_spectrum(group, l_max)), _descent_spectrum(group, l_max))
 
 
 @pytest.mark.parametrize("sig", [(5, 5, 2), (2, 4, 5)])
 def test_one_letter_conjugates_share_the_class(sig):
+    # the class of x is read off every member reached from x by one-letter
+    # conjugations under the ball's norm bound, through non-members too; for
+    # x = g m g^-1 it must be the component of m and nothing else
+    l_max = 4.0
     group = triangle_generators(*sig)
-    for cls in length_spectrum(group, 4.0).classes:
-        m = group.word_matrix(cls.word)
-        member = tuple(map(float, m.ravel()))
-        for letter in _LETTERS:
-            # member first, so the conjugate resolves through the probe ...
-            classifier = hyperbolic._Classifier(group)
-            key = classifier.class_key(member)
-            assert classifier.class_key(_conjugate(group, letter, m)) == key, (cls.word, letter)
-            # ... and conjugate first, so the member does
-            classifier = hyperbolic._Classifier(group)
-            key = classifier.class_key(_conjugate(group, letter, m))
-            assert classifier.class_key(member) == key, (cls.word, letter)
+    ball = hyperbolic._classify(group, l_max)
+    cap = 2.0 * math.cosh(l_max + 2.0 * hyperbolic._kite(group)[1]) * (1.0 + 1e-9)
+    frame = dict(ball.letters)
+    pairs = [(frame[l], frame[l.swapcase()]) for l in _LETTERS]
 
+    def conjugate(pair, m):
+        g, gi = pair
+        return _t_renorm(_t_mul(_t_mul(g, m), gi))
 
-def test_probed_element_is_remembered(monkeypatch):
-    # an element resolved through a conjugate keeps its own key in the memo,
-    # so meeting it again costs one lookup and no matrix product
-    group = triangle_generators(5, 5, 2)
+    def class_of(x):
+        roots, seen, queue = set(), {_t_key(x)}, deque([x])
+        while queue:
+            y = queue.popleft()
+            key = hyperbolic._find(ball.members, y)
+            if key is not None:
+                roots.add(ball.root[key])
+            for pair in pairs:
+                z = conjugate(pair, y)
+                if sum(v * v for v in z) <= cap and _t_key(z) not in seen:
+                    seen.add(_t_key(z))
+                    queue.append(z)
+        return roots
 
-    def no_products(x, y):
-        raise AssertionError("repeat element was not resolved by its own key")
-
-    for cls in length_spectrum(group, 4.0).classes:
-        m = group.word_matrix(cls.word)
-        member = tuple(map(float, m.ravel()))
-        classifier = hyperbolic._Classifier(group)
-        key = classifier.class_key(_conjugate(group, "b", m))
-        # leave the member reachable only through its conjugates
-        classifier.memo.pop(hyperbolic._key(hyperbolic._renorm(member)), None)
-        assert classifier.class_key(member) == key
-        with monkeypatch.context() as mp:
-            mp.setattr(hyperbolic, "_mul", no_products)
-            assert classifier.class_key(member) == key, cls.word
+    representatives = {}
+    for key, (m, _w) in ball.members.items():
+        representatives.setdefault(ball.root[key], m)
+    for root, m in representatives.items():
+        for pair, letter in zip(pairs, _LETTERS):
+            assert class_of(conjugate(pair, m)) == {root}, letter

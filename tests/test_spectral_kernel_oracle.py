@@ -2,10 +2,11 @@
 
 The oracle below is the implementation that wrote the geodesic power sum
 out once per action, with scalar h calls, and evaluated the supertrace
-identity term with 2048 scalar f_complex calls.  The library expands
-(class, power) into arrays once and evaluates h and f_complex on arrays;
-identity, geodesic and total terms must agree to 1e-12 relative, with the
-same contributing count and flag.
+identity term with 2048 scalar calls of the continued transform
+f(z) = sum w h e^{izt}.  The library expands (class, power) into arrays
+once and evaluates h and that transform on arrays; identity, geodesic and
+total terms must agree to 1e-12 relative, with the same contributing
+count and flag.
 
 Classes are built the way ``length_spectrum`` builds them: the length is
 computed from the trace, so the oracle's trace-based conjugacy loops and
