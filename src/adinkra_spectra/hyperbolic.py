@@ -13,9 +13,18 @@ of length at most L whose axis meets D moves z0 by at most L + 2R, so a
 breadth-first ball pruned at that displacement holds the set S of all of
 them.  A union-find joins one-letter conjugates in S; its components are
 exactly the conjugacy classes.  The ball's size is estimated from its area
-before it is grown and refused above a fixed budget.  Inside the ball a
-matrix [[a, b], [c, d]] is the float tuple (a, b, c, d), written in the
-frame that moves z0 to i; the public API takes and returns numpy arrays.
+before it is grown and refused above a fixed budget.
+
+Inside the ball a matrix [[a, b], [c, d]] is written in the frame that
+moves z0 to i, and is stored as the float tuple (a, b, c, d) under its
+rounded key.  Each breadth-first round is computed in numpy: the frontier
+is an (F, 4) array, its products with the six letters are formed by
+broadcasting, and the cap, the renormalisation, the keys and the lookup of
+keys that earlier rounds hold act on whole arrays, with the same float
+operations as the tuple forms.  Only the round's new elements, in order,
+go through Python.  Selecting S and forming the conjugates for the
+union-find are batched the same way.  The public API takes and returns
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -125,8 +134,9 @@ def _mul(x: Mat, y: Mat) -> Mat:
 
 
 def _renorm(m: Mat) -> Mat:
+    # _mul and _renorm also act entrywise on a 4-tuple of arrays
     a, b, c, d = m
-    s = math.sqrt(abs(a * d - b * c))
+    s = np.sqrt(np.abs(a * d - b * c))
     return (a / s, b / s, c / s, d / s)
 
 
@@ -164,6 +174,64 @@ def _find(table: dict, m: Mat) -> tuple[int, int, int, int] | None:
         if probe in table:
             return probe
     return None
+
+
+def _cells(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_key`` of each row of m, an (n, 4) array, as int64 rows, and
+    whether ``_find`` would probe a neighbouring cell for that row.
+
+    ``np.rint`` rounds half to even, as ``round`` does, and the keys of a
+    ball under BALL_BUDGET stay far below 2^53.
+    """
+    lead = m[np.arange(len(m)), (np.abs(m) > 1e-8).argmax(axis=1)]
+    y = m * np.where(lead < -1e-8, -1e8, 1e8)[:, None]
+    k = np.rint(y)
+    return k.astype(np.int64), (np.abs(y - k) > 0.499).any(axis=1)
+
+
+_MIX = np.array([0x5851F42D4C957F2D, 0x14057B7EF767814F, 0x2545F4914F6CDD1D,
+                 0x61C8864680B583EB], dtype=np.int64)
+
+
+def _hash(rows: np.ndarray) -> np.ndarray:
+    return (rows * _MIX).sum(axis=1)  # wraps modulo 2^64
+
+
+class _KeyIndex:
+    """Exact lookup of int64 key rows: one hash per row, kept sorted, and
+    every hash hit checked against the whole row, so that a collision is
+    never taken for a match.  ``rows`` holds the rows in the order added."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        h = _hash(rows)
+        self.index = np.argsort(h, kind="stable")
+        self.hash = h[self.index]
+
+    def add(self, rows: np.ndarray) -> None:
+        h = np.concatenate([self.hash, _hash(rows)])
+        index = np.concatenate([self.index, np.arange(len(rows)) + len(self.rows)])
+        merge = np.argsort(h, kind="stable")  # of two sorted runs
+        self.hash, self.index = h[merge], index[merge]
+        self.rows = np.concatenate([self.rows, rows])
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The position of each row among those added, or -1."""
+        h = _hash(rows)
+        at = np.searchsorted(self.hash, h)
+        out = np.full(len(rows), -1, np.intp)
+        todo = np.arange(len(rows))
+        while todo.size:
+            j = at[todo]
+            live = j < len(self.hash)
+            todo, j = todo[live], j[live]
+            live = self.hash[j] == h[todo]
+            todo, j = todo[live], self.index[j[live]]
+            hit = (self.rows[j] == rows[todo]).all(axis=1)
+            out[todo[hit]] = j[hit]
+            todo = todo[~hit]
+            at[todo] += 1
+        return out
 
 
 @dataclass(frozen=True)
@@ -271,41 +339,62 @@ def _axis_meets(m: Mat, vertices: list[tuple[float, float]]) -> bool:
     The axis is the zero set of c|z|^2 + (d - a) Re z - b; it misses the
     polygon only when every vertex lies strictly on one side, by more than
     1e-9 times the size of m.  This form keeps axes through infinity (c = 0).
+    Given a 4-tuple of arrays it answers for each element.
     """
     a, b, c, d = m
     tol = 1e-9 * (abs(a) + abs(b) + abs(c) + abs(d))
     values = [c * n2 + (d - a) * x - b for n2, x in vertices]
-    return not (min(values) > tol or max(values) < -tol)
+    return ~((np.minimum.reduce(values) > tol) | (np.maximum.reduce(values) < -tol))
 
 
-def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float) -> tuple[dict, int]:
+def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float
+               ) -> tuple[dict, int, np.ndarray, np.ndarray]:
     """Breadth-first ball of the elements with a^2 + b^2 + c^2 + d^2 <= cap,
-    one per element up to sign: (key -> (matrix, word), rounds that added
-    elements).  A word is the first found, so it has the fewest letters
-    among the paths inside the ball."""
+    one per element up to sign: key -> (matrix, word), the rounds that
+    added elements, and the matrices and keys as (n, 4) arrays in the same
+    order.  A word is the first found, so it has the fewest letters among
+    the paths inside the ball.
+
+    A round forms the products of the whole frontier with every letter at
+    once, in (frontier, letter) order, and drops in numpy those beyond the
+    cap, those cancelling the word's last letter and those whose key an
+    earlier round holds.  The rest are taken one at a time, in order: a key
+    this round already holds is skipped, and a candidate near a cell
+    boundary is also looked up in the whole ball with ``_find``.
+    """
+    names = [l for l, _m in letters]
+    gens = np.array([m for _l, m in letters]).T[:, None, :]
+    cancels = np.array([names.index(l.swapcase()) for l in names])
     ident = (1.0, 0.0, 0.0, 1.0)
     elements = {_key(ident): (ident, "")}
-    frontier = [(ident, "")]
+    mats = [np.array([ident])]
+    held = _KeyIndex(np.array([_key(ident)]))
+    words, cancel = [""], np.array([-1])
     rounds = 0
     while True:
-        added = []
-        for mat, word in frontier:
-            cancelling = word[-1:].swapcase()
-            for letter, gm in letters:
-                if letter == cancelling:
-                    continue
-                nm = _mul(mat, gm)
-                a, b, c, d = nm
-                if a * a + b * b + c * c + d * d > cap:
-                    continue
-                nm = _renorm(nm)
-                if _find(elements, nm) is not None:
-                    continue
-                elements[_key(nm)] = (nm, word + letter)
-                added.append((nm, word + letter))
-        if not added:
-            return elements, rounds
-        frontier = added
+        prod = _mul(mats[-1].T[:, :, None], gens)
+        a, b, c, d = prod
+        keep = (a * a + b * b + c * c + d * d <= cap) & (np.arange(len(names)) != cancel[:, None])
+        row, letter = np.nonzero(keep)
+        m = np.stack(_renorm([x[row, letter] for x in prod]), axis=1)
+        key, near = _cells(m)
+        new = np.flatnonzero(held.find(key) < 0)
+        grown: dict = {}  # key -> candidate, for the keys this round adds
+        for i, k, probe, mat, r, l in zip(new.tolist(), key[new].tolist(), near[new].tolist(),
+                                          m[new].tolist(), row[new].tolist(),
+                                          letter[new].tolist()):
+            k = tuple(k)
+            if k in grown or probe and _find(elements, mat) is not None:
+                continue
+            grown[k] = i
+            elements[k] = (tuple(mat), words[r] + names[l])
+        if not grown:
+            return elements, rounds, np.concatenate(mats), held.rows
+        added = np.fromiter(grown.values(), np.intp, len(grown))
+        mats.append(m[added])
+        held.add(key[added])
+        words = [elements[k][1] for k in grown]
+        cancel = cancels[letter[added]]
         rounds += 1
 
 
@@ -343,36 +432,51 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     mvi = np.linalg.inv(mv)
     letters = tuple((l, _as_mat(mvi @ group.letter_matrix(l) @ mv)) for l in _LETTERS)
     # in this frame a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0)
-    elements, depth = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
+    elements, depth, mats, keys = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
     vertices = [(abs(w) ** 2, w.real) for w in (mobius(mvi, v) for v in kite)]
-    members = {}
-    elliptic = near_parabolic = 0
-    for key, (mat, word) in elements.items():
-        if not word:
-            continue  # the identity
-        t = abs(mat[0] + mat[3])
-        if t <= 2.0 - TRACE_GAP:
-            elliptic += 1
-        elif t <= 2.0 + TRACE_GAP:
-            near_parabolic += 1
-        elif length_of_trace(t) <= l_max + 1e-12 and _axis_meets(mat, vertices):
-            members[key] = (mat, word)
-    root = {k: k for k in members}
-
-    def find(k):
-        while root[k] != k:
-            root[k] = root[root[k]]
-            k = root[k]
-        return k
+    t = np.abs(mats[1:, 0] + mats[1:, 3])  # row 0 is the identity
+    elliptic = int(np.count_nonzero(t <= 2.0 - TRACE_GAP))
+    near_parabolic = int(np.count_nonzero(t <= 2.0 + TRACE_GAP)) - elliptic
+    hyperbolic = np.flatnonzero(t > 2.0 + TRACE_GAP)
+    bound = l_max + 1e-12
+    length = 2.0 * np.arccosh(t[hyperbolic] / 2.0)
+    short = length <= bound
+    for i in np.flatnonzero(np.abs(length - bound) <= 1e-9):
+        short[i] = length_of_trace(float(t[hyperbolic[i]])) <= bound  # arccosh may be an ulp off
+    chosen = hyperbolic[short] + 1
+    chosen = chosen[_axis_meets(mats[chosen].T, vertices)]
+    entries = mats[chosen].T
+    items = list(elements.items())
+    members = dict(items[i] for i in chosen.tolist())
+    member_keys = list(members)
 
     # conjugating by a, b and c finds every one-letter edge from one of its ends
     frame = dict(letters)
-    for key, (mat, _word) in members.items():
-        for g in "abc":
-            other = _find(members, _renorm(_mul(_mul(frame[g], mat), frame[g.upper()])))
-            if other is not None:
-                root[find(other)] = find(key)
-    return _Classes(letters, elements, depth, members, {k: find(k) for k in members},
+    lookup = _KeyIndex(keys[chosen])
+    edges = []
+    for g in "abc":
+        conj = np.stack(_renorm(_mul(_mul(frame[g], entries), frame[g.upper()])), axis=1)
+        conj_keys, near = _cells(conj)
+        other = lookup.find(conj_keys)
+        for i in np.flatnonzero((other < 0) & near):
+            key = _find(members, tuple(conj[i].tolist()))
+            if key is not None:
+                other[i] = member_keys.index(key)
+        edges.append(other)
+    root = list(range(len(member_keys)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, row in enumerate(np.stack(edges, axis=1).tolist()):
+        for j in row:
+            if j >= 0:
+                root[find(j)] = find(i)
+    return _Classes(letters, elements, depth, members,
+                    {k: member_keys[find(i)] for i, k in enumerate(member_keys)},
                     elliptic, near_parabolic)
 
 
@@ -465,12 +569,18 @@ def power_closure(classes: list[GeodesicClass] | tuple[GeodesicClass, ...], l_ma
     """Close a primitive spectrum under powers up to length l_max.
 
     The k-th power of a primitive class of length l has length k*l, trace
-    2*cosh(k*l/2), and inherits the primitive length and multiplicity.
+    2*cosh(k*l/2), and inherits the primitive length and multiplicity.  A
+    length that is not positive and finite is refused: no power of it could
+    be placed below l_max.
     """
     out: list[GeodesicClass] = []
     for cls in classes:
         if not cls.primitive:
             raise ValueError("power_closure expects primitive classes")
+        if not (math.isfinite(cls.length) and cls.length > 0):
+            raise ValueError(
+                f"class {cls.word!r} has length {cls.length}; need positive and finite"
+            )
         k = 1
         while k * cls.length <= l_max + 1e-12:
             out.append(
@@ -493,7 +603,9 @@ class CosetAction:
     """Permutation representation on the cosets of a finite-index subgroup.
 
     ``perms`` maps each generator letter to a 0-based permutation tuple;
-    the action must be transitive (connected cover).
+    the action must be transitive (connected cover).  Lifting a spectrum
+    also needs it to be an action of the triangle group: see
+    ``check_relations``.
     """
 
     degree: int
@@ -510,7 +622,8 @@ class CosetAction:
         return perms.is_transitive(self.perms.values(), self.degree)
 
     def word_permutation(self, word: str) -> tuple[int, ...]:
-        """Image of a word: left-to-right letters compose left-to-right."""
+        """Image of a word: the image of w1w2 is image(w1) o image(w2), the
+        permutation of w2 applied first, i.e. a left action."""
         out = tuple(range(self.degree))
         for letter in word:
             base = self.perms.get(letter.lower())
@@ -518,6 +631,19 @@ class CosetAction:
                 raise ValueError(f"no permutation for generator {letter.lower()!r}")
             out = compose(out, base if letter.islower() else inverse(base))
         return out
+
+    def check_relations(self, group: TriangleGroup) -> None:
+        """Raise ValueError naming the first of a^p, b^q, c^r and abc whose
+        image is not the identity, so that the permutations are not an
+        action of ``group``."""
+        ident = tuple(range(self.degree))
+        p, q, r = group.signature
+        for name, word in (("a^p", "a" * p), ("b^q", "b" * q), ("c^r", "c" * r), ("abc", "abc")):
+            if self.word_permutation(word) != ident:
+                raise ValueError(
+                    f"the coset action does not satisfy {name} = 1 of the "
+                    f"({p},{q},{r}) triangle group"
+                )
 
     def to_json(self) -> dict:
         return {
@@ -536,16 +662,20 @@ class CosetAction:
 def cover_length_spectrum(
     base: list[GeodesicClass] | tuple[GeodesicClass, ...] | SpectrumResult,
     action: CosetAction,
+    group: TriangleGroup,
 ) -> list[GeodesicClass]:
-    """Lift a primitive base spectrum to the degree-d cover given by a
-    coset action: each cycle of length c of the class's permutation image
-    contributes one primitive class upstairs of length c * l.
+    """Lift a primitive base spectrum of ``group`` to the degree-d cover
+    given by a coset action: each cycle of length c of the class's
+    permutation image contributes one primitive class upstairs of length
+    c * l.  An action that breaks a relation of ``group`` is refused first
+    (``CosetAction.check_relations``).
 
     An entry with multiplicity > 1 (equal-length classes merged by
     ``length_spectrum``) is lifted through its representative word; when
     inequivalent equal-length classes could act with different cycle
     types, supply them as separate entries instead.
     """
+    action.check_relations(group)
     classes = base.classes if isinstance(base, SpectrumResult) else base
     out: list[GeodesicClass] = []
     for cls in classes:
@@ -628,7 +758,9 @@ def spectrum_from_csv(text: str) -> list[GeodesicClass]:
     """Primitive classes from ``spectrum_to_csv`` output.
 
     The CSV does not carry the primitive length of a power, so a row with
-    primitive_flag 0 is refused rather than read with a wrong weight.
+    primitive_flag 0 is refused rather than read with a wrong weight, as is
+    a row whose length or trace is not finite or whose length is not
+    positive.
     """
     lines = [l for l in text.strip().splitlines() if l]
     if not lines or not lines[0].startswith("length"):
@@ -644,6 +776,11 @@ def spectrum_from_csv(text: str) -> list[GeodesicClass]:
                 f"CSV row {row} ({word}) is not primitive; the CSV does not carry "
                 "its primitive length"
             )
-        length = float(length_s)
-        out.append(GeodesicClass(float(trace_s), length, length, int(mult_s), word, True))
+        length, trace = float(length_s), float(trace_s)
+        if not (math.isfinite(length) and math.isfinite(trace) and length > 0):
+            raise ValueError(
+                f"CSV row {row} ({word}) has length {length_s} and trace {trace_s}; "
+                "need a finite trace and a positive, finite length"
+            )
+        out.append(GeodesicClass(trace, length, length, int(mult_s), word, True))
     return out

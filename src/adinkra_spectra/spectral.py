@@ -358,7 +358,7 @@ def _power_sum(
     expands their powers; without one each class is a single term, k = 1,
     whose L_P is its ``primitive_length``.  The input is validated here:
     genus, a finite positive Lambda, spectrum completeness, one chi value
-    per class, positive lengths and multiplicities of at least 1.
+    per class, positive and finite lengths and multiplicities of at least 1.
     """
     if genus < 2:
         raise ValueError("hyperbolic trace formula needs genus >= 2")
@@ -375,8 +375,8 @@ def _power_sum(
     if power_form and not all(c.primitive for c in classes):
         raise ValueError(f"{power_form} expects primitive classes only")
     length = np.array([c.length for c in classes], dtype=float)
-    if np.any(length <= 0.0):
-        raise ValueError("geodesic lengths must be positive")
+    if not np.all(np.isfinite(length) & (length > 0.0)):
+        raise ValueError("geodesic lengths must be positive and finite")
     mult = np.array([c.multiplicity for c in classes], dtype=int)
     if np.any(mult < 1):
         bad = next(c for c in classes if c.multiplicity < 1)

@@ -240,6 +240,8 @@ def test_torus_action_refuses_non_finite_reals(capsys, tmp_path, args, message):
 @pytest.mark.parametrize("row,message", [
     ("1.0,2.2,-3,ab,1", "class 'ab' has multiplicity -3; need >= 1"),
     ("1.0,2.2,3,ab", "CSV row 1 has 4 fields, expected 5: '1.0,2.2,3,ab'"),
+    ("nan,nan,1,ab,1", "CSV row 1 (ab) has length nan and trace nan; "
+                       "need a finite trace and a positive, finite length"),
 ])
 def test_action_refuses_bad_spectrum_row(capsys, tmp_path, row, message):
     path = tmp_path / "spec.csv"

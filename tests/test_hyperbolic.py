@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from adinkra_spectra import hyperbolic
 from adinkra_spectra.errors import ResourceBoundError
+from adinkra_spectra.perms import compose, cycle_lengths
 from adinkra_spectra.hyperbolic import (
     CosetAction,
     GeodesicClass,
@@ -147,30 +149,43 @@ def test_power_closure():
     assert all(c.trace == pytest.approx(2 * math.cosh(c.length / 2)) for c in closed)
 
 
-def test_trivial_cover_keeps_spectrum(spectrum552):
+def test_trivial_cover_keeps_spectrum(delta552, spectrum552):
     action = CosetAction(1, {"a": (0,), "b": (0,), "c": (0,)})
-    lifted = cover_length_spectrum(spectrum552, action)
+    lifted = cover_length_spectrum(spectrum552, action, delta552)
     assert [(round(c.length, 9), c.multiplicity) for c in lifted] == [
         (round(c.length, 9), c.multiplicity) for c in spectrum552.classes
     ]
 
 
-def test_identity_image_gives_d_copies():
-    # a class whose permutation image is trivial lifts to d copies of itself
-    d = 3
-    cyc = (1, 2, 0)
-    action = CosetAction(d, {"a": cyc, "b": cyc, "c": cyc})
-    assert action.word_permutation("aA") == tuple(range(d))
-    cls = GeodesicClass(2 * math.cosh(0.6), 1.2, 1.2, 1, "aaa", True)
-    lifted = cover_length_spectrum([cls], action)  # image of aaa is identity
-    assert len(lifted) == 1
-    assert lifted[0].multiplicity == d
-    assert lifted[0].length == pytest.approx(1.2)
+# Real actions of (5,5,2).  CYCLIC5 is the quotient a -> s, b -> s^-1,
+# c -> id onto Z/5; A5 is a degree-5 action whose images include 3-cycles
+# and double transpositions.
+_S, _S_INV = (1, 2, 3, 4, 0), (4, 0, 1, 2, 3)
+CYCLIC5 = {"a": _S, "b": _S_INV, "c": (0, 1, 2, 3, 4)}
+A5 = {"a": (1, 2, 3, 4, 0), "b": (4, 2, 3, 0, 1), "c": (0, 3, 4, 1, 2)}
 
 
-def test_cover_cycle_lengths_sum_to_degree(spectrum552):
-    action = CosetAction(4, {"a": (1, 0, 3, 2), "b": (2, 3, 0, 1), "c": (0, 1, 2, 3)})
-    lifted = cover_length_spectrum(spectrum552, action)
+def test_identity_image_gives_d_copies(delta552, spectrum552):
+    # a class whose image in Z/5 is trivial lifts to 5 copies of itself, and
+    # any other to one class five times as long
+    action = CosetAction(5, CYCLIC5)
+    lifted = {c.word.split("|")[0]: c for c in cover_length_spectrum(spectrum552, action, delta552)}
+    trivial = 0
+    for base in spectrum552.classes:
+        exponent = sum({"a": 1, "A": -1, "b": -1, "B": 1}.get(l, 0) for l in base.word) % 5
+        up = lifted[base.word]
+        if exponent == 0:
+            trivial += 1
+            assert up.multiplicity == 5 * base.multiplicity and up.length == base.length
+        else:
+            assert up.multiplicity == base.multiplicity
+            assert up.length == pytest.approx(5 * base.length, rel=1e-12)
+    assert trivial == 2  # ABc and AABac
+
+
+def test_cover_cycle_lengths_sum_to_degree(delta552, spectrum552):
+    action = CosetAction(5, A5)
+    lifted = cover_length_spectrum(spectrum552, action, delta552)
     base_by_word = {}
     for c in lifted:
         word = c.word.split("|")[0]
@@ -178,19 +193,72 @@ def test_cover_cycle_lengths_sum_to_degree(spectrum552):
         base_by_word.setdefault(word, 0)
         base = next(b for b in spectrum552.classes if b.word == word)
         base_by_word[word] += cyc * (c.multiplicity // base.multiplicity)
-    assert set(base_by_word.values()) == {4}
+    assert set(base_by_word.values()) == {5}
+    cycle_types = {tuple(sorted(cycle_lengths(action.word_permutation(b.word))))
+                   for b in spectrum552.classes}
+    assert cycle_types == {(1, 1, 3), (1, 2, 2), (5,)}
 
 
-def test_cover_lengths_scale_with_cycles(spectrum552):
-    swap = (1, 0)
-    ident = (0, 1)
-    action = CosetAction(2, {"a": swap, "b": ident, "c": ident})
-    lifted = cover_length_spectrum(spectrum552, action)
-    for c in lifted:
-        word, cyc = c.word.split("|cycle")
-        base = next(b for b in spectrum552.classes if b.word == word)
-        assert c.length == pytest.approx(int(cyc) * base.length, rel=1e-12)
-        assert c.primitive
+def test_cover_lengths_scale_with_cycles(delta552, spectrum552):
+    for perms in (CYCLIC5, A5):
+        lifted = cover_length_spectrum(spectrum552, CosetAction(5, perms), delta552)
+        for c in lifted:
+            word, cyc = c.word.split("|cycle")
+            base = next(b for b in spectrum552.classes if b.word == word)
+            assert c.length == pytest.approx(int(cyc) * base.length, rel=1e-12)
+            assert c.primitive
+
+
+def test_word_permutation_is_a_left_action():
+    action = CosetAction(5, A5)
+    for w1, w2 in (("a", "b"), ("ab", "C"), ("Bc", "aab")):
+        assert action.word_permutation(w1 + w2) == compose(
+            action.word_permutation(w1), action.word_permutation(w2))
+
+
+@pytest.mark.parametrize("perms,relation", [
+    ({"a": (1, 0), "b": (0, 1), "c": (0, 1)}, "a^p"),  # a swap is not of order dividing 5
+    ({"a": _S, "b": _S, "c": (0, 1, 2, 3, 4)}, "abc"),
+    ({"a": _S, "b": _S_INV, "c": _S}, "c^r"),
+])
+def test_cover_refuses_a_broken_relation(delta552, spectrum552, perms, relation):
+    action = CosetAction(len(perms["a"]), perms)
+    with pytest.raises(ValueError, match=rf"does not satisfy {re.escape(relation)} = 1 of "
+                                         r"the \(5,5,2\) triangle group"):
+        cover_length_spectrum(spectrum552, action, delta552)
+
+
+def _gl23_actions():
+    """GL(2,3) acting on itself by left and by right multiplication, with
+    a of order 2, b of order 3 and c = (ab)^-1 of order 8."""
+    elements = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3]
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+    a, b = (0, 1, 1, 0), (1, 0, 1, 1)
+    ab = mul(a, b)
+    c = next(x for x in elements if mul(ab, x) == (1, 0, 0, 1))
+    index = {x: i for i, x in enumerate(elements)}
+    left = {l: tuple(index[mul(g, x)] for x in elements) for l, g in zip("abc", (a, b, c))}
+    right = {l: tuple(index[mul(x, g)] for x in elements) for l, g in zip("abc", (a, b, c))}
+    return CosetAction(48, left), CosetAction(48, right)
+
+
+def test_bolza_cover_by_left_multiplication():
+    # the regular action of GL(2,3) on itself gives the Bolza surface, whose
+    # systole 2 arccosh(1 + sqrt 2) is carried by 24 oriented classes;
+    # right multiplication is not a left action and is refused
+    group = triangle_generators(2, 3, 8)
+    spec = length_spectrum(group, 3.2)
+    left, right = _gl23_actions()
+    lifted = [c for c in cover_length_spectrum(spec, left, group) if c.length <= 3.2]
+    assert [c.multiplicity for c in lifted] == [24]
+    assert lifted[0].length == pytest.approx(2 * math.acosh(1 + math.sqrt(2)), abs=1e-12)
+    with pytest.raises(ValueError, match=r"does not satisfy abc = 1 of the \(2,3,8\)"):
+        cover_length_spectrum(spec, right, group)
 
 
 def test_character_values():
@@ -238,6 +306,25 @@ def test_csv_refuses_power_rows(delta552):
     assert not all(c.primitive for c in closed)
     with pytest.raises(ValueError, match=r"CSV row \d+ .* not primitive"):
         spectrum_from_csv(spectrum_to_csv(closed))
+
+
+@pytest.mark.parametrize("row", ["nan,nan,1,ab,1", "inf,2.2,1,ab,1", "1.0,nan,1,ab,1",
+                                 "1.0,-inf,1,ab,1", "0.0,2.0,1,ab,1", "-1.0,2.2,1,ab,1"])
+def test_csv_refuses_non_finite_or_non_positive_row(row):
+    # a NaN length would otherwise be dropped by power_closure without a word
+    length, trace = row.split(",")[:2]
+    text = f"length,trace,multiplicity,word,primitive_flag\n1.0,2.2,1,c,1\n{row}\n"
+    with pytest.raises(ValueError, match=rf"CSV row 2 \(ab\) has length {length} and "
+                                         rf"trace {trace}; need a finite trace"):
+        spectrum_from_csv(text)
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -1.0])
+def test_power_closure_refuses_non_finite_or_non_positive_length(length):
+    good = GeodesicClass(2 * math.cosh(0.5), 1.0, 1.0, 1, "w", True)
+    bad = GeodesicClass(2.5, length, length, 1, "ab", True)
+    with pytest.raises(ValueError, match=f"class 'ab' has length {length}; need positive"):
+        power_closure([good, bad], 3.5)
 
 
 @pytest.mark.parametrize("l_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])

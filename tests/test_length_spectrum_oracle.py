@@ -1,4 +1,4 @@
-"""``length_spectrum`` against two frozen copies of its heuristic forms.
+"""``length_spectrum`` against frozen copies of its earlier forms.
 
 The library grows one displacement ball around the kite D and joins
 one-letter conjugates among the elements whose axis meets D by a
@@ -15,10 +15,15 @@ quantity from the library's, so ball counts and member words are not
 compared.  Both copies stop on an empty class signature, so they return
 no classes for (2,3,7) and (2,3,8); those are left out here and checked
 in ``test_hyperbolic`` instead.
+
+A third copy is the displacement ball and union-find computed one
+candidate at a time, before each breadth-first round became one numpy
+batch; there the batch must return the same ``_Classes`` to the bit.
 """
 
 import itertools
 import math
+import signal
 from collections import deque
 from fractions import Fraction
 
@@ -425,6 +430,176 @@ HYPERBOLIC_SIGNATURES = st.tuples(*[st.integers(2, 8)] * 3).filter(
 def test_spectrum_equals_descent_classifier_run_on_random_signatures(sig, l_max):
     group = triangle_generators(*sig)
     _assert_same_merged(_merged(length_spectrum(group, l_max)), _descent_spectrum(group, l_max))
+
+
+# -- frozen per-element ball ------------------------------------------------
+# The displacement ball and union-find as they were before each round became
+# one numpy batch: every candidate multiplied, pruned, renormalised, keyed
+# and looked up on its own, in (frontier, letter) order.  The batch must
+# give the same _Classes to the bit: the ball's items in insertion order,
+# its depth, the members, the union-find roots and the elliptic and
+# near-parabolic counts.
+
+
+def _t_scaled(m):
+    s = 1e8
+    for x in m:
+        if abs(x) > 1e-8:
+            s = 1e8 if x > 0 else -1e8
+            break
+    return tuple(x * s for x in m)
+
+
+def _t_find(table, m):
+    key = _t_key(m)
+    if key in table:
+        return key
+    cells = [(k, k + 1) if y - k > 0.499 else (k, k - 1) if y - k < -0.499 else (k,)
+             for y, k in zip(_t_scaled(m), key)]
+    for probe in itertools.product(*cells):
+        if probe in table:
+            return probe
+    return None
+
+
+def _t_axis_meets(m, vertices):
+    a, b, c, d = m
+    tol = 1e-9 * (abs(a) + abs(b) + abs(c) + abs(d))
+    values = [c * n2 + (d - a) * x - b for n2, x in vertices]
+    return not (min(values) > tol or max(values) < -tol)
+
+
+def _per_element_ball(letters, cap):
+    ident = (1.0, 0.0, 0.0, 1.0)
+    elements = {_t_key(ident): (ident, "")}
+    frontier = [(ident, "")]
+    rounds = 0
+    while True:
+        added = []
+        for mat, word in frontier:
+            cancelling = word[-1:].swapcase()
+            for letter, gm in letters:
+                if letter == cancelling:
+                    continue
+                nm = _t_mul(mat, gm)
+                a, b, c, d = nm
+                if a * a + b * b + c * c + d * d > cap:
+                    continue
+                nm = _t_renorm(nm)
+                if _t_find(elements, nm) is not None:
+                    continue
+                elements[_t_key(nm)] = (nm, word + letter)
+                added.append((nm, word + letter))
+        if not added:
+            return elements, rounds
+        frontier = added
+        rounds += 1
+
+
+def _per_element_classify(group, l_max):
+    z0, radius, kite = hyperbolic._kite(group)
+    reach = l_max + 2.0 * radius
+    mv = hyperbolic._mover(z0)
+    mvi = np.linalg.inv(mv)
+    letters = tuple((l, hyperbolic._as_mat(mvi @ group.letter_matrix(l) @ mv)) for l in _LETTERS)
+    elements, depth = _per_element_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
+    vertices = [(abs(w) ** 2, w.real) for w in (hyperbolic.mobius(mvi, v) for v in kite)]
+    members = {}
+    elliptic = near_parabolic = 0
+    for key, (mat, word) in elements.items():
+        if not word:
+            continue
+        t = abs(mat[0] + mat[3])
+        if t <= 2.0 - TRACE_GAP:
+            elliptic += 1
+        elif t <= 2.0 + TRACE_GAP:
+            near_parabolic += 1
+        elif length_of_trace(t) <= l_max + 1e-12 and _t_axis_meets(mat, vertices):
+            members[key] = (mat, word)
+    root = {k: k for k in members}
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    frame = dict(letters)
+    for key, (mat, _word) in members.items():
+        for g in "abc":
+            other = _t_find(members, _t_renorm(_t_mul(_t_mul(frame[g], mat), frame[g.upper()])))
+            if other is not None:
+                root[find(other)] = find(key)
+    return hyperbolic._Classes(letters, elements, depth, members, {k: find(k) for k in members},
+                               elliptic, near_parabolic)
+
+
+def _bits(items):
+    # the float tuples to the bit, so that -0.0 and 0.0 differ
+    return [(k, tuple(float(x).hex() for x in m), w) for k, (m, w) in items]
+
+
+def _assert_same_classes(got, ref):
+    assert got.letters == ref.letters
+    assert (got.depth, len(got.elements)) == (ref.depth, len(ref.elements))
+    assert _bits(got.elements.items()) == _bits(ref.elements.items())
+    assert all(type(x) is float for m, _w in got.elements.values() for x in m)
+    assert all(type(k) is int for key in got.elements for k in key)
+    assert list(got.members) == list(ref.members)
+    assert list(got.root.items()) == list(ref.root.items())
+    assert (got.elliptic, got.near_parabolic) == (ref.elliptic, ref.near_parabolic)
+
+
+SORTED_SIGNATURES = [s for s in itertools.combinations_with_replacement(range(2, 9), 3)
+                     if Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1]
+BATCH_CASES = ([(sig, l_max) for sig in SORTED_SIGNATURES for l_max in (3.0, 4.0)]
+               + [((5, 5, 2), 6.0), ((3, 4, 4), 6.0), ((2, 3, 7), 6.0)])
+
+
+def _batch_classify(group, l_max, seconds=60):
+    # a round that kept a key an earlier round holds would bring its parents
+    # back as new elements, and the rounds would never end: fail instead
+    def expire(_signum, _frame):
+        raise AssertionError(f"the ball was still growing after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return hyperbolic._classify(group, l_max)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("sig,l_max", BATCH_CASES,
+                         ids=[f"{p},{q},{r}@{l_max}" for (p, q, r), l_max in BATCH_CASES])
+def test_batch_ball_equals_per_element_ball(sig, l_max):
+    group = triangle_generators(*sig)
+    _assert_same_classes(_batch_classify(group, l_max), _per_element_classify(group, l_max))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[st.integers(2, 8)] * 3).filter(
+    lambda s: Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1),
+    st.floats(3.0, 5.0))
+def test_batch_ball_equals_per_element_ball_in_any_vertex_order(sig, l_max):
+    group = triangle_generators(*sig)
+    _assert_same_classes(_batch_classify(group, l_max), _per_element_classify(group, l_max))
+
+
+def test_key_index_is_exact_under_hash_collisions(monkeypatch):
+    # with every hash equal, each lookup must still compare whole rows
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-3, 4, size=(60, 4))
+    rows = rows[np.unique(rows, axis=0, return_index=True)[1]]
+    queries = rng.integers(-3, 4, size=(200, 4))
+    for mix in (hyperbolic._MIX, np.zeros(4, np.int64)):
+        monkeypatch.setattr(hyperbolic, "_MIX", mix)
+        index = hyperbolic._KeyIndex(rows[:25])
+        index.add(rows[25:])
+        position = {tuple(r): i for i, r in enumerate(rows.tolist())}
+        expected = [position.get(tuple(q), -1) for q in queries.tolist()]
+        assert index.find(queries).tolist() == expected
 
 
 @pytest.mark.parametrize("sig", [(5, 5, 2), (2, 4, 5)])

@@ -256,6 +256,19 @@ def test_nonpositive_length_rejected():
         laplace_action_conjugacy(2, [flat], pair, 1.0)
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+def test_non_finite_length_rejected(length):
+    # NaN passed the old "<= 0" check and failed later in int(cut / nan)
+    pair = make_test_pair("smooth_bump")
+    bad = GeodesicClass(2.5, length, length, 1, "ab", True)
+    for action in (
+        lambda: laplace_action_conjugacy(2, [synthetic_class(0.8), bad], pair, 1.0),
+        lambda: laplace_action_geodesic(2, [synthetic_class(0.8), bad], pair, 1.0),
+    ):
+        with pytest.raises(ValueError, match="geodesic lengths must be positive and finite"):
+            action()
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_or_non_positive_lambda_rejected(lam):
     pair = make_test_pair("smooth_bump")
