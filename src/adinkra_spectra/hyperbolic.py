@@ -19,19 +19,20 @@ Inside the ball a matrix [[a, b], [c, d]] is written in the frame that
 moves z0 to i, and is stored as the float tuple (a, b, c, d) under its
 rounded key.  Each breadth-first round is computed in numpy: the frontier
 is an (F, 4) array, its products with the six letters are formed by
-broadcasting, and the cap, the renormalisation, the keys and the lookup of
-keys that earlier rounds hold act on whole arrays, with the same float
-operations as the tuple forms.  Only the round's new elements, in order,
-go through Python.  Selecting S and forming the conjugates for the
-union-find are batched the same way.  The public API takes and returns
-numpy arrays.
+broadcasting, and the cap, the renormalisation and the keys act on whole
+arrays, with the same float operations as the tuple forms.  Candidates
+whose key the ball already holds are skipped by dict lookups run in C;
+only the others execute Python code, in (frontier, letter) order.
+Selecting S and forming the conjugates for the union-find are batched the
+same way.  The public API takes and returns numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, count, product
+from operator import not_
 
 import numpy as np
 
@@ -134,10 +135,30 @@ def _mul(x: Mat, y: Mat) -> Mat:
 
 
 def _renorm(m: Mat) -> Mat:
-    # _mul and _renorm also act entrywise on a 4-tuple of arrays
     a, b, c, d = m
-    s = np.sqrt(np.abs(a * d - b * c))
+    s = math.sqrt(abs(a * d - b * c))
     return (a / s, b / s, c / s, d / s)
+
+
+# x and y entries of each product in _mul, by output entry
+_LEFT, _RIGHT = ([0, 0, 2, 2], [1, 1, 3, 3]), ([0, 1, 0, 1], [2, 3, 2, 3])
+
+
+def _mul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_mul`` over the last axis, of length 4, broadcast over the rest:
+    every entry is the same a*e + b*g, ... in the same order."""
+    out = x[..., _LEFT[0]] * y[..., _RIGHT[0]]
+    out += x[..., _LEFT[1]] * y[..., _RIGHT[1]]
+    return out
+
+
+def _unimodular(m: np.ndarray) -> np.ndarray:
+    """``_renorm`` of each row of m, an (n, 4) array, in place."""
+    a, b, c, d = m.T
+    det = a * d
+    det -= b * c
+    m /= np.sqrt(np.abs(det, out=det), out=det)[:, None]
+    return m
 
 
 def _scaled(m: Mat) -> Mat:
@@ -186,52 +207,8 @@ def _cells(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = m[np.arange(len(m)), (np.abs(m) > 1e-8).argmax(axis=1)]
     y = m * np.where(lead < -1e-8, -1e8, 1e8)[:, None]
     k = np.rint(y)
-    return k.astype(np.int64), (np.abs(y - k) > 0.499).any(axis=1)
-
-
-_MIX = np.array([0x5851F42D4C957F2D, 0x14057B7EF767814F, 0x2545F4914F6CDD1D,
-                 0x61C8864680B583EB], dtype=np.int64)
-
-
-def _hash(rows: np.ndarray) -> np.ndarray:
-    return (rows * _MIX).sum(axis=1)  # wraps modulo 2^64
-
-
-class _KeyIndex:
-    """Exact lookup of int64 key rows: one hash per row, kept sorted, and
-    every hash hit checked against the whole row, so that a collision is
-    never taken for a match.  ``rows`` holds the rows in the order added."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-        h = _hash(rows)
-        self.index = np.argsort(h, kind="stable")
-        self.hash = h[self.index]
-
-    def add(self, rows: np.ndarray) -> None:
-        h = np.concatenate([self.hash, _hash(rows)])
-        index = np.concatenate([self.index, np.arange(len(rows)) + len(self.rows)])
-        merge = np.argsort(h, kind="stable")  # of two sorted runs
-        self.hash, self.index = h[merge], index[merge]
-        self.rows = np.concatenate([self.rows, rows])
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """The position of each row among those added, or -1."""
-        h = _hash(rows)
-        at = np.searchsorted(self.hash, h)
-        out = np.full(len(rows), -1, np.intp)
-        todo = np.arange(len(rows))
-        while todo.size:
-            j = at[todo]
-            live = j < len(self.hash)
-            todo, j = todo[live], j[live]
-            live = self.hash[j] == h[todo]
-            todo, j = todo[live], self.index[j[live]]
-            hit = (self.rows[j] == rows[todo]).all(axis=1)
-            out[todo[hit]] = j[hit]
-            todo = todo[~hit]
-            at[todo] += 1
-        return out
+    y -= k
+    return k.astype(np.int64), np.abs(y, out=y).max(axis=1) > 0.499
 
 
 @dataclass(frozen=True)
@@ -347,55 +324,67 @@ def _axis_meets(m: Mat, vertices: list[tuple[float, float]]) -> bool:
     return ~((np.minimum.reduce(values) > tol) | (np.maximum.reduce(values) < -tol))
 
 
-def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float
-               ) -> tuple[dict, int, np.ndarray, np.ndarray]:
+def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float) -> tuple[dict, int, np.ndarray]:
     """Breadth-first ball of the elements with a^2 + b^2 + c^2 + d^2 <= cap,
     one per element up to sign: key -> (matrix, word), the rounds that
-    added elements, and the matrices and keys as (n, 4) arrays in the same
+    added elements, and the matrices as an (n, 4) array in the same
     order.  A word is the first found, so it has the fewest letters among
     the paths inside the ball.
 
     A round forms the products of the whole frontier with every letter at
-    once, in (frontier, letter) order, and drops in numpy those beyond the
-    cap, those cancelling the word's last letter and those whose key an
-    earlier round holds.  The rest are taken one at a time, in order: a key
-    this round already holds is skipped, and a candidate near a cell
-    boundary is also looked up in the whole ball with ``_find``.
+    once, drops in numpy those beyond the cap or cancelling the word's last
+    letter, and keys the rest in numpy.  The candidates are then taken in
+    (frontier, letter) order.  One whose key the ball holds, including keys
+    added earlier in the round, is skipped by a dict lookup run in C, with
+    no Python step; of the rest, one near a cell boundary is also looked up
+    with ``_find``, and the others are added.
     """
     names = [l for l, _m in letters]
-    gens = np.array([m for _l, m in letters]).T[:, None, :]
-    cancels = np.array([names.index(l.swapcase()) for l in names])
+    gens = np.array([m for _l, m in letters])
+    cancels = [names.index(l.swapcase()) for l in names]
     ident = (1.0, 0.0, 0.0, 1.0)
     elements = {_key(ident): (ident, "")}
     mats = [np.array([ident])]
-    held = _KeyIndex(np.array([_key(ident)]))
     words, cancel = [""], np.array([-1])
     rounds = 0
     while True:
-        prod = _mul(mats[-1].T[:, :, None], gens)
-        a, b, c, d = prod
-        keep = (a * a + b * b + c * c + d * d <= cap) & (np.arange(len(names)) != cancel[:, None])
-        row, letter = np.nonzero(keep)
-        m = np.stack(_renorm([x[row, letter] for x in prod]), axis=1)
+        flat, m = _products(mats[-1], gens, cancel, cap)
         key, near = _cells(m)
-        new = np.flatnonzero(held.find(key) < 0)
-        grown: dict = {}  # key -> candidate, for the keys this round adds
-        for i, k, probe, mat, r, l in zip(new.tolist(), key[new].tolist(), near[new].tolist(),
-                                          m[new].tolist(), row[new].tolist(),
-                                          letter[new].tolist()):
-            k = tuple(k)
-            if k in grown or probe and _find(elements, mat) is not None:
+        keys = key.T.tolist()
+        candidates = zip(count(), zip(*keys), zip(*m.T.tolist()), near.tolist(), flat.tolist())
+        # the exact-key test runs in C, as the loop reaches each candidate
+        unheld = map(not_, map(elements.__contains__, zip(*keys)))
+        added, next_words, next_cancel = [], [], []
+        for i, k, mat, probe, f in compress(candidates, unheld):
+            if probe and _find(elements, mat) is not None:
                 continue
-            grown[k] = i
-            elements[k] = (tuple(mat), words[r] + names[l])
-        if not grown:
-            return elements, rounds, np.concatenate(mats), held.rows
-        added = np.fromiter(grown.values(), np.intp, len(grown))
+            r, l = divmod(f, len(names))
+            word = words[r] + names[l]
+            elements[k] = (mat, word)
+            added.append(i)
+            next_words.append(word)
+            next_cancel.append(cancels[l])
+        if not added:
+            return elements, rounds, np.concatenate(mats)
         mats.append(m[added])
-        held.add(key[added])
-        words = [elements[k][1] for k in grown]
-        cancel = cancels[letter[added]]
+        words, cancel = next_words, np.array(next_cancel)
         rounds += 1
+
+
+def _products(frontier: np.ndarray, gens: np.ndarray, cancel: np.ndarray, cap: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The products of the frontier's rows with the letters that stay under
+    the cap and do not cancel, renormalised, in (frontier, letter) order,
+    and their flat indices row * len(gens) + letter."""
+    prod = _mul_rows(frontier[:, None, :], gens)
+    sq = prod * prod
+    norm = sq[..., 0] + sq[..., 1]  # ((a^2 + b^2) + c^2) + d^2, as in _mul's order
+    norm += sq[..., 2]
+    norm += sq[..., 3]
+    keep = norm <= cap
+    keep &= np.arange(len(gens)) != cancel[:, None]
+    flat = np.flatnonzero(keep)
+    return flat, _unimodular(prod.reshape(-1, 4)[flat])
 
 
 @dataclass(frozen=True)
@@ -432,7 +421,7 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     mvi = np.linalg.inv(mv)
     letters = tuple((l, _as_mat(mvi @ group.letter_matrix(l) @ mv)) for l in _LETTERS)
     # in this frame a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0)
-    elements, depth, mats, keys = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
+    elements, depth, mats = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
     vertices = [(abs(w) ** 2, w.real) for w in (mobius(mvi, v) for v in kite)]
     t = np.abs(mats[1:, 0] + mats[1:, 3])  # row 0 is the identity
     elliptic = int(np.count_nonzero(t <= 2.0 - TRACE_GAP))
@@ -445,25 +434,22 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
         short[i] = length_of_trace(float(t[hyperbolic[i]])) <= bound  # arccosh may be an ulp off
     chosen = hyperbolic[short] + 1
     chosen = chosen[_axis_meets(mats[chosen].T, vertices)]
-    entries = mats[chosen].T
     items = list(elements.items())
     members = dict(items[i] for i in chosen.tolist())
     member_keys = list(members)
 
     # conjugating by a, b and c finds every one-letter edge from one of its ends
     frame = dict(letters)
-    lookup = _KeyIndex(keys[chosen])
-    edges = []
-    for g in "abc":
-        conj = np.stack(_renorm(_mul(_mul(frame[g], entries), frame[g.upper()])), axis=1)
-        conj_keys, near = _cells(conj)
-        other = lookup.find(conj_keys)
-        for i in np.flatnonzero((other < 0) & near):
-            key = _find(members, tuple(conj[i].tolist()))
-            if key is not None:
-                other[i] = member_keys.index(key)
-        edges.append(other)
-    root = list(range(len(member_keys)))
+    g, g_inv = np.array([frame[l] for l in "abc"]), np.array([frame[l] for l in "ABC"])
+    conj = _unimodular(_mul_rows(_mul_rows(g[:, None], mats[chosen]), g_inv[:, None]).reshape(-1, 4))
+    conj_keys, near = _cells(conj)
+    position = {k: i for i, k in enumerate(member_keys)}
+    other = list(map(position.get, zip(*conj_keys.T.tolist())))  # member, or None
+    for i in np.flatnonzero(near).tolist():
+        if other[i] is None:
+            other[i] = position.get(_find(members, tuple(conj[i].tolist())))
+    n = len(member_keys)
+    root = list(range(n))
 
     def find(i):
         while root[i] != i:
@@ -471,9 +457,9 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
             i = root[i]
         return i
 
-    for i, row in enumerate(np.stack(edges, axis=1).tolist()):
+    for i, row in enumerate(zip(other[:n], other[n:2 * n], other[2 * n:])):
         for j in row:
-            if j >= 0:
+            if j is not None:
                 root[find(j)] = find(i)
     return _Classes(letters, elements, depth, members,
                     {k: member_keys[find(i)] for i, k in enumerate(member_keys)},
