@@ -378,7 +378,7 @@ def _products(frontier: np.ndarray, gens: np.ndarray, cancel: np.ndarray, cap: f
     and their flat indices row * len(gens) + letter."""
     prod = _mul_rows(frontier[:, None, :], gens)
     sq = prod * prod
-    norm = sq[..., 0] + sq[..., 1]  # ((a^2 + b^2) + c^2) + d^2, as in _mul's order
+    norm = sq[..., 0] + sq[..., 1]  # summed left to right, as a*a + b*b + c*c + d*d
     norm += sq[..., 2]
     norm += sq[..., 3]
     keep = norm <= cap
