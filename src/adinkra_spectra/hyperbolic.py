@@ -316,7 +316,7 @@ def _axis_meets(m: Mat, vertices: list[tuple[float, float]]) -> bool:
     The axis is the zero set of c|z|^2 + (d - a) Re z - b; it misses the
     polygon only when every vertex lies strictly on one side, by more than
     1e-9 times the size of m.  This form keeps axes through infinity (c = 0).
-    Given a 4-tuple of arrays it answers for each element.
+    Given arrays of entries it answers for each element.
     """
     a, b, c, d = m
     tol = 1e-9 * (abs(a) + abs(b) + abs(c) + abs(d))
@@ -441,7 +441,8 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     # conjugating by a, b and c finds every one-letter edge from one of its ends
     frame = dict(letters)
     g, g_inv = np.array([frame[l] for l in "abc"]), np.array([frame[l] for l in "ABC"])
-    conj = _unimodular(_mul_rows(_mul_rows(g[:, None], mats[chosen]), g_inv[:, None]).reshape(-1, 4))
+    conj = _mul_rows(_mul_rows(g[:, None], mats[chosen]), g_inv[:, None])  # (3, n, 4)
+    conj = _unimodular(conj.reshape(-1, 4))
     conj_keys, near = _cells(conj)
     position = {k: i for i, k in enumerate(member_keys)}
     other = list(map(position.get, zip(*conj_keys.T.tolist())))  # member, or None
