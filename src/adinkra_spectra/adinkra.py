@@ -13,7 +13,6 @@ over edge indices (bit e = edge ``graph.edges[e]`` dashed).
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from .gf2 import GF2System
 
 BOSON, FERMION = 0, 1
 
-# exhaustive dashing sweeps refuse above this many dashings
+# well_dashed_masks refuses to list more masks than this
 DASH_ENUMERATION_LIMIT = 1 << 20
 
 Edge = tuple[int, int, int]  # (u index, v index, color in 1..N); u <= v
@@ -588,28 +587,21 @@ def dashing_to_kasteleyn(
     return Orientation(heads), ok
 
 
-def _require_enumerable(graph: Chromotopology, limit: int) -> None:
-    if (1 << graph.edge_count) > limit:
-        raise ResourceBoundError(
-            f"2^{graph.edge_count} dashings exceed the enumeration gate "
-            f"({limit}); use sample_well_dashed or count_well_dashed_exact"
-        )
-
-
-def well_dashed_masks(
-    graph: Chromotopology,
-    faces: Sequence[Face] | None = None,
-    limit: int = DASH_ENUMERATION_LIMIT,
-) -> list[int]:
+def well_dashed_masks(graph: Chromotopology, faces: Sequence[Face] | None = None) -> list[int]:
     """All well-dashed masks, ascending: the particular solution plus the
-    nullspace span of the face system (gated on 2^E <= limit)."""
+    nullspace span of the face system (refused above DASH_ENUMERATION_LIMIT
+    masks)."""
     if faces is None:
         faces = two_colored_four_cycles(graph)
-    _require_enumerable(graph, limit)
     solution = GF2System((f.edge_mask for f in faces), rhs=1).solve(graph.edge_count)
     if solution is None:
         return []
     particular, nullspace = solution
+    if (1 << len(nullspace)) > DASH_ENUMERATION_LIMIT:
+        raise ResourceBoundError(
+            f"2^{len(nullspace)} well-dashed masks exceed the listing gate "
+            f"({DASH_ENUMERATION_LIMIT}); use count_well_dashed_exact"
+        )
     masks = [particular]
     for v in nullspace:
         masks += [m ^ v for m in masks]
@@ -621,34 +613,12 @@ def count_well_dashed_exact(graph: Chromotopology, faces: Sequence[Face] | None 
 
     The constraints ``popcount(d & face) odd`` are affine; the count is
     2^(E - rank) when consistent, 0 otherwise.  No enumeration, so this
-    works beyond the sweep gate (e.g. the 32-edge 4-cube).
+    works beyond the listing gate (e.g. 2^31 masks on the 80-edge 5-cube).
     """
     if faces is None:
         faces = two_colored_four_cycles(graph)
     system = GF2System((f.edge_mask for f in faces), rhs=1)
     return 1 << (graph.edge_count - system.rank) if system.consistent else 0
-
-
-count_well_dashed = count_well_dashed_exact
-
-
-def sample_well_dashed(
-    graph: Chromotopology,
-    seed: int,
-    n_samples: int,
-    faces: Sequence[Face] | None = None,
-) -> tuple[int, int]:
-    """(hits, n_samples) for uniformly sampled dashings; explicit seed."""
-    if faces is None:
-        faces = two_colored_four_cycles(graph)
-    fmasks = [f.edge_mask for f in faces]
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(n_samples):
-        m = rng.getrandbits(graph.edge_count)
-        if all((m & fm).bit_count() & 1 for fm in fmasks):
-            hits += 1
-    return hits, n_samples
 
 
 def well_dashed_class_ids(graph: Chromotopology, faces: Sequence[Face] | None = None) -> dict[int, int]:

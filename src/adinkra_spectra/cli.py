@@ -74,7 +74,6 @@ class PipelineConfig:
 
     subcommand: str
     tolerance: float = 1e-9
-    seed: int | None = None
     out: str | None = None
     params: dict = field(default_factory=dict)
 
@@ -155,19 +154,12 @@ def cmd_origami(config: PipelineConfig) -> None:
     if p["embeddings"]:
         code = _parse_code(p["n"], p["code"])
         graph = build_quotient(p["n"], code)
-        mode = p["mode"]
-        if mode == "sample" and config.seed is None:
-            raise ValueError("sampling requires an explicit --seed")
-        res = m_origami_embeddings(
-            graph, mode=mode, seed=config.seed, n_samples=p["samples"]
-        )
+        res = m_origami_embeddings(graph)
         payload = {
             "edge_count": res.n_edges,
             "embedding_count": str(res.count),  # exact big integer
-            "mode": res.mode,
+            "mode": "count",  # the only mode left; kept so the JSON is unchanged
         }
-        if res.embeddings is not None:
-            payload["embeddings"] = [str(m) for m in res.embeddings]
         _emit(config, payload)
         return
     obj = json.loads(Path(p["json"]).read_text())
@@ -334,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adinkra-spectra", exit_on_error=False)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--tolerance", type=float, default=1e-9)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -358,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--embeddings", action="store_true")
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--code", default="trivial")
-    s.add_argument("--mode", choices=["count", "enumerate", "sample"], default="count")
-    s.add_argument("--samples", type=int, default=10)
 
     s = sub.add_parser("product", exit_on_error=False)
     s.add_argument("kind", choices=["cartesian", "fibered"])
@@ -408,7 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, extra = parser.parse_known_args(argv)
+        if extra:  # parse_args would exit with plain-text usage instead
+            raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(extra)}")
     except argparse.ArgumentError as exc:
         sys.stderr.write(_dump({"error": "usage", "message": str(exc)}) + "\n")
         return 1
@@ -416,12 +407,11 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("subcommand", "tolerance", "seed", "out")}
+              if k not in ("subcommand", "tolerance", "out")}
     try:
         config = PipelineConfig(
             subcommand=ns.subcommand,
             tolerance=ns.tolerance,
-            seed=ns.seed,
             out=ns.out,
             params=params,
         )

@@ -136,17 +136,17 @@ def analyze_code(code: BinaryCode) -> CodeReport:
     return CodeReport(code.size, dict(dist), is_even, is_de)
 
 
-def enumerate_cosets(code: BinaryCode, max_length: int = MAX_ENUM_LENGTH) -> list[int]:
+def enumerate_cosets(code: BinaryCode) -> list[int]:
     """Representatives of the 2^(N-k) cosets of the code in GF(2)^N.
 
     Each representative is the lexicographically smallest coset member;
     the result is sorted.  Full-space enumeration is refused above
-    ``max_length``.
+    N = ``MAX_ENUM_LENGTH``.
     """
     n = code.length
-    if n > max_length:
+    if n > MAX_ENUM_LENGTH:
         raise ResourceBoundError(
-            f"coset enumeration needs 2^{n} words; bound is 2^{max_length}"
+            f"coset enumeration needs 2^{n} words; bound is 2^{MAX_ENUM_LENGTH}"
         )
     words = code.codewords()
     seen = bytearray(1 << n)

@@ -1,5 +1,6 @@
 """Origami (square-tiled surface) graphs: validation, monodromy, genus,
-and the doubled-edge embedding count for Adinkras.
+and the exact count 2^E of an Adinkra's embeddings in its doubled-edge
+M-origami curve.
 
 An origami graph is a finite directed multigraph with edges labeled x or y
 such that every vertex has exactly one outgoing and one incoming edge of
@@ -9,13 +10,11 @@ squares, up to simultaneous conjugation.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
 from . import perms
 from .adinkra import Chromotopology
-from .errors import ResourceBoundError
 from .perms import compose, cycle_lengths, inverse
 
 LabeledEdge = tuple[int, int, str]  # (tail, head, "x"|"y"); parallel edges allowed
@@ -208,47 +207,15 @@ class MOrigamiEmbeddings:
     """Embedding count of an Adinkra into its M-origami curve.
 
     The doubled graph replaces each edge by a pair of parallel edges; an
-    embedding picks one copy per edge (bitmask over edge indices), so the
-    count is exactly 2^#E as a big integer.
+    embedding picks one copy per edge, so the count is exactly 2^#E as a
+    big integer.
     """
 
     count: int
     n_edges: int
-    mode: str
-    embeddings: tuple[int, ...] | None = None
-    sample_seed: int | None = None
-
-    def selected_edges(self, graph: Chromotopology, mask: int) -> list[tuple[int, int, int, int]]:
-        """(u, v, color, copy) per edge for one embedding bitmask."""
-        return [
-            (u, v, c, mask >> e & 1) for e, (u, v, c) in enumerate(graph.edges)
-        ]
 
 
-def m_origami_embeddings(
-    graph: Chromotopology,
-    mode: str = "count",
-    limit: int = 1 << 16,
-    seed: int | None = None,
-    n_samples: int = 0,
-) -> MOrigamiEmbeddings:
-    """Count (and optionally list or sample) Adinkra embeddings in the
-    M-origami curve: one choice of each doubled parallel edge pair."""
-    n = graph.edge_count
-    count = 1 << n
-    if mode == "count":
-        return MOrigamiEmbeddings(count, n, mode)
-    if mode == "enumerate":
-        if count > limit:
-            raise ResourceBoundError(
-                f"2^{n} embeddings exceed the enumeration limit {limit}; "
-                "use mode='sample' with an explicit seed"
-            )
-        return MOrigamiEmbeddings(count, n, mode, tuple(range(count)))
-    if mode == "sample":
-        if seed is None:
-            raise ValueError("sampling requires an explicit seed")
-        rng = random.Random(seed)
-        picks = tuple(rng.getrandbits(n) for _ in range(n_samples))
-        return MOrigamiEmbeddings(count, n, mode, picks, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+def m_origami_embeddings(graph: Chromotopology) -> MOrigamiEmbeddings:
+    """Count the Adinkra embeddings in the M-origami curve: one choice of
+    each doubled parallel edge pair."""
+    return MOrigamiEmbeddings(1 << graph.edge_count, graph.edge_count)

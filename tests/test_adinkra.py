@@ -4,7 +4,6 @@ from adinkra_spectra.adinkra import (
     Chromotopology,
     Dashing,
     build_quotient,
-    count_well_dashed,
     count_well_dashed_exact,
     dashing_class,
     dashing_to_kasteleyn,
@@ -13,7 +12,6 @@ from adinkra_spectra.adinkra import (
     graph_from_json,
     graph_to_json,
     kasteleyn_parities,
-    sample_well_dashed,
     two_colored_four_cycles,
     validate_chromotopology,
     validate_ranking,
@@ -181,28 +179,25 @@ def test_well_dashed_square():
 
 def test_well_dashed_count_square():
     g = square()
-    assert count_well_dashed(g) == 8  # 2^(2^2 - 1)
-    assert count_well_dashed_exact(g) == 8
+    assert count_well_dashed_exact(g) == 8  # 2^(2^2 - 1)
 
 
 def test_well_dashed_count_three_cube():
     g = build_quotient(3, BinaryCode.trivial(3))
-    assert count_well_dashed(g) == 1 << (2 ** 3 - 1)
     assert count_well_dashed_exact(g) == 1 << (2 ** 3 - 1)
 
 
 def test_well_dashed_count_four_cube_exact_only():
+    # the listing gate counts masks, not dashings: the 4-cube has 2^32
+    # dashings but only 2^15 well-dashed masks; only the 5-cube, with 2^31
+    # masks, is left to the exact count
     g = build_quotient(4, BinaryCode.trivial(4))
-    with pytest.raises(ResourceBoundError):
-        well_dashed_masks(g)  # 2^32 dashings
-    assert count_well_dashed_exact(g) == 1 << (2 ** 4 - 1)
-
-
-def test_sampling_matches_exhaustive_rate():
-    g = a41()
-    hits, n = sample_well_dashed(g, seed=11, n_samples=4000)
-    rate = hits / n
-    assert abs(rate - 512 / 65536) < 0.01
+    masks = well_dashed_masks(g)
+    assert len(masks) == count_well_dashed_exact(g) == 1 << (2 ** 4 - 1)
+    g = build_quotient(5, BinaryCode.trivial(5))
+    with pytest.raises(ResourceBoundError, match="count_well_dashed_exact"):
+        well_dashed_masks(g)
+    assert count_well_dashed_exact(g) == 1 << (2 ** 5 - 1)
 
 
 def test_vertex_change_is_involution():
@@ -260,7 +255,7 @@ def test_well_dashed_classes_square_and_a41():
     assert len(well_dashed_class_ids(g, attach_faces(g).faces)) == 4  # genus 1
     # the strict all-pairs notion is finer on quotients: half the dashings
     assert len(well_dashed_class_ids(g)) == 2
-    assert count_well_dashed(g) == 256
+    assert count_well_dashed_exact(g) == 256
 
 
 def test_four_cube_counts_both_readings():

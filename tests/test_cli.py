@@ -86,8 +86,7 @@ def test_validation_error_exit_code(capsys):
 
 def test_resource_bound_exit_code(capsys):
     code, _out, err = run_capture(
-        capsys,
-        ["origami", "--embeddings", "--n", "4", "--code", "trivial", "--mode", "enumerate"],
+        capsys, ["geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "12"]
     )
     assert code == 2
     payload = json.loads(err)
@@ -103,20 +102,16 @@ def test_origami_embeddings_count(capsys):
     assert payload["embedding_count"] == str(1 << 16)
 
 
-def test_origami_sample_needs_seed(capsys):
-    code, _out, err = run_capture(
-        capsys,
-        ["origami", "--embeddings", "--n", "4", "--code", "1111", "--mode", "sample"],
-    )
+@pytest.mark.parametrize("argv", [
+    ["--seed", "7", "origami", "--embeddings", "--n", "4", "--code", "1111"],
+    ["origami", "--embeddings", "--n", "4", "--code", "1111", "--mode", "sample"],
+    ["origami", "--embeddings", "--n", "4", "--code", "1111", "--samples", "3"],
+])
+def test_retired_sampling_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
     assert code == 1
-    assert "seed" in json.loads(err)["message"]
-    code, out, _err = run_capture(
-        capsys,
-        ["--seed", "7", "origami", "--embeddings", "--n", "4", "--code", "1111",
-         "--mode", "sample", "--samples", "3"],
-    )
-    assert code == 0
-    assert len(json.loads(out)["embeddings"]) == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_origami_monodromy_json(capsys, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from adinkra_spectra.adinkra import (
     Dashing,
     build_quotient,
-    count_well_dashed,
     count_well_dashed_exact,
     dashing_class,
     two_colored_four_cycles,
@@ -126,7 +125,6 @@ def test_exact_count_matches_brute_force_on_small_graphs():
         for faces in (two_colored_four_cycles(g), attach_faces(g).faces):
             expected = brute_count(g.edge_count, faces)
             assert count_well_dashed_exact(g, faces) == expected
-            assert count_well_dashed(g, faces) == expected
 
 
 def test_well_dashed_masks_match_brute_force_listing():

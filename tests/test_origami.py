@@ -4,7 +4,6 @@ import pytest
 
 from adinkra_spectra.adinkra import build_quotient
 from adinkra_spectra.codes import BinaryCode
-from adinkra_spectra.errors import ResourceBoundError
 from adinkra_spectra.origami import (
     Monodromy,
     OrigamiGraph,
@@ -123,33 +122,6 @@ def test_embedding_count_is_big_integer():
     res = m_origami_embeddings(g)
     assert res.count == 1 << 96  # exceeds 64-bit
     assert res.count == 2 ** g.edge_count
-
-
-def test_embedding_enumeration_selects_one_copy_per_edge():
-    g = build_quotient(2, BinaryCode.trivial(2))
-    res = m_origami_embeddings(g, mode="enumerate")
-    assert len(res.embeddings) == 16
-    base = sorted((u, v, c) for u, v, c in g.edges)
-    for mask in res.embeddings:
-        chosen = res.selected_edges(g, mask)
-        assert sorted((u, v, c) for u, v, c, _copy in chosen) == base
-        assert all(copy in (0, 1) for *_e, copy in chosen)
-
-
-def test_embedding_enumeration_gated():
-    g = build_quotient(4, BinaryCode.trivial(4))
-    with pytest.raises(ResourceBoundError):
-        m_origami_embeddings(g, mode="enumerate", limit=1 << 10)
-
-
-def test_embedding_sampling_deterministic():
-    g = build_quotient(4, BinaryCode.from_strings(4, ["1111"]))
-    r1 = m_origami_embeddings(g, mode="sample", seed=42, n_samples=5)
-    r2 = m_origami_embeddings(g, mode="sample", seed=42, n_samples=5)
-    assert r1.embeddings == r2.embeddings
-    assert all(0 <= m < 2 ** 16 for m in r1.embeddings)
-    with pytest.raises(ValueError, match="seed"):
-        m_origami_embeddings(g, mode="sample", n_samples=3)
 
 
 def test_monodromy_json_round_trip_one_indexed():
