@@ -16,10 +16,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import add, eq, mul, not_, xor
 from typing import Hashable, Iterable, Sequence
 
-from .codes import BinaryCode, analyze_code, coordinate_mask, enumerate_cosets, format_word, weight
+import numpy as np
+
+from .codes import BinaryCode, _coset_table, analyze_code, format_word
 from .errors import ResourceBoundError
 from .gf2 import GF2System
 
@@ -65,7 +68,14 @@ class Chromotopology:
     def __post_init__(self):
         if len(self.bipartition) != len(self.vertices):
             raise ValueError("bipartition length mismatch")
-        for u, v, c in self.edges:
+        if not self.edges:
+            return
+        us, vs, cs = zip(*self.edges)
+        ends = us + vs
+        if (0 <= min(ends) and max(ends) < len(self.vertices)
+                and 1 <= min(cs) and max(cs) <= self.n_colors):
+            return
+        for u, v, c in self.edges:  # name the first offending edge
             if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
                 raise ValueError(f"edge ({u},{v}) references missing vertex")
             if not 1 <= c <= self.n_colors:
@@ -90,13 +100,16 @@ class Chromotopology:
         size = self.vertex_count * n
         other, edge, count = [-1] * size, [-1] * size, [0] * size
         edges = self.edges
-        for e in range(len(edges) - 1, -1, -1):  # backwards: the first edge is written last
-            u, v, c = edges[e]
-            i, j = u * n + c - 1, v * n + c - 1
-            other[i], edge[i] = v, e
+        # backwards: the first edge is written last
+        for e, (u, v, c) in zip(range(len(edges) - 1, -1, -1), reversed(edges)):
+            i = u * n + c - 1
+            j = v * n + c - 1
+            other[i] = v
+            edge[i] = e
             count[i] += 1
             if j != i:
-                other[j], edge[j] = u, e
+                other[j] = u
+                edge[j] = e
                 count[j] += 1
         return tuple(other), tuple(edge), tuple(count)
 
@@ -125,20 +138,16 @@ class Chromotopology:
 
     @cached_property
     def component_count(self) -> int:
-        """Connected components, by union-find over the edges."""
+        """Connected components, by union-find over the edges (path halving,
+        inlined: a call per find doubles the cost)."""
         parent = list(range(self.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v, _c in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(i) for i in range(self.vertex_count)})
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            parent[u] = v
+        return sum(map(eq, parent, range(self.vertex_count)))
 
     def is_connected(self) -> bool:
         return self.component_count <= 1
@@ -269,12 +278,7 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
     """
     if code.length != n:
         raise ValueError(f"code length {code.length} != n = {n}")
-    reps = enumerate_cosets(code)
-    coset = [0] * (1 << n)  # member -> index of its coset
-    words = code.codewords()
-    for i, r in enumerate(reps):
-        for c in words:
-            coset[r ^ c] = i
+    reps, units = _coset_table(code)
 
     warnings: list[str] = []
     report = analyze_code(code)
@@ -283,30 +287,35 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
     elif not report.is_doubly_even:
         warnings.append("code is even but not doubly-even: quotient admits no well-dashing")
 
-    # flipping a coordinate is an involution on cosets, so each edge is
-    # emitted once, from its lower end: (color, u, v) order by construction
-    edges = []
-    loops = []
-    for color in range(1, n + 1):
-        flip = coordinate_mask(n, color)
-        for i, r in enumerate(reps):
-            j = coset[r ^ flip]
-            if i <= j:
-                edges.append((i, j, color))
-                if i == j:
-                    loops.append((i, color))
-    warnings += [f"loop: color {color} fixes coset {format_word(reps[i], n)}"
-                 for i, color in sorted(loops)]
+    # color c joins coset i to i ^ units[c - 1], an involution, so each edge
+    # is emitted once, from its end without the top bit of the step (the one
+    # end of a loop): (color, u, v) order by construction.  The edges share
+    # one int object per coset, since the graph outlives this call.
+    cosets = list(range(len(reps)))
+    edges: list[Edge] = []
+    for color, step in enumerate(units, start=1):
+        top = 1 << step.bit_length() >> 1
+        lower = cosets
+        if top:
+            lower = [i for s in range(0, len(reps), 2 * top) for i in cosets[s:s + top]]
+        edges += zip(lower, map(cosets.__getitem__, map(xor, lower, repeat(step))), repeat(color))
 
-    pair_counts = Counter((u, v) for u, v, _c in edges if u != v)
-    for (u, v), cnt in sorted(pair_counts.items()):
-        if cnt > 1:
-            warnings.append(
-                f"parallel edges: {cnt} colors join {format_word(reps[u], n)} "
-                f"and {format_word(reps[v], n)}"
-            )
+    # a loop of color i needs e_i in the code, and two colors i, j joining
+    # the same pair need e_i + e_j: scan only for defects the weights allow
+    weights = report.weight_distribution
+    if 1 in weights:
+        warnings += [f"loop: color {color} fixes coset {format_word(reps[u], n)}"
+                     for u, color in sorted((u, c) for u, v, c in edges if u == v)]
+    if 2 in weights:
+        pair_counts = Counter((u, v) for u, v, _c in edges if u != v)
+        for (u, v), cnt in sorted(pair_counts.items()):
+            if cnt > 1:
+                warnings.append(
+                    f"parallel edges: {cnt} colors join {format_word(reps[u], n)} "
+                    f"and {format_word(reps[v], n)}"
+                )
 
-    bipartition = tuple(weight(r) & 1 for r in reps)
+    bipartition = tuple(r.bit_count() & 1 for r in reps)
     return Chromotopology(n, tuple(reps), tuple(edges), bipartition, tuple(warnings))
 
 
@@ -379,57 +388,89 @@ def two_colored_four_cycles(
     )
 
 
-def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
-    """Check the chromotopology axioms, reporting witnesses for failures."""
-    checks = []
+def _four_cycles_close(graph: Chromotopology) -> bool:
+    """Whether every 2-colored walk closes a 4-cycle, on a graph with one
+    edge in each (vertex, color) slot, no loops and no parallel edges.
 
-    loops = [(e, graph.edges[e]) for e in range(graph.edge_count) if graph.edges[e][0] == graph.edges[e][1]]
-    checks.append(AxiomCheck(
-        "simple: no loops", not loops,
-        "" if not loops else f"edge {loops[0][0]} loops at vertex {loops[0][1][0]}"))
-
-    pair_counts = Counter((u, v) for u, v, _c in graph.edges if u != v)
-    parallel = [(p, c) for p, c in sorted(pair_counts.items()) if c > 1]
-    checks.append(AxiomCheck(
-        "simple: no parallel edges", not parallel,
-        "" if not parallel else f"vertices {parallel[0][0]} joined by {parallel[0][1]} edges"))
-
-    degrees = [0] * graph.vertex_count
-    for u, v, _c in graph.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    bad_deg = [(i, d) for i, d in enumerate(degrees) if d != graph.n_colors]
-    checks.append(AxiomCheck(
-        f"{graph.n_colors}-regular", not bad_deg,
-        "" if not bad_deg else f"vertex {bad_deg[0][0]} has degree {bad_deg[0][1]}"))
-
-    cross = [(u, v) for u, v, _c in graph.edges
-             if graph.bipartition[u] == graph.bipartition[v]]
-    checks.append(AxiomCheck(
-        "bipartite: edges cross the bipartition", not cross,
-        "" if not cross else f"edge {cross[0]} joins same-class vertices"))
-
+    There color a is a fixed-point-free involution s_a of the vertices, and
+    the a-b-a-b walk from v returns to v iff s_a and s_b commute; s_a(v) !=
+    s_b(v) then keeps its four vertices distinct.  Gathers on the (V, N)
+    array of slot endpoints compose s_a with every s_b, b > a, at once.
+    """
     n = graph.n_colors
+    other = np.array(graph.slot_table[0], dtype=np.intp).reshape(graph.vertex_count, n)
+    for a in range(n - 1):
+        s_a, s_rest = other[:, a], other[:, a + 1:]
+        # bytes equality: a comparison ufunc would page in more of numpy
+        if s_rest[s_a].tobytes() != s_a[s_rest].tobytes():
+            return False
+    return True
+
+
+def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
+    """Check the chromotopology axioms, reporting witnesses for failures.
+
+    The per-edge checks compare the edge columns with ``map`` and look for
+    their first witness only on failure; the 4-cycle axiom is checked on
+    arrays and walked pair by pair only when it fails.
+    """
+    checks = []
+    n = graph.n_colors
+    us, vs, _cs = zip(*graph.edges) if graph.edges else ((), (), ())
+
+    is_loop = list(map(eq, us, vs))
+    loop = is_loop.index(True) if True in is_loop else None
+    checks.append(AxiomCheck(
+        "simple: no loops", loop is None,
+        "" if loop is None else f"edge {loop} loops at vertex {us[loop]}"))
+
+    # pairs as ints u * V + v for the set test, as tuples for the witness
+    keys = map(add, map(mul, us, repeat(graph.vertex_count)), vs)
+    parallel = None
+    if len(set(compress(keys, map(not_, is_loop)))) != len(us) - is_loop.count(True):
+        pairs = Counter(compress(zip(us, vs), map(not_, is_loop)))
+        parallel = min((p, c) for p, c in pairs.items() if c > 1)
+    checks.append(AxiomCheck(
+        "simple: no parallel edges", parallel is None,
+        "" if parallel is None else f"vertices {parallel[0]} joined by {parallel[1]} edges"))
+
     count = graph.slot_table[2]
-    bad = next((i for i, k in enumerate(count) if k != 1), None)
+    bad = None if count.count(1) == len(count) else next(i for i, k in enumerate(count) if k != 1)
+
+    # one loop-free edge in each of the N slots of every vertex is degree N
+    bad_deg = None
+    if bad is not None or loop is not None:
+        degrees = Counter(us)
+        degrees.update(vs)
+        bad_deg = next(((i, degrees[i]) for i in range(graph.vertex_count)
+                        if degrees[i] != n), None)
+    checks.append(AxiomCheck(
+        f"{n}-regular", bad_deg is None,
+        "" if bad_deg is None else f"vertex {bad_deg[0]} has degree {bad_deg[1]}"))
+
+    side = graph.bipartition.__getitem__
+    same = list(map(eq, map(side, us), map(side, vs)))
+    cross = same.index(True) if True in same else None
+    checks.append(AxiomCheck(
+        "bipartite: edges cross the bipartition", cross is None,
+        "" if cross is None else f"edge {(us[cross], vs[cross])} joins same-class vertices"))
+
     checks.append(AxiomCheck(
         "one edge of each color per vertex", bad is None,
         "" if bad is None else
         f"vertex {bad // n} has {count[bad]} edges of color {bad % n + 1}"))
 
     cycle_witness = ""
-    cycles_ok = True
-    if bad is None and not loops:
-        try:
-            for first, second in combinations(range(1, graph.n_colors + 1), 2):
+    if bad is not None or loop is not None:
+        cycle_witness = "skipped: per-color incidence ill-defined"
+    elif parallel is not None or not _four_cycles_close(graph):
+        try:  # the walker names the first color pair and start that fails
+            for first, second in combinations(range(1, n + 1), 2):
                 _walk_four_cycles(graph, first, second, range(graph.vertex_count))
         except ValueError as exc:
-            cycles_ok = False
             cycle_witness = str(exc)
-    else:
-        cycles_ok = False
-        cycle_witness = "skipped: per-color incidence ill-defined"
-    checks.append(AxiomCheck("2-colored subgraphs are unions of 4-cycles", cycles_ok, cycle_witness))
+    checks.append(AxiomCheck("2-colored subgraphs are unions of 4-cycles",
+                             not cycle_witness, cycle_witness))
 
     return ValidationReport(tuple(checks), graph.is_connected())
 

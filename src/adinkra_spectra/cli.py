@@ -31,6 +31,7 @@ from .embedding import (
 from .errors import ResourceBoundError
 from .hyperbolic import (
     length_spectrum,
+    spectrum_certificate,
     spectrum_from_csv,
     spectrum_to_csv,
     triangle_generators,
@@ -223,9 +224,22 @@ def cmd_geodesics(config: PipelineConfig) -> None:
 
 def cmd_action(config: PipelineConfig) -> None:
     p = config.params
-    classes = spectrum_from_csv(Path(p["spectrum"]).read_text()) if p["spectrum"] else []
+    classes, certificate = [], None
+    if p["spectrum"]:
+        text = Path(p["spectrum"]).read_text()
+        classes, certificate = spectrum_from_csv(text), spectrum_certificate(text)
     pair = make_test_pair(TEST_KINDS[p["test"]])
     lam = p["lam"]
+    # a bare CSV carries no certificate; non-positive or non-finite Lambda
+    # is refused by the action itself
+    if certificate and math.isfinite(lam) and lam > 0:
+        _l_max, below, _converged = certificate
+        need = pair.support_radius / lam
+        if below < need - 1e-12:
+            raise ValueError(
+                f"the action needs every geodesic up to length 1/Lambda = {need:g}, "
+                f"but the spectrum CSV is certified only below {below:g}"
+            )
     genus = p["genus"]
     if p["flavor"] == "laplace":
         res = laplace_action_conjugacy(genus, classes, pair, lam)
@@ -322,11 +336,26 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="adinkra-spectra", exit_on_error=False)
+def _global_options() -> argparse.ArgumentParser:
+    """The flags that go before the subcommand."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     parser.add_argument("--out", default=None)
+    return parser
+
+
+def _unknown_global_flags(argv: list[str]) -> list[str]:
+    """Unrecognised flags before the subcommand.  argparse reads the value
+    of such a flag (``--seed 7``) as the subcommand and names only that."""
+    scan = _global_options()
+    scan.add_argument("rest", nargs=argparse.REMAINDER)
+    return scan.parse_known_args(argv)[1]
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="adinkra-spectra", parents=[_global_options()],
+                                     exit_on_error=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("code", exit_on_error=False)
@@ -397,7 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        ns, extra = parser.parse_known_args(argv)
+        try:
+            ns, extra = parser.parse_known_args(argv)
+        except argparse.ArgumentError:
+            extra = _unknown_global_flags(argv)
+            if not extra:
+                raise
         if extra:  # parse_args would exit with plain-text usage instead
             raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(extra)}")
     except argparse.ArgumentError as exc:

@@ -136,24 +136,42 @@ def analyze_code(code: BinaryCode) -> CodeReport:
     return CodeReport(code.size, dict(dist), is_even, is_de)
 
 
-def enumerate_cosets(code: BinaryCode) -> list[int]:
-    """Representatives of the 2^(N-k) cosets of the code in GF(2)^N.
+def _coset_table(code: BinaryCode) -> tuple[list[int], list[int]]:
+    """(sorted coset representatives, coset index of each unit vector
+    e_1..e_N).
 
-    Each representative is the lexicographically smallest coset member;
-    the result is sorted.  Full-space enumeration is refused above
-    N = ``MAX_ENUM_LENGTH``.
+    The smallest member of a coset is its residue modulo the code's
+    echelon basis: the residue has every pivot bit clear, and adding a
+    nonzero codeword sets the codeword's leading pivot.  So the
+    representatives are the words with no pivot bit, listed ascending by
+    doubling over the free bits from the lowest, and a residue's coset
+    index is its free bits packed together.  The index is linear, so the
+    coset of ``rep ^ x`` has index ``i ^ index(x)``.  Refused above N =
+    ``MAX_ENUM_LENGTH``.
     """
     n = code.length
     if n > MAX_ENUM_LENGTH:
         raise ResourceBoundError(
             f"coset enumeration needs 2^{n} words; bound is 2^{MAX_ENUM_LENGTH}"
         )
-    words = code.codewords()
-    seen = bytearray(1 << n)
-    reps = []
-    for v in range(1 << n):
-        if not seen[v]:
-            reps.append(v)  # ascending scan: v is the coset minimum
-            for c in words:
-                seen[v ^ c] = 1
-    return reps
+    basis = GF2System(code.generators)
+    free = [1 << b for b in range(n) if b not in basis.pivots]
+    reps = [0]
+    for bit in free:
+        reps += [r | bit for r in reps]
+
+    def index(word: int) -> int:
+        return sum(1 << j for j, bit in enumerate(free) if word & bit)
+
+    units = [index(basis.reduce(coordinate_mask(n, i))) for i in range(1, n + 1)]
+    return reps, units
+
+
+def enumerate_cosets(code: BinaryCode) -> list[int]:
+    """Representatives of the 2^(N-k) cosets of the code in GF(2)^N.
+
+    Each representative is the lexicographically smallest coset member;
+    the result is sorted.  Enumeration is refused above
+    N = ``MAX_ENUM_LENGTH``.
+    """
+    return _coset_table(code)[0]

@@ -731,25 +731,54 @@ def trivial_character() -> SpinCharacter:
 
 
 def spectrum_to_csv(classes) -> str:
-    """CSV per the length-spectrum interface: one class per row."""
-    rows = ["length,trace,multiplicity,word,primitive_flag"]
-    items = classes.classes if isinstance(classes, SpectrumResult) else classes
-    for c in items:
+    """CSV per the length-spectrum interface: one class per row.
+
+    A ``SpectrumResult`` first gets a comment line
+    ``# l_max=...,certified_below=...,converged=true|false`` that
+    :func:`spectrum_certificate` reads back; a bare list of classes has no
+    certificate to write.
+    """
+    rows = []
+    if isinstance(classes, SpectrumResult):
+        rows.append(f"# l_max={classes.l_max!r},certified_below={classes.certified_below!r},"
+                    f"converged={str(classes.converged).lower()}")
+        classes = classes.classes
+    rows.append("length,trace,multiplicity,word,primitive_flag")
+    for c in classes:
         rows.append(
             f"{c.length!r},{c.trace!r},{c.multiplicity},{c.word},{int(c.primitive)}"
         )
     return "\n".join(rows) + "\n"
 
 
+def spectrum_certificate(text: str) -> tuple[float, float, bool] | None:
+    """(l_max, certified_below, converged) from the comment line that
+    :func:`spectrum_to_csv` writes for a ``SpectrumResult``, or None when
+    the CSV has none."""
+    line = next((l for l in text.splitlines() if l.startswith("# l_max=")), None)
+    if line is None:
+        return None
+    try:
+        fields = dict(f.split("=", 1) for f in line[2:].split(","))
+        l_max, below = float(fields["l_max"]), float(fields["certified_below"])
+        converged = {"true": True, "false": False}[fields["converged"]]
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"malformed spectrum certificate line: {line!r}") from exc
+    if not (math.isfinite(l_max) and math.isfinite(below)):
+        raise ValueError(f"spectrum certificate is not finite: {line!r}")
+    return l_max, below, converged
+
+
 def spectrum_from_csv(text: str) -> list[GeodesicClass]:
     """Primitive classes from ``spectrum_to_csv`` output.
 
-    The CSV does not carry the primitive length of a power, so a row with
-    primitive_flag 0 is refused rather than read with a wrong weight, as is
-    a row whose length or trace is not finite or whose length is not
-    positive.
+    Comment lines (``#``) are skipped; :func:`spectrum_certificate` reads
+    the certificate among them.  The CSV does not carry the primitive
+    length of a power, so a row with primitive_flag 0 is refused rather
+    than read with a wrong weight, as is a row whose length or trace is not
+    finite or whose length is not positive.
     """
-    lines = [l for l in text.strip().splitlines() if l]
+    lines = [l for l in text.strip().splitlines() if l and not l.startswith("#")]
     if not lines or not lines[0].startswith("length"):
         raise ValueError("missing length-spectrum CSV header")
     out = []

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from adinkra_spectra.adinkra import (
@@ -114,6 +116,20 @@ def test_slot_table_layout():
     assert edge == (0, 2, 1, 2, 0, 3, 1, 3)
     assert count == (1,) * 8
     assert [g.slot(v, c) for v in range(4) for c in (1, 2)] == list(zip(edge, other))
+
+
+@pytest.mark.parametrize("edges,message", [
+    (((0, 2, 1), (1, 4, 1)), "edge (1,4) references missing vertex"),
+    (((0, 2, 1), (-1, 3, 1)), "edge (-1,3) references missing vertex"),
+    (((0, 2, 1), (1, 3, 0)), "edge color 0 out of range 1..2"),
+    (((0, 2, 3), (1, 3, 1)), "edge color 3 out of range 1..2"),
+    # the first offending edge is named, whatever it breaks
+    (((0, 2, 1), (1, 3, 9), (5, 0, 1)), "edge color 9 out of range 1..2"),
+    (((0, 2, 1), (5, 0, 1), (1, 3, 9)), "edge (5,0) references missing vertex"),
+])
+def test_edges_out_of_range_are_refused(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Chromotopology(2, (0, 1, 2, 3), edges, (0, 1, 1, 0))
 
 
 @pytest.mark.parametrize("color", [0, 3, -1, 7])

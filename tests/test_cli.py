@@ -102,16 +102,28 @@ def test_origami_embeddings_count(capsys):
     assert payload["embedding_count"] == str(1 << 16)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--seed", "7", "origami", "--embeddings", "--n", "4", "--code", "1111"],
-    ["origami", "--embeddings", "--n", "4", "--code", "1111", "--mode", "sample"],
-    ["origami", "--embeddings", "--n", "4", "--code", "1111", "--samples", "3"],
+@pytest.mark.parametrize("argv,unknown", [
+    pytest.param(["--seed", "7", "origami", "--embeddings", "--n", "4", "--code", "1111"],
+                 "--seed", id="argv0"),
+    pytest.param(["origami", "--embeddings", "--n", "4", "--code", "1111", "--mode", "sample"],
+                 "--mode sample", id="argv1"),
+    pytest.param(["origami", "--embeddings", "--n", "4", "--code", "1111", "--samples", "3"],
+                 "--samples 3", id="argv2"),
+    pytest.param(["--tolerance", "1e-9", "--seed", "7", "origami", "--embeddings", "--n", "4"],
+                 "--seed", id="argv3"),
 ])
-def test_retired_sampling_flags_are_usage_errors(capsys, argv):
+def test_retired_sampling_flags_are_usage_errors(capsys, argv, unknown):
+    # a global flag's value is not read as the subcommand
     code, out, err = run_capture(capsys, argv)
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"] == "usage"
+    assert json.loads(err) == {"error": "usage", "message": f"unrecognized arguments: {unknown}"}
+
+
+def test_unknown_subcommand_is_named(capsys):
+    code, out, err = run_capture(capsys, ["nosuch", "--n", "3"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"].startswith("argument subcommand: invalid choice: 'nosuch'")
 
 
 def test_origami_monodromy_json(capsys, tmp_path):
@@ -157,8 +169,9 @@ def test_geodesics_csv(capsys, tmp_path):
     meta = json.loads(out)
     assert meta["converged"]
     text = out_path.read_text()
-    assert text.startswith("length,trace,multiplicity,word,primitive_flag")
-    assert len(text.strip().splitlines()) == 1 + meta["classes"]
+    assert text.startswith("# l_max=2.0,certified_below=2.0,converged=true\n"
+                           "length,trace,multiplicity,word,primitive_flag\n")
+    assert len(text.strip().splitlines()) == 2 + meta["classes"]
 
 
 def test_geodesics_meta_on_stderr_without_out(capsys, tmp_path):
@@ -188,6 +201,27 @@ def test_action_from_spectrum_csv(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["contributing_class_count"] >= 1  # the systole fits under 1/0.6
     assert payload["total"] == payload["identity_term"] + payload["geodesic_term"]
+
+
+@pytest.mark.parametrize("flavor", ["laplace", "dirac", "super"])
+def test_action_refuses_lambda_beyond_csv_certificate(capsys, tmp_path, flavor):
+    path = tmp_path / "spec.csv"
+    run_capture(capsys, ["--out", str(path), "geodesics", "--p", "5", "--q", "5", "--r", "2",
+                         "--lmax", "2.0"])
+    argv = ["action", flavor, "--genus", "2", "--spectrum", str(path), "--lam"]
+    code, out, err = run_capture(capsys, argv + ["0.2"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "the action needs every geodesic up to length 1/Lambda = 5, "
+                   "but the spectrum CSV is certified only below 2",
+    }
+    code, out, _err = run_capture(capsys, argv + ["0.5"])  # 1/Lambda = l_max
+    assert code == 0 and json.loads(out)["contributing_class_count"] >= 1
+    # a CSV without the certificate line is read as before
+    path.write_text(path.read_text().split("\n", 1)[1])
+    code, out, _err = run_capture(capsys, argv + ["0.2"])
+    assert code == 0 and math.isfinite(json.loads(out)["total"])
 
 
 @pytest.mark.parametrize("argv,message", [

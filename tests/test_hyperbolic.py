@@ -20,6 +20,7 @@ from adinkra_spectra.hyperbolic import (
     length_of_trace,
     length_spectrum,
     power_closure,
+    spectrum_certificate,
     spectrum_from_csv,
     spectrum_to_csv,
     triangle_generators,
@@ -296,6 +297,24 @@ def test_csv_round_trip(spectrum552):
     assert [(c.length, c.trace, c.multiplicity, c.word) for c in back] == [
         (c.length, c.trace, c.multiplicity, c.word) for c in spectrum552.classes
     ]
+    assert text.startswith(f"# l_max={spectrum552.l_max!r},")
+    assert spectrum_certificate(text) == (spectrum552.l_max, spectrum552.certified_below,
+                                          spectrum552.converged)
+    # a bare list of classes has no certificate to write
+    bare = spectrum_to_csv(spectrum552.classes)
+    assert bare == text.split("\n", 1)[1]
+    assert spectrum_certificate(bare) is None
+
+
+@pytest.mark.parametrize("line", ["# l_max=4.0,certified_below=4.0",
+                                  "# l_max=4.0,certified_below=x,converged=true",
+                                  "# l_max=4.0,certified_below=4.0,converged=maybe",
+                                  "# l_max=4.0,certified_below=nan,converged=true"])
+def test_csv_certificate_refuses_malformed_line(line):
+    text = f"{line}\nlength,trace,multiplicity,word,primitive_flag\n1.0,2.2,1,c,1\n"
+    assert len(spectrum_from_csv(text)) == 1
+    with pytest.raises(ValueError, match="certificate"):
+        spectrum_certificate(text)
 
 
 def test_csv_refuses_power_rows(delta552):
@@ -478,7 +497,7 @@ def test_merged_entry_ignores_length_noise(monkeypatch):
                         lambda records, tol: seen.append(records) or real(records, tol))
     spec = length_spectrum(triangle_generators(2, 5, 5), 4.0)
     (records,) = seen
-    expected = spectrum_to_csv(spec)
+    expected = spectrum_to_csv(spec.classes)
     reordered = False
     for sign in (1.0, -1.0):
         nudged = [(math.nextafter(l, sign * (-1) ** i * math.inf), t, w, p)

@@ -2,15 +2,19 @@
 versions.
 
 ``_frozen_build_quotient`` is a frozen copy of ``build_quotient`` from
-before the flat slot table: the neighbouring coset is the minimum of
-``x ^ c`` over the codewords, and edges are deduplicated in a dict and
-sorted.  ``_frozen_validate`` is a frozen copy of
-``validate_chromotopology`` on a per-vertex dict of per-color edge lists,
-walking 4-cycles through its own lookup.  The library must return the
-same vertices, edges in order, bipartition, warnings in order and
-validation JSON on seeded codes (odd, even and doubly-even, with weight-1
-and weight-2 rows), and the same witnesses and ``attach_faces`` errors on
-ingested graphs with a missing or a repeated color.
+before the flat slot table: the cosets come from a scan of all 2^N words,
+the neighbouring coset is the minimum of ``x ^ c`` over the codewords, and
+edges are deduplicated in a dict and sorted.  ``_frozen_validate`` is a
+frozen copy of ``validate_chromotopology`` on a per-vertex dict of
+per-color edge lists, walking 4-cycles through its own lookup and counting
+components by its own search.  The library must return the same cosets,
+vertices, edges in order, bipartition, warnings in order and validation
+JSON on seeded codes (odd, even and doubly-even, with weight-1 and weight-2
+rows), and the same witnesses and ``attach_faces`` errors on ingested
+graphs with a missing or a repeated color.  Swapping the far ends of two
+same-color edges keeps one edge per (vertex, color) slot but can break the
+4-cycles, which the library checks on arrays before it walks: the
+validation JSON must still equal the frozen walk's, witness included.
 """
 
 import random
@@ -18,6 +22,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinkra_spectra.adinkra import (
     FERMION,
@@ -41,8 +47,19 @@ from adinkra_spectra.codes import (
 from adinkra_spectra.embedding import attach_faces
 
 
+def _frozen_cosets(code: BinaryCode) -> list[int]:
+    seen = bytearray(1 << code.length)
+    reps = []
+    for v in range(1 << code.length):
+        if not seen[v]:
+            reps.append(v)  # ascending scan: v is the coset minimum
+            for c in code.codewords():
+                seen[v ^ c] = 1
+    return reps
+
+
 def _frozen_build_quotient(n: int, code: BinaryCode) -> Chromotopology:
-    reps = enumerate_cosets(code)
+    reps = _frozen_cosets(code)
     index = {r: i for i, r in enumerate(reps)}
     words = code.codewords()
 
@@ -179,7 +196,27 @@ def _frozen_validate(graph: Chromotopology) -> ValidationReport:
         cycle_witness = "skipped: per-color incidence ill-defined"
     checks.append(AxiomCheck("2-colored subgraphs are unions of 4-cycles", cycles_ok, cycle_witness))
 
-    return ValidationReport(tuple(checks), graph.is_connected())
+    return ValidationReport(tuple(checks), _frozen_components(graph, incidence) <= 1)
+
+
+def _frozen_components(graph: Chromotopology, incidence) -> int:
+    """Connected components by breadth-first search over the incidence."""
+    seen = [False] * graph.vertex_count
+    components = 0
+    for start in range(graph.vertex_count):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = True
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for slots in incidence[x].values():
+                for _e, y in slots:
+                    if not seen[y]:
+                        seen[y] = True
+                        queue.append(y)
+    return components
 
 
 def _frozen_face_walk_error(graph: Chromotopology) -> str | None:
@@ -259,6 +296,7 @@ def test_seeded_codes_cover_the_defects():
 def test_quotient_and_validation_match_frozen(code):
     graph = build_quotient(code.length, code)
     expected = _frozen_build_quotient(code.length, code)
+    assert enumerate_cosets(code) == list(expected.vertices)
     assert graph.vertices == expected.vertices
     assert graph.edges == expected.edges
     assert graph.bipartition == expected.bipartition
@@ -298,3 +336,99 @@ def test_ingested_color_defects_match_frozen(mutate, witness):
     with pytest.raises(ValueError) as err:
         attach_faces(graph)
     assert str(err.value) == expected
+
+
+def _swap_far_ends(obj: dict, first: int, second: int) -> None:
+    """Swap the v ends of edges ``first`` and ``second`` (same color)."""
+    a, b = obj["edges"][first], obj["edges"][second]
+    assert a["color"] == b["color"]
+    a["v"], b["v"] = b["v"], a["v"]
+
+
+def _swapped(n: int, rows: list[str], swaps) -> Chromotopology:
+    code = BinaryCode.from_strings(n, rows) if rows else BinaryCode.trivial(n)
+    obj = graph_to_json(build_quotient(n, code))
+    for first, second in swaps:
+        _swap_far_ends(obj, first, second)
+    return graph_from_json(obj)[0]
+
+
+def _passed(report: ValidationReport) -> dict[str, bool]:
+    return {c.name: c.passed for c in report.checks}
+
+
+# edges 0..V/2-1 have color 1, from their lower end
+@pytest.mark.parametrize("n,rows,swaps", [
+    (4, [], [(0, 1)]),
+    (4, [], [(0, 3)]),
+    (5, ["11110"], [(0, 1)]),
+    (5, ["11110"], [(2, 5), (0, 7)]),
+    (6, ["111100"], [(3, 4)]),
+    (8, ["11110000", "00111100"], [(0, 9)]),
+])
+def test_swapped_far_ends_match_frozen(n, rows, swaps):
+    graph = _swapped(n, rows, swaps)
+    report = validate_chromotopology(graph)
+    assert report.to_json() == _frozen_validate(graph).to_json()
+    passed = _passed(report)
+    assert passed["one edge of each color per vertex"] and passed["simple: no loops"]
+    assert not passed["2-colored subgraphs are unions of 4-cycles"]
+
+
+def test_swaps_reach_the_array_check():
+    # a swap of two color-1 edges whose lower ends lie on one side keeps the
+    # graph simple, bipartite and one edge per slot: only the 4-cycle check
+    # can fail, and it does
+    obj = graph_to_json(build_quotient(5, BinaryCode.from_strings(5, ["11110"])))
+    side = obj["bipartition"]
+    first, second = next(
+        (a, b) for a, b in combinations(range(len(obj["edges"])), 2)
+        if obj["edges"][a]["color"] == obj["edges"][b]["color"] == 1
+        and side[obj["edges"][a]["u"]] == side[obj["edges"][b]["u"]])
+    _swap_far_ends(obj, first, second)
+    graph = graph_from_json(obj)[0]
+    report = validate_chromotopology(graph)
+    assert report.to_json() == _frozen_validate(graph).to_json()
+    assert [c.name for c in report.failures()] == ["2-colored subgraphs are unions of 4-cycles"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_swaps_match_frozen(data):
+    n = data.draw(st.integers(4, 7), label="n")
+    head, tail = "1111" + "0" * (n - 4), "0" * (n - 4) + "1111"
+    rows = data.draw(st.sampled_from([[], [head], [head, tail]] if n > 4 else [[], [head]]),
+                     label="rows")
+    obj = graph_to_json(build_quotient(n, BinaryCode.from_strings(n, rows)))
+    edges = obj["edges"]
+    for _ in range(data.draw(st.integers(1, 3), label="swaps")):
+        color = data.draw(st.integers(1, n), label="color")
+        same = [e for e, edge in enumerate(edges) if edge["color"] == color]
+        first, second = data.draw(st.lists(st.sampled_from(same), min_size=2, max_size=2,
+                                           unique=True), label="edges")
+        _swap_far_ends(obj, first, second)
+    graph = graph_from_json(obj)[0]
+    assert validate_chromotopology(graph).to_json() == _frozen_validate(graph).to_json()
+
+
+def _disjoint_union(*graphs: Chromotopology) -> Chromotopology:
+    vertices, edges, side, offset = [], [], [], 0
+    for g in graphs:
+        vertices += [(offset, label) for label in g.vertices]
+        edges += [(u + offset, v + offset, c) for u, v, c in g.edges]
+        side += g.bipartition
+        offset += g.vertex_count
+    return Chromotopology(graphs[0].n_colors, tuple(vertices), tuple(edges), tuple(side))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_component_count_matches_frozen(parts):
+    code = BinaryCode.from_strings(5, ["11110"])
+    graph = _disjoint_union(*[build_quotient(5, code)] * parts)
+    assert graph.component_count == _frozen_components(graph, _incidence(graph)) == parts
+    # reversed edges meet the union-find in another order
+    flipped = Chromotopology(5, graph.vertices, tuple((v, u, c) for u, v, c in graph.edges[::-1]),
+                             graph.bipartition)
+    assert flipped.component_count == parts
+    isolated = Chromotopology(5, graph.vertices + ("x",), graph.edges, graph.bipartition + (0,))
+    assert isolated.component_count == parts + 1
