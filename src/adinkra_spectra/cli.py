@@ -31,7 +31,6 @@ from .embedding import (
 from .errors import ResourceBoundError
 from .hyperbolic import (
     length_spectrum,
-    spectrum_certificate,
     spectrum_from_csv,
     spectrum_to_csv,
     triangle_generators,
@@ -212,7 +211,7 @@ def cmd_geodesics(config: PipelineConfig) -> None:
         "certified_below": spec.certified_below,
         "depth": spec.depth,
         "elements": spec.element_count,
-        "classes": len(spec.classes),
+        "classes": len(spec.merged()),
     }
     if config.out:
         Path(config.out).write_text(text)
@@ -224,22 +223,9 @@ def cmd_geodesics(config: PipelineConfig) -> None:
 
 def cmd_action(config: PipelineConfig) -> None:
     p = config.params
-    classes, certificate = [], None
-    if p["spectrum"]:
-        text = Path(p["spectrum"]).read_text()
-        classes, certificate = spectrum_from_csv(text), spectrum_certificate(text)
+    classes = spectrum_from_csv(Path(p["spectrum"]).read_text()) if p["spectrum"] else []
     pair = make_test_pair(TEST_KINDS[p["test"]])
     lam = p["lam"]
-    # a bare CSV carries no certificate; non-positive or non-finite Lambda
-    # is refused by the action itself
-    if certificate and math.isfinite(lam) and lam > 0:
-        _l_max, below, _converged = certificate
-        need = pair.support_radius / lam
-        if below < need - 1e-12:
-            raise ValueError(
-                f"the action needs every geodesic up to length 1/Lambda = {need:g}, "
-                f"but the spectrum CSV is certified only below {below:g}"
-            )
     genus = p["genus"]
     if p["flavor"] == "laplace":
         res = laplace_action_conjugacy(genus, classes, pair, lam)

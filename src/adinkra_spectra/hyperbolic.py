@@ -25,14 +25,26 @@ whose key the ball already holds are skipped by dict lookups run in C;
 only the others execute Python code, in (frontier, letter) order.
 Selecting S and forming the conjugates for the union-find are batched the
 same way.  The public API takes and returns numpy arrays.
+
+Spectra.  A ``SpectrumResult`` lists one ``GeodesicClass`` per primitive
+conjugacy class, each with its own word and trace, and carries the length
+below which that list is certified complete.  Classes of equal length are
+merged only in the ``merged`` view, which is what the CSV holds; a CSV
+with its certificate line reads back as a ``SpectrumResult``.  Closing
+under powers and lifting to a cover keep the certificate, so the actions
+refuse a cutoff beyond it whatever produced the spectrum.  The lift
+refuses a merged entry: equal-length classes can act on the cosets with
+different cycle types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import compress, count, product
 from operator import not_
+from typing import Sequence
 
 import numpy as np
 
@@ -213,7 +225,13 @@ def _cells(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GeodesicClass:
-    """Primitive-power conjugacy class data for the trace formula."""
+    """Conjugacy class data for the trace formula: trace, length, the
+    length of its primitive root and a representative word.
+
+    ``multiplicity`` counts classes that share these data: the cycles of
+    one length in a lifted class, or the classes of an entry merged at
+    equal length (``SpectrumResult.merged``) and read back from CSV.
+    """
 
     trace: float
     length: float
@@ -233,19 +251,33 @@ class GeodesicClass:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Primitive length spectrum with completeness diagnostics."""
+    """A length spectrum with its certificate: every class of length below
+    ``certified_below`` is listed, unless ``converged`` is false.
+
+    ``length_spectrum`` lists one entry per primitive class; ``merged``
+    is the view that joins equal lengths within ``dedupe_tol``, as
+    ``spectrum_to_csv`` writes it.  The ball's diagnostics (``depth`` to
+    ``near_parabolic_count``) are 0 for a spectrum read from CSV.
+    """
 
     classes: tuple[GeodesicClass, ...]
     l_max: float
     certified_below: float
     converged: bool
-    depth: int
-    element_count: int
-    elliptic_count: int
-    near_parabolic_count: int
+    depth: int = 0
+    element_count: int = 0
+    elliptic_count: int = 0
+    near_parabolic_count: int = 0
+    dedupe_tol: float = 0.0
 
     def __iter__(self):
         return iter(self.classes)
+
+    def __len__(self):
+        return len(self.classes)
+
+    def merged(self) -> tuple[GeodesicClass, ...]:
+        return _merge_equal_lengths(self.classes, self.dedupe_tol)
 
 
 def length_of_trace(t: float) -> float:
@@ -498,7 +530,7 @@ def _records(classes: _Classes, l_max: float) -> list[tuple[float, float, str, b
 
 
 def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9) -> SpectrumResult:
-    """Primitive geodesic classes with length <= l_max, with multiplicity.
+    """Primitive geodesic classes with length <= l_max, one entry each.
 
     Every class of length l <= l_max has a member h whose axis meets the
     kite D at some y.  Each tile g D that the axis crosses from y to h y
@@ -508,10 +540,11 @@ def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9
     axis, so the union-find components are exactly the classes, and the
     result is always converged and certified below l_max.
 
-    Classes at equal length within ``dedupe_tol`` are merged into one entry
-    with their count as multiplicity; powers, elliptic and near-parabolic
-    elements are excluded, the latter two counted.  ``depth`` is the number
-    of breadth-first rounds and ``element_count`` the ball's size.  A ball
+    Each class is stored with multiplicity 1 and its own word and trace,
+    sorted by (length, trace, word); ``dedupe_tol`` is recorded for the
+    ``merged`` view.  Powers, elliptic and near-parabolic elements are
+    excluded, the latter two counted.  ``depth`` is the number of
+    breadth-first rounds and ``element_count`` the ball's size.  A ball
     estimated at more than BALL_BUDGET elements raises ResourceBoundError
     before anything is grown.
     """
@@ -520,48 +553,50 @@ def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9
     if not (math.isfinite(dedupe_tol) and dedupe_tol >= 0):
         raise ValueError(f"dedupe_tol must be non-negative and finite, got {dedupe_tol}")
     classes = _classify(group, l_max)
-    return SpectrumResult(_merge_equal_lengths(_records(classes, l_max), dedupe_tol), l_max,
-                          l_max, True, classes.depth, len(classes.elements),
-                          classes.elliptic, classes.near_parabolic)
+    per_class = tuple(GeodesicClass(t, length, length, 1, word, True)
+                      for length, t, word, primitive in sorted(_records(classes, l_max))
+                      if primitive)
+    return SpectrumResult(per_class, l_max, l_max, True, classes.depth, len(classes.elements),
+                          classes.elliptic, classes.near_parabolic, dedupe_tol)
 
 
 def _merge_equal_lengths(
-    records: list[tuple[float, float, str, bool]], dedupe_tol: float
+    classes: tuple[GeodesicClass, ...], dedupe_tol: float
 ) -> tuple[GeodesicClass, ...]:
     """One entry per run of primitive classes whose lengths lie within
-    ``dedupe_tol`` of the run's shortest, the run's size its multiplicity.
+    ``dedupe_tol`` of the run's shortest, with the run's multiplicities
+    summed; a power is its own entry.
 
-    The entry takes the word that is least by (len(word), word) over the
-    run, and that class's trace, with the length recomputed from it.  The
-    lengths passed in only order and group the classes, so ulp noise in
-    them cannot pick another word, trace or length.
+    The entry is the run's class whose word is least by (len(word),
+    word), and a class's length is a function of its trace, so ulp noise
+    in the lengths, which only orders and groups the classes, cannot pick
+    another word, trace or length.
     """
-    runs: list[list[tuple[float, float, str]]] = []
-    for length, trace, word, primitive in sorted(records):
-        if not primitive:
-            continue
-        if runs and length - runs[-1][0][0] <= dedupe_tol:
-            runs[-1].append((length, trace, word))
+    runs: list[list[GeodesicClass]] = []
+    for c in sorted(classes, key=lambda c: c.length):
+        if (runs and c.primitive and runs[-1][0].primitive
+                and c.length - runs[-1][0].length <= dedupe_tol):
+            runs[-1].append(c)
         else:
-            runs.append([(length, trace, word)])
-    merged = []
-    for run in runs:
-        _l, t, w = min(run, key=lambda r: (len(r[2]), r[2]))
-        length = length_of_trace(t)
-        merged.append(GeodesicClass(t, length, length, len(run), w, True))
-    return tuple(merged)
+            runs.append([c])
+    return tuple(replace(min(run, key=lambda c: (len(c.word), c.word)),
+                         multiplicity=sum(c.multiplicity for c in run))
+                 for run in runs)
 
 
-def power_closure(classes: list[GeodesicClass] | tuple[GeodesicClass, ...], l_max: float) -> list[GeodesicClass]:
+def power_closure(
+    spectrum: SpectrumResult | Sequence[GeodesicClass], l_max: float
+) -> SpectrumResult | list[GeodesicClass]:
     """Close a primitive spectrum under powers up to length l_max.
 
     The k-th power of a primitive class of length l has length k*l, trace
     2*cosh(k*l/2), and inherits the primitive length and multiplicity.  A
     length that is not positive and finite is refused: no power of it could
-    be placed below l_max.
+    be placed below l_max.  A ``SpectrumResult`` gives one whose l_max and
+    certificate are capped at l_max; a sequence gives a list.
     """
     out: list[GeodesicClass] = []
-    for cls in classes:
+    for cls in spectrum:
         if not cls.primitive:
             raise ValueError("power_closure expects primitive classes")
         if not (math.isfinite(cls.length) and cls.length > 0):
@@ -582,6 +617,9 @@ def power_closure(classes: list[GeodesicClass] | tuple[GeodesicClass, ...], l_ma
             )
             k += 1
     out.sort(key=lambda c: c.length)
+    if isinstance(spectrum, SpectrumResult):
+        return replace(spectrum, classes=tuple(out), l_max=min(spectrum.l_max, l_max),
+                       certified_below=min(spectrum.certified_below, l_max))
     return out
 
 
@@ -647,42 +685,36 @@ class CosetAction:
 
 
 def cover_length_spectrum(
-    base: list[GeodesicClass] | tuple[GeodesicClass, ...] | SpectrumResult,
-    action: CosetAction,
-    group: TriangleGroup,
-) -> list[GeodesicClass]:
-    """Lift a primitive base spectrum of ``group`` to the degree-d cover
-    given by a coset action: each cycle of length c of the class's
-    permutation image contributes one primitive class upstairs of length
-    c * l.  An action that breaks a relation of ``group`` is refused first
-    (``CosetAction.check_relations``).
+    base: SpectrumResult, action: CosetAction, group: TriangleGroup
+) -> SpectrumResult:
+    """Lift a per-class primitive spectrum of ``group`` to the degree-d
+    cover given by a coset action: each cycle of length c of a class's
+    permutation image is one primitive class upstairs of length c * l.
+    Cycles of one length are one entry, their count its multiplicity.
 
-    An entry with multiplicity > 1 (equal-length classes merged by
-    ``length_spectrum``) is lifted through its representative word; when
-    inequivalent equal-length classes could act with different cycle
-    types, supply them as separate entries instead.
+    An action that breaks a relation of ``group`` is refused first
+    (``CosetAction.check_relations``), then an entry that is a power or has
+    multiplicity > 1: classes merged at equal length can act with
+    different cycle types.  The result keeps the base's certificate, which
+    holds upstairs: a lifted class of length <= L covers a base class of
+    length <= L.
     """
     action.check_relations(group)
-    classes = base.classes if isinstance(base, SpectrumResult) else base
     out: list[GeodesicClass] = []
-    for cls in classes:
-        sigma = action.word_permutation(cls.word)
-        counts: dict[int, int] = {}
-        for c in cycle_lengths(sigma):
-            counts[c] = counts.get(c, 0) + 1
-        for c, cnt in sorted(counts.items()):
-            out.append(
-                GeodesicClass(
-                    2.0 * math.cosh(c * cls.length / 2.0),
-                    c * cls.length,
-                    c * cls.length,
-                    cls.multiplicity * cnt,
-                    f"{cls.word}|cycle{c}",
-                    True,
-                )
+    for cls in base:
+        if cls.multiplicity != 1 or not cls.primitive:
+            raise ValueError(
+                f"entry {cls.word!r} (multiplicity {cls.multiplicity}, primitive "
+                f"{cls.primitive}) is not one primitive class; lift the per-class "
+                "spectrum that length_spectrum returns"
             )
+        counts = Counter(cycle_lengths(action.word_permutation(cls.word)))
+        for c, cnt in sorted(counts.items()):
+            length = c * cls.length
+            out.append(GeodesicClass(2.0 * math.cosh(length / 2.0), length, length, cnt,
+                                     f"{cls.word}|cycle{c}", True))
     out.sort(key=lambda c: c.length)
-    return out
+    return replace(base, classes=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -730,53 +762,28 @@ def trivial_character() -> SpinCharacter:
     return SpinCharacter({"a": 1.0 + 0j, "b": 1.0 + 0j, "c": 1.0 + 0j}, central_sign=1)
 
 
-def spectrum_to_csv(classes) -> str:
-    """CSV per the length-spectrum interface: one class per row.
-
-    A ``SpectrumResult`` first gets a comment line
-    ``# l_max=...,certified_below=...,converged=true|false`` that
-    :func:`spectrum_certificate` reads back; a bare list of classes has no
-    certificate to write.
-    """
-    rows = []
-    if isinstance(classes, SpectrumResult):
-        rows.append(f"# l_max={classes.l_max!r},certified_below={classes.certified_below!r},"
-                    f"converged={str(classes.converged).lower()}")
-        classes = classes.classes
-    rows.append("length,trace,multiplicity,word,primitive_flag")
-    for c in classes:
-        rows.append(
-            f"{c.length!r},{c.trace!r},{c.multiplicity},{c.word},{int(c.primitive)}"
-        )
+def spectrum_to_csv(spectrum: SpectrumResult) -> str:
+    """CSV per the length-spectrum interface: the comment line
+    ``# l_max=...,certified_below=...,converged=true|false``, then one row
+    per entry of the ``merged`` view."""
+    rows = [f"# l_max={spectrum.l_max!r},certified_below={spectrum.certified_below!r},"
+            f"converged={str(spectrum.converged).lower()}",
+            "length,trace,multiplicity,word,primitive_flag"]
+    for c in spectrum.merged():
+        rows.append(f"{c.length!r},{c.trace!r},{c.multiplicity},{c.word},{int(c.primitive)}")
     return "\n".join(rows) + "\n"
 
 
-def spectrum_certificate(text: str) -> tuple[float, float, bool] | None:
-    """(l_max, certified_below, converged) from the comment line that
-    :func:`spectrum_to_csv` writes for a ``SpectrumResult``, or None when
-    the CSV has none."""
-    line = next((l for l in text.splitlines() if l.startswith("# l_max=")), None)
-    if line is None:
-        return None
-    try:
-        fields = dict(f.split("=", 1) for f in line[2:].split(","))
-        l_max, below = float(fields["l_max"]), float(fields["certified_below"])
-        converged = {"true": True, "false": False}[fields["converged"]]
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"malformed spectrum certificate line: {line!r}") from exc
-    if not (math.isfinite(l_max) and math.isfinite(below)):
-        raise ValueError(f"spectrum certificate is not finite: {line!r}")
-    return l_max, below, converged
+def spectrum_from_csv(text: str) -> SpectrumResult | list[GeodesicClass]:
+    """The spectrum that ``spectrum_to_csv`` wrote: a ``SpectrumResult``
+    carrying the certificate of its ``# l_max=`` line, or, for a CSV
+    without that line, a bare list of classes.
 
-
-def spectrum_from_csv(text: str) -> list[GeodesicClass]:
-    """Primitive classes from ``spectrum_to_csv`` output.
-
-    Comment lines (``#``) are skipped; :func:`spectrum_certificate` reads
-    the certificate among them.  The CSV does not carry the primitive
-    length of a power, so a row with primitive_flag 0 is refused rather
-    than read with a wrong weight, as is a row whose length or trace is not
-    finite or whose length is not positive.
+    Other comment lines (``#``) are skipped.  A malformed or non-finite
+    certificate is refused.  The CSV does not carry the primitive length of
+    a power, so a row with primitive_flag 0 is refused rather than read
+    with a wrong weight, as is a row whose length or trace is not finite or
+    whose length is not positive.
     """
     lines = [l for l in text.strip().splitlines() if l and not l.startswith("#")]
     if not lines or not lines[0].startswith("length"):
@@ -799,4 +806,15 @@ def spectrum_from_csv(text: str) -> list[GeodesicClass]:
                 "need a finite trace and a positive, finite length"
             )
         out.append(GeodesicClass(trace, length, length, int(mult_s), word, True))
-    return out
+    line = next((l for l in text.splitlines() if l.startswith("# l_max=")), None)
+    if line is None:
+        return out
+    try:
+        cert = dict(f.split("=", 1) for f in line[2:].split(","))
+        l_max, below = float(cert["l_max"]), float(cert["certified_below"])
+        converged = {"true": True, "false": False}[cert["converged"]]
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"malformed spectrum certificate line: {line!r}") from exc
+    if not (math.isfinite(l_max) and math.isfinite(below)):
+        raise ValueError(f"spectrum certificate is not finite: {line!r}")
+    return SpectrumResult(tuple(out), l_max, below, converged)

@@ -162,46 +162,6 @@ def origami_from_monodromy(m: Monodromy) -> OrigamiGraph:
     return OrigamiGraph(m.degree, tuple(edges))
 
 
-def _bfs_relabel(m: Monodromy, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    order = {start: 0}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        for j in (m.sigma_x[i], m.sigma_y[i]):
-            if j not in order:
-                order[j] = len(order)
-                queue.append(j)
-    relabel = [0] * m.degree
-    inv = [0] * m.degree
-    for old, new in order.items():
-        relabel[old] = new
-        inv[new] = old
-    sx = tuple(relabel[m.sigma_x[inv[i]]] for i in range(m.degree))
-    sy = tuple(relabel[m.sigma_y[inv[i]]] for i in range(m.degree))
-    return sx, sy
-
-
-def canonical_monodromy(m: Monodromy) -> Monodromy:
-    """Conjugation-canonical form: BFS relabeling (x before y), minimized
-    over the choice of start square.
-
-    A single fixed start is not conjugation invariant (conjugation moves
-    it), so the lexicographically smallest relabeled pair over all starts
-    is taken; two transitive origamis are equivalent iff their canonical
-    forms are equal.
-    """
-    if not is_transitive(m):
-        raise ValueError("monodromy is not transitive")
-    best = min(_bfs_relabel(m, start) for start in range(m.degree))
-    return Monodromy(*best)
-
-
-def origamis_equivalent(m1: Monodromy, m2: Monodromy) -> bool:
-    if m1.degree != m2.degree:
-        return False
-    return canonical_monodromy(m1) == canonical_monodromy(m2)
-
-
 @dataclass(frozen=True)
 class MOrigamiEmbeddings:
     """Embedding count of an Adinkra into its M-origami curve.

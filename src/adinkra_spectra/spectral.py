@@ -323,19 +323,27 @@ def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> co
     return complex(np.sum(half * w * (f_pos * tanh - f_neg * tanh)))
 
 
-def _coerce_spectrum(spectrum, need_below: float):
-    if isinstance(spectrum, SpectrumResult):
-        if not spectrum.converged or spectrum.certified_below < min(need_below, spectrum.l_max):
-            raise ValueError(
-                "spectrum is flagged possibly incomplete below the cutoff "
-                f"1/Lambda = {need_below:g}; refusing to drop geodesic terms"
-            )
-        if spectrum.l_max < need_below - 1e-12:
-            raise ValueError(
-                f"spectrum only reaches length {spectrum.l_max}, need {need_below:g}"
-            )
-        return spectrum.classes
-    return tuple(spectrum)
+def _coerce_spectrum(spectrum, need_below: float) -> tuple[GeodesicClass, ...]:
+    """The classes of ``spectrum``, once its certificate covers every
+    geodesic up to ``need_below``.
+
+    This is the one check of Lambda against a certificate, for every
+    ``SpectrumResult``: computed, read from CSV, lifted or closed under
+    powers.  A bare sequence carries no certificate and is taken as is.
+    """
+    if not isinstance(spectrum, SpectrumResult):
+        return tuple(spectrum)
+    if not spectrum.converged:
+        raise ValueError(
+            "spectrum is flagged possibly incomplete (converged false); "
+            "refusing to drop geodesic terms"
+        )
+    if spectrum.certified_below < need_below - 1e-12:
+        raise ValueError(
+            f"the action needs every geodesic up to length 1/Lambda = {need_below:g}, "
+            f"but the spectrum is certified only below {spectrum.certified_below:g}"
+        )
+    return spectrum.classes
 
 
 def _power_sum(
@@ -505,71 +513,3 @@ def super_action(
     return _result(float(identity_c.real), geodesic, count, lam,
                    imag_residual=imag_residual, flagged=bool(imag_residual > imag_tol))
 
-
-@dataclass(frozen=True)
-class ZetaTestFunction:
-    """Lorentzian-difference test function tied to the Selberg zeta data.
-
-    f(lam) = (lam^2 + (s - 1/2)^2)^-1 - (lam^2 + (sigma - 1/2)^2)^-1 and
-    its analytic inverse transform h(t) = e^{-a|t|}/(2a) - e^{-b|t|}/(2b)
-    with a = s - 1/2, b = sigma - 1/2.  Not compactly supported: the
-    effective support radius is where h decays below 1e-18.
-    """
-
-    s: complex
-    sigma: complex
-
-    def __post_init__(self):
-        if self.s.real <= 1.0 or self.sigma.real <= 1.0:
-            raise ValueError("need Re(s) > 1 and Re(sigma) > 1")
-
-    @property
-    def decay_rates(self) -> tuple[complex, complex]:
-        return self.s - 0.5, self.sigma - 0.5
-
-    def f(self, lam_value):
-        a, b = self.decay_rates
-        v = np.asarray(lam_value, dtype=complex)
-        out = 1.0 / (v ** 2 + a ** 2) - 1.0 / (v ** 2 + b ** 2)
-        return out if np.ndim(lam_value) else complex(out)
-
-    def h(self, t):
-        a, b = self.decay_rates
-        tt = np.abs(np.asarray(t, dtype=float))
-        out = np.exp(-a * tt) / (2.0 * a) - np.exp(-b * tt) / (2.0 * b)
-        return out if np.ndim(t) else complex(out)
-
-    @property
-    def support_radius(self) -> float:
-        rate = min(self.decay_rates[0].real, self.decay_rates[1].real)
-        return 42.0 / rate
-
-
-def zeta_test_function(s: complex, sigma: complex) -> ZetaTestFunction:
-    """The trace-formula test function whose geodesic side assembles the
-    logarithmic derivative of the Selberg zeta function at s minus sigma."""
-    return ZetaTestFunction(complex(s), complex(sigma))
-
-
-def selberg_zeta_log_product(
-    primitive_classes: Sequence[GeodesicClass],
-    s: complex,
-    chi: Sequence[complex] | None = None,
-    ell_max: int = 60,
-) -> complex:
-    """log of the truncated Selberg zeta product over supplied classes.
-
-    NOTE: the product is evaluated with the convergent sign convention
-    (1 - chi(P) e^{-L_P (s + ell)}); the printed positive exponent
-    diverges and is documented as a recorded sign question.  Truncated in
-    both the class list and ell; intended for experiments, not claims of
-    completeness.
-    """
-    if chi is None:
-        chi = [1.0 + 0j] * len(primitive_classes)
-    out = 0.0 + 0.0j
-    for c, chi_p in zip(primitive_classes, chi):
-        l_p = c.length
-        for ell in range(ell_max):
-            out += c.multiplicity * np.log1p(-chi_p * np.exp(-l_p * (s + ell)))
-    return complex(out)

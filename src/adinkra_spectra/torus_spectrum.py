@@ -1,7 +1,7 @@
 """Period-matrix eigenvalue families for branched covers of elliptic
-curves (origami curves): cover condition, primitive-differential
-coefficients, solution sets, and the lattice-sum spectral action with a
-Poisson-summation cross-check.
+curves (origami curves): primitive-differential coefficients, solution
+sets, and the lattice-sum spectral action with a Poisson-summation
+cross-check.
 
 Conventions fixed here (validated by the flat-torus gate at genus 1):
 the coefficient vector of the primitive differential is
@@ -66,50 +66,6 @@ class PeriodData:
             [[complex(re, im) for re, im in row] for row in obj["omega"]], dtype=complex
         )
         return cls(om, tuple(int(x) for x in obj["n"]), tuple(int(x) for x in obj["m"]))
-
-
-@dataclass(frozen=True)
-class CoverConditionResult:
-    """Ratio matrix N with v_i = N_ij v_j, or a structural failure."""
-
-    ok: bool
-    matrix: np.ndarray | None = field(compare=False, default=None)
-    residual: float = math.inf
-    v: np.ndarray | None = field(compare=False, default=None)
-    reason: str = ""
-
-
-def _deficiency(pd: PeriodData, n=None, m=None) -> np.ndarray:
-    """v_i = m_i - sum_k Omega_ik n_k (the cover-condition vector)."""
-    nv = np.asarray(n if n is not None else pd.n, dtype=float)
-    mv = np.asarray(m if m is not None else pd.m, dtype=float)
-    return mv - pd.omega @ nv
-
-
-def check_cover_condition(pd: PeriodData, tol: float = 1e-9) -> CoverConditionResult:
-    """Ratio matrix N_ij = v_i / v_j with multiplicative consistency.
-
-    Fails structurally when some v_j vanishes while another component
-    does not (the ratio system has no solution); at genus 1 the matrix
-    is always [[1]].
-    """
-    v = _deficiency(pd)
-    zero = np.abs(v) < 1e-14
-    if zero.any():
-        if zero.all():
-            return CoverConditionResult(False, None, math.inf, v, "v = 0")
-        return CoverConditionResult(
-            False, None, math.inf, v,
-            f"v_{int(np.argmax(zero))} = 0 while v has nonzero components",
-        )
-    matrix = v[:, None] / v[None, :]
-    g = pd.genus
-    residual = 0.0
-    for i in range(g):
-        for j in range(g):
-            for k in range(g):
-                residual = max(residual, abs(matrix[i, j] * matrix[j, k] - matrix[i, k]))
-    return CoverConditionResult(residual < tol, matrix, residual, v)
 
 
 def primitive_coefficients(pd: PeriodData, n=None, m=None) -> tuple[np.ndarray, float]:

@@ -388,18 +388,6 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     return FredholmResult(complex(functools.reduce(operator.mul, dets)), radius, singular, size)
 
 
-def fredholm_ratio(
-    numerator: TransferMatrix | np.ndarray,
-    denominator: TransferMatrix | np.ndarray,
-) -> complex:
-    """det(1 - L_s) / det(1 - K_s) for a supplied operator pair."""
-    num = fredholm_det(numerator)
-    den = fredholm_det(denominator)
-    if den.value == 0:
-        raise ZeroDivisionError("denominator determinant vanishes")
-    return num.value / den.value
-
-
 def neville_extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Polynomial extrapolation to x = 0 (Richardson in the truncation size)."""
     n = len(xs)

@@ -270,9 +270,9 @@ def test_criterion_10_triangle_group_spectrum():
     spec = length_spectrum(group, 4.0)
     assert spec.converged and spec.certified_below == 4.0
     # the l_max-5 ball is larger; below 4.0 it must find the same classes
-    longer = [c for c in length_spectrum(group, 5.0).classes if c.length <= 4.0]
-    assert [c.multiplicity for c in spec.classes] == [c.multiplicity for c in longer]
-    for c, d in zip(spec.classes, longer):
+    longer = [c for c in length_spectrum(group, 5.0).merged() if c.length <= 4.0]
+    assert [c.multiplicity for c in spec.merged()] == [c.multiplicity for c in longer]
+    for c, d in zip(spec.merged(), longer):
         assert abs(c.length - d.length) <= 1e-12
     for c in spec.classes:
         assert c.trace > 2.0 + 1e-9
@@ -281,7 +281,7 @@ def test_criterion_10_triangle_group_spectrum():
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     report(10, "triangle-group spectrum",
-           f"{len(spec.classes)} classes below 4.0, ball of {spec.element_count} "
+           f"{len(spec)} classes below 4.0, ball of {spec.element_count} "
            f"in {spec.depth} rounds, "
            f"{elapsed:.1f}s")
 

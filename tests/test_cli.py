@@ -214,7 +214,7 @@ def test_action_refuses_lambda_beyond_csv_certificate(capsys, tmp_path, flavor):
     assert json.loads(err) == {
         "error": "ValueError",
         "message": "the action needs every geodesic up to length 1/Lambda = 5, "
-                   "but the spectrum CSV is certified only below 2",
+                   "but the spectrum is certified only below 2",
     }
     code, out, _err = run_capture(capsys, argv + ["0.5"])  # 1/Lambda = l_max
     assert code == 0 and json.loads(out)["contributing_class_count"] >= 1

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,13 @@ from adinkra_spectra.perms import compose, cycle_lengths
 from adinkra_spectra.hyperbolic import (
     CosetAction,
     GeodesicClass,
+    SpectrumResult,
     SpinCharacter,
     character_value,
     cover_length_spectrum,
     length_of_trace,
     length_spectrum,
     power_closure,
-    spectrum_certificate,
     spectrum_from_csv,
     spectrum_to_csv,
     triangle_generators,
@@ -137,7 +138,7 @@ def test_inversion_closure(delta552, spectrum552):
 
 def test_amphichiral_class_exists(delta552, spectrum552):
     # ABc is conjugate to its inverse by c: odd multiplicity is genuine
-    mults = {round(c.length, 6): c.multiplicity for c in spectrum552.classes}
+    mults = {round(c.length, 6): c.multiplicity for c in spectrum552.merged()}
     assert mults[round(2.122550124, 6)] == 1
 
 
@@ -181,7 +182,7 @@ def test_identity_image_gives_d_copies(delta552, spectrum552):
         else:
             assert up.multiplicity == base.multiplicity
             assert up.length == pytest.approx(5 * base.length, rel=1e-12)
-    assert trivial == 2  # ABc and AABac
+    assert trivial == 3  # ABc, and AABac and AbAbb at one length
 
 
 def test_cover_cycle_lengths_sum_to_degree(delta552, spectrum552):
@@ -292,18 +293,19 @@ def test_character_relation_defects(delta552):
 
 
 def test_csv_round_trip(spectrum552):
+    # the CSV holds the merged view and the certificate
     text = spectrum_to_csv(spectrum552)
     back = spectrum_from_csv(text)
-    assert [(c.length, c.trace, c.multiplicity, c.word) for c in back] == [
-        (c.length, c.trace, c.multiplicity, c.word) for c in spectrum552.classes
-    ]
+    rows = [(c.length, c.trace, c.multiplicity, c.word) for c in spectrum552.merged()]
+    assert [(c.length, c.trace, c.multiplicity, c.word) for c in back] == rows
+    assert len(rows) < len(spectrum552)
     assert text.startswith(f"# l_max={spectrum552.l_max!r},")
-    assert spectrum_certificate(text) == (spectrum552.l_max, spectrum552.certified_below,
-                                          spectrum552.converged)
-    # a bare list of classes has no certificate to write
-    bare = spectrum_to_csv(spectrum552.classes)
-    assert bare == text.split("\n", 1)[1]
-    assert spectrum_certificate(bare) is None
+    assert (back.l_max, back.certified_below, back.converged) == (
+        spectrum552.l_max, spectrum552.certified_below, spectrum552.converged)
+    assert spectrum_to_csv(back) == text
+    # without the certificate line the CSV reads as a bare list
+    bare = spectrum_from_csv(text.split("\n", 1)[1])
+    assert isinstance(bare, list) and bare == list(back)
 
 
 @pytest.mark.parametrize("line", ["# l_max=4.0,certified_below=4.0",
@@ -312,18 +314,25 @@ def test_csv_round_trip(spectrum552):
                                   "# l_max=4.0,certified_below=nan,converged=true"])
 def test_csv_certificate_refuses_malformed_line(line):
     text = f"{line}\nlength,trace,multiplicity,word,primitive_flag\n1.0,2.2,1,c,1\n"
-    assert len(spectrum_from_csv(text)) == 1
+    assert len(spectrum_from_csv(text.split("\n", 1)[1])) == 1
     with pytest.raises(ValueError, match="certificate"):
-        spectrum_certificate(text)
+        spectrum_from_csv(text)
 
 
 def test_csv_refuses_power_rows(delta552):
     # the CSV has no primitive-length column: reading a power row back with
     # L_P = length would silently change its trace-formula weight
     spec = length_spectrum(delta552, 5.0)
-    closed = power_closure(spec.classes, 5.0)
+    closed = power_closure(spec, 5.0)
     assert not all(c.primitive for c in closed)
     with pytest.raises(ValueError, match=r"CSV row \d+ .* not primitive"):
+        spectrum_from_csv(spectrum_to_csv(closed))
+    # a power as long as a primitive class keeps its own row in the merged view
+    w, v = (GeodesicClass(2 * math.cosh(l / 2), l, l, 1, word, True)
+            for l, word in ((1.0, "w"), (2.0, "v")))
+    closed = power_closure(SpectrumResult((w, v), 2.0, 2.0, True), 2.0)
+    assert [(c.word, c.multiplicity) for c in closed.merged()] == [("w", 1), ("w^2", 1), ("v", 1)]
+    with pytest.raises(ValueError, match=r"CSV row 2 \(w\^2\) is not primitive"):
         spectrum_from_csv(spectrum_to_csv(closed))
 
 
@@ -486,22 +495,17 @@ def test_shortest_237_class_has_the_klein_trace():
     assert shortest.multiplicity == 1
 
 
-def test_merged_entry_ignores_length_noise(monkeypatch):
+def test_merged_entry_ignores_length_noise():
     # equal-length classes tie up to ulps in length; which one sorts first
-    # must not pick the merged entry's word, trace or length
-    from adinkra_spectra import hyperbolic
-
-    seen = []
-    real = hyperbolic._merge_equal_lengths
-    monkeypatch.setattr(hyperbolic, "_merge_equal_lengths",
-                        lambda records, tol: seen.append(records) or real(records, tol))
+    # must not pick the merged entry's word or trace
     spec = length_spectrum(triangle_generators(2, 5, 5), 4.0)
-    (records,) = seen
-    expected = spectrum_to_csv(spec.classes)
+    expected = [(c.word, c.trace, c.multiplicity) for c in spec.merged()]
     reordered = False
     for sign in (1.0, -1.0):
-        nudged = [(math.nextafter(l, sign * (-1) ** i * math.inf), t, w, p)
-                  for i, (l, t, w, p) in enumerate(records)]
-        reordered |= [r[2] for r in sorted(nudged)] != [r[2] for r in sorted(records)]
-        assert spectrum_to_csv(real(nudged, 1e-9)) == expected
+        nudged = [replace(c, length=math.nextafter(c.length, sign * (-1) ** i * math.inf))
+                  for i, c in enumerate(spec.classes)]
+        merged = hyperbolic._merge_equal_lengths(tuple(nudged), 1e-9)
+        reordered |= ([c.word for c in sorted(nudged, key=lambda c: c.length)]
+                      != [c.word for c in spec.classes])
+        assert [(c.word, c.trace, c.multiplicity) for c in merged] == expected
     assert reordered

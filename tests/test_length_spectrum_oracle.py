@@ -233,7 +233,7 @@ CASES = [(order, 4.0) for order in ORDERS] + [((5, 5, 2), 3.2), ((5, 5, 2), 5.0)
 
 
 def _merged(spec):
-    return [(c.length, c.multiplicity) for c in spec.classes]
+    return [(c.length, c.multiplicity) for c in spec.merged()]
 
 
 def _assert_same_merged(got, ref):
@@ -245,9 +245,13 @@ def _assert_same_merged(got, ref):
 @pytest.mark.parametrize("order,l_max", CASES)
 def test_length_spectrum_matches_per_depth_oracle(order, l_max):
     group = triangle_generators(*order)
-    _per_class, oracle_merged, oracle_counts = oracle_spectrum(group, l_max)
+    per_class, oracle_merged, oracle_counts = oracle_spectrum(group, l_max)
     assert oracle_counts[-1]  # the oracle converged
-    _assert_same_merged(_merged(length_spectrum(group, l_max)), oracle_merged)
+    spec = length_spectrum(group, l_max)
+    _assert_same_merged(_merged(spec), oracle_merged)
+    # one entry per primitive class, each with multiplicity 1
+    _assert_same_merged([(c.length, c.multiplicity) for c in spec],
+                        sorted((l, 1) for l, primitive in per_class.values() if primitive))
 
 
 # -- frozen descent loop ----------------------------------------------------

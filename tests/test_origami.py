@@ -7,14 +7,12 @@ from adinkra_spectra.codes import BinaryCode
 from adinkra_spectra.origami import (
     Monodromy,
     OrigamiGraph,
-    canonical_monodromy,
     commutator,
     genus_from_monodromy,
     is_transitive,
     m_origami_embeddings,
     monodromy,
     origami_from_monodromy,
-    origamis_equivalent,
     validate_origami_graph,
 )
 
@@ -65,24 +63,6 @@ def test_graph_monodromy_round_trip():
     m = Monodromy((1, 2, 0), (0, 2, 1))
     m2, _g = monodromy(origami_from_monodromy(m))
     assert m2 == m
-
-
-def test_canonical_form_is_conjugation_invariant():
-    rng = random.Random(3)
-    base = Monodromy((1, 2, 3, 0), (0, 3, 1, 2))
-    assert is_transitive(base)
-    for _ in range(10):
-        perm = list(range(4))
-        rng.shuffle(perm)
-        inv = [0] * 4
-        for i, p in enumerate(perm):
-            inv[p] = i
-        conj = Monodromy(
-            tuple(perm[base.sigma_x[inv[i]]] for i in range(4)),
-            tuple(perm[base.sigma_y[inv[i]]] for i in range(4)),
-        )
-        assert origamis_equivalent(base, conj)
-    assert canonical_monodromy(base) == canonical_monodromy(canonical_monodromy(base))
 
 
 def test_genus_at_least_one_iff_commutator():

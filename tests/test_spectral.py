@@ -12,10 +12,8 @@ from adinkra_spectra.spectral import (
     laplace_action_conjugacy,
     laplace_action_geodesic,
     make_test_pair,
-    selberg_zeta_log_product,
     super_action,
     supertrace_g,
-    zeta_test_function,
 )
 
 
@@ -384,40 +382,6 @@ def test_identity_scaling_consistency():
     r1 = laplace_action_geodesic(2, [], pair, 2.0)
     assert r1.geodesic_term == 0.0
     assert r1.identity_term == pytest.approx(4.0 * _identity_tanh(pair, 2.0), rel=1e-14)
-
-
-def test_zeta_test_function_values():
-    z = zeta_test_function(1.5, 2.5)
-    assert z.f(0.0) == pytest.approx((1.5 - 0.5) ** -2 - (2.5 - 0.5) ** -2)
-    same = zeta_test_function(2.0, 2.0)
-    grid = np.linspace(-3, 3, 11)
-    assert np.max(np.abs(same.f(grid))) == 0.0
-
-
-def test_zeta_h_closed_form_s_three_halves():
-    z = zeta_test_function(1.5, 2.5)
-    for t in (0.0, 0.3, 1.2, -0.7):
-        expected = 0.5 * math.exp(-abs(t)) - math.exp(-2 * abs(t)) / 4.0
-        assert complex(z.h(t)).real == pytest.approx(expected, abs=1e-14)
-
-
-def test_zeta_h_against_numerical_inverse_transform():
-    z = zeta_test_function(1.5, 2.2)
-    for t in (0.2, 1.0):
-        val = quad(lambda lam: (z.f(lam) * np.cos(t * lam)).real, 0, np.inf, limit=400)[0] / np.pi
-        assert complex(z.h(t)).real == pytest.approx(val, abs=1e-8)
-
-
-def test_zeta_domain_validation():
-    with pytest.raises(ValueError):
-        zeta_test_function(0.9, 2.0)
-
-
-def test_selberg_zeta_log_product_converges():
-    prims = [synthetic_class(1.5), synthetic_class(2.2)]
-    v1 = selberg_zeta_log_product(prims, 2.0, ell_max=40)
-    v2 = selberg_zeta_log_product(prims, 2.0, ell_max=80)
-    assert abs(v1 - v2) < 1e-12  # convergent sign convention
 
 
 def test_action_result_json():

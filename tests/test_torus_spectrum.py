@@ -5,7 +5,6 @@ import pytest
 
 from adinkra_spectra.torus_spectrum import (
     PeriodData,
-    check_cover_condition,
     direct_theta_sum,
     dual_theta_sum,
     gaussian,
@@ -28,38 +27,6 @@ def test_period_validation():
         PeriodData(np.array([[-1j]]), (0,), (1,))
     with pytest.raises(ValueError, match="nonzero"):
         PeriodData(np.array([[1j]]), (0,), (0,))
-
-
-def test_cover_condition_genus_one():
-    res = check_cover_condition(pd_square())
-    assert res.ok
-    assert res.matrix.shape == (1, 1)
-    assert res.matrix[0, 0] == pytest.approx(1.0)
-    assert res.residual < 1e-15
-
-
-def test_cover_condition_genus_two_consistent():
-    pd = PeriodData(np.diag([1j, 1j]), (-1, -1), (0, 0))
-    res = check_cover_condition(pd)
-    assert res.ok
-    assert np.allclose(res.matrix, np.ones((2, 2)))
-    assert np.allclose(res.v, [1j, 1j])
-
-
-def test_cover_condition_ratio_consistency():
-    pd = PeriodData(np.diag([1j, 2j]), (-1, -1), (0, 0))
-    res = check_cover_condition(pd)  # v = (i, 2i)
-    assert res.ok
-    assert res.matrix[0, 1] == pytest.approx(0.5)
-    assert res.matrix[1, 0] == pytest.approx(2.0)
-    assert res.residual < 1e-12
-
-
-def test_cover_condition_structural_failure():
-    pd = PeriodData(np.diag([1j, 1j]), (0, 0), (1, 0))
-    res = check_cover_condition(pd)  # v = (1, 0)
-    assert not res.ok
-    assert "v_1" in res.reason
 
 
 def test_coefficients_flat_torus():

@@ -10,7 +10,6 @@ from adinkra_spectra.transfer import (
     build_transfer_matrix,
     extend_to_coset,
     fredholm_det,
-    fredholm_ratio,
     gauss_branch_system,
     gauss_leading_pair,
     neville_extrapolate,
@@ -211,12 +210,6 @@ def test_fredholm_node_doubling_stability_beta2():
     d1 = fredholm_det(build_transfer_matrix(sys, 2.0, 32))
     d2 = fredholm_det(build_transfer_matrix(sys, 2.0, 64))
     assert abs(math.log(abs(d1.value)) - math.log(abs(d2.value))) < 1e-7
-
-
-def test_fredholm_ratio():
-    a = np.diag([0.5, 0.25])
-    b = np.diag([0.5])
-    assert fredholm_ratio(a, b) == pytest.approx((0.5 * 0.75) / 0.5, rel=1e-12)
 
 
 def test_neville_extrapolation_exact_on_polynomials():
