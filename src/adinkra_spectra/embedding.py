@@ -16,22 +16,27 @@ fermion and once from its smaller boson.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+
+import numpy as np
 
 from .adinkra import (
     FERMION,
+    INDEX,
     Adinkra,
     Chromotopology,
     Dashing,
     Face,
     Ranking,
+    _faces,
+    _int_objects,
     _walk_four_cycles,
     default_ranking,
 )
+from .hyperbolic import CosetAction
 from .origami import OrigamiGraph
+from .perms import component_labels
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,10 @@ class SurfaceData:
 
     ``euler_genus`` is the total genus (sum over connected components,
     i.e. components - chi/2); ``dessin_degree`` is #E(A), the degree of
-    the Belyi map whose dessin the graph is.
+    the Belyi map whose dessin the graph is.  ``edge_sides`` holds, per
+    edge index, the (face index, boundary position) of each of its two
+    sides as a (E, 4) array ``(fa, ja, fb, jb)`` with fa < fb; it is None
+    for N < 2, where no 2-cell attaches.
     """
 
     graph: Chromotopology
@@ -50,20 +58,11 @@ class SurfaceData:
     euler_genus: int
     signature: tuple[int, int, int]
     dessin_degree: int
+    edge_sides: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-    @cached_property
-    def edge_sides(self) -> tuple[tuple[int, ...], ...]:
-        """Per edge index, the (face index, boundary position) of each side,
-        flat: ``(fa, ja, fb, jb)`` on a closed surface."""
-        sides: list[tuple[int, ...]] = [()] * len(self.graph.edges)
-        for fi, f in enumerate(self.faces):
-            for j, e in enumerate(f.edge_indices):
-                sides[e] += (fi, j)
-        return tuple(sides)
 
     def to_json(self) -> dict:
         return {
@@ -130,33 +129,53 @@ def attach_faces(graph: Chromotopology) -> SurfaceData:
         # a single edge (or vertex) embeds in the sphere; no 4-cycles exist
         return SurfaceData(graph, (), 2 * components, components, 0, (n, n, 2),
                            graph.edge_count)
-    side = graph.bipartition
-    for e, (u, v, _c) in enumerate(graph.edges):
-        if side[u] == side[v]:
-            raise ValueError(f"edge {e} {graph.edges[e]} does not cross the bipartition")
-    fermions = [v for v in range(graph.vertex_count) if side[v] == FERMION]
-    walks = [((i, i % n + 1), fermions) for i in range(1, n + 1)]
+    side = np.array(graph.bipartition, dtype=np.intp)
+    ends = graph.edge_array
+    same = np.flatnonzero(side[ends[:, 0]] == side[ends[:, 1]])
+    if same.size:
+        e = int(same[0])
+        raise ValueError(f"edge {e} {graph.edges[e]} does not cross the bipartition")
+    fermions = np.flatnonzero(side == FERMION)
+    walks = [([(i, i % n + 1) for i in range(1, n + 1)], fermions)]
     if n == 2:
-        bosons = [v for v in range(graph.vertex_count) if side[v] != FERMION]
-        walks = [((1, 2), fermions), ((1, 2), bosons)]
-    faces = sorted(
-        (Face(quad, edges, pair)
-         for pair, starts in walks
-         for quad, edges in _walk_four_cycles(graph, *pair, starts)),
-        key=lambda f: (f.colors, f.vertices),
-    )
+        walks = [([(1, 2)], fermions), ([(1, 2)], np.flatnonzero(side != FERMION))]
+    pairs, ids, quads, edges = [], [], [], []
+    for walk_pairs, starts in walks:
+        pair, quad, edge = _walk_four_cycles(graph, walk_pairs, starts)
+        ids.append(pair + len(pairs))
+        pairs += walk_pairs
+        quads.append(quad)
+        edges.append(edge)
+    ids, quads, edges = np.concatenate(ids), np.concatenate(quads), np.concatenate(edges)
+    # by colors, then by first vertex (distinct within a color pair)
+    colors = np.array(pairs, dtype=np.intp)[ids]
+    order = np.lexsort((quads[:, 0], colors[:, 1], colors[:, 0]))
+    quads, edges = quads[order], edges[order]
+    faces = _faces(graph, quads, edges, map(pairs.__getitem__, ids[order].tolist()))
     chi = graph.vertex_count - graph.edge_count + len(faces)
     genus2 = 2 * components - chi
-    surface = SurfaceData(graph, tuple(faces), chi, components, genus2 // 2,
-                          (n, n, 2), graph.edge_count)
-    for e, sides in enumerate(surface.edge_sides):
-        if len(sides) != 4:
-            raise ValueError(
-                f"not a closed surface: edge {e} {graph.edges[e]} lies on {len(sides) // 2} faces"
-            )
+    surface = SurfaceData(graph, faces, chi, components, genus2 // 2,
+                          (n, n, 2), graph.edge_count, _edge_sides(graph, edges))
     if genus2 % 2:
         raise ValueError(f"odd 2-2g count: chi={chi}, components={components}")
     return surface
+
+
+def _edge_sides(graph: Chromotopology, face_edges: np.ndarray) -> np.ndarray:
+    """``SurfaceData.edge_sides`` from the (F, 4) edge indices of the faces:
+    one stable argsort, read as 4 * face + position.  Raises ValueError
+    naming the first edge that does not lie on exactly two faces."""
+    at = face_edges.ravel()
+    count = np.bincount(at, minlength=graph.edge_count)
+    wrong = np.flatnonzero(count != 2)
+    if wrong.size:
+        e = int(wrong[0])
+        raise ValueError(
+            f"not a closed surface: edge {e} {graph.edges[e]} lies on {count[e]} faces"
+        )
+    sides = np.argsort(at, kind="stable").reshape(-1, 2)
+    return np.stack((sides[:, 0] >> 2, sides[:, 0] % 4, sides[:, 1] >> 2, sides[:, 1] % 4),
+                    axis=1).astype(INDEX)
 
 
 def triangulation_stats(surface: SurfaceData) -> TriangulationStats:
@@ -176,9 +195,20 @@ def triangulation_stats(surface: SurfaceData) -> TriangulationStats:
     return TriangulationStats(2 * d, d, hyper, tri, total)
 
 
+def _face_incidence(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(edge index, other side) per face and boundary position, as (F, 4)
+    arrays; a side is ``4 * face + position``."""
+    ends = np.concatenate((sides[:, 0] * 4 + sides[:, 1], sides[:, 2] * 4 + sides[:, 3]))
+    edge_at = np.empty(len(ends), dtype=np.intp)
+    across = np.empty(len(ends), dtype=np.intp)
+    edge_at[ends] = np.tile(np.arange(len(sides)), 2)
+    across[ends] = np.roll(ends, len(sides))
+    return edge_at.reshape(-1, 4), across.reshape(-1, 4)
+
+
 def _frame_orientation(
-    faces: tuple[Face, ...], sides: tuple[tuple[int, ...], ...]
-) -> dict[int, tuple[int, int]] | None:
+    graph: Chromotopology, sides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Directions per primal edge via parallel transport of a square frame.
 
     Each face gets a frame r in 0..3 marking which boundary position is its
@@ -187,67 +217,77 @@ def _frame_orientation(
     bottom; a consistent assignment exists iff the flat holonomy is trivial
     (N = 0 mod 4 and every codeword meeting the odd colors an even number
     of times), and then the dual origami is the square-tiled surface itself.
-    ``sides`` is ``SurfaceData.edge_sides``.  Returns primal edge ->
-    (tail face, head face), or None when obstructed.
+    Frames spread breadth-first from the lowest unframed face, one array
+    step per ring of faces; every crossing is then checked at once, so the
+    result does not depend on the order of the spread.  ``sides`` is
+    ``SurfaceData.edge_sides``.  Returns (tail face, head face) per primal
+    edge, or None when obstructed.
     """
-    frame: dict[int, int] = {}
-    for f0 in range(len(faces)):
-        if f0 in frame:
-            continue
-        start = min(j for j in range(4) if faces[f0].colors[j % 2] % 2 == 1)
-        frame[f0] = start
-        queue = deque([f0])
-        while queue:
-            fi = queue.popleft()
-            r = frame[fi]
-            for j, e in enumerate(faces[fi].edge_indices):
-                fa, ja, fb, jb = sides[e]
-                other, jo = ((fb, jb) if fa == fi and ja == j else (fa, ja))
-                want = (jo - ((j - r) + 2)) % 4
-                if other in frame:
-                    if frame[other] != want:
-                        return None
-                else:
-                    frame[other] = want
-                    queue.append(other)
-    directed: dict[int, tuple[int, int]] = {}
-    for fi, f in enumerate(faces):
-        r = frame[fi]
-        for e in (f.edge_indices[r], f.edge_indices[(r + 1) % 4]):  # right, top
-            fa, _ja, fb, _jb = sides[e]
-            other = fb if fa == fi else fa
-            directed[e] = (fi, other)
-    return directed
+    edge_at, across = _face_incidence(sides)
+    faces = np.arange(len(edge_at))
+    other = across >> 2
+    # frame[other] = frame[face] + turn, mod 4
+    turn = (across % 4 - np.arange(4) - 2) % 4
+    start = 1 - graph.edge_array[edge_at[:, 0], 2] % 2  # the first odd position
+    frame = np.full(len(faces), -1)
+    while (unframed := np.flatnonzero(frame < 0)).size:
+        ring = unframed[:1]
+        frame[ring] = start[ring]
+        while ring.size:
+            reach, value = other[ring], (frame[ring, None] + turn[ring]) % 4
+            new = frame[reach] < 0
+            frame[reach[new]] = value[new]
+            framed = np.zeros(len(faces), dtype=bool)
+            framed[reach[new]] = True
+            ring = np.flatnonzero(framed)
+    if np.count_nonzero(frame[other] != (frame[:, None] + turn) % 4):
+        return None
+    tails = np.empty(len(sides), dtype=np.intp)
+    heads = np.empty(len(sides), dtype=np.intp)
+    for k in (0, 1):  # right, top
+        position = (frame + k) % 4
+        e = edge_at[faces, position]
+        tails[e] = faces
+        heads[e] = other[faces, position]
+    return tails, heads
 
 
 def _cycle_orientation(
-    graph: Chromotopology, sides: tuple[tuple[int, ...], ...]
-) -> dict[int, tuple[int, int]]:
-    """Proof-style orientation: walk each same-label dual cycle, lowest
-    face/edge index first, orienting edges as traversed."""
-    directed: dict[int, tuple[int, int]] = {}
+    graph: Chromotopology, sides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Proof-style orientation: each same-label dual cycle is oriented from
+    its lowest edge index, leaving that edge's lower face.
+
+    The dual edges of a label run as darts: dart 2i crosses member i from
+    its lower face to its higher, dart 2i + 1 back, and the dart after d
+    leaves d's head along the face's other member.  The cycle of darts
+    through 2i0, i0 the cycle's lowest member, is the traversal; its least
+    dart is even, the reverse cycle's least dart odd.
+    """
+    tails = np.empty(len(sides), dtype=np.intp)
+    heads = np.empty(len(sides), dtype=np.intp)
+    odd = graph.edge_array[:, 2] % 2
     for parity in (1, 0):  # x edges (odd colors) first
-        ends: dict[int, list[tuple[int, int]]] = {}
-        members = [e for e in range(graph.edge_count) if graph.edges[e][2] % 2 == parity]
-        for e in members:
-            fa, _ja, fb, _jb = sides[e]
-            ends.setdefault(fa, []).append((e, fb))
-            ends.setdefault(fb, []).append((e, fa))
-        for v, slots in ends.items():
-            if len(slots) != 2:
-                raise ValueError(f"face {v} has {len(slots)} same-label dual ends")
-        for e0 in members:
-            if e0 in directed:
-                continue
-            fa, _ja, fb, _jb = sides[e0]
-            tail, e = min(fa, fb), e0
-            while e not in directed:
-                a, _ja, b, _jb = sides[e]
-                head = b if tail == a else a
-                directed[e] = (tail, head)
-                e = next(s for s in ends[head] if s[0] != e)[0]
-                tail = head
-    return directed
+        members = np.flatnonzero(odd == parity)
+        low, high = sides[members, 0], sides[members, 2]
+        ends = np.stack((low, high), axis=1).ravel()  # end 2i at the lower face
+        count = np.bincount(ends)
+        wrong = np.flatnonzero(count[ends] != 2)
+        if wrong.size:
+            face = int(ends[wrong[0]])
+            raise ValueError(f"face {face} has {count[face]} same-label dual ends")
+        pairs = np.argsort(ends, kind="stable").reshape(-1, 2)  # the two ends at each face
+        mate = np.empty(len(ends), dtype=np.intp)
+        mate[pairs[:, 0]] = pairs[:, 1]
+        mate[pairs[:, 1]] = pairs[:, 0]
+        darts = np.arange(len(ends))
+        # the dart after d leaves along mate[d ^ 1] (d's head is end d ^ 1):
+        # mate with its pairs swapped
+        least = component_labels(darts, mate.reshape(-1, 2)[:, ::-1].ravel(), len(ends))
+        forward = least[0::2] % 2 == 0
+        tails[members] = np.where(forward, low, high)
+        heads[members] = np.where(forward, high, low)
+    return tails, heads
 
 
 def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
@@ -270,15 +310,39 @@ def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
             f"N = {n} is odd: faces with colors {{1,{n}}} would carry only "
             "x-labels, so no origami labeling exists"
         )
-    directed = _frame_orientation(surface.faces, surface.edge_sides)
+    directed = _frame_orientation(graph, surface.edge_sides)
     if directed is None:
         directed = _cycle_orientation(graph, surface.edge_sides)
-    edges = []
-    for e in range(graph.edge_count):
-        tail, head = directed[e]
-        label = "x" if graph.edges[e][2] % 2 else "y"
-        edges.append((tail, head, label))
-    return OrigamiGraph(len(surface.faces), tuple(edges))
+    faces = _int_objects(len(surface.faces))
+    tails, heads = (faces[ends].tolist() for ends in directed)
+    labels = map(("y", "x").__getitem__, (graph.edge_array[:, 2] % 2).tolist())
+    return OrigamiGraph(len(faces), tuple(zip(tails, heads, labels)))
+
+
+def dessin_action(graph: Chromotopology) -> CosetAction:
+    """The (N, N, 2) coset action whose darts are the edges of the graph.
+
+    Following the rotation convention, sigma0 takes an edge of color c to
+    the edge of color c - 1 at its fermion, sigma1 to the edge of color
+    c + 1 at its boson (colors mod N), and c = (sigma0 sigma1)^-1.  sigma0
+    and sigma1 are gathers on ``slot_table``; the graph needs one edge of
+    each color per vertex and every edge across the bipartition.
+    """
+    n = graph.n_colors
+    _other, edge, count = graph.slot_table
+    if np.count_nonzero(count != 1):
+        raise ValueError("dessin action needs one edge of each color per vertex")
+    us, vs, cs = graph.edge_array.T
+    side = np.array(graph.bipartition, dtype=np.intp)
+    if np.count_nonzero(side[us] == side[vs]):
+        raise ValueError("dessin action needs every edge to cross the bipartition")
+    from_u = side[us] == FERMION
+    sigma0 = edge[np.where(from_u, us, vs), (cs - 2) % n]
+    sigma1 = edge[np.where(from_u, vs, us), cs % n]
+    sigma2 = np.empty_like(sigma0)
+    sigma2[sigma0[sigma1]] = np.arange(len(sigma2))
+    return CosetAction(len(sigma2), {"a": tuple(sigma0.tolist()), "b": tuple(sigma1.tolist()),
+                                     "c": tuple(sigma2.tolist())})
 
 
 def cartesian_product(a1: Adinkra, a2: Adinkra) -> Adinkra:

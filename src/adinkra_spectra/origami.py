@@ -10,12 +10,14 @@ squares, up to simultaneous conjugation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import perms
-from .adinkra import Chromotopology
-from .perms import compose, cycle_lengths, inverse
+from .adinkra import INDEX, Chromotopology, _int_objects
+from .perms import component_labels
 
 LabeledEdge = tuple[int, int, str]  # (tail, head, "x"|"y"); parallel edges allowed
 
@@ -28,11 +30,26 @@ class OrigamiGraph:
     edges: tuple[LabeledEdge, ...]
 
     def __post_init__(self):
-        for u, v, lab in self.edges:
+        if not self.edges:
+            return
+        us, vs, labs = zip(*self.edges)
+        if (labs.count("x") + labs.count("y") == len(labs) and 0 <= min(us) and 0 <= min(vs)
+                and max(us) < self.d and max(vs) < self.d):
+            return
+        for u, v, lab in self.edges:  # name the first offending edge
             if lab not in ("x", "y"):
                 raise ValueError(f"edge label {lab!r} must be 'x' or 'y'")
             if not (0 <= u < self.d and 0 <= v < self.d):
                 raise ValueError(f"edge ({u},{v}) references missing vertex")
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tails, heads, is x) as arrays over the edges."""
+        us, vs, labs = zip(*self.edges) if self.edges else ((), (), ())
+        e = len(self.edges)
+        # the labels are one character each, "x" or "y"
+        return (np.fromiter(us, INDEX, e), np.fromiter(vs, INDEX, e),
+                np.frombuffer("".join(labs).encode(), dtype=np.uint8) == ord("x"))
 
 
 @dataclass(frozen=True)
@@ -81,75 +98,88 @@ class OrigamiReport:
         return {"ok": self.ok, "connected": self.connected, "issues": list(self.issues)}
 
 
+_COUNT_NAMES = ("outgoing x", "outgoing y", "incoming x", "incoming y")
+
+
+def _label_counts(graph: OrigamiGraph) -> np.ndarray:
+    """(d, 4) counts per vertex, in the order of ``_COUNT_NAMES``."""
+    tails, heads, is_x = graph.edge_arrays
+    return np.stack([np.bincount(ends[label], minlength=graph.d)
+                     for ends in (tails, heads) for label in (is_x, ~is_x)], axis=1)
+
+
+def _reached(graph: OrigamiGraph) -> int:
+    """How many vertices vertex 0 reaches, edges taken both ways."""
+    if not graph.d:
+        return 0
+    tails, heads, _is_x = graph.edge_arrays
+    return int(np.count_nonzero(component_labels(tails, heads, graph.d) == 0))
+
+
 def validate_origami_graph(graph: OrigamiGraph) -> OrigamiReport:
-    """Per-vertex out/in counts for each label, plus connectivity."""
-    issues = []
-    out_x = [0] * graph.d
-    out_y = [0] * graph.d
-    in_x = [0] * graph.d
-    in_y = [0] * graph.d
-    for u, v, lab in graph.edges:
-        if lab == "x":
-            out_x[u] += 1
-            in_x[v] += 1
-        else:
-            out_y[u] += 1
-            in_y[v] += 1
-    for v in range(graph.d):
-        for name, cnt in (("outgoing x", out_x[v]), ("outgoing y", out_y[v]),
-                          ("incoming x", in_x[v]), ("incoming y", in_y[v])):
-            if cnt != 1:
-                issues.append(f"vertex {v}: {cnt} {name} edges (expected 1)")
-    adj: list[list[int]] = [[] for _ in range(graph.d)]
-    for u, v, _lab in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0} if graph.d else set()
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    connected = len(seen) == graph.d
+    """Per-vertex out/in counts for each label, plus connectivity.  A graph
+    with no squares is refused: it has no surface to take a genus of."""
+    issues = [] if graph.d else ["no squares"]
+    counts = _label_counts(graph)
+    vertex, which = np.nonzero(counts != 1)
+    issues += [f"vertex {v}: {c} {_COUNT_NAMES[k]} edges (expected 1)"
+               for v, k, c in zip(vertex.tolist(), which.tolist(), counts[vertex, which].tolist())]
+    reached = _reached(graph)
+    connected = reached == graph.d
     if not connected:
-        issues.append(f"graph is disconnected: reached {len(seen)} of {graph.d} vertices")
+        issues.append(f"graph is disconnected: reached {reached} of {graph.d} vertices")
     return OrigamiReport(not issues, tuple(issues), connected)
 
 
 def monodromy(graph: OrigamiGraph) -> tuple[Monodromy, int]:
     """(sigma_x, sigma_y) read off the out-edges, and the surface genus.
 
-    Genus comes from the square-complex Euler count: vertices of the
-    complex are the cycles of the commutator, E = 2d, F = d, so
-    g = 1 + (d - #commutator cycles) / 2.
+    The out-edges are scattered once the label counts are all 1 and the
+    graph is connected; otherwise the ValueError lists
+    ``validate_origami_graph``'s issues.  Genus comes from the
+    square-complex Euler count: vertices of the complex are the cycles of
+    the commutator, E = 2d, F = d, so g = 1 + (d - #commutator cycles) / 2.
     """
-    report = validate_origami_graph(graph)
-    if not report.ok:
+    d = graph.d
+    if not d or np.count_nonzero(_label_counts(graph) != 1) or _reached(graph) != d:
+        report = validate_origami_graph(graph)
         raise ValueError("invalid origami graph: " + "; ".join(report.issues))
-    sx = [0] * graph.d
-    sy = [0] * graph.d
-    for u, v, lab in graph.edges:
-        if lab == "x":
-            sx[u] = v
-        else:
-            sy[u] = v
-    m = Monodromy(tuple(sx), tuple(sy))
-    return m, genus_from_monodromy(m)
+    tails, heads, is_x = graph.edge_arrays
+    sx = np.empty(d, dtype=np.intp)
+    sy = np.empty(d, dtype=np.intp)
+    sx[tails[is_x]] = heads[is_x]
+    sy[tails[~is_x]] = heads[~is_x]
+    squares = _int_objects(d)
+    m = Monodromy(tuple(squares[sx].tolist()), tuple(squares[sy].tolist()))
+    return m, _genus(sx, sy)
 
 
-def commutator(m: Monodromy) -> tuple[int, ...]:
-    sx, sy = m.sigma_x, m.sigma_y
-    return compose(compose(sx, sy), compose(inverse(sx), inverse(sy)))
+def _commutator(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """sx sy sx^-1 sy^-1 on permutation arrays, sy^-1 applied first."""
+    inv_x = np.empty_like(sx)
+    inv_y = np.empty_like(sy)
+    inv_x[sx] = inv_y[sy] = np.arange(len(sx))
+    return sx[sy[inv_x[inv_y]]]
 
 
-def genus_from_monodromy(m: Monodromy) -> int:
-    d = m.degree
-    v = len(cycle_lengths(commutator(m)))
+def _genus(sx: np.ndarray, sy: np.ndarray) -> int:
+    d = len(sx)
+    if not d:
+        raise ValueError("no squares: an origami of degree 0 has no genus")
+    points = np.arange(d)
+    v = int(np.count_nonzero(component_labels(points, _commutator(sx, sy), d) == points))
     if (d - v) % 2:
         raise ValueError(f"non-integral genus: d={d}, commutator cycles={v}")
     return 1 + (d - v) // 2
+
+
+def commutator(m: Monodromy) -> tuple[int, ...]:
+    return tuple(_commutator(np.array(m.sigma_x, dtype=np.intp),
+                             np.array(m.sigma_y, dtype=np.intp)).tolist())
+
+
+def genus_from_monodromy(m: Monodromy) -> int:
+    return _genus(np.array(m.sigma_x, dtype=np.intp), np.array(m.sigma_y, dtype=np.intp))
 
 
 def is_transitive(m: Monodromy) -> bool:

@@ -1,10 +1,14 @@
 """Permutations of range(d) as tuples, p[i] the image of i: inverse,
 composition, cycle type, transitivity of the group they generate, and
-exponents over a generating cycle."""
+exponents over a generating cycle.  ``component_labels`` is the array form
+of orbits and connectivity: the cycles of a permutation array, the orbits
+of several, or the components of any graph given by its edge ends."""
 
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
+
+import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -50,6 +54,30 @@ def is_transitive(gens: Collection[Perm], degree: int) -> bool:
                 seen.add(p[i])
                 stack.append(p[i])
     return len(seen) == degree
+
+
+def component_labels(tails: np.ndarray, heads: np.ndarray, size: int) -> np.ndarray:
+    """The least point of each point's component in the graph on range(size)
+    with edges tails[i] -- heads[i].
+
+    The array form of a union-find: each round hooks every root that meets
+    a smaller root across an edge under one such root, then jumps pointers
+    until each point hangs from a root; it stops when every edge joins
+    points of one root.  Every hook lowers a label, so the rounds end.
+    For a permutation array p, ``component_labels(arange(d), p, d)`` marks
+    each point with the least point on its cycle.
+    """
+    root = np.arange(size)
+    while True:
+        rt, rh = root[tails], root[heads]
+        if not np.count_nonzero(rt != rh):
+            return root
+        down = rt > rh
+        root[rt[down]] = rh[down]
+        up = rh > rt
+        root[rh[up]] = rt[up]
+        while np.count_nonzero((jumped := root[root]) != root):
+            root = jumped
 
 
 def cyclic_exponents(gens: Sequence[Perm], degree: int) -> list[int] | None:

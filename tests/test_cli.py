@@ -137,6 +137,16 @@ def test_origami_monodromy_json(capsys, tmp_path):
     assert payload["genus"] == 2
 
 
+def test_origami_with_no_squares_gets_no_genus(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"d": 0, "sigma_x": [], "sigma_y": []}))
+    code, out, _err = run_capture(capsys, ["origami", "--json", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["validation"] == {"ok": False, "connected": True, "issues": ["no squares"]}
+    assert "genus" not in payload
+
+
 def test_product_fibered(capsys):
     code, out, _err = run_capture(
         capsys,

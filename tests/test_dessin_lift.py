@@ -19,11 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adinkra_spectra import hyperbolic
-from adinkra_spectra.adinkra import FERMION, build_quotient
+from adinkra_spectra.adinkra import Chromotopology, build_quotient
 from adinkra_spectra.codes import BinaryCode
-from adinkra_spectra.embedding import attach_faces
+from adinkra_spectra.embedding import attach_faces, dessin_action
 from adinkra_spectra.hyperbolic import (
-    CosetAction,
     cover_length_spectrum,
     length_spectrum,
     power_closure,
@@ -31,7 +30,7 @@ from adinkra_spectra.hyperbolic import (
     spectrum_to_csv,
     triangle_generators,
 )
-from adinkra_spectra.perms import compose, inverse
+from adinkra_spectra.perms import inverse
 from adinkra_spectra.spectral import (
     dirac_action,
     laplace_action_conjugacy,
@@ -39,23 +38,6 @@ from adinkra_spectra.spectral import (
     make_test_pair,
     super_action,
 )
-
-
-def dessin_action(graph) -> CosetAction:
-    """The darts are the edges.  sigma0(e) is the edge of colour c - 1 at
-    e's fermion, sigma1(e) the edge of colour c + 1 at e's boson (colours
-    run counterclockwise at bosons and are reversed at fermions), and
-    c = (sigma0 sigma1)^-1."""
-    n = graph.n_colors
-    _other, edge, _count = graph.slot_table
-    side = graph.bipartition
-    sigma0, sigma1 = [], []
-    for u, v, c in graph.edges:
-        fermion, boson = (u, v) if side[u] == FERMION else (v, u)
-        sigma0.append(edge[fermion * n + (c - 2) % n])
-        sigma1.append(edge[boson * n + c % n])
-    a, b = tuple(sigma0), tuple(sigma1)
-    return CosetAction(len(a), {"a": a, "b": b, "c": inverse(compose(a, b))})
 
 
 @functools.cache
@@ -95,6 +77,26 @@ def test_11110000_lifts_class_by_class():
     genus = attach_faces(graph).euler_genus
     assert genus == 65
     assert _riemann_hurwitz_genus(edges, 8) == genus
+
+
+def test_n12_dessin_action_is_a_12_12_2_action_of_the_surface_genus():
+    graph = build_quotient(12, BinaryCode.from_strings(12, ["111100000000", "000011110000"]))
+    action = dessin_action(graph)
+    assert action.degree == graph.edge_count == 6144
+    action.check_relations(_group(12))
+    genus = attach_faces(graph).euler_genus
+    assert genus == 1025
+    assert _riemann_hurwitz_genus(action.degree, 12) == genus
+
+
+def test_dessin_action_refuses_a_graph_that_is_no_dessin():
+    square = build_quotient(2, BinaryCode.trivial(2))  # edges (0,2,1), (1,3,1), (0,1,2), (2,3,2)
+    missing = Chromotopology(2, square.vertices, square.edges[1:], square.bipartition)
+    with pytest.raises(ValueError, match="one edge of each color per vertex"):
+        dessin_action(missing)
+    same_side = Chromotopology(2, square.vertices, square.edges, (0, 0, 1, 1))
+    with pytest.raises(ValueError, match="cross the bipartition"):
+        dessin_action(same_side)
 
 
 def _brute_force_lift(n, l_max, action):

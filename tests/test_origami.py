@@ -59,6 +59,18 @@ def test_monodromy_raises_on_invalid():
         monodromy(bad)
 
 
+def test_no_squares_is_refused():
+    # a degree-0 origami has no surface: it must not be given genus 1
+    empty = origami_from_monodromy(Monodromy((), ()))
+    assert empty == OrigamiGraph(0, ())
+    rep = validate_origami_graph(empty)
+    assert not rep.ok and rep.issues == ("no squares",)
+    with pytest.raises(ValueError, match="^invalid origami graph: no squares$"):
+        monodromy(empty)
+    with pytest.raises(ValueError, match="^no squares"):
+        genus_from_monodromy(Monodromy((), ()))
+
+
 def test_graph_monodromy_round_trip():
     m = Monodromy((1, 2, 0), (0, 2, 1))
     m2, _g = monodromy(origami_from_monodromy(m))

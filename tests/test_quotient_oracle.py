@@ -432,3 +432,15 @@ def test_component_count_matches_frozen(parts):
     assert flipped.component_count == parts
     isolated = Chromotopology(5, graph.vertices + ("x",), graph.edges, graph.bipartition + (0,))
     assert isolated.component_count == parts + 1
+
+
+def test_parallel_edge_keys_do_not_wrap():
+    # with 70000 vertices, 0 * V + 47296 and 61357 * V + 24592 agree modulo
+    # 2^32: two distinct vertex pairs that 32-bit keys would call parallel
+    vcount = 70000
+    assert (0 * vcount + 47296) % 2**32 == (61357 * vcount + 24592) % 2**32
+    graph = Chromotopology(2, tuple(range(vcount)), ((0, 47296, 1), (61357, 24592, 2)),
+                           tuple(v % 2 for v in range(vcount)))
+    report = validate_chromotopology(graph)
+    assert report.to_json() == _frozen_validate(graph).to_json()
+    assert next(c for c in report.checks if c.name == "simple: no parallel edges").passed
