@@ -9,6 +9,11 @@ exception, so the code-property iff statements stay testable.
 
 Dashings are stored per edge index; exhaustive sweeps work on int bitmasks
 over edge indices (bit e = edge ``graph.edges[e]`` dashed).
+
+A face set is one :class:`Faces` record of index arrays, one row per
+2-colored 4-cycle: ``vertices`` (F, 4), ``edges`` (F, 4) and ``colors``
+(F, 2).  The walker fills it, and the dashing and Kasteleyn checks read it
+by gathers; the GF(2) counts turn each row into one edge mask.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ BOSON, FERMION = 0, 1
 # of intp, and V * N stays far below 2^31 for any graph held as tuples
 INDEX = np.int32
 
-# well_dashed_masks refuses to list more masks than this
+# well_dashed_masks and well_dashed_class_ids refuse to list more entries than this
 DASH_ENUMERATION_LIMIT = 1 << 20
 
 Edge = tuple[int, int, int]  # (u index, v index, color in 1..N); u <= v
@@ -212,28 +217,25 @@ class Dashing:
         return len(self.bits)
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
-    """A 2-colored 4-cycle with a stored cyclic orientation.
+@dataclass(frozen=True, eq=False)
+class Faces:
+    """2-colored 4-cycles with a stored cyclic orientation, as index arrays.
 
-    ``vertices[j]`` to ``vertices[j+1]`` runs along ``edge_indices[j]``;
-    edge colors alternate ``colors[0], colors[1]``, first step on
-    ``colors[0]``.  Strict faces (:func:`two_colored_four_cycles`) start
-    at the lowest vertex index on the cycle; surface faces
-    (``embedding.attach_faces``) start at the smaller fermion, with the
-    first step on the family color.
+    Row f is one face: ``vertices[f, j]`` to ``vertices[f, j + 1]`` (j mod
+    4) runs along ``edges[f, j]``, and edge colors alternate ``colors[f,
+    0]``, ``colors[f, 1]``, first step on ``colors[f, 0]``.  ``vertices``
+    and ``edges`` are (F, 4), ``colors`` (F, 2).  Strict faces
+    (:func:`two_colored_four_cycles`) start at the lowest vertex index on
+    the cycle; surface faces (``embedding.attach_faces``) start at the
+    smaller fermion, with the first step on the family color.
     """
 
-    vertices: tuple[int, int, int, int]
-    edge_indices: tuple[int, int, int, int]
-    colors: tuple[int, int]
+    vertices: np.ndarray
+    edges: np.ndarray
+    colors: np.ndarray
 
-    @property
-    def edge_mask(self) -> int:
-        m = 0
-        for e in self.edge_indices:
-            m |= 1 << e
-        return m
+    def __len__(self) -> int:
+        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -367,7 +369,7 @@ def _walk_four_cycles(
     count = graph.slot_table[2]
     unique = count == 1 if np.count_nonzero(count != 1) else None
     width = max(1, _WALK_CELLS // max(len(starts), 1))
-    parts = [(np.zeros(0, dtype=np.intp),) + (np.zeros((0, 4), dtype=np.intp),) * 2]
+    parts = [(np.zeros(0, dtype=np.intp),) + (np.zeros((0, 4), dtype=INDEX),) * 2]
     for p in range(0, bad, width):
         walked = _walk_pairs(graph, pairs[p:min(p + width, bad)], starts, loops, unique, cycles)
         if cycles:
@@ -436,34 +438,14 @@ def _walk_pairs(
     c, row = np.nonzero(kept.T)
     quad = [v[row, c] for v in (v0, v1, v2, v3)]
     colors = (a[c], b[c], a[c], b[c])
-    return c, np.stack(quad, axis=1), np.stack([edge[v, k] for v, k in zip(quad, colors)], axis=1)
-
-
-def _faces(
-    graph: Chromotopology, quads: np.ndarray, edges: np.ndarray, colors: Iterable[tuple[int, int]]
-) -> tuple[Face, ...]:
-    """Faces from (F, 4) arrays of vertex and edge indices and a color pair
-    per face.  ``Face`` has no ``__post_init__``, so each is filled through
-    its slots: the frozen ``__init__`` pays an ``object.__setattr__`` per
-    field, over twice the time per face."""
-    rows = (zip(*_int_objects(size)[array].T.tolist())
-            for array, size in ((quads, graph.vertex_count), (edges, graph.edge_count)))
-    set_vertices, set_edges, set_colors = (
-        Face.vertices.__set__, Face.edge_indices.__set__, Face.colors.__set__)
-    new, faces = object.__new__, []
-    for vertices, edge_indices, pair in zip(*rows, colors):
-        face = new(Face)
-        set_vertices(face, vertices)
-        set_edges(face, edge_indices)
-        set_colors(face, pair)
-        faces.append(face)
-    return tuple(faces)
+    return (c, np.stack(quad, axis=1).astype(INDEX),
+            np.stack([edge[v, k] for v, k in zip(quad, colors)], axis=1))
 
 
 def two_colored_four_cycles(
     graph: Chromotopology, pairs: Iterable[tuple[int, int]] | None = None
-) -> tuple[Face, ...]:
-    """All 2-colored 4-cycles, one Face per cycle per color pair, each
+) -> Faces:
+    """All 2-colored 4-cycles, one face per cycle per color pair, each
     starting at its lowest vertex index.
 
     ``pairs`` defaults to every unordered color pair {i, j}; the
@@ -473,7 +455,7 @@ def two_colored_four_cycles(
         pairs = combinations(range(1, graph.n_colors + 1), 2)
     pairs = list(pairs)
     pair, quads, edges = _walk_four_cycles(graph, pairs, np.arange(graph.vertex_count))
-    return _faces(graph, quads, edges, map(pairs.__getitem__, pair.tolist()))
+    return Faces(quads, edges, np.array(pairs, dtype=INDEX).reshape(-1, 2)[pair])
 
 
 def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
@@ -593,22 +575,29 @@ def validate_ranking(graph: Chromotopology, ranking: Ranking) -> list[str]:
     return issues
 
 
-def _check_faces(graph: Chromotopology, faces: Sequence[Face]) -> None:
-    for f in faces:
-        for e in f.edge_indices:
-            if not 0 <= e < graph.edge_count:
-                raise ValueError(f"face references missing edge {e}")
+def _check_faces(graph: Chromotopology, faces: Faces) -> None:
+    edges = faces.edges.ravel()
+    if edges.size and not (0 <= edges.min() and edges.max() < graph.edge_count):
+        bad = np.flatnonzero((edges < 0) | (edges >= graph.edge_count))[0]
+        raise ValueError(f"face references missing edge {edges[bad]}")
 
 
-def well_dashed(graph: Chromotopology, faces: Sequence[Face], dashing: Dashing) -> bool:
+def _check_dashing(graph: Chromotopology, dashing: Dashing) -> None:
+    if len(dashing) != graph.edge_count:
+        raise ValueError(f"dashing has {len(dashing)} bits, graph has {graph.edge_count} edges")
+
+
+def well_dashed(graph: Chromotopology, faces: Faces, dashing: Dashing) -> bool:
     """True iff every given 2-colored 4-cycle has an odd number of dashes."""
     _check_faces(graph, faces)
-    mask = dashing.mask
-    return all((mask & f.edge_mask).bit_count() & 1 for f in faces)
+    _check_dashing(graph, dashing)
+    dashes = np.array(dashing.bits, dtype=bool)[faces.edges]
+    return bool(np.all(np.count_nonzero(dashes, axis=1) % 2))
 
 
 def vertex_change(graph: Chromotopology, dashing: Dashing, v: Hashable) -> Dashing:
     """Flip the dash bit of every edge incident to the vertex labelled v."""
+    _check_dashing(graph, dashing)
     if v not in graph.vertex_index:
         raise ValueError(f"unknown vertex {v!r}")
     m = graph.incident_edge_masks[graph.vertex_index[v]]
@@ -623,6 +612,7 @@ def dashing_class(graph: Chromotopology, dashing: Dashing) -> int:
     mask after reduction by that span (membership in the incidence image,
     not a BFS over moves).
     """
+    _check_dashing(graph, dashing)
     return GF2System(graph.incident_edge_masks).reduce(dashing.mask)
 
 
@@ -639,7 +629,24 @@ def dimer_from_color(graph: Chromotopology, color: int) -> tuple[int, ...]:
     return tuple(edges)
 
 
-def kasteleyn_parities(graph: Chromotopology, faces: Sequence[Face]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _heads(graph: Chromotopology, dashing: Dashing) -> np.ndarray:
+    """Head vertex per edge: the fermion end, the other end where dashed."""
+    us, vs, _cs = graph.edge_array.T
+    side = np.array(graph.bipartition, dtype=np.intp)
+    same = np.flatnonzero(side[us] == side[vs])
+    if same.size:
+        u, v, _c = graph.edges[same[0]]
+        raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
+    return np.where((side[vs] == FERMION) != np.array(dashing.bits, dtype=bool), vs, us)
+
+
+def _opposed(heads: np.ndarray, faces: Faces) -> np.ndarray:
+    """Per face, the parity of its edges that point against the stored
+    cycle: the head is the vertex the cycle steps from."""
+    return np.count_nonzero(heads[faces.edges] == faces.vertices, axis=1) % 2
+
+
+def kasteleyn_parities(graph: Chromotopology, faces: Faces) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(base opposition parity, edge mask) per face for the solid orientation.
 
     The solid (all-boson-to-fermion) orientation opposes some number of
@@ -648,36 +655,12 @@ def kasteleyn_parities(graph: Chromotopology, faces: Sequence[Face]) -> tuple[tu
     ``base[f] ^ popcount(d & mask[f])``.
     """
     _check_faces(graph, faces)
-    base = []
-    masks = []
-    heads_solid = _heads(graph, Dashing.solid(graph.edge_count))
-    for f in faces:
-        opp = 0
-        for j in range(4):
-            tail = f.vertices[j]
-            e = f.edge_indices[j]
-            if heads_solid[e] == tail:
-                opp ^= 1
-        base.append(opp)
-        masks.append(f.edge_mask)
-    return tuple(base), tuple(masks)
-
-
-def _heads(graph: Chromotopology, dashing: Dashing) -> tuple[int, ...]:
-    heads = []
-    for e, (u, v, _c) in enumerate(graph.edges):
-        bu, bv = graph.bipartition[u], graph.bipartition[v]
-        if bu == bv:
-            raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
-        head = v if bv == FERMION else u
-        if dashing.bits[e]:
-            head = u if head == v else v
-        heads.append(head)
-    return tuple(heads)
+    base = _opposed(_heads(graph, Dashing.solid(graph.edge_count)), faces)
+    return tuple(base.tolist()), tuple(_edge_masks(faces))
 
 
 def dashing_to_kasteleyn(
-    graph: Chromotopology, faces: Sequence[Face], dashing: Dashing
+    graph: Chromotopology, faces: Faces, dashing: Dashing
 ) -> tuple[Orientation, bool]:
     """Orientation induced by a dashing, plus the Kasteleyn predicate.
 
@@ -688,26 +671,30 @@ def dashing_to_kasteleyn(
     if not faces:
         raise ValueError("no faces supplied")
     _check_faces(graph, faces)
+    _check_dashing(graph, dashing)
     heads = _heads(graph, dashing)
-    ok = True
-    for f in faces:
-        opp = 0
-        for j in range(4):
-            if heads[f.edge_indices[j]] == f.vertices[j]:
-                opp ^= 1
-        if not opp:
-            ok = False
-            break
-    return Orientation(heads), ok
+    return Orientation(tuple(heads.tolist())), bool(np.all(_opposed(heads, faces)))
 
 
-def well_dashed_masks(graph: Chromotopology, faces: Sequence[Face] | None = None) -> list[int]:
+def _edge_masks(faces: Faces) -> Iterable[int]:
+    """One int mask per face, bit e set for each of its edges."""
+    return ((1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in faces.edges.tolist())
+
+
+def _odd_face_system(graph: Chromotopology, faces: Faces | None) -> GF2System:
+    """The affine system ``popcount(d & face) = 1`` over ``faces``, by
+    default the strict ones."""
+    if faces is None:
+        faces = two_colored_four_cycles(graph)
+    _check_faces(graph, faces)
+    return GF2System(_edge_masks(faces), rhs=1)
+
+
+def well_dashed_masks(graph: Chromotopology, faces: Faces | None = None) -> list[int]:
     """All well-dashed masks, ascending: the particular solution plus the
     nullspace span of the face system (refused above DASH_ENUMERATION_LIMIT
     masks)."""
-    if faces is None:
-        faces = two_colored_four_cycles(graph)
-    solution = GF2System((f.edge_mask for f in faces), rhs=1).solve(graph.edge_count)
+    solution = _odd_face_system(graph, faces).solve(graph.edge_count)
     if solution is None:
         return []
     particular, nullspace = solution
@@ -722,20 +709,18 @@ def well_dashed_masks(graph: Chromotopology, faces: Sequence[Face] | None = None
     return sorted(masks)
 
 
-def count_well_dashed_exact(graph: Chromotopology, faces: Sequence[Face] | None = None) -> int:
+def count_well_dashed_exact(graph: Chromotopology, faces: Faces | None = None) -> int:
     """Exact well-dashed count by solving the odd-parity system over GF(2).
 
     The constraints ``popcount(d & face) odd`` are affine; the count is
     2^(E - rank) when consistent, 0 otherwise.  No enumeration, so this
     works beyond the listing gate (e.g. 2^31 masks on the 80-edge 5-cube).
     """
-    if faces is None:
-        faces = two_colored_four_cycles(graph)
-    system = GF2System((f.edge_mask for f in faces), rhs=1)
+    system = _odd_face_system(graph, faces)
     return 1 << (graph.edge_count - system.rank) if system.consistent else 0
 
 
-def well_dashed_class_ids(graph: Chromotopology, faces: Sequence[Face] | None = None) -> dict[int, int]:
+def well_dashed_class_ids(graph: Chromotopology, faces: Faces | None = None) -> dict[int, int]:
     """Map vertex-change class id -> count over all well-dashed dashings.
 
     With ``faces`` = the embedded (consecutively colored) 2-cells, the
@@ -744,20 +729,23 @@ def well_dashed_class_ids(graph: Chromotopology, faces: Sequence[Face] | None = 
     Reduction modulo the cut space is linear, so the ids are
     reduce(particular) + span(reduced nullspace basis), each class of
     2^(nullity - rank of the reduced basis) members; no mask is listed.
+    More than DASH_ENUMERATION_LIMIT ids are refused before any is listed.
     """
-    if faces is None:
-        faces = two_colored_four_cycles(graph)
-    solution = GF2System((f.edge_mask for f in faces), rhs=1).solve(graph.edge_count)
+    solution = _odd_face_system(graph, faces).solve(graph.edge_count)
     if solution is None:
         return {}
     particular, nullspace = solution
     cut = GF2System(graph.incident_edge_masks)
     span = GF2System()
+    basis = [r for r in map(cut.reduce, nullspace) if span.insert(r)]
+    if (1 << span.rank) > DASH_ENUMERATION_LIMIT:
+        raise ResourceBoundError(
+            f"2^{span.rank} vertex-change classes exceed the listing gate "
+            f"({DASH_ENUMERATION_LIMIT}); use count_well_dashed_exact"
+        )
     ids = [cut.reduce(particular)]
-    for v in nullspace:
-        r = cut.reduce(v)
-        if span.insert(r):
-            ids += [x ^ r for x in ids]
+    for r in basis:
+        ids += [x ^ r for x in ids]
     return dict.fromkeys(sorted(ids), 1 << (len(nullspace) - span.rank))
 
 

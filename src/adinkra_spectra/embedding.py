@@ -11,6 +11,11 @@ step is on the family color i.  (Strict 4-cycles from
 ``adinkra.two_colored_four_cycles`` start at their lowest vertex index
 instead.)  For N = 2 the square is walked as (1, 2) once from its smaller
 fermion and once from its smaller boson.
+
+The faces are one ``adinkra.Faces`` record of (F, 4) vertex and edge
+index arrays and (F, 2) colors, ordered by colors and then by first
+vertex; edge sides, the dual orientation and the JSON all read those
+arrays.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from .adinkra import (
     Adinkra,
     Chromotopology,
     Dashing,
-    Face,
+    Faces,
     Ranking,
-    _faces,
     _int_objects,
     _walk_four_cycles,
     default_ranking,
@@ -48,11 +52,12 @@ class SurfaceData:
     the Belyi map whose dessin the graph is.  ``edge_sides`` holds, per
     edge index, the (face index, boundary position) of each of its two
     sides as a (E, 4) array ``(fa, ja, fb, jb)`` with fa < fb; it is None
-    for N < 2, where no 2-cell attaches.
+    for N < 2, where no 2-cell attaches and ``faces`` is empty.  Both are
+    arrays fixed by the graph, so equality leaves them out.
     """
 
     graph: Chromotopology
-    faces: tuple[Face, ...]
+    faces: Faces = field(compare=False)
     euler_characteristic: int
     components: int
     euler_genus: int
@@ -65,12 +70,14 @@ class SurfaceData:
         return len(self.faces)
 
     def to_json(self) -> dict:
+        # one int object per vertex, shared by every face through it
+        faces = _int_objects(self.graph.vertex_count)[self.faces.vertices]
         return {
             "n": self.graph.n_colors,
             "vertex_count": self.graph.vertex_count,
             "edge_count": self.graph.edge_count,
-            "faces": [list(f.vertices) for f in self.faces],
-            "face_colors": [list(f.colors) for f in self.faces],
+            "faces": faces.tolist(),
+            "face_colors": self.faces.colors.tolist(),
             "euler_characteristic": self.euler_characteristic,
             "components": self.components,
             "genus": self.euler_genus,
@@ -127,7 +134,8 @@ def attach_faces(graph: Chromotopology) -> SurfaceData:
     components = graph.component_count
     if n < 2:
         # a single edge (or vertex) embeds in the sphere; no 4-cycles exist
-        return SurfaceData(graph, (), 2 * components, components, 0, (n, n, 2),
+        none = Faces(np.zeros((0, 4), INDEX), np.zeros((0, 4), INDEX), np.zeros((0, 2), INDEX))
+        return SurfaceData(graph, none, 2 * components, components, 0, (n, n, 2),
                            graph.edge_count)
     side = np.array(graph.bipartition, dtype=np.intp)
     ends = graph.edge_array
@@ -148,14 +156,13 @@ def attach_faces(graph: Chromotopology) -> SurfaceData:
         edges.append(edge)
     ids, quads, edges = np.concatenate(ids), np.concatenate(quads), np.concatenate(edges)
     # by colors, then by first vertex (distinct within a color pair)
-    colors = np.array(pairs, dtype=np.intp)[ids]
+    colors = np.array(pairs, dtype=INDEX)[ids]
     order = np.lexsort((quads[:, 0], colors[:, 1], colors[:, 0]))
-    quads, edges = quads[order], edges[order]
-    faces = _faces(graph, quads, edges, map(pairs.__getitem__, ids[order].tolist()))
+    faces = Faces(quads[order], edges[order], colors[order])
     chi = graph.vertex_count - graph.edge_count + len(faces)
     genus2 = 2 * components - chi
     surface = SurfaceData(graph, faces, chi, components, genus2 // 2,
-                          (n, n, 2), graph.edge_count, _edge_sides(graph, edges))
+                          (n, n, 2), graph.edge_count, _edge_sides(graph, faces.edges))
     if genus2 % 2:
         raise ValueError(f"odd 2-2g count: chi={chi}, components={components}")
     return surface

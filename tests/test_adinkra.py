@@ -231,6 +231,20 @@ def test_vertex_change_is_involution():
         vertex_change(g, d, "nope")
 
 
+@pytest.mark.parametrize("bits", [3, 40])
+def test_a_dashing_of_the_wrong_length_is_refused(bits):
+    from adinkra_spectra.embedding import attach_faces
+
+    g = a41()  # E = 16
+    faces = attach_faces(g).faces
+    d = Dashing.from_mask((1 << bits) - 1, bits)
+    message = f"^dashing has {bits} bits, graph has 16 edges$"
+    for call in (lambda: well_dashed(g, faces, d), lambda: vertex_change(g, d, g.vertices[0]),
+                 lambda: dashing_class(g, d), lambda: dashing_to_kasteleyn(g, faces, d)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_vertex_change_on_solid_square():
     g = square()
     d = vertex_change(g, Dashing.solid(4), g.vertices[0])
@@ -308,7 +322,7 @@ def test_color_pair_union_is_four_cycle_subgraph():
     for i, j in [(1, 2), (1, 3), (2, 4)]:
         union = set(dimer_from_color(g, i)) | set(dimer_from_color(g, j))
         faces = two_colored_four_cycles(g, [(i, j)])
-        covered = {e for f in faces for e in f.edge_indices}
+        covered = {e for face_edges in faces.edges.tolist() for e in face_edges}
         assert union == covered
 
 
@@ -331,7 +345,7 @@ def test_kasteleyn_equivalence_exhaustive_square():
     faces = attach_faces(g).faces
     cycles = two_colored_four_cycles(g)
     base, fmasks = kasteleyn_parities(g, faces)
-    cmasks = [f.edge_mask for f in cycles]
+    cmasks = [sum(1 << e for e in row) for row in cycles.edges.tolist()]
     for m in range(16):
         kast = all(b ^ ((m & fm).bit_count() & 1) for b, fm in zip(base, fmasks))
         wd = all((m & cm).bit_count() & 1 for cm in cmasks)

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adinkra_spectra.adinkra import (
@@ -55,12 +56,16 @@ def test_a40_is_elliptic():
     s = attach_faces(quotient(4))
     assert s.euler_genus == 1
     assert s.components == 1
+    assert s == attach_faces(quotient(4))  # the face arrays are fixed by the graph
 
 
 def test_single_edge_has_genus_zero():
     s = attach_faces(quotient(1))
     assert s.euler_genus == 0
-    assert s.faces == ()
+    assert len(s.faces) == s.face_count == 0
+    assert np.array_equal(s.faces.vertices, np.zeros((0, 4), dtype=int))
+    assert np.array_equal(s.faces.edges, np.zeros((0, 4), dtype=int))
+    assert np.array_equal(s.faces.colors, np.zeros((0, 2), dtype=int))
 
 
 def test_a50_counts():
@@ -78,8 +83,8 @@ def test_every_edge_on_two_faces():
         g = quotient(n, *rows)
         s = attach_faces(g)
         counts = [0] * g.edge_count
-        for f in s.faces:
-            for e in f.edge_indices:
+        for face_edges in s.faces.edges.tolist():
+            for e in face_edges:
                 counts[e] += 1
         assert set(counts) == {2}
 
@@ -100,9 +105,9 @@ def test_face_orientations_traverse_edges_oppositely():
     g = quotient(4, "1111")
     s = attach_faces(g)
     darts = {}
-    for fi, f in enumerate(s.faces):
+    for fi, quad in enumerate(s.faces.vertices.tolist()):
         for j in range(4):
-            dart = (f.vertices[j], f.vertices[(j + 1) % 4])
+            dart = (quad[j], quad[(j + 1) % 4])
             assert dart not in darts, "dart used twice"
             darts[dart] = fi
     for (a, b) in list(darts):
@@ -111,10 +116,9 @@ def test_face_orientations_traverse_edges_oppositely():
 
 def test_face_color_pattern_starts_with_family_color():
     s = attach_faces(quotient(4, "1111"))
-    for f in s.faces:
-        i, j = f.colors
+    for (i, j), face_edges in zip(s.faces.colors.tolist(), s.faces.edges.tolist()):
         assert j == i % 4 + 1
-        e0 = s.graph.edges[f.edge_indices[0]]
+        e0 = s.graph.edges[face_edges[0]]
         assert e0[2] == i
 
 

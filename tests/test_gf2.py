@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from typing import Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from adinkra_spectra.adinkra import (
 )
 from adinkra_spectra.codes import BinaryCode
 from adinkra_spectra.embedding import attach_faces
+from adinkra_spectra.errors import ResourceBoundError
 from adinkra_spectra.gf2 import GF2System
 
 
@@ -114,8 +116,13 @@ def small_graphs():
     ]
 
 
+def face_masks(faces):
+    """One int per face, bit e set for each of its edges."""
+    return [sum(1 << e for e in row) for row in faces.edges.tolist()]
+
+
 def brute_count(n_edges, faces):
-    fmasks = [f.edge_mask for f in faces]
+    fmasks = face_masks(faces)
     return sum(all((m & fm).bit_count() & 1 for fm in fmasks) for m in range(1 << n_edges))
 
 
@@ -130,7 +137,7 @@ def test_exact_count_matches_brute_force_on_small_graphs():
 def test_well_dashed_masks_match_brute_force_listing():
     for g in small_graphs():
         faces = attach_faces(g).faces
-        fmasks = [f.edge_mask for f in faces]
+        fmasks = face_masks(faces)
         listed = [m for m in range(1 << g.edge_count)
                   if all((m & fm).bit_count() & 1 for fm in fmasks)]
         assert well_dashed_masks(g, faces) == listed
@@ -142,6 +149,16 @@ def test_class_ids_match_reduced_mask_sweep():
         for faces in (two_colored_four_cycles(g), attach_faces(g).faces):
             swept = Counter(cut.reduce(m) for m in well_dashed_masks(g, faces))
             assert well_dashed_class_ids(g, faces) == swept
+
+
+def test_class_ids_beyond_the_listing_gate_are_refused_before_listing():
+    # the embedded faces of 11110000 give g = 65: 2^130 classes would be listed
+    g = build_quotient(8, BinaryCode.from_strings(8, ["11110000"]))
+    faces = attach_faces(g).faces
+    with pytest.raises(ResourceBoundError, match=r"^2\^130 vertex-change classes exceed the "
+                                                 r"listing gate \(1048576\); use count_well_dashed_exact$"):
+        well_dashed_class_ids(g, faces)
+    assert count_well_dashed_exact(g, faces) == 1 << (130 + g.vertex_count - 1)
 
 
 def test_class_ids_of_an_inconsistent_system_are_empty():

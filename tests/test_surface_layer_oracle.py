@@ -14,7 +14,12 @@ Frozen copies of the former code:
 - ``_frozen_frame_orientation`` and ``_frozen_cycle_orientation``: the
   breadth-first frame transport and the same-label cycle walk, on dicts;
 - ``_frozen_validate_origami`` and ``_frozen_monodromy``: per-vertex
-  counters, a breadth-first search, and the genus from tuple permutations.
+  counters, a breadth-first search, and the genus from tuple permutations;
+- ``FrozenFace`` (with its ``edge_mask``), ``_frozen_check_faces``,
+  ``_frozen_well_dashed``, ``_frozen_heads``, ``_frozen_kasteleyn_parities``,
+  ``_frozen_dashing_to_kasteleyn``, ``_frozen_count`` and the ungated
+  ``_frozen_class_ids``: the per-face record and the per-face loops that
+  read it, before faces became the index arrays of ``adinkra.Faces``.
 
 The library must give the same slot tables, cycles, faces, edge sides, dual
 origamis, reports, monodromies and genera on random doubly-even quotients
@@ -23,12 +28,17 @@ whole, on defective graphs: missing or repeated slots, walks that do not
 close, edges inside one side of the bipartition, duplicated x-edges and
 disconnected origamis.  An origami with no squares is left out of the
 comparison: the former report passed it, and it is now refused
-(``tests/test_origami.py``).
+(``tests/test_origami.py``).  Faces are compared as the three arrays of
+``Faces``, exactly and in order.  The dashing and Kasteleyn checks and the
+counts are compared on random and well-dashed dashings over both face sets
+(N from 4 to 10), and on defective graphs, with the faces of the graph
+they came from.
 """
 
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -41,13 +51,19 @@ from adinkra_spectra.adinkra import (
     Adinkra,
     Chromotopology,
     Dashing,
-    Face,
+    Faces,
+    _heads,
     _walk_four_cycles,
     build_quotient,
+    count_well_dashed_exact,
+    dashing_to_kasteleyn,
     default_ranking,
     graph_from_json,
     graph_to_json,
+    kasteleyn_parities,
     two_colored_four_cycles,
+    well_dashed,
+    well_dashed_class_ids,
 )
 from adinkra_spectra.codes import BinaryCode
 from adinkra_spectra.embedding import (
@@ -56,6 +72,7 @@ from adinkra_spectra.embedding import (
     dual_origami_graph,
     fibered_product,
 )
+from adinkra_spectra.gf2 import GF2System
 from adinkra_spectra.origami import (
     Monodromy,
     OrigamiGraph,
@@ -69,6 +86,22 @@ from adinkra_spectra.origami import (
 from adinkra_spectra.perms import compose, cycle_lengths, inverse
 
 # -- frozen copies -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FrozenFace:
+    """The former per-face record."""
+
+    vertices: tuple[int, int, int, int]
+    edge_indices: tuple[int, int, int, int]
+    colors: tuple[int, int]
+
+    @property
+    def edge_mask(self) -> int:
+        m = 0
+        for e in self.edge_indices:
+            m |= 1 << e
+        return m
 
 
 def _frozen_slot_table(graph: Chromotopology):
@@ -168,7 +201,7 @@ def _frozen_attach(graph: Chromotopology):
         bosons = [v for v in range(graph.vertex_count) if side[v] != FERMION]
         walks = [((1, 2), fermions), ((1, 2), bosons)]
     faces = sorted(
-        (Face(quad, edges, pair)
+        (FrozenFace(quad, edges, pair)
          for pair, starts in walks
          for quad, edges in _frozen_walk(graph, table, *pair, starts)),
         key=lambda f: (f.colors, f.vertices),
@@ -317,6 +350,71 @@ def _frozen_monodromy(graph: OrigamiGraph):
     return m, _frozen_genus(m)
 
 
+def _frozen_check_faces(graph, faces):
+    for f in faces:
+        for e in f.edge_indices:
+            if not 0 <= e < graph.edge_count:
+                raise ValueError(f"face references missing edge {e}")
+
+
+def _frozen_well_dashed(graph, faces, dashing):
+    _frozen_check_faces(graph, faces)
+    mask = dashing.mask
+    return all((mask & f.edge_mask).bit_count() & 1 for f in faces)
+
+
+def _frozen_heads(graph, dashing):
+    heads = []
+    for e, (u, v, _c) in enumerate(graph.edges):
+        bu, bv = graph.bipartition[u], graph.bipartition[v]
+        if bu == bv:
+            raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
+        head = v if bv == FERMION else u
+        if dashing.bits[e]:
+            head = u if head == v else v
+        heads.append(head)
+    return tuple(heads)
+
+
+def _frozen_kasteleyn_parities(graph, faces):
+    _frozen_check_faces(graph, faces)
+    base = []
+    masks = []
+    heads_solid = _frozen_heads(graph, Dashing.solid(graph.edge_count))
+    for f in faces:
+        opp = 0
+        for j in range(4):
+            tail = f.vertices[j]
+            e = f.edge_indices[j]
+            if heads_solid[e] == tail:
+                opp ^= 1
+        base.append(opp)
+        masks.append(f.edge_mask)
+    return tuple(base), tuple(masks)
+
+
+def _frozen_dashing_to_kasteleyn(graph, faces, dashing):
+    if not faces:
+        raise ValueError("no faces supplied")
+    _frozen_check_faces(graph, faces)
+    heads = _frozen_heads(graph, dashing)
+    ok = True
+    for f in faces:
+        opp = 0
+        for j in range(4):
+            if heads[f.edge_indices[j]] == f.vertices[j]:
+                opp ^= 1
+        if not opp:
+            ok = False
+            break
+    return heads, ok
+
+
+def _frozen_count(graph, faces):
+    system = GF2System((f.edge_mask for f in faces), rhs=1)
+    return 1 << (graph.edge_count - system.rank) if system.consistent else 0
+
+
 # -- comparisons -----------------------------------------------------------------
 
 
@@ -347,9 +445,26 @@ def _frozen_walks(graph, pairs, starts):
 
 def _strict_faces(graph):
     table = _frozen_slot_table(graph)
-    return tuple(Face(quad, edges, pair)
+    return tuple(FrozenFace(quad, edges, pair)
                  for pair in combinations(range(1, graph.n_colors + 1), 2)
                  for quad, edges in _frozen_walk(graph, table, *pair, range(graph.vertex_count)))
+
+
+def _same_faces(got, expected) -> bool:
+    """A ``Faces`` record against a tuple of ``FrozenFace``: all three
+    arrays exactly, in order.  Error messages compare as strings."""
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    fields = ((got.vertices, "vertices", 4), (got.edges, "edge_indices", 4),
+              (got.colors, "colors", 2))
+    return all(np.array_equal(array, np.array([getattr(f, name) for f in expected],
+                                              dtype=np.intp).reshape(-1, width))
+               for array, name, width in fields)
+
+
+def _as_frozen(faces: Faces) -> tuple[FrozenFace, ...]:
+    return tuple(FrozenFace(tuple(v), tuple(e), tuple(c)) for v, e, c in zip(
+        faces.vertices.tolist(), faces.edges.tolist(), faces.colors.tolist()))
 
 
 def _library_attach(graph):
@@ -370,14 +485,41 @@ def check_graph(graph: Chromotopology) -> None:
     """Every array form on ``graph`` against its frozen loop."""
     assert _flat(graph.slot_table) == _frozen_slot_table(graph)
     assert graph.component_count == _frozen_component_count(graph)
-    assert _outcome(two_colored_four_cycles, graph) == _outcome(_strict_faces, graph)
+    assert _same_faces(_outcome(two_colored_four_cycles, graph), _outcome(_strict_faces, graph))
     if graph.n_colors >= 2:
-        assert _outcome(_library_attach, graph) == _outcome(_frozen_attach, graph)
+        got, expected = _outcome(_library_attach, graph), _outcome(_frozen_attach, graph)
+        if isinstance(got, str) or isinstance(expected, str):
+            assert got == expected
+        else:
+            assert _same_faces(got[0], expected[0])
+            assert got[1] == expected[1]
     if graph.n_colors > 2 and graph.n_colors % 2 == 0:
         dual = _outcome(_library_dual, graph)
         assert dual == _outcome(_frozen_full_dual, graph)
         if isinstance(dual, OrigamiGraph):
             check_origami(dual)
+
+
+def check_face_consumers(graph: Chromotopology, faces: Faces, dashings) -> None:
+    """The array consumers of ``faces`` against the per-face loops, on the
+    same faces; error messages compared whole."""
+    frozen = _as_frozen(faces)
+    assert _outcome(kasteleyn_parities, graph, faces) == \
+        _outcome(_frozen_kasteleyn_parities, graph, frozen)
+    # the count now checks its faces like the other consumers
+    expected = _outcome(_frozen_check_faces, graph, frozen) or _outcome(_frozen_count, graph, frozen)
+    assert _outcome(count_well_dashed_exact, graph, faces) == expected
+    for dashing in dashings:
+        assert _outcome(well_dashed, graph, faces, dashing) == \
+            _outcome(_frozen_well_dashed, graph, frozen, dashing)
+        got = _outcome(dashing_to_kasteleyn, graph, faces, dashing)
+        if not isinstance(got, str):
+            got = got[0].heads, got[1]
+        assert got == _outcome(_frozen_dashing_to_kasteleyn, graph, frozen, dashing)
+        heads = _outcome(_heads, graph, dashing)
+        if not isinstance(heads, str):
+            heads = tuple(heads.tolist())
+        assert heads == _outcome(_frozen_heads, graph, dashing)
 
 
 def check_origami(graph: OrigamiGraph) -> None:
@@ -461,6 +603,57 @@ def test_products_match_frozen(a, b):
         check_graph(fibered_product(g1, g2, residue)[0])
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_face_consumers_match_frozen(data):
+    graph = data.draw(doubly_even_quotients(max_vertex_bits=7), label="graph")  # N 4..10
+    e = graph.edge_count
+    for faces in (two_colored_four_cycles(graph), attach_faces(graph).faces):
+        frozen = _as_frozen(faces)
+        dashings = [Dashing.solid(e)] + [
+            Dashing.from_mask(data.draw(st.integers(0, (1 << e) - 1), label="dashing"), e)
+            for _ in range(3)]
+        # and one well-dashed dashing, from the frozen masks' system
+        particular, nullspace = GF2System((f.edge_mask for f in frozen), rhs=1).solve(e)
+        pick = data.draw(st.integers(0, (1 << len(nullspace)) - 1), label="pick")
+        for j, v in enumerate(nullspace):
+            particular ^= v * (pick >> j & 1)
+        dashings.append(Dashing.from_mask(particular, e))
+        assert _frozen_well_dashed(graph, frozen, dashings[-1])
+        check_face_consumers(graph, faces, dashings)
+        # and a run of consecutive faces, as a subset of pairs would give
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, len(faces)), min_size=2, max_size=2),
+                                  label="run"))
+        check_face_consumers(graph, Faces(faces.vertices[lo:hi], faces.edges[lo:hi],
+                                          faces.colors[lo:hi]), dashings)
+
+
+def _frozen_class_ids(graph, faces):
+    solution = GF2System((f.edge_mask for f in faces), rhs=1).solve(graph.edge_count)
+    if solution is None:
+        return {}
+    particular, nullspace = solution
+    cut = GF2System(graph.incident_edge_masks)
+    span = GF2System()
+    ids = [cut.reduce(particular)]
+    for v in nullspace:
+        r = cut.reduce(v)
+        if span.insert(r):
+            ids += [x ^ r for x in ids]
+    return dict.fromkeys(sorted(ids), 1 << (len(nullspace) - span.rank))
+
+
+@pytest.mark.parametrize("n,rows", [(2, ()), (3, ()), (4, ()), (4, ("1111",)), (5, ()),
+                                    (6, ("111111",)), (6, ("111100", "001111"))])
+def test_class_ids_match_frozen(n, rows):
+    code = BinaryCode.from_strings(n, list(rows)) if rows else BinaryCode.trivial(n)
+    graph = build_quotient(n, code)
+    for faces in (two_colored_four_cycles(graph), attach_faces(graph).faces):
+        expected = _frozen_class_ids(graph, _as_frozen(faces))
+        assert well_dashed_class_ids(graph, faces) == expected
+    assert expected or n == 6  # 111111 is even, not doubly-even
+
+
 # -- defective graphs --------------------------------------------------------------
 
 
@@ -508,6 +701,45 @@ def test_defective_graphs_match_frozen(data):
         MUTATIONS[name](obj["edges"], data)
     assume(obj["edges"])
     check_graph(graph_from_json(obj)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_face_consumers_on_defective_graphs_match_frozen(data):
+    # the faces of the graph before its defects, and its own where they build
+    source = data.draw(doubly_even_quotients(max_vertex_bits=6), label="graph")
+    obj = graph_to_json(source)
+    for name in data.draw(st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=3),
+                          label="mutations"):
+        MUTATIONS[name](obj["edges"], data)
+    assume(obj["edges"])
+    graph = graph_from_json(obj)[0]
+    e = graph.edge_count
+    dashings = [Dashing.from_mask(data.draw(st.integers(0, (1 << e) - 1), label="dashing"), e)]
+    face_sets = [two_colored_four_cycles(source), attach_faces(source).faces,
+                 two_colored_four_cycles(graph, [])]
+    own = _outcome(two_colored_four_cycles, graph)
+    if not isinstance(own, str):
+        face_sets.append(own)
+    for faces in face_sets:
+        check_face_consumers(graph, faces, dashings)
+
+
+def test_missing_edges_and_an_empty_face_set_are_named_as_before():
+    source = build_quotient(4, BinaryCode.trivial(4))
+    faces = attach_faces(source).faces
+    for kept in (31, 16):  # the first missing edge in face order is named
+        graph = Chromotopology(4, source.vertices, source.edges[:kept], source.bipartition)
+        dashing = Dashing.solid(kept)
+        check_face_consumers(graph, faces, [dashing])
+        first = next(e for e in faces.edges.ravel().tolist() if e >= kept)
+        assert _outcome(well_dashed, graph, faces, dashing) == \
+            f"ValueError: face references missing edge {first}"
+    empty = two_colored_four_cycles(source, [])
+    assert (empty.vertices.shape, empty.edges.shape, empty.colors.shape) == ((0, 4), (0, 4), (0, 2))
+    assert _outcome(dashing_to_kasteleyn, source, empty, Dashing.solid(source.edge_count)) == \
+        "ValueError: no faces supplied"
+    check_face_consumers(source, empty, [Dashing.solid(source.edge_count)])
 
 
 def test_walk_skips_a_failing_start_on_an_earlier_cycle():
