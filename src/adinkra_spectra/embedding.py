@@ -40,7 +40,7 @@ from .adinkra import (
 )
 from .hyperbolic import CosetAction
 from .origami import OrigamiGraph
-from .perms import component_labels
+from .perms import component_labels, inverse
 
 
 @dataclass(frozen=True)
@@ -346,10 +346,7 @@ def dessin_action(graph: Chromotopology) -> CosetAction:
     from_u = side[us] == FERMION
     sigma0 = edge[np.where(from_u, us, vs), (cs - 2) % n]
     sigma1 = edge[np.where(from_u, vs, us), cs % n]
-    sigma2 = np.empty_like(sigma0)
-    sigma2[sigma0[sigma1]] = np.arange(len(sigma2))
-    return CosetAction(len(sigma2), {"a": tuple(sigma0.tolist()), "b": tuple(sigma1.tolist()),
-                                     "c": tuple(sigma2.tolist())})
+    return CosetAction(len(sigma0), {"a": sigma0, "b": sigma1, "c": inverse(sigma0[sigma1])})
 
 
 def cartesian_product(a1: Adinkra, a2: Adinkra) -> Adinkra:

@@ -40,7 +40,6 @@ different cycle types.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import compress, count, product
 from operator import not_
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import perms
 from .errors import ResourceBoundError
-from .perms import compose, cycle_lengths, inverse
+from .perms import cycle_lengths, inverse, permutation
 
 TRACE_GAP = 1e-9  # elements this close to |tr| = 2 are flagged near-parabolic
 
@@ -627,44 +626,44 @@ def power_closure(
 class CosetAction:
     """Permutation representation on the cosets of a finite-index subgroup.
 
-    ``perms`` maps each generator letter to a 0-based permutation tuple;
-    the action must be transitive (connected cover).  Lifting a spectrum
-    also needs it to be an action of the triangle group: see
-    ``check_relations``.
+    ``perms`` maps each generator letter to a 0-based permutation of
+    range(degree), degree >= 1, stored as a read-only array; the action
+    must be transitive (connected cover).  Lifting a spectrum also needs
+    it to be an action of the triangle group: see ``check_relations``.
     """
 
     degree: int
-    perms: dict[str, tuple[int, ...]] = field(compare=False)
+    perms: dict[str, np.ndarray] = field(compare=False)
+    _inverses: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for letter, p in self.perms.items():
-            if sorted(p) != list(range(self.degree)):
-                raise ValueError(f"perm for {letter!r} is not a permutation of degree {self.degree}")
-        if not self.is_transitive():
+        object.__setattr__(self, "perms", {
+            letter: permutation(p, self.degree, f"perm for {letter!r}")
+            for letter, p in self.perms.items()})
+        if not perms.is_transitive(list(self.perms.values()), self.degree):
             raise ValueError("coset action is not transitive")
+        object.__setattr__(self, "_inverses", {l: inverse(p) for l, p in self.perms.items()})
 
-    def is_transitive(self) -> bool:
-        return perms.is_transitive(self.perms.values(), self.degree)
-
-    def word_permutation(self, word: str) -> tuple[int, ...]:
-        """Image of a word: the image of w1w2 is image(w1) o image(w2), the
+    def word_permutation(self, word: str) -> np.ndarray:
+        """Image of a word: the image of w1w2 is image(w1)[image(w2)], the
         permutation of w2 applied first, i.e. a left action."""
-        out = tuple(range(self.degree))
+        out = np.arange(self.degree)
         for letter in word:
-            base = self.perms.get(letter.lower())
+            images = self.perms if letter.islower() else self._inverses
+            base = images.get(letter.lower())
             if base is None:
                 raise ValueError(f"no permutation for generator {letter.lower()!r}")
-            out = compose(out, base if letter.islower() else inverse(base))
+            out = out[base]
         return out
 
     def check_relations(self, group: TriangleGroup) -> None:
         """Raise ValueError naming the first of a^p, b^q, c^r and abc whose
         image is not the identity, so that the permutations are not an
         action of ``group``."""
-        ident = tuple(range(self.degree))
+        points = np.arange(self.degree)
         p, q, r = group.signature
         for name, word in (("a^p", "a" * p), ("b^q", "b" * q), ("c^r", "c" * r), ("abc", "abc")):
-            if self.word_permutation(word) != ident:
+            if np.count_nonzero(self.word_permutation(word) != points):
                 raise ValueError(
                     f"the coset action does not satisfy {name} = 1 of the "
                     f"({p},{q},{r}) triangle group"
@@ -673,7 +672,7 @@ class CosetAction:
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "perms": {l: [i + 1 for i in p] for l, p in sorted(self.perms.items())},
+            "perms": {l: (self.perms[l] + 1).tolist() for l in sorted(self.perms)},
         }
 
     @classmethod
@@ -708,8 +707,9 @@ def cover_length_spectrum(
                 f"{cls.primitive}) is not one primitive class; lift the per-class "
                 "spectrum that length_spectrum returns"
             )
-        counts = Counter(cycle_lengths(action.word_permutation(cls.word)))
-        for c, cnt in sorted(counts.items()):
+        counts = np.bincount(cycle_lengths(action.word_permutation(cls.word)))
+        sizes = np.flatnonzero(counts)
+        for c, cnt in zip(sizes.tolist(), counts[sizes].tolist()):
             length = c * cls.length
             out.append(GeodesicClass(2.0 * math.cosh(length / 2.0), length, length, cnt,
                                      f"{cls.word}|cycle{c}", True))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import perms
 from .adinkra import INDEX, Chromotopology, _int_objects
-from .perms import component_labels
+from .perms import component_labels, inverse, permutation
 
 LabeledEdge = tuple[int, int, str]  # (tail, head, "x"|"y"); parallel edges allowed
 
@@ -63,9 +63,9 @@ class Monodromy:
         d = len(self.sigma_x)
         if len(self.sigma_y) != d:
             raise ValueError("sigma_x and sigma_y act on different sets")
-        for s in (self.sigma_x, self.sigma_y):
-            if sorted(s) != list(range(d)):
-                raise ValueError(f"not a permutation: {s}")
+        if d:  # the empty pair stays: validation reports it as no squares
+            permutation(self.sigma_x, d, "sigma_x")
+            permutation(self.sigma_y, d, "sigma_y")
 
     @property
     def degree(self) -> int:
@@ -156,10 +156,7 @@ def monodromy(graph: OrigamiGraph) -> tuple[Monodromy, int]:
 
 def _commutator(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """sx sy sx^-1 sy^-1 on permutation arrays, sy^-1 applied first."""
-    inv_x = np.empty_like(sx)
-    inv_y = np.empty_like(sy)
-    inv_x[sx] = inv_y[sy] = np.arange(len(sx))
-    return sx[sy[inv_x[inv_y]]]
+    return sx[sy[inverse(sx)[inverse(sy)]]]
 
 
 def _genus(sx: np.ndarray, sy: np.ndarray) -> int:
@@ -183,7 +180,10 @@ def genus_from_monodromy(m: Monodromy) -> int:
 
 
 def is_transitive(m: Monodromy) -> bool:
-    return perms.is_transitive((m.sigma_x, m.sigma_y), m.degree)
+    """Whether the squares are one orbit; no squares are not: no surface."""
+    d = m.degree
+    return d > 0 and perms.is_transitive(
+        [permutation(m.sigma_x, d, "sigma_x"), permutation(m.sigma_y, d, "sigma_y")], d)
 
 
 def origami_from_monodromy(m: Monodromy) -> OrigamiGraph:

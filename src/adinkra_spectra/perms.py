@@ -1,59 +1,40 @@
-"""Permutations of range(d) as tuples, p[i] the image of i: inverse,
-composition, cycle type, transitivity of the group they generate, and
-exponents over a generating cycle.  ``component_labels`` is the array form
-of orbits and connectivity: the cycles of a permutation array, the orbits
-of several, or the components of any graph given by its edge ends."""
+"""Permutations of range(d), d >= 1, as read-only int arrays made by the one
+check ``permutation``; p[i] is the image of i and p[q] applies q first.
+Inverse, cycle type, transitivity and exponents over a generating cycle
+take these arrays.  ``component_labels`` is the array form of orbits and
+connectivity: the cycles of a permutation, the orbits of several, or the
+components of any graph given by its edge ends."""
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-Perm = tuple[int, ...]
+Perm = np.ndarray
+
+
+def permutation(seq, degree: int, name: str) -> Perm:
+    """``seq`` as a read-only intp array, or a ValueError naming it when it
+    is not a permutation of range(degree); degree 0 is refused."""
+    if degree < 1:
+        raise ValueError(f"{name} has degree {degree}: a permutation needs at least one point")
+    p = np.array(seq)
+    if p.dtype.kind in "iu":
+        p = p.astype(np.intp, copy=False)
+    if (p.dtype != np.intp or p.shape != (degree,)
+            or np.count_nonzero((p < 0) | (p >= degree))
+            or np.count_nonzero(np.bincount(p, minlength=degree) != 1)):
+        raise ValueError(f"{name} is not a permutation of 0..{degree - 1}")
+    p.flags.writeable = False
+    return p
 
 
 def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[j] for j in q)
-
-
-def cycle_lengths(p: Perm) -> list[int]:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        c, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            c += 1
-        if c:
-            out.append(c)
-    return out
-
-
-def is_transitive(gens: Collection[Perm], degree: int) -> bool:
-    """Whether the group generated by ``gens`` moves 0 to every point.
-
-    Forward images suffice: on a finite set each inverse is a power of
-    its permutation.
-    """
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for p in gens:
-            if p[i] not in seen:
-                seen.add(p[i])
-                stack.append(p[i])
-    return len(seen) == degree
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p))
+    inv.flags.writeable = False
+    return inv
 
 
 def component_labels(tails: np.ndarray, heads: np.ndarray, size: int) -> np.ndarray:
@@ -80,21 +61,45 @@ def component_labels(tails: np.ndarray, heads: np.ndarray, size: int) -> np.ndar
             root = jumped
 
 
+def cycle_lengths(p: Perm) -> np.ndarray:
+    """The lengths of the cycles of p, in the order of their least points."""
+    points = np.arange(len(p))
+    labels = component_labels(points, p, len(p))
+    return np.bincount(labels, minlength=len(p))[labels == points]
+
+
+def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
+    """Whether the group generated by ``gens`` has one orbit on range(degree).
+
+    Forward images suffice: on a finite set each inverse is a power of
+    its permutation.  The identity's loops join the edges, so that no
+    generators at all is one orbit exactly at degree 1.
+    """
+    points = np.arange(degree)
+    labels = component_labels(np.tile(points, len(gens) + 1), np.concatenate([points, *gens]),
+                              degree)
+    return degree > 0 and not np.count_nonzero(labels)
+
+
 def cyclic_exponents(gens: Sequence[Perm], degree: int) -> list[int] | None:
     """Exponents e_s with gens[s] = t^e_s for one ``degree``-cycle t in gens.
 
-    A permutation commuting with a d-cycle t is a power of t, so this
-    succeeds exactly when the generators commute, act transitively and
-    include a d-cycle; otherwise (Klein-4, S3, intransitive actions, or a
-    cyclic group with no generating d-cycle among gens) it returns None.
+    With pos[t^k(0)] = k, g = t^e exactly when pos[g] = pos + e mod d, and
+    e = pos[g[0]].  A permutation commuting with a d-cycle t is a power of
+    t, so this succeeds exactly when the generators commute, act
+    transitively and include a d-cycle; otherwise (Klein-4, S3,
+    intransitive actions, or a cyclic group with no generating d-cycle
+    among gens) it returns None.
     """
-    t = next((p for p in gens if cycle_lengths(p) == [degree]), None)
+    t = next((p for p in gens if len(cycle_lengths(p)) == 1), None)
     if t is None:
         return None
-    power_of: dict[Perm, int] = {}
-    p = tuple(range(degree))
-    for e in range(degree):
-        power_of[p] = e
-        p = compose(t, p)
-    exps = [power_of.get(tuple(g)) for g in gens]
-    return None if None in exps else exps
+    pos = np.empty(degree, dtype=np.intp)
+    point = 0
+    for k in range(degree):
+        pos[point] = k
+        point = t[point]
+    exps = [int(pos[g[0]]) for g in gens]
+    if any(np.count_nonzero(pos[g] != (pos + e) % degree) for g, e in zip(gens, exps)):
+        return None
+    return exps

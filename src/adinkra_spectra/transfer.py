@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .perms import cyclic_exponents
+from .perms import cyclic_exponents, permutation
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class TransferMatrix:
     Grid index is (coset, interval, node), cosets outermost; with degree 1
     this is exactly the base discretization.  ``base`` is the degree-1
     matrix (branch s's weighted cardinal block in columns s*k..(s+1)*k,
-    the same array as ``matrix`` at degree 1) and ``branch_perms`` the
-    coset permutation of each branch, in branch order; ``fredholm_det``
+    the same array as ``matrix`` at degree 1) and ``branch_perms`` each
+    branch's coset permutation array, in branch order; ``fredholm_det``
     factors abelian coset actions from these two.
     """
 
@@ -249,9 +249,7 @@ def extend_to_coset(
     if extra:
         raise ValueError(f"coset permutations for labels the system lacks: {extra}")
     degree = len(next(iter(perms.values())))
-    for l, p in perms.items():
-        if sorted(p) != list(range(degree)):
-            raise ValueError(f"perm for branch {l!r} is not a permutation of 0..{degree - 1}")
+    branch_perms = tuple(permutation(perms[l], degree, f"perm for branch {l!r}") for l in labels)
     grids = tuple(_cheb_nodes(b.lo, b.hi, nodes_per_interval) for b in sys.branches)
     bweights = _bary_weights(nodes_per_interval)
     allx = np.concatenate(grids)
@@ -264,7 +262,6 @@ def extend_to_coset(
             grids[s], bweights, b.apply(allx))
     if np.iscomplexobj(base) and np.all(base.imag == 0.0):
         base = np.ascontiguousarray(base.real)  # a copy, so the complex buffer is freed
-    branch_perms = tuple(tuple(perms[l]) for l in labels)
     if degree == 1:
         big = base
     else:

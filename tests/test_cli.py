@@ -339,6 +339,17 @@ def test_zeta_coset_file_with_unknown_label(capsys, tmp_path):
     assert payload["message"] == "coset permutations for labels the system lacks: ['7']"
 
 
+def test_zeta_coset_file_of_degree_zero_is_refused(capsys, tmp_path):
+    path = tmp_path / "c0.json"
+    path.write_text(json.dumps({"perms": {"1": [], "2": []}}))
+    code, out, err = run_capture(
+        capsys, ["zeta", "--gauss", "2", "--beta", "1.5", "--nodes", "4", "--coset", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "perm for branch '1' has degree 0: a permutation needs at least one point"}
+
+
 def test_torus_action(capsys, tmp_path):
     pd = {"g": 1, "omega": [[[0.0, 1.0]]], "n": [0], "m": [1]}
     path = tmp_path / "omega.json"

@@ -9,6 +9,8 @@ are checked to refuse a Lambda beyond it inside the library.
 """
 
 import functools
+import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -23,6 +25,7 @@ from adinkra_spectra.adinkra import Chromotopology, build_quotient
 from adinkra_spectra.codes import BinaryCode
 from adinkra_spectra.embedding import attach_faces, dessin_action
 from adinkra_spectra.hyperbolic import (
+    CosetAction,
     cover_length_spectrum,
     length_spectrum,
     power_closure,
@@ -30,7 +33,6 @@ from adinkra_spectra.hyperbolic import (
     spectrum_to_csv,
     triangle_generators,
 )
-from adinkra_spectra.perms import inverse
 from adinkra_spectra.spectral import (
     dirac_action,
     laplace_action_conjugacy,
@@ -38,6 +40,8 @@ from adinkra_spectra.spectral import (
     make_test_pair,
     super_action,
 )
+
+from test_perms_oracle import inverse
 
 
 @functools.cache
@@ -79,6 +83,15 @@ def test_11110000_lifts_class_by_class():
     assert _riemann_hurwitz_genus(edges, 8) == genus
 
 
+def test_dessin_action_json_is_unchanged():
+    action = dessin_action(build_quotient(8, BinaryCode.from_strings(8, ["11110000"])))
+    text = json.dumps(action.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "da22650f366b9e150b5fe777f870bb1d0e73741368a46c8b67f666132de58219"
+    back = CosetAction.from_json(json.loads(text))
+    assert all(back.perms[l].tolist() == action.perms[l].tolist() for l in "abc")
+
+
 def test_n12_dessin_action_is_a_12_12_2_action_of_the_surface_genus():
     graph = build_quotient(12, BinaryCode.from_strings(12, ["111100000000", "000011110000"]))
     action = dessin_action(graph)
@@ -103,7 +116,7 @@ def _brute_force_lift(n, l_max, action):
     """{lifted word: (length, count)} from every primitive class of the
     ball, each point walked through the word's letters from last to first."""
     classes = hyperbolic._classify(_group(n), l_max)
-    images = {l: action.perms[l] for l in "abc"}
+    images = {l: tuple(action.perms[l].tolist()) for l in "abc"}
     images.update({l.upper(): inverse(p) for l, p in images.items()})
     out = {}
     for length, _trace, word, primitive in hyperbolic._records(classes, l_max):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from adinkra_spectra import hyperbolic
 from adinkra_spectra.errors import ResourceBoundError
-from adinkra_spectra.perms import compose, cycle_lengths
+from adinkra_spectra.perms import cycle_lengths
 from adinkra_spectra.hyperbolic import (
     CosetAction,
     GeodesicClass,
@@ -196,7 +197,7 @@ def test_cover_cycle_lengths_sum_to_degree(delta552, spectrum552):
         base = next(b for b in spectrum552.classes if b.word == word)
         base_by_word[word] += cyc * (c.multiplicity // base.multiplicity)
     assert set(base_by_word.values()) == {5}
-    cycle_types = {tuple(sorted(cycle_lengths(action.word_permutation(b.word))))
+    cycle_types = {tuple(sorted(cycle_lengths(action.word_permutation(b.word)).tolist()))
                    for b in spectrum552.classes}
     assert cycle_types == {(1, 1, 3), (1, 2, 2), (5,)}
 
@@ -214,8 +215,20 @@ def test_cover_lengths_scale_with_cycles(delta552, spectrum552):
 def test_word_permutation_is_a_left_action():
     action = CosetAction(5, A5)
     for w1, w2 in (("a", "b"), ("ab", "C"), ("Bc", "aab")):
-        assert action.word_permutation(w1 + w2) == compose(
-            action.word_permutation(w1), action.word_permutation(w2))
+        assert np.array_equal(action.word_permutation(w1 + w2),
+                              action.word_permutation(w1)[action.word_permutation(w2)])
+
+
+def test_coset_action_json_round_trip():
+    action = CosetAction(5, A5)
+    obj = action.to_json()
+    text = json.dumps(obj)  # plain ints: json cannot write numpy ones
+    assert obj == {"degree": 5, "perms": {l: [i + 1 for i in A5[l]] for l in sorted(A5)}}
+    back = CosetAction.from_json(json.loads(text))
+    assert back == action
+    for l in "abc":
+        assert np.array_equal(back.perms[l], action.perms[l])
+        assert back.perms[l].tolist() == list(A5[l])
 
 
 @pytest.mark.parametrize("perms,relation", [
@@ -378,6 +391,13 @@ def test_csv_refuses_wrong_field_count(row):
 def test_nontransitive_action_rejected():
     with pytest.raises(ValueError, match="transitive"):
         CosetAction(2, {"a": (0, 1), "b": (0, 1), "c": (0, 1)})
+
+
+def test_degree_zero_action_is_refused():
+    with pytest.raises(ValueError, match="^perm for 'a' has degree 0"):
+        CosetAction(0, {"a": (), "b": (), "c": ()})
+    with pytest.raises(ValueError, match="transitive"):
+        CosetAction(0, {})
 
 
 def test_ball_dedupe_is_sign_correct(delta552):

@@ -71,6 +71,11 @@ def test_no_squares_is_refused():
         genus_from_monodromy(Monodromy((), ()))
 
 
+def test_no_squares_are_not_transitive():
+    assert is_transitive(Monodromy((), ())) is False
+    assert is_transitive(Monodromy((0,), (0,))) is True
+
+
 def test_graph_monodromy_round_trip():
     m = Monodromy((1, 2, 0), (0, 2, 1))
     m2, _g = monodromy(origami_from_monodromy(m))

@@ -83,7 +83,8 @@ from adinkra_spectra.origami import (
     origami_from_monodromy,
     validate_origami_graph,
 )
-from adinkra_spectra.perms import compose, cycle_lengths, inverse
+
+from test_perms_oracle import compose, cycle_lengths, inverse
 
 # -- frozen copies -------------------------------------------------------------
 

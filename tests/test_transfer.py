@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adinkra_spectra.perms import compose, cyclic_exponents
+from adinkra_spectra.perms import cyclic_exponents, permutation
 from adinkra_spectra.transfer import (
     Branch,
     BranchSystem,
@@ -14,6 +14,8 @@ from adinkra_spectra.transfer import (
     gauss_leading_pair,
     neville_extrapolate,
 )
+
+from test_perms_oracle import compose
 
 GKW = 0.3036630028987327  # Gauss-Kuzmin-Wirsing subleading magnitude
 
@@ -246,7 +248,9 @@ def test_coset_keeps_base_and_branch_perms():
     perms = {"1": (1, 2, 0), "2": (0, 1, 2), "3": (2, 0, 1), "4": (1, 2, 0)}
     ext = extend_to_coset(sys, perms, 1.3, 8)
     assert np.array_equal(ext.base, build_transfer_matrix(sys, 1.3, 8).matrix)
-    assert ext.branch_perms == tuple(perms[l] for l in "1234")
+    assert len(ext.branch_perms) == 4
+    for p, l in zip(ext.branch_perms, "1234"):
+        assert np.array_equal(p, perms[l])
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 6])
@@ -262,16 +266,19 @@ def test_cyclic_exponents_recover_powers(d):
         for _ in range(e):
             p = compose(t, p)
         gens.append(p)
-    got = cyclic_exponents([t] + gens, d)
+    got = cyclic_exponents([permutation(p, d, "p") for p in [t] + gens], d)
     assert got == [1 % d] + exps
 
 
 def test_cyclic_exponents_refuse_non_cyclic_actions():
+    def refused(gens, d):
+        return cyclic_exponents([permutation(p, d, "p") for p in gens], d) is None
+
     klein4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
-    assert cyclic_exponents(klein4, 4) is None
-    assert cyclic_exponents([(1, 2, 0), (1, 0, 2)], 3) is None  # S3
-    assert cyclic_exponents([(1, 0, 2, 3), (0, 1, 3, 2)], 4) is None  # intransitive
-    assert cyclic_exponents([(2, 3, 0, 1), (0, 1, 2, 3)], 4) is None  # even shifts only
+    assert refused(klein4, 4)
+    assert refused([(1, 2, 0), (1, 0, 2)], 3)  # S3
+    assert refused([(1, 0, 2, 3), (0, 1, 3, 2)], 4)  # intransitive
+    assert refused([(2, 3, 0, 1), (0, 1, 2, 3)], 4)  # even shifts only
 
 
 SWEEP = (12, 16, 20, 24, 28, 32, 36, 40)
