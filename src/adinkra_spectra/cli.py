@@ -36,6 +36,7 @@ from .hyperbolic import (
     triangle_generators,
 )
 from .origami import Monodromy, m_origami_embeddings, monodromy, validate_origami_graph
+from .perms import one_based
 from .spectral import dirac_action, laplace_action_conjugacy, make_test_pair, super_action
 from .torus_spectrum import (
     PeriodData,
@@ -251,8 +252,11 @@ def cmd_zeta(config: PipelineConfig) -> None:
     else:
         system = BranchSystem.from_json(json.loads(Path(p["system"]).read_text()))
     if p["coset"]:
-        action = json.loads(Path(p["coset"]).read_text())
-        perms = {l: tuple(int(i) - 1 for i in perm) for l, perm in action["perms"].items()}
+        table = json.loads(Path(p["coset"]).read_text())["perms"]
+        if not isinstance(table, dict):
+            raise ValueError(f"perms must be an object of 1-based image lists, "
+                             f"got {type(table).__name__}")
+        perms = {l: one_based(perm, f"perm for branch {l!r}") for l, perm in table.items()}
         tm = extend_to_coset(system, perms, p["beta"], p["nodes"])
     else:
         tm = build_transfer_matrix(system, p["beta"], p["nodes"])

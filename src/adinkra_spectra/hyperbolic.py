@@ -16,15 +16,16 @@ exactly the conjugacy classes.  The ball's size is estimated from its area
 before it is grown and refused above a fixed budget.
 
 Inside the ball a matrix [[a, b], [c, d]] is written in the frame that
-moves z0 to i, and is stored as the float tuple (a, b, c, d) under its
-rounded key.  Each breadth-first round is computed in numpy: the frontier
-is an (F, 4) array, its products with the six letters are formed by
-broadcasting, and the cap, the renormalisation and the keys act on whole
-arrays, with the same float operations as the tuple forms.  Candidates
-whose key the ball already holds are skipped by dict lookups run in C;
-only the others execute Python code, in (frontier, letter) order.
-Selecting S and forming the conjugates for the union-find are batched the
-same way.  The public API takes and returns numpy arrays.
+moves z0 to i, and is stored once, as the row (a, b, c, d) of an (n, 4)
+float array, with its rounded key indexing that row.  Each breadth-first
+round is computed in numpy: the frontier is an (F, 4) array, its products
+with the six letters are formed by broadcasting, and the cap, the
+renormalisation and the keys act on whole arrays.  Candidates whose key
+the ball already holds are skipped by dict lookups run in C; only the
+others execute Python code, in (frontier, letter) order.  Selecting S and
+forming the conjugates and the powers are batched the same way, and
+``perms.component_labels`` joins the conjugates into classes.  The public
+API takes and returns numpy arrays.
 
 Spectra.  A ``SpectrumResult`` lists one ``GeodesicClass`` per primitive
 conjugacy class, each with its own word and trace, and carries the length
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress, count, product
+from itertools import compress, count, product, repeat
 from operator import not_
 from typing import Sequence
 
@@ -132,39 +133,22 @@ def triangle_generators(p: int, q: int, r: int) -> TriangleGroup:
                          (va, complex(vb), vc), residual)
 
 
-Mat = tuple[float, float, float, float]  # (a, b, c, d) of [[a, b], [c, d]]
-
-
-def _as_mat(m: np.ndarray) -> Mat:
-    return tuple(map(float, m.ravel()))
-
-
-def _mul(x: Mat, y: Mat) -> Mat:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _renorm(m: Mat) -> Mat:
-    a, b, c, d = m
-    s = math.sqrt(abs(a * d - b * c))
-    return (a / s, b / s, c / s, d / s)
-
-
-# x and y entries of each product in _mul, by output entry
+# x and y entries of each product a*e + b*g, a*f + b*h, c*e + d*g, c*f + d*h
+# of [[a, b], [c, d]] [[e, f], [g, h]], by output entry
 _LEFT, _RIGHT = ([0, 0, 2, 2], [1, 1, 3, 3]), ([0, 1, 0, 1], [2, 3, 2, 3])
 
 
 def _mul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_mul`` over the last axis, of length 4, broadcast over the rest:
-    every entry is the same a*e + b*g, ... in the same order."""
+    """The 2x2 products of x and y, matrices as rows (a, b, c, d) over the
+    last axis, broadcast over the rest; each entry is a*e + b*g, ... summed
+    in that order."""
     out = x[..., _LEFT[0]] * y[..., _RIGHT[0]]
     out += x[..., _LEFT[1]] * y[..., _RIGHT[1]]
     return out
 
 
 def _unimodular(m: np.ndarray) -> np.ndarray:
-    """``_renorm`` of each row of m, an (n, 4) array, in place."""
+    """Each row of m, an (n, 4) array, divided by sqrt|det|, in place."""
     a, b, c, d = m.T
     det = a * d
     det -= b * c
@@ -172,54 +156,47 @@ def _unimodular(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _scaled(m: Mat) -> Mat:
-    """Entries of m or -m times 1e8; the sign makes the first entry above
-    1e-8 in absolute value positive."""
-    s = 1e8
-    for x in m:
-        if abs(x) > 1e-8:
-            s = 1e8 if x > 0 else -1e8
-            break
-    a, b, c, d = m
-    return (a * s, b * s, c * s, d * s)
+_BOUNDARY = 0.499  # a scaled entry this far from its cell's centre is near the next cell
 
 
-def _key(m: Mat) -> tuple[int, int, int, int]:
-    """m up to sign, rounded to 8 digits."""
-    a, b, c, d = _scaled(m)
-    return (round(a), round(b), round(c), round(d))
+def _cells(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key of each row of m, an (n, 4) array, as int64 rows, and the
+    signed residue y - key: y is the row times 1e8, negated when its first
+    entry above 1e-8 in absolute value is negative, so the key is the row up
+    to sign rounded to 8 digits.  ``np.rint`` rounds half to even, and the
+    keys of a ball under BALL_BUDGET stay far below 2^53."""
+    lead = m[np.arange(len(m)), (np.abs(m) > 1e-8).argmax(axis=1)]
+    y = m * np.where(lead < -1e-8, -1e8, 1e8)[:, None]
+    k = np.rint(y)
+    y -= k
+    return k.astype(np.int64), y
 
 
-def _find(table: dict, m: Mat) -> tuple[int, int, int, int] | None:
-    """The key under which ``table`` holds m up to sign, or None.
-
-    Besides ``_key(m)`` this probes the neighbouring cell of every
-    coordinate whose scaled value lies within 1e-3 of a cell boundary, so a
-    copy of m that rounding noise pushed across the boundary is still found.
-    """
-    key = _key(m)
+def _find(table: dict, key: tuple[int, ...], residue: np.ndarray) -> tuple[int, ...] | None:
+    """The key under which ``table`` holds the matrix of cell ``key`` and
+    signed residue ``residue`` (from ``_cells``), or None.  Besides ``key``
+    this probes, for each entry whose residue exceeds ``_BOUNDARY`` in size,
+    the neighbouring cell it leans towards, so a copy that rounding noise
+    pushed across the boundary is still found."""
     if key in table:
         return key
-    cells = [(k, k + 1) if y - k > 0.499 else (k, k - 1) if y - k < -0.499 else (k,)
-             for y, k in zip(_scaled(m), key)]
+    cells = [(k, k + 1) if y > _BOUNDARY else (k, k - 1) if y < -_BOUNDARY else (k,)
+             for k, y in zip(key, residue.tolist())]
     for probe in product(*cells):
         if probe in table:
             return probe
     return None
 
 
-def _cells(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_key`` of each row of m, an (n, 4) array, as int64 rows, and
-    whether ``_find`` would probe a neighbouring cell for that row.
-
-    ``np.rint`` rounds half to even, as ``round`` does, and the keys of a
-    ball under BALL_BUDGET stay far below 2^53.
-    """
-    lead = m[np.arange(len(m)), (np.abs(m) > 1e-8).argmax(axis=1)]
-    y = m * np.where(lead < -1e-8, -1e8, 1e8)[:, None]
-    k = np.rint(y)
-    y -= k
-    return k.astype(np.int64), np.abs(y, out=y).max(axis=1) > 0.499
+def _lookup(table: dict, m: np.ndarray) -> np.ndarray:
+    """The int that ``table`` holds for each row of m, an (n, 4) array, up
+    to sign, found as ``_find`` finds it; -1 where it holds none."""
+    keys, residue = _cells(m)
+    keys = list(zip(*keys.T.tolist()))
+    out = np.fromiter(map(table.get, keys, repeat(-1)), np.intp, len(keys))
+    for i in np.flatnonzero((np.abs(residue).max(axis=1) > _BOUNDARY) & (out < 0)).tolist():
+        out[i] = table.get(_find(table, keys[i], residue[i]), -1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -340,9 +317,9 @@ def _kite(group: TriangleGroup) -> tuple[complex, float, tuple[complex, ...]]:
     return _half_plane(x), radius, tuple(_half_plane(w) for w in kite)
 
 
-def _axis_meets(m: Mat, vertices: list[tuple[float, float]]) -> bool:
-    """Whether the axis of hyperbolic m meets the convex polygon whose
-    vertices z are given as (|z|^2, Re z).
+def _axis_meets(m, vertices: list[tuple[float, float]]) -> bool:
+    """Whether the axis of hyperbolic m = (a, b, c, d) meets the convex
+    polygon whose vertices z are given as (|z|^2, Re z).
 
     The axis is the zero set of c|z|^2 + (d - a) Re z - b; it misses the
     polygon only when every vertex lies strictly on one side, by more than
@@ -355,12 +332,13 @@ def _axis_meets(m: Mat, vertices: list[tuple[float, float]]) -> bool:
     return ~((np.minimum.reduce(values) > tol) | (np.maximum.reduce(values) < -tol))
 
 
-def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float) -> tuple[dict, int, np.ndarray]:
+def _grow_ball(gens: np.ndarray, cap: float) -> tuple[dict, list[str], int, np.ndarray]:
     """Breadth-first ball of the elements with a^2 + b^2 + c^2 + d^2 <= cap,
-    one per element up to sign: key -> (matrix, word), the rounds that
-    added elements, and the matrices as an (n, 4) array in the same
-    order.  A word is the first found, so it has the fewest letters among
-    the paths inside the ball.
+    one per element up to sign, from the letters ``gens``, a (6, 4) array
+    in ``_LETTERS`` order: ``index`` (key -> row), the words, the rounds
+    that added elements, and the matrices as an (n, 4) array, all in the
+    order found.  A word is the first found, so it has the fewest letters
+    among the paths inside the ball.
 
     A round forms the products of the whole frontier with every letter at
     once, drops in numpy those beyond the cap or cancelling the word's last
@@ -370,35 +348,32 @@ def _grow_ball(letters: tuple[tuple[str, Mat], ...], cap: float) -> tuple[dict, 
     no Python step; of the rest, one near a cell boundary is also looked up
     with ``_find``, and the others are added.
     """
-    names = [l for l, _m in letters]
-    gens = np.array([m for _l, m in letters])
-    cancels = [names.index(l.swapcase()) for l in names]
-    ident = (1.0, 0.0, 0.0, 1.0)
-    elements = {_key(ident): (ident, "")}
-    mats = [np.array([ident])]
-    words, cancel = [""], np.array([-1])
+    cancels = [_LETTERS.index(l.swapcase()) for l in _LETTERS]
+    ident = np.array([[1.0, 0.0, 0.0, 1.0]])
+    index = {tuple(_cells(ident)[0][0].tolist()): 0}
+    words, mats = [""], [ident]
+    start, cancel = 0, np.array([-1])
     rounds = 0
     while True:
         flat, m = _products(mats[-1], gens, cancel, cap)
-        key, near = _cells(m)
-        keys = key.T.tolist()
-        candidates = zip(count(), zip(*keys), zip(*m.T.tolist()), near.tolist(), flat.tolist())
+        keys, residue = _cells(m)
+        keys, near = keys.T.tolist(), np.abs(residue).max(axis=1) > _BOUNDARY
+        candidates = zip(count(), zip(*keys), near.tolist(), flat.tolist())
         # the exact-key test runs in C, as the loop reaches each candidate
-        unheld = map(not_, map(elements.__contains__, zip(*keys)))
-        added, next_words, next_cancel = [], [], []
-        for i, k, mat, probe, f in compress(candidates, unheld):
-            if probe and _find(elements, mat) is not None:
+        unheld = map(not_, map(index.__contains__, zip(*keys)))
+        added, next_cancel, first = [], [], len(words)
+        for i, k, probe, f in compress(candidates, unheld):
+            if probe and _find(index, k, residue[i]) is not None:
                 continue
-            r, l = divmod(f, len(names))
-            word = words[r] + names[l]
-            elements[k] = (mat, word)
+            r, l = divmod(f, len(_LETTERS))
+            index[k] = len(words)
+            words.append(words[start + r] + _LETTERS[l])
             added.append(i)
-            next_words.append(word)
             next_cancel.append(cancels[l])
         if not added:
-            return elements, rounds, np.concatenate(mats)
+            return index, words, rounds, np.concatenate(mats)
         mats.append(m[added])
-        words, cancel = next_words, np.array(next_cancel)
+        start, cancel = first, np.array(next_cancel)
         rounds += 1
 
 
@@ -420,16 +395,26 @@ def _products(frontier: np.ndarray, gens: np.ndarray, cancel: np.ndarray, cap: f
 
 @dataclass(frozen=True)
 class _Classes:
-    """A ball and S, written in the frame of ``letters`` (z0 at i);
-    ``root`` maps each key of ``members`` (S) to its component's root."""
+    """A ball and S in the frame of ``letters`` (z0 at i; a (6, 4) array in
+    ``_LETTERS`` order): ``index``, ``words`` and ``mats`` as ``_grow_ball``
+    returns them, ``members`` the rows of S, and ``root`` per member the
+    position in ``members`` of its class's least member."""
 
-    letters: tuple[tuple[str, Mat], ...]
-    elements: dict
+    letters: np.ndarray
+    index: dict
+    words: list[str]
+    mats: np.ndarray
     depth: int
-    members: dict
-    root: dict
+    members: np.ndarray
+    root: np.ndarray
     elliptic: int
     near_parabolic: int
+
+
+def _member_table(index: dict, members: np.ndarray) -> dict:
+    """key -> position in ``members``, for the ball rows ``members``."""
+    keys = list(index)
+    return {keys[r]: i for i, r in enumerate(members.tolist())}
 
 
 def _classify(group: TriangleGroup, l_max: float) -> _Classes:
@@ -450,9 +435,9 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
         )
     mv = _mover(z0)
     mvi = np.linalg.inv(mv)
-    letters = tuple((l, _as_mat(mvi @ group.letter_matrix(l) @ mv)) for l in _LETTERS)
+    letters = np.array([(mvi @ group.letter_matrix(l) @ mv).ravel() for l in _LETTERS])
     # in this frame a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0)
-    elements, depth, mats = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
+    index, words, depth, mats = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
     vertices = [(abs(w) ** 2, w.real) for w in (mobius(mvi, v) for v in kite)]
     t = np.abs(mats[1:, 0] + mats[1:, 3])  # row 0 is the identity
     elliptic = int(np.count_nonzero(t <= 2.0 - TRACE_GAP))
@@ -463,69 +448,51 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     short = length <= bound
     for i in np.flatnonzero(np.abs(length - bound) <= 1e-9):
         short[i] = length_of_trace(float(t[hyperbolic[i]])) <= bound  # arccosh may be an ulp off
-    chosen = hyperbolic[short] + 1
-    chosen = chosen[_axis_meets(mats[chosen].T, vertices)]
-    items = list(elements.items())
-    members = dict(items[i] for i in chosen.tolist())
-    member_keys = list(members)
+    members = hyperbolic[short] + 1
+    members = members[_axis_meets(mats[members].T, vertices)]
 
     # conjugating by a, b and c finds every one-letter edge from one of its ends
-    frame = dict(letters)
-    g, g_inv = np.array([frame[l] for l in "abc"]), np.array([frame[l] for l in "ABC"])
-    conj = _mul_rows(_mul_rows(g[:, None], mats[chosen]), g_inv[:, None])  # (3, n, 4)
-    conj = _unimodular(conj.reshape(-1, 4))
-    conj_keys, near = _cells(conj)
-    position = {k: i for i, k in enumerate(member_keys)}
-    other = list(map(position.get, zip(*conj_keys.T.tolist())))  # member, or None
-    for i in np.flatnonzero(near).tolist():
-        if other[i] is None:
-            other[i] = position.get(_find(members, tuple(conj[i].tolist())))
-    n = len(member_keys)
-    root = list(range(n))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for i, row in enumerate(zip(other[:n], other[n:2 * n], other[2 * n:])):
-        for j in row:
-            if j is not None:
-                root[find(j)] = find(i)
-    return _Classes(letters, elements, depth, members,
-                    {k: member_keys[find(i)] for i, k in enumerate(member_keys)},
-                    elliptic, near_parabolic)
+    n = len(members)
+    conj = _mul_rows(_mul_rows(letters[0::2, None], mats[members]), letters[1::2, None])
+    other = _lookup(_member_table(index, members), _unimodular(conj.reshape(-1, 4)))
+    hit = other >= 0
+    root = perms.component_labels(np.tile(np.arange(n), 3)[hit], other[hit], n)
+    return _Classes(letters, index, words, mats, depth, members, root, elliptic, near_parabolic)
 
 
 def _records(classes: _Classes, l_max: float) -> list[tuple[float, float, str, bool]]:
-    """(length, trace, word, primitive) per component.
+    """(length, trace, word, primitive) per component, in the order of
+    their least members.
 
     The word is the member's with the fewest letters, then the first
     alphabetically.  A component is not primitive when the m-th power of a
     shorter component's word lands in it; that power has the same axis, so
     it is a member whenever its length is at most ``l_max``.
     """
-    members, root = classes.members, classes.root
-    words: dict = {}
-    for key, (mat, word) in members.items():
-        best = words.get(root[key])
-        if best is None or (len(word), word) < (len(best[1]), best[1]):
-            words[root[key]] = (mat, word)
+    root = classes.root.tolist()
+    words = [classes.words[r] for r in classes.members.tolist()]
+    best: dict[int, int] = {}  # root -> member position of the chosen word
+    for i, (rt, word) in enumerate(zip(root, words)):
+        b = best.get(rt)
+        if b is None or (len(word), word) < (len(words[b]), words[b]):
+            best[rt] = i
+    rep = classes.mats[classes.members[list(best.values())]]
+    traces = np.abs(rep[:, 0] + rep[:, 3]).tolist()
+    lengths = np.array([length_of_trace(t) for t in traces])
+    table = _member_table(classes.index, classes.members)
     powers = set()
-    for mat, _word in words.values():
-        length = length_of_trace(abs(mat[0] + mat[3]))
-        power, m = _mul(mat, mat), 2
-        while m * length <= l_max + 1e-9:
-            key = _find(members, _renorm(power))
-            if key is not None:
-                powers.add(root[key])
-            power, m = _mul(power, mat), m + 1
-    records = []
-    for rt, (mat, word) in words.items():
-        t = abs(mat[0] + mat[3])
-        records.append((length_of_trace(t), t, word, rt not in powers))
-    return records
+    live, power, m = np.arange(len(rep)), rep, 2
+    while True:
+        keep = m * lengths[live] <= l_max + 1e-9
+        live, power = live[keep], power[keep]
+        if not len(live):
+            break
+        power = _mul_rows(power, rep[live])
+        hits = _lookup(table, _unimodular(power.copy()))
+        powers.update(classes.root[hits[hits >= 0]].tolist())
+        m += 1
+    return [(length, t, words[b], rt not in powers)
+            for length, t, (rt, b) in zip(lengths.tolist(), traces, best.items())]
 
 
 def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9) -> SpectrumResult:
@@ -555,7 +522,7 @@ def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9
     per_class = tuple(GeodesicClass(t, length, length, 1, word, True)
                       for length, t, word, primitive in sorted(_records(classes, l_max))
                       if primitive)
-    return SpectrumResult(per_class, l_max, l_max, True, classes.depth, len(classes.elements),
+    return SpectrumResult(per_class, l_max, l_max, True, classes.depth, len(classes.mats),
                           classes.elliptic, classes.near_parabolic, dedupe_tol)
 
 
@@ -677,10 +644,12 @@ class CosetAction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CosetAction":
-        return cls(
-            int(obj["degree"]),
-            {l: tuple(int(i) - 1 for i in p) for l, p in obj["perms"].items()},
-        )
+        table = obj["perms"]
+        if not isinstance(table, dict):
+            raise ValueError(f"perms must be an object of 1-based image lists, "
+                             f"got {type(table).__name__}")
+        return cls(int(obj["degree"]),
+                   {l: perms.one_based(p, f"perm for {l!r}") for l, p in table.items()})
 
 
 def cover_length_spectrum(

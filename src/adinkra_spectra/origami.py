@@ -81,11 +81,10 @@ class Monodromy:
     @classmethod
     def from_json(cls, obj: dict) -> "Monodromy":
         d = int(obj["d"])
-        sx = tuple(int(i) - 1 for i in obj["sigma_x"])
-        sy = tuple(int(i) - 1 for i in obj["sigma_y"])
+        sx, sy = (perms.one_based(obj[name], name) for name in ("sigma_x", "sigma_y"))
         if len(sx) != d or len(sy) != d:
             raise ValueError("permutation arrays do not match d")
-        return cls(sx, sy)
+        return cls(tuple(sx.tolist()), tuple(sy.tolist()))
 
 
 @dataclass(frozen=True)

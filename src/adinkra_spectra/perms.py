@@ -7,6 +7,7 @@ components of any graph given by its edge ends."""
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Sequence
 
 import numpy as np
@@ -28,6 +29,21 @@ def permutation(seq, degree: int, name: str) -> Perm:
         raise ValueError(f"{name} is not a permutation of 0..{degree - 1}")
     p.flags.writeable = False
     return p
+
+
+def one_based(entries, name: str) -> np.ndarray:
+    """A JSON list of 1-based images as a 0-based intp array.  Floats,
+    strings, bools and non-lists are refused, not truncated or parsed, with
+    a ValueError naming ``name``; ``permutation`` checks the images."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{name} must be a list of 1-based integers, got {reprlib.repr(entries)}")
+    bad = [i for i in entries if type(i) is not int]
+    if bad:
+        raise ValueError(f"{name} has the entry {reprlib.repr(bad[0])}, which is not an integer")
+    try:
+        return np.array(entries, dtype=np.intp) - 1
+    except OverflowError:
+        raise ValueError(f"{name} has an entry beyond the integer range") from None
 
 
 def inverse(p: Perm) -> Perm:

@@ -22,6 +22,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -142,24 +143,37 @@ class TransferMatrix:
 
     Grid index is (coset, interval, node), cosets outermost; with degree 1
     this is exactly the base discretization.  ``base`` is the degree-1
-    matrix (branch s's weighted cardinal block in columns s*k..(s+1)*k,
-    the same array as ``matrix`` at degree 1) and ``branch_perms`` each
-    branch's coset permutation array, in branch order; ``fredholm_det``
-    factors abelian coset actions from these two.
+    matrix (branch s's weighted cardinal block in columns s*k..(s+1)*k)
+    and ``branch_perms`` each branch's coset permutation array, in branch
+    order; ``fredholm_det`` factors cyclic coset actions from these two,
+    and ``matrix`` is assembled from them only when read.
     """
 
     beta: complex
     system: BranchSystem
     nodes_per_interval: int
     coset_degree: int
-    matrix: np.ndarray = field(compare=False)
     grids: tuple = field(compare=False)
     base: np.ndarray = field(compare=False)
     branch_perms: tuple = field(compare=False)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.base) * self.coset_degree
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense operator, ``base`` itself at degree 1: block (a, g_s a)
+        holds branch s's columns of ``base``."""
+        if self.coset_degree == 1:
+            return self.base
+        n_base, k = len(self.base), self.nodes_per_interval
+        big = np.zeros((self.size, self.size), dtype=self.base.dtype)
+        for a in range(self.coset_degree):
+            for s, p in enumerate(self.branch_perms):
+                col = p[a] * n_base + s * k
+                big[a * n_base:(a + 1) * n_base, col:col + k] = self.base[:, s * k:(s + 1) * k]
+        return big
 
     def all_nodes(self) -> np.ndarray:
         return np.concatenate(self.grids)
@@ -262,15 +276,7 @@ def extend_to_coset(
             grids[s], bweights, b.apply(allx))
     if np.iscomplexobj(base) and np.all(base.imag == 0.0):
         base = np.ascontiguousarray(base.real)  # a copy, so the complex buffer is freed
-    if degree == 1:
-        big = base
-    else:
-        big = np.zeros((n_base * degree, n_base * degree), dtype=base.dtype)
-        for a in range(degree):
-            for s, p in enumerate(branch_perms):
-                big[a * n_base:(a + 1) * n_base,
-                    p[a] * n_base + s * k: p[a] * n_base + (s + 1) * k] = base[:, s * k:(s + 1) * k]
-    return TransferMatrix(beta, sys, nodes_per_interval, degree, big, grids, base, branch_perms)
+    return TransferMatrix(beta, sys, nodes_per_interval, degree, grids, base, branch_perms)
 
 
 @dataclass(frozen=True)

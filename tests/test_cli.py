@@ -350,6 +350,31 @@ def test_zeta_coset_file_of_degree_zero_is_refused(capsys, tmp_path):
         "message": "perm for branch '1' has degree 0: a permutation needs at least one point"}
 
 
+@pytest.mark.parametrize("subcommand,obj,message", [
+    ("zeta", {"perms": {"1": [2.9, 1.2], "2": [1, 2]}},
+     "perm for branch '1' has the entry 2.9, which is not an integer"),
+    ("zeta", {"perms": {"1": ["2", "1"], "2": [1, 2]}},
+     "perm for branch '1' has the entry '2', which is not an integer"),
+    ("zeta", {"perms": {"1": 3, "2": 4}},
+     "perm for branch '1' must be a list of 1-based integers, got 3"),
+    ("zeta", {"perms": [[2, 1]]}, "perms must be an object of 1-based image lists, got list"),
+    ("origami", {"d": 2, "sigma_x": [2.5, 1.9], "sigma_y": [1, 2]},
+     "sigma_x has the entry 2.5, which is not an integer"),
+    ("origami", {"d": 1, "sigma_x": 5, "sigma_y": [1]},
+     "sigma_x must be a list of 1-based integers, got 5"),
+])
+def test_malformed_permutation_files_are_refused(capsys, tmp_path, subcommand, obj, message):
+    # entries are neither truncated nor parsed, and a wrong shape is a
+    # JSON error object, not a traceback
+    path = tmp_path / "perms.json"
+    path.write_text(json.dumps(obj))
+    argv = (["zeta", "--gauss", "2", "--beta", "1.5", "--nodes", "4", "--coset", str(path)]
+            if subcommand == "zeta" else ["origami", "--json", str(path)])
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_torus_action(capsys, tmp_path):
     pd = {"g": 1, "omega": [[[0.0, 1.0]]], "n": [0], "m": [1]}
     path = tmp_path / "omega.json"

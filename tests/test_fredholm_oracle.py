@@ -163,9 +163,11 @@ def test_radius_with_close_leading_moduli():
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_leading_eigenvalues_with_close_leading_moduli(k):
-    # the same matrix: ARPACK asked for 2 Ritz values returned the second pair
+    # the same matrix: ARPACK asked for 2 Ritz values returned the second pair;
+    # at degree 1 the operator's matrix is its base
     m = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 40)) / math.sqrt(40)
-    tm = dataclasses.replace(build_transfer_matrix(gauss_branch_system(5), 1.0, 8), matrix=m)
+    tm = dataclasses.replace(build_transfer_matrix(gauss_branch_system(5), 1.0, 8), base=m)
+    assert tm.matrix is m
     expected = tm.eigenvalues()[:k]
     lead = tm.leading_eigenvalues(k)
     assert len(lead) == k

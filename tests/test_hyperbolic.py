@@ -28,6 +28,14 @@ from adinkra_spectra.hyperbolic import (
     triangle_generators,
     trivial_character,
 )
+from test_length_spectrum_oracle import (
+    _t_find,
+    _t_key,
+    _t_mul,
+    _t_renorm,
+    _tuple_letters,
+    _tuple_members,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +81,7 @@ def test_237_is_hyperbolic():
 def test_determinants_stay_normalized(delta552):
     ball = hyperbolic._classify(delta552, 5.0)
     assert ball.depth >= 8
-    worst = max(abs(float(np.linalg.det(np.reshape(m, (2, 2)))) - 1.0)
-                for m, _w in ball.elements.values())
+    worst = max(abs(float(np.linalg.det(np.reshape(m, (2, 2)))) - 1.0) for m in ball.mats)
     assert worst < 1e-12
 
 
@@ -123,15 +130,15 @@ def test_inversion_closure(delta552, spectrum552):
     # gamma and gamma^-1 have equal length and the same axis; each member's
     # inverse is a member (possibly of its own class, via an order-2 axis
     # symmetry) of a class of equal length
-    ball = hyperbolic._classify(delta552, 4.0)
+    members, root = _tuple_members(hyperbolic._classify(delta552, 4.0))
     length = {}
-    for key, (m, _w) in ball.members.items():
-        length[ball.root[key]] = length_of_trace(abs(m[0] + m[3]))
-    for key, (m, _w) in ball.members.items():
+    for key, (m, _w) in members.items():
+        length[root[key]] = length_of_trace(abs(m[0] + m[3]))
+    for key, (m, _w) in members.items():
         a, b, c, d = m
-        inv = hyperbolic._find(ball.members, (d, -b, -c, a))
+        inv = _t_find(members, (d, -b, -c, a))
         assert inv is not None
-        assert length[ball.root[inv]] == pytest.approx(length[ball.root[key]], abs=1e-10)
+        assert length[root[inv]] == pytest.approx(length[root[key]], abs=1e-10)
     for c in spectrum552.classes:
         t_inv = abs(float(np.trace(np.linalg.inv(delta552.word_matrix(c.word)))))
         assert length_of_trace(t_inv) == pytest.approx(c.length, abs=1e-10)
@@ -229,6 +236,18 @@ def test_coset_action_json_round_trip():
     for l in "abc":
         assert np.array_equal(back.perms[l], action.perms[l])
         assert back.perms[l].tolist() == list(A5[l])
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"degree": 2, "perms": [[2, 1]]}, "perms must be an object of 1-based image lists, got list"),
+    ({"degree": 2, "perms": {"a": [2.0, 1], "b": [1, 2], "c": [2, 1]}},
+     "perm for 'a' has the entry 2.0, which is not an integer"),
+    ({"degree": 2, "perms": {"a": [2, 1], "b": "21", "c": [2, 1]}},
+     "perm for 'b' must be a list of 1-based integers, got '21'"),
+])
+def test_coset_action_json_is_read_strictly(obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CosetAction.from_json(obj)
 
 
 @pytest.mark.parametrize("perms,relation", [
@@ -402,14 +421,12 @@ def test_degree_zero_action_is_refused():
 
 def test_ball_dedupe_is_sign_correct(delta552):
     # M and -M never both stored: sign-canonical keys collide them
-    from adinkra_spectra.hyperbolic import _key
-
     ball = hyperbolic._classify(delta552, 4.0)
     keys = set()
-    for key, (m, _w) in ball.elements.items():
-        assert _key(m) == _key(tuple(-x for x in m)) == key
+    for key, m in zip(ball.index, ball.mats.tolist()):
+        assert _t_key(m) == _t_key(tuple(-x for x in m)) == key
         keys.add(key)
-    assert len(keys) == len(ball.elements)
+    assert len(keys) == len(ball.mats)
 
 
 def test_lookup_probes_the_neighbouring_cell():
@@ -417,10 +434,25 @@ def test_lookup_probes_the_neighbouring_cell():
     # stored a rounding error below the cell boundary is still found
     below = (100000000, 12345678, 0, 100000000)
     table = {below: None}
-    assert hyperbolic._key((1.0, 0.1234567850005, 0.0, 1.0)) != below
-    assert hyperbolic._find(table, (1.0, 0.1234567850005, 0.0, 1.0)) == below
-    assert hyperbolic._find(table, (-1.0, -0.1234567850005, -0.0, -1.0)) == below
-    assert hyperbolic._find(table, (1.0, 0.123456785400, 0.0, 1.0)) is None
+
+    def find(m):
+        keys, residue = hyperbolic._cells(np.array([m]))
+        return hyperbolic._find(table, tuple(keys[0].tolist()), residue[0])
+
+    assert tuple(hyperbolic._cells(np.array([[1.0, 0.1234567850005, 0.0, 1.0]]))[0][0]) != below
+    assert find((1.0, 0.1234567850005, 0.0, 1.0)) == below
+    assert find((-1.0, -0.1234567850005, -0.0, -1.0)) == below
+    assert find((1.0, 0.123456785400, 0.0, 1.0)) is None
+
+
+def test_batched_lookup_probes_the_neighbouring_cell():
+    # the conjugates and powers are looked up a whole array at a time: the
+    # rows near a boundary are probed, up to sign, and a miss reads -1
+    table = {(100000000, 12345678, 0, 100000000): 7}
+    m = np.array([[1.0, 0.1234567850005, 0.0, 1.0], [-1.0, -0.1234567850005, -0.0, -1.0],
+                  [1.0, 0.123456785400, 0.0, 1.0], [1.0, 0.12345678, 0.0, 1.0]])
+    got = hyperbolic._lookup(table, m)
+    assert got.dtype == np.intp and got.tolist() == [7, 7, -1, 7]
 
 
 @pytest.mark.parametrize("sig", [(5, 5, 2), (3, 4, 4)])
@@ -467,22 +499,23 @@ def test_members_are_every_conjugate_whose_axis_meets_the_kite(sig, l_max):
     z0, _radius, kite = hyperbolic._kite(group)
     to_frame = np.linalg.inv(hyperbolic._mover(z0))
     vertices = [(abs(w) ** 2, w.real) for w in (hyperbolic.mobius(to_frame, v) for v in kite)]
-    frame = dict(ball.letters)
+    frame = _tuple_letters(ball)
+    members, root_of = _tuple_members(ball)
     representatives = {}
-    for key, (m, _w) in ball.members.items():
-        representatives.setdefault(ball.root[key], m)
+    for key, (m, _w) in members.items():
+        representatives.setdefault(root_of[key], m)
     for root, m in representatives.items():
-        seen, queue = {hyperbolic._key(m)}, [m]
+        seen, queue = {_t_key(m)}, [m]
         while queue:
             y = queue.pop()
-            key = hyperbolic._find(ball.members, y)
-            assert key is not None and ball.root[key] == root
+            key = _t_find(members, y)
+            assert key is not None and root_of[key] == root
             for letter in "abc":
                 for g, gi in ((frame[letter], frame[letter.upper()]),
                               (frame[letter.upper()], frame[letter])):
-                    z = hyperbolic._renorm(hyperbolic._mul(hyperbolic._mul(g, y), gi))
-                    if hyperbolic._axis_meets(z, vertices) and hyperbolic._key(z) not in seen:
-                        seen.add(hyperbolic._key(z))
+                    z = _t_renorm(_t_mul(_t_mul(g, y), gi))
+                    if hyperbolic._axis_meets(z, vertices) and _t_key(z) not in seen:
+                        seen.add(_t_key(z))
                         queue.append(z)
             assert len(seen) < 10_000
 

@@ -17,14 +17,18 @@ no classes for (2,3,7) and (2,3,8); those are left out here and checked
 in ``test_hyperbolic`` instead.
 
 A third copy is the displacement ball and union-find computed one
-candidate at a time, before each breadth-first round became one numpy
-batch; there the batch must return the same ``_Classes`` to the bit.
+candidate at a time on float tuples, before each breadth-first round
+became one numpy batch; there the batch must return the same ball, members
+and classes to the bit.  A fourth is the per-class tuple loop that named
+each class and found its powers, before the powers were formed one
+exponent at a time over all classes; its records must be equal too.
 """
 
 import itertools
 import math
 import resource
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -439,10 +443,10 @@ def test_spectrum_equals_descent_classifier_run_on_random_signatures(sig, l_max)
 # -- frozen per-element ball ------------------------------------------------
 # The displacement ball and union-find as they were before each round became
 # one numpy batch: every candidate multiplied, pruned, renormalised, keyed
-# and looked up on its own, in (frontier, letter) order.  The batch must
-# give the same _Classes to the bit: the ball's items in insertion order,
-# its depth, the members, the union-find roots and the elliptic and
-# near-parabolic counts.
+# and looked up on its own, in (frontier, letter) order, with the ball held
+# as key -> (float tuple, word).  The batch must give the same classes to
+# the bit: the ball's rows, keys and words in insertion order, its depth,
+# the members, the classes and the elliptic and near-parabolic counts.
 
 
 def _t_scaled(m):
@@ -500,12 +504,28 @@ def _per_element_ball(letters, cap):
         rounds += 1
 
 
+@dataclass(frozen=True)
+class _TupleClasses:
+    """The ball and S as the per-element loop held them: ``letters`` as
+    (letter, float tuple) pairs, ``elements`` and ``members`` as key ->
+    (float tuple, word), and ``root`` as key -> its union-find root."""
+
+    letters: tuple
+    elements: dict
+    depth: int
+    members: dict
+    root: dict
+    elliptic: int
+    near_parabolic: int
+
+
 def _per_element_classify(group, l_max):
     z0, radius, kite = hyperbolic._kite(group)
     reach = l_max + 2.0 * radius
     mv = hyperbolic._mover(z0)
     mvi = np.linalg.inv(mv)
-    letters = tuple((l, hyperbolic._as_mat(mvi @ group.letter_matrix(l) @ mv)) for l in _LETTERS)
+    letters = tuple((l, tuple(map(float, (mvi @ group.letter_matrix(l) @ mv).ravel())))
+                    for l in _LETTERS)
     elements, depth = _per_element_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
     vertices = [(abs(w) ** 2, w.real) for w in (hyperbolic.mobius(mvi, v) for v in kite)]
     members = {}
@@ -534,23 +554,74 @@ def _per_element_classify(group, l_max):
             other = _t_find(members, _t_renorm(_t_mul(_t_mul(frame[g], mat), frame[g.upper()])))
             if other is not None:
                 root[find(other)] = find(key)
-    return hyperbolic._Classes(letters, elements, depth, members, {k: find(k) for k in members},
-                               elliptic, near_parabolic)
+    return _TupleClasses(letters, elements, depth, members, {k: find(k) for k in members},
+                         elliptic, near_parabolic)
 
 
-def _bits(items):
-    # the float tuples to the bit, so that -0.0 and 0.0 differ
-    return [(k, tuple(float(x).hex() for x in m), w) for k, (m, w) in items]
+def _t_records(members, root, l_max):
+    """(length, trace, word, primitive) per class, as the per-class tuple
+    loop gave them: members key -> (float tuple, word), root key -> the
+    key that names its class."""
+    words = {}
+    for key, (mat, word) in members.items():
+        best = words.get(root[key])
+        if best is None or (len(word), word) < (len(best[1]), best[1]):
+            words[root[key]] = (mat, word)
+    powers = set()
+    for mat, _word in words.values():
+        length = length_of_trace(abs(mat[0] + mat[3]))
+        power, m = _t_mul(mat, mat), 2
+        while m * length <= l_max + 1e-9:
+            key = _t_find(members, _t_renorm(power))
+            if key is not None:
+                powers.add(root[key])
+            power, m = _t_mul(power, mat), m + 1
+    records = []
+    for rt, (mat, word) in words.items():
+        t = abs(mat[0] + mat[3])
+        records.append((length_of_trace(t), t, word, rt not in powers))
+    return records
+
+
+def _tuple_letters(ball):
+    """The letters of a ``_Classes`` as letter -> float tuple."""
+    return dict(zip(_LETTERS, map(tuple, ball.letters.tolist())))
+
+
+def _tuple_members(ball):
+    """The members of a ``_Classes`` in the per-element form: key ->
+    (float tuple, word), and key -> the key of its class's least member."""
+    keys = list(ball.index)
+    rows = ball.members.tolist()
+    members = {keys[r]: (tuple(ball.mats[r].tolist()), ball.words[r]) for r in rows}
+    root = {keys[r]: keys[rows[j]] for r, j in zip(rows, ball.root.tolist())}
+    return members, root
+
+
+def _hex(m):
+    # the floats to the bit, so that -0.0 and 0.0 differ
+    return tuple(float(x).hex() for x in m)
 
 
 def _assert_same_classes(got, ref):
-    assert got.letters == ref.letters
-    assert (got.depth, len(got.elements)) == (ref.depth, len(ref.elements))
-    assert _bits(got.elements.items()) == _bits(ref.elements.items())
-    assert all(type(x) is float for m, _w in got.elements.values() for x in m)
-    assert all(type(k) is int for key in got.elements for k in key)
-    assert list(got.members) == list(ref.members)
-    assert list(got.root.items()) == list(ref.root.items())
+    assert [(l, _hex(m)) for l, m in zip(_LETTERS, got.letters.tolist())] == \
+        [(l, _hex(m)) for l, m in ref.letters]
+    n = len(ref.elements)
+    assert (got.depth, len(got.index), len(got.words)) == (ref.depth, n, n)
+    assert got.mats.shape == (n, 4) and got.mats.dtype == np.float64
+    assert list(got.index.values()) == list(range(n))
+    assert all(type(k) is int for key in got.index for k in key)
+    assert [(k, _hex(m), w) for k, m, w in zip(got.index, got.mats.tolist(), got.words)] == \
+        [(k, _hex(m), w) for k, (m, w) in ref.elements.items()]
+    rows = {k: i for i, k in enumerate(ref.elements)}
+    assert got.members.tolist() == [rows[k] for k in ref.members]
+    # the frozen roots are arbitrary members: name each class by its least
+    # member's position, which is what component_labels gives
+    position = {k: i for i, k in enumerate(ref.members)}
+    least = {}
+    for k in ref.members:
+        least.setdefault(ref.root[k], position[k])
+    assert got.root.tolist() == [least[ref.root[k]] for k in ref.members]
     assert (got.elliptic, got.near_parabolic) == (ref.elliptic, ref.near_parabolic)
 
 
@@ -590,6 +661,14 @@ def test_batch_ball_equals_per_element_ball_in_any_vertex_order(sig, l_max):
     _assert_same_classes(_batch_classify(group, l_max), _per_element_classify(group, l_max))
 
 
+@pytest.mark.parametrize("sig,l_max", BATCH_CASES,
+                         ids=[f"{p},{q},{r}@{l_max}" for (p, q, r), l_max in BATCH_CASES])
+def test_batched_records_equal_per_class_records(sig, l_max):
+    # the same classes through both loops: records in the same order, to the bit
+    ball = _batch_classify(triangle_generators(*sig), l_max)
+    assert hyperbolic._records(ball, l_max) == _t_records(*_tuple_members(ball), l_max)
+
+
 
 @pytest.mark.parametrize("sig", [(5, 5, 2), (2, 4, 5)])
 def test_one_letter_conjugates_share_the_class(sig):
@@ -600,7 +679,8 @@ def test_one_letter_conjugates_share_the_class(sig):
     group = triangle_generators(*sig)
     ball = hyperbolic._classify(group, l_max)
     cap = 2.0 * math.cosh(l_max + 2.0 * hyperbolic._kite(group)[1]) * (1.0 + 1e-9)
-    frame = dict(ball.letters)
+    frame = _tuple_letters(ball)
+    members, root = _tuple_members(ball)
     pairs = [(frame[l], frame[l.swapcase()]) for l in _LETTERS]
 
     def conjugate(pair, m):
@@ -611,9 +691,9 @@ def test_one_letter_conjugates_share_the_class(sig):
         roots, seen, queue = set(), {_t_key(x)}, deque([x])
         while queue:
             y = queue.popleft()
-            key = hyperbolic._find(ball.members, y)
+            key = _t_find(members, y)
             if key is not None:
-                roots.add(ball.root[key])
+                roots.add(root[key])
             for pair in pairs:
                 z = conjugate(pair, y)
                 if sum(v * v for v in z) <= cap and _t_key(z) not in seen:
@@ -622,8 +702,8 @@ def test_one_letter_conjugates_share_the_class(sig):
         return roots
 
     representatives = {}
-    for key, (m, _w) in ball.members.items():
-        representatives.setdefault(ball.root[key], m)
-    for root, m in representatives.items():
+    for key, (m, _w) in members.items():
+        representatives.setdefault(root[key], m)
+    for rt, m in representatives.items():
         for pair, letter in zip(pairs, _LETTERS):
-            assert class_of(conjugate(pair, m)) == {root}, letter
+            assert class_of(conjugate(pair, m)) == {rt}, letter

@@ -194,3 +194,31 @@ def test_a_permutation_is_a_read_only_intp_copy():
 def test_the_check_names_what_it_refuses(seq, degree, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         perms.permutation(seq, degree, "sigma")
+
+
+# -- the JSON reader -----------------------------------------------------------------
+
+
+def test_one_based_reads_json_image_lists():
+    p = perms.one_based([2, 3, 1], "p")
+    assert p.dtype == np.intp and p.tolist() == [1, 2, 0]
+    empty = perms.one_based([], "p")
+    assert empty.dtype == np.intp and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([2.0, 1], "p has the entry 2.0, which is not an integer"),
+    ([2.9, 1.2], "p has the entry 2.9, which is not an integer"),
+    ([True, 1], "p has the entry True, which is not an integer"),
+    ([1, "2"], "p has the entry '2', which is not an integer"),
+    ([[2], 1], r"p has the entry \[2\], which is not an integer"),
+    ([1, None], "p has the entry None, which is not an integer"),
+    ((2, 1), r"p must be a list of 1-based integers, got \(2, 1\)"),
+    ({"1": 2}, r"p must be a list of 1-based integers, got \{'1': 2\}"),
+    (5, "p must be a list of 1-based integers, got 5"),
+    ("21", "p must be a list of 1-based integers, got '21'"),
+    ([10**30, 1], "p has an entry beyond the integer range"),
+])
+def test_one_based_names_what_it_refuses(entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        perms.one_based(entries, "p")

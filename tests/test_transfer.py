@@ -253,6 +253,17 @@ def test_coset_keeps_base_and_branch_perms():
         assert np.array_equal(p, perms[l])
 
 
+def test_cyclic_det_builds_no_dense_matrix():
+    # the factored det reads base and branch_perms; the (d*n)^2 array is
+    # assembled only when .matrix is read, and then once
+    perms = {"1": (1, 2, 0), "2": (2, 0, 1), "3": (0, 1, 2), "4": (1, 2, 0)}
+    tm = extend_to_coset(gauss_branch_system(4), perms, 1.3, 8)
+    fredholm_det(tm)
+    assert "matrix" not in tm.__dict__
+    assert tm.size == 3 * 4 * 8
+    assert tm.matrix.shape == (tm.size, tm.size) and tm.matrix is tm.matrix
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 6])
 def test_cyclic_exponents_recover_powers(d):
     rng = np.random.default_rng(d)
