@@ -47,8 +47,7 @@ Edge = tuple[int, int, int]  # (u index, v index, color in 1..N); u <= v
 def _int_objects(size: int) -> np.ndarray:
     """range(size) as an object array.  Lists gathered from it share one int
     object per index, where ``tolist`` on an int array makes one per entry,
-    so the faces and dual edges of a graph hold one int per vertex, edge or
-    face."""
+    so the faces of a surface's JSON hold one int per vertex."""
     return np.arange(size).astype(object)
 
 
@@ -561,18 +560,6 @@ def default_ranking(graph: Chromotopology) -> Ranking:
                 f"class {graph.bipartition[i]} (odd code?)"
             )
     return Ranking(tuple(dist))
-
-
-def validate_ranking(graph: Chromotopology, ranking: Ranking) -> list[str]:
-    """Issues with a ranking: parity per class, |dh| = 1 across edges."""
-    issues = []
-    for i, h in enumerate(ranking.values):
-        if h & 1 != graph.bipartition[i]:
-            issues.append(f"vertex {i}: rank {h} parity mismatches class {graph.bipartition[i]}")
-    for u, v, c in graph.edges:
-        if abs(ranking.values[u] - ranking.values[v]) != 1:
-            issues.append(f"edge ({u},{v},{c}): rank step {ranking.values[u]}->{ranking.values[v]}")
-    return issues
 
 
 def _check_faces(graph: Chromotopology, faces: Faces) -> None:

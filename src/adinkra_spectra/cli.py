@@ -35,8 +35,15 @@ from .hyperbolic import (
     spectrum_to_csv,
     triangle_generators,
 )
-from .origami import Monodromy, m_origami_embeddings, monodromy, validate_origami_graph
-from .perms import one_based
+from .origami import (
+    Monodromy,
+    genus_from_monodromy,
+    m_origami_embeddings,
+    monodromy,
+    origami_from_monodromy,
+    validate_origami_graph,
+)
+from .perms import one_based_table
 from .spectral import dirac_action, laplace_action_conjugacy, make_test_pair, super_action
 from .torus_spectrum import (
     PeriodData,
@@ -141,7 +148,8 @@ def cmd_surface(config: PipelineConfig) -> None:
         mono, genus = monodromy(dual)
         dual_payload = {
             "d": dual.d,
-            "edges": [[u, v, lab] for u, v, lab in dual.edges],
+            "edges": [[u, v, "x" if x else "y"] for u, v, x in
+                      zip(dual.tails.tolist(), dual.heads.tolist(), dual.is_x.tolist())],
             "monodromy": mono.to_json(),
             "genus": genus,
         }
@@ -165,14 +173,10 @@ def cmd_origami(config: PipelineConfig) -> None:
         return
     obj = json.loads(Path(p["json"]).read_text())
     mono = Monodromy.from_json(obj)
-    from .origami import origami_from_monodromy
-
-    graph = origami_from_monodromy(mono)
-    report = validate_origami_graph(graph)
+    report = validate_origami_graph(origami_from_monodromy(mono))
     payload = {"validation": report.to_json(), "monodromy": mono.to_json()}
     if report.ok:
-        _m, genus = monodromy(graph)
-        payload["genus"] = genus
+        payload["genus"] = genus_from_monodromy(mono)
     _emit(config, payload)
 
 
@@ -253,11 +257,8 @@ def cmd_zeta(config: PipelineConfig) -> None:
         system = BranchSystem.from_json(json.loads(Path(p["system"]).read_text()))
     if p["coset"]:
         table = json.loads(Path(p["coset"]).read_text())["perms"]
-        if not isinstance(table, dict):
-            raise ValueError(f"perms must be an object of 1-based image lists, "
-                             f"got {type(table).__name__}")
-        perms = {l: one_based(perm, f"perm for branch {l!r}") for l, perm in table.items()}
-        tm = extend_to_coset(system, perms, p["beta"], p["nodes"])
+        tm = extend_to_coset(system, one_based_table(table, "perm for branch {!r}"),
+                             p["beta"], p["nodes"])
     else:
         tm = build_transfer_matrix(system, p["beta"], p["nodes"])
     res = fredholm_det(tm, singular_tol=config.tolerance)

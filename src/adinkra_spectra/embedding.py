@@ -15,7 +15,8 @@ fermion and once from its smaller boson.
 The faces are one ``adinkra.Faces`` record of (F, 4) vertex and edge
 index arrays and (F, 2) colors, ordered by colors and then by first
 vertex; edge sides, the dual orientation and the JSON all read those
-arrays.
+arrays.  The dual origami is an ``origami.OrigamiGraph`` of (tails,
+heads, is_x) arrays over the primal edges.
 """
 
 from __future__ import annotations
@@ -110,16 +111,6 @@ class TriangulationStats:
             "triangle_area_over_pi": str(self.triangle_area_pi),
             "total_area_over_pi": str(self.total_area_pi),
         }
-
-
-def closed_form_genus(n: int, k: int) -> int:
-    """g = 1 + 2^(N-k-3)(N-4) for N >= 2; 0 for N < 2 (exact rational)."""
-    if n < 2:
-        return 0
-    g = 1 + Fraction(2) ** (n - k - 3) * (n - 4)
-    if g.denominator != 1:
-        raise ValueError(f"genus formula non-integral for N={n}, k={k}")
-    return int(g)
 
 
 def attach_faces(graph: Chromotopology) -> SurfaceData:
@@ -306,7 +297,9 @@ def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
     meeting the odd colors an even number of times) a parallel-transported
     square frame orients the dual so the origami is the surface itself;
     otherwise each same-label cycle is oriented deterministically as in the
-    existence proof (arbitrary valid choice, lowest index first).
+    existence proof (arbitrary valid choice, lowest index first).  The
+    graph holds the orientation's (tail face, head face) arrays, one entry
+    per primal edge in edge order.
     """
     graph = surface.graph
     n = graph.n_colors
@@ -320,10 +313,7 @@ def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
     directed = _frame_orientation(graph, surface.edge_sides)
     if directed is None:
         directed = _cycle_orientation(graph, surface.edge_sides)
-    faces = _int_objects(len(surface.faces))
-    tails, heads = (faces[ends].tolist() for ends in directed)
-    labels = map(("y", "x").__getitem__, (graph.edge_array[:, 2] % 2).tolist())
-    return OrigamiGraph(len(faces), tuple(zip(tails, heads, labels)))
+    return OrigamiGraph(len(surface.faces), *directed, graph.edge_array[:, 2] % 2 == 1)
 
 
 def dessin_action(graph: Chromotopology) -> CosetAction:

@@ -220,10 +220,6 @@ class GeodesicClass:
     def norm(self) -> float:
         return math.exp(self.length)
 
-    @property
-    def half_trace_arccosh(self) -> float:
-        return math.acosh(self.trace / 2.0)
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -589,7 +585,7 @@ def power_closure(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetAction:
     """Permutation representation on the cosets of a finite-index subgroup.
 
@@ -597,11 +593,12 @@ class CosetAction:
     range(degree), degree >= 1, stored as a read-only array; the action
     must be transitive (connected cover).  Lifting a spectrum also needs
     it to be an action of the triangle group: see ``check_relations``.
+    The record is ``eq=False``: compare the arrays of ``perms``.
     """
 
     degree: int
-    perms: dict[str, np.ndarray] = field(compare=False)
-    _inverses: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    perms: dict[str, np.ndarray]
+    _inverses: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "perms", {
@@ -644,12 +641,8 @@ class CosetAction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CosetAction":
-        table = obj["perms"]
-        if not isinstance(table, dict):
-            raise ValueError(f"perms must be an object of 1-based image lists, "
-                             f"got {type(table).__name__}")
-        return cls(int(obj["degree"]),
-                   {l: perms.one_based(p, f"perm for {l!r}") for l, p in table.items()})
+        return cls(perms.json_int(obj["degree"], "degree"),
+                   perms.one_based_table(obj["perms"], "perm for {!r}"))
 
 
 def cover_length_spectrum(

@@ -5,67 +5,63 @@ M-origami curve.
 An origami graph is a finite directed multigraph with edges labeled x or y
 such that every vertex has exactly one outgoing and one incoming edge of
 each label; equivalently a pair of permutations (sigma_x, sigma_y) of the
-squares, up to simultaneous conjugation.
+squares, up to simultaneous conjugation.  Both records hold int arrays:
+``OrigamiGraph`` its edges as (tails, heads, is_x), ``Monodromy`` its pair
+as ``perms.permutation`` arrays.  Like ``adinkra.Faces`` they are
+``eq=False``, so compare their arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import perms
-from .adinkra import INDEX, Chromotopology, _int_objects
-from .perms import component_labels, inverse, permutation
+from .adinkra import Chromotopology
+from .perms import component_labels, inverse, json_int, permutation
 
-LabeledEdge = tuple[int, int, str]  # (tail, head, "x"|"y"); parallel edges allowed
+_NO_SQUARES = np.zeros(0, dtype=np.intp)
+_NO_SQUARES.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrigamiGraph:
-    """Directed labeled multigraph on d vertices (squares)."""
+    """Directed labeled multigraph on d vertices (squares): edge i runs from
+    ``tails[i]`` to ``heads[i]`` and is labeled x where the bool
+    ``is_x[i]`` holds, else y.  Parallel edges are allowed."""
 
     d: int
-    edges: tuple[LabeledEdge, ...]
+    tails: np.ndarray
+    heads: np.ndarray
+    is_x: np.ndarray
 
     def __post_init__(self):
-        if not self.edges:
-            return
-        us, vs, labs = zip(*self.edges)
-        if (labs.count("x") + labs.count("y") == len(labs) and 0 <= min(us) and 0 <= min(vs)
-                and max(us) < self.d and max(vs) < self.d):
-            return
-        for u, v, lab in self.edges:  # name the first offending edge
-            if lab not in ("x", "y"):
-                raise ValueError(f"edge label {lab!r} must be 'x' or 'y'")
-            if not (0 <= u < self.d and 0 <= v < self.d):
-                raise ValueError(f"edge ({u},{v}) references missing vertex")
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tails, heads, is x) as arrays over the edges."""
-        us, vs, labs = zip(*self.edges) if self.edges else ((), (), ())
-        e = len(self.edges)
-        # the labels are one character each, "x" or "y"
-        return (np.fromiter(us, INDEX, e), np.fromiter(vs, INDEX, e),
-                np.frombuffer("".join(labs).encode(), dtype=np.uint8) == ord("x"))
+        tails, heads = self.tails, self.heads
+        if not tails.shape == heads.shape == self.is_x.shape == (len(tails),):
+            raise ValueError("tails, heads and is_x must have one entry per edge")
+        outside = np.flatnonzero((tails < 0) | (tails >= self.d) | (heads < 0) | (heads >= self.d))
+        if outside.size:  # name the first offending edge
+            e = outside[0]
+            raise ValueError(f"edge ({tails[e]},{heads[e]}) references missing vertex")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Monodromy:
-    """Permutation pair on 0-based squares; sigma[i] is the image of i."""
+    """Permutation pair on 0-based squares as ``perms.permutation`` arrays;
+    sigma[i] is the image of i.  The pair of degree 0 is two empty intp
+    arrays: validation reports it as no squares."""
 
-    sigma_x: tuple[int, ...]
-    sigma_y: tuple[int, ...]
+    sigma_x: np.ndarray
+    sigma_y: np.ndarray
 
     def __post_init__(self):
         d = len(self.sigma_x)
         if len(self.sigma_y) != d:
             raise ValueError("sigma_x and sigma_y act on different sets")
-        if d:  # the empty pair stays: validation reports it as no squares
-            permutation(self.sigma_x, d, "sigma_x")
-            permutation(self.sigma_y, d, "sigma_y")
+        for name in ("sigma_x", "sigma_y"):
+            object.__setattr__(self, name,
+                               permutation(getattr(self, name), d, name) if d else _NO_SQUARES)
 
     @property
     def degree(self) -> int:
@@ -74,17 +70,17 @@ class Monodromy:
     def to_json(self) -> dict:
         return {
             "d": self.degree,
-            "sigma_x": [i + 1 for i in self.sigma_x],
-            "sigma_y": [i + 1 for i in self.sigma_y],
+            "sigma_x": (self.sigma_x + 1).tolist(),
+            "sigma_y": (self.sigma_y + 1).tolist(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Monodromy":
-        d = int(obj["d"])
+        d = json_int(obj["d"], "d")
         sx, sy = (perms.one_based(obj[name], name) for name in ("sigma_x", "sigma_y"))
         if len(sx) != d or len(sy) != d:
             raise ValueError("permutation arrays do not match d")
-        return cls(tuple(sx.tolist()), tuple(sy.tolist()))
+        return cls(sx, sy)
 
 
 @dataclass(frozen=True)
@@ -100,95 +96,69 @@ class OrigamiReport:
 _COUNT_NAMES = ("outgoing x", "outgoing y", "incoming x", "incoming y")
 
 
-def _label_counts(graph: OrigamiGraph) -> np.ndarray:
-    """(d, 4) counts per vertex, in the order of ``_COUNT_NAMES``."""
-    tails, heads, is_x = graph.edge_arrays
-    return np.stack([np.bincount(ends[label], minlength=graph.d)
-                     for ends in (tails, heads) for label in (is_x, ~is_x)], axis=1)
-
-
-def _reached(graph: OrigamiGraph) -> int:
-    """How many vertices vertex 0 reaches, edges taken both ways."""
-    if not graph.d:
-        return 0
-    tails, heads, _is_x = graph.edge_arrays
-    return int(np.count_nonzero(component_labels(tails, heads, graph.d) == 0))
-
-
 def validate_origami_graph(graph: OrigamiGraph) -> OrigamiReport:
-    """Per-vertex out/in counts for each label, plus connectivity.  A graph
-    with no squares is refused: it has no surface to take a genus of."""
-    issues = [] if graph.d else ["no squares"]
-    counts = _label_counts(graph)
+    """Per-vertex out/in counts for each label, plus connectivity from
+    vertex 0, edges taken both ways.  A graph with no squares is refused:
+    it has no surface to take a genus of."""
+    d, tails, heads, is_x = graph.d, graph.tails, graph.heads, graph.is_x
+    issues = [] if d else ["no squares"]
+    counts = np.stack([np.bincount(ends[label], minlength=d)
+                       for ends in (tails, heads) for label in (is_x, ~is_x)], axis=1)
     vertex, which = np.nonzero(counts != 1)
     issues += [f"vertex {v}: {c} {_COUNT_NAMES[k]} edges (expected 1)"
                for v, k, c in zip(vertex.tolist(), which.tolist(), counts[vertex, which].tolist())]
-    reached = _reached(graph)
-    connected = reached == graph.d
+    reached = int(np.count_nonzero(component_labels(tails, heads, d) == 0))
+    connected = reached == d
     if not connected:
-        issues.append(f"graph is disconnected: reached {reached} of {graph.d} vertices")
+        issues.append(f"graph is disconnected: reached {reached} of {d} vertices")
     return OrigamiReport(not issues, tuple(issues), connected)
 
 
 def monodromy(graph: OrigamiGraph) -> tuple[Monodromy, int]:
     """(sigma_x, sigma_y) read off the out-edges, and the surface genus.
 
-    The out-edges are scattered once the label counts are all 1 and the
-    graph is connected; otherwise the ValueError lists
-    ``validate_origami_graph``'s issues.  Genus comes from the
-    square-complex Euler count: vertices of the complex are the cycles of
-    the commutator, E = 2d, F = d, so g = 1 + (d - #commutator cycles) / 2.
+    A graph that ``validate_origami_graph`` does not pass raises a
+    ValueError listing its issues; otherwise each out-edge is scattered
+    into its label's row.
     """
-    d = graph.d
-    if not d or np.count_nonzero(_label_counts(graph) != 1) or _reached(graph) != d:
-        report = validate_origami_graph(graph)
+    report = validate_origami_graph(graph)
+    if not report.ok:
         raise ValueError("invalid origami graph: " + "; ".join(report.issues))
-    tails, heads, is_x = graph.edge_arrays
-    sx = np.empty(d, dtype=np.intp)
-    sy = np.empty(d, dtype=np.intp)
-    sx[tails[is_x]] = heads[is_x]
-    sy[tails[~is_x]] = heads[~is_x]
-    squares = _int_objects(d)
-    m = Monodromy(tuple(squares[sx].tolist()), tuple(squares[sy].tolist()))
-    return m, _genus(sx, sy)
+    sigma = np.empty((2, graph.d), dtype=np.intp)
+    sigma[(~graph.is_x).astype(np.intp), graph.tails] = graph.heads
+    m = Monodromy(*sigma)
+    return m, genus_from_monodromy(m)
 
 
-def _commutator(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """sx sy sx^-1 sy^-1 on permutation arrays, sy^-1 applied first."""
-    return sx[sy[inverse(sx)[inverse(sy)]]]
+def commutator(m: Monodromy) -> np.ndarray:
+    """sx sy sx^-1 sy^-1 as an array, sy^-1 applied first."""
+    return m.sigma_x[m.sigma_y[inverse(m.sigma_x)[inverse(m.sigma_y)]]]
 
 
-def _genus(sx: np.ndarray, sy: np.ndarray) -> int:
-    d = len(sx)
+def genus_from_monodromy(m: Monodromy) -> int:
+    """Genus from the square-complex Euler count: vertices of the complex
+    are the cycles of the commutator, E = 2d, F = d, so
+    g = 1 + (d - #commutator cycles) / 2."""
+    d = m.degree
     if not d:
         raise ValueError("no squares: an origami of degree 0 has no genus")
     points = np.arange(d)
-    v = int(np.count_nonzero(component_labels(points, _commutator(sx, sy), d) == points))
+    v = int(np.count_nonzero(component_labels(points, commutator(m), d) == points))
     if (d - v) % 2:
         raise ValueError(f"non-integral genus: d={d}, commutator cycles={v}")
     return 1 + (d - v) // 2
 
 
-def commutator(m: Monodromy) -> tuple[int, ...]:
-    return tuple(_commutator(np.array(m.sigma_x, dtype=np.intp),
-                             np.array(m.sigma_y, dtype=np.intp)).tolist())
-
-
-def genus_from_monodromy(m: Monodromy) -> int:
-    return _genus(np.array(m.sigma_x, dtype=np.intp), np.array(m.sigma_y, dtype=np.intp))
-
-
 def is_transitive(m: Monodromy) -> bool:
     """Whether the squares are one orbit; no squares are not: no surface."""
-    d = m.degree
-    return d > 0 and perms.is_transitive(
-        [permutation(m.sigma_x, d, "sigma_x"), permutation(m.sigma_y, d, "sigma_y")], d)
+    return perms.is_transitive([m.sigma_x, m.sigma_y], m.degree)
 
 
 def origami_from_monodromy(m: Monodromy) -> OrigamiGraph:
-    edges = [(i, m.sigma_x[i], "x") for i in range(m.degree)]
-    edges += [(i, m.sigma_y[i], "y") for i in range(m.degree)]
-    return OrigamiGraph(m.degree, tuple(edges))
+    """The x edges i -> sigma_x[i], then the y edges i -> sigma_y[i]."""
+    d = m.degree
+    return OrigamiGraph(d, np.tile(np.arange(d), 2), np.concatenate((m.sigma_x, m.sigma_y)),
+                        np.arange(2 * d) < d)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,24 @@ def one_based(entries, name: str) -> np.ndarray:
         raise ValueError(f"{name} has an entry beyond the integer range") from None
 
 
+def one_based_table(table, entry: str) -> dict[str, np.ndarray]:
+    """A JSON object of 1-based image lists as 0-based arrays by key, read
+    by ``one_based`` under the name ``entry.format(key)``; a ``table`` that
+    is not an object is refused with a ValueError."""
+    if not isinstance(table, dict):
+        raise ValueError(f"perms must be an object of 1-based image lists, "
+                         f"got {type(table).__name__}")
+    return {key: one_based(images, entry.format(key)) for key, images in table.items()}
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer field as an int.  Floats, strings and bools are
+    refused, not truncated or parsed, with a ValueError naming ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
 def inverse(p: Perm) -> Perm:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p))

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .perms import json_int
+
 
 @dataclass(frozen=True)
 class PeriodData:
@@ -65,7 +67,12 @@ class PeriodData:
         om = np.array(
             [[complex(re, im) for re, im in row] for row in obj["omega"]], dtype=complex
         )
-        return cls(om, tuple(int(x) for x in obj["n"]), tuple(int(x) for x in obj["m"]))
+        for name in ("n", "m"):
+            if not isinstance(obj[name], list):
+                raise ValueError(f"{name} must be a list of integers, got {obj[name]!r}")
+        n, m = (tuple(json_int(x, f"{name}[{i}]") for i, x in enumerate(obj[name]))
+                for name in ("n", "m"))
+        return cls(om, n, m)
 
 
 def primitive_coefficients(pd: PeriodData, n=None, m=None) -> tuple[np.ndarray, float]:

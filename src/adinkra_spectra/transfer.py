@@ -175,24 +175,10 @@ class TransferMatrix:
                 big[a * n_base:(a + 1) * n_base, col:col + k] = self.base[:, s * k:(s + 1) * k]
         return big
 
-    def all_nodes(self) -> np.ndarray:
-        return np.concatenate(self.grids)
-
-    def apply_to_samples(self, samples: np.ndarray) -> np.ndarray:
-        return self.matrix @ samples
-
     def sample(self, fn) -> np.ndarray:
         """Sample a function on the grid (tiled over cosets)."""
         base = np.concatenate([fn(g) for g in self.grids])
         return np.tile(base, self.coset_degree)
-
-    def direct_apply(self, fn, x: np.ndarray) -> np.ndarray:
-        """Pointwise (L f)(x) from the defining sum, for cross-checks."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(len(x), dtype=complex)
-        for b in self.system.branches:
-            out += b.deriv_abs(x) ** self.beta * np.asarray(fn(b.apply(x)), dtype=complex)
-        return out
 
     def eigenvalues(self) -> np.ndarray:
         vals = np.linalg.eigvals(self.matrix)

@@ -20,7 +20,6 @@ from adinkra_spectra.adinkra import (
 from adinkra_spectra.codes import BinaryCode, weight
 from adinkra_spectra.embedding import (
     attach_faces,
-    closed_form_genus,
     dual_origami_graph,
     triangulation_stats,
 )
@@ -51,6 +50,8 @@ from adinkra_spectra.transfer import (
     gauss_branch_system,
     gauss_leading_pair,
 )
+
+from test_embedding import closed_form_genus
 
 GKW = 0.3036630028987327
 

@@ -16,7 +16,6 @@ from adinkra_spectra.adinkra import (
     kasteleyn_parities,
     two_colored_four_cycles,
     validate_chromotopology,
-    validate_ranking,
     vertex_change,
     well_dashed,
     well_dashed_class_ids,
@@ -28,6 +27,18 @@ from adinkra_spectra.errors import ResourceBoundError
 
 def square():
     return build_quotient(2, BinaryCode.trivial(2))
+
+
+def validate_ranking(graph, ranking):
+    """Issues with a ranking: parity per class, |dh| = 1 across edges."""
+    issues = []
+    for i, h in enumerate(ranking.values):
+        if h & 1 != graph.bipartition[i]:
+            issues.append(f"vertex {i}: rank {h} parity mismatches class {graph.bipartition[i]}")
+    for u, v, c in graph.edges:
+        if abs(ranking.values[u] - ranking.values[v]) != 1:
+            issues.append(f"edge ({u},{v},{c}): rank step {ranking.values[u]}->{ranking.values[v]}")
+    return issues
 
 
 def a41():

@@ -362,6 +362,10 @@ def test_zeta_coset_file_of_degree_zero_is_refused(capsys, tmp_path):
      "sigma_x has the entry 2.5, which is not an integer"),
     ("origami", {"d": 1, "sigma_x": 5, "sigma_y": [1]},
      "sigma_x must be a list of 1-based integers, got 5"),
+    ("origami", {"d": 3.9, "sigma_x": [2, 1, 3], "sigma_y": [3, 2, 1]},
+     "d must be an integer, got 3.9"),
+    ("origami", {"d": "3", "sigma_x": [2, 1, 3], "sigma_y": [3, 2, 1]},
+     "d must be an integer, got '3'"),
 ])
 def test_malformed_permutation_files_are_refused(capsys, tmp_path, subcommand, obj, message):
     # entries are neither truncated nor parsed, and a wrong shape is a
@@ -391,6 +395,22 @@ def test_torus_action(capsys, tmp_path):
     assert spec_path.read_text().startswith("n,m,lambda,rho")
 
 
+@pytest.mark.parametrize("n,m,message", [
+    ([1.7], [0.2], "n[0] must be an integer, got 1.7"),
+    ([0], ["1"], "m[0] must be an integer, got '1'"),
+    ([True], [0], "n[0] must be an integer, got True"),
+    (5, [1], "n must be a list of integers, got 5"),
+])
+def test_torus_period_data_counts_are_read_strictly(capsys, tmp_path, n, m, message):
+    # (1.7, 0.2) used to be read as (1, 0) and given an action, and a
+    # scalar escaped as a TypeError traceback
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"g": 1, "omega": [[[0.2, 1.1]]], "n": n, "m": m}))
+    code, out, err = run_capture(capsys, ["torus", "action", "--omega", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_surface_emit_dual(capsys, tmp_path):
     dual_path = tmp_path / "dual.json"
     code, out, _err = run_capture(
@@ -400,6 +420,18 @@ def test_surface_emit_dual(capsys, tmp_path):
     dual = json.loads(dual_path.read_text())
     assert dual["genus"] == 1
     assert dual["monodromy"]["d"] == 8
+    # each edge [u, v, label] is the label's 1-based image of u
+    mono = dual["monodromy"]
+    assert sorted(dual["edges"]) == sorted(
+        [u, mono[f"sigma_{label}"][u] - 1, label] for label in "xy" for u in range(8))
+    # and the monodromy reads back through origami --json with the same genus
+    mono_path = tmp_path / "mono.json"
+    mono_path.write_text(json.dumps(mono))
+    code, out, _err = run_capture(capsys, ["origami", "--json", str(mono_path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["validation"]["ok"] and payload["genus"] == dual["genus"]
+    assert payload["monodromy"] == mono
 
 
 def test_version(capsys):

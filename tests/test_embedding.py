@@ -11,20 +11,30 @@ from adinkra_spectra.adinkra import (
     default_ranking,
     two_colored_four_cycles,
     validate_chromotopology,
-    validate_ranking,
     well_dashed,
 )
 from adinkra_spectra.codes import BinaryCode, weight
 from adinkra_spectra.embedding import (
     attach_faces,
     cartesian_product,
-    closed_form_genus,
     dual_origami_graph,
     fibered_genus_report,
     fibered_product,
     triangulation_stats,
 )
 from adinkra_spectra.origami import monodromy, validate_origami_graph
+
+from test_adinkra import validate_ranking
+
+
+def closed_form_genus(n, k):
+    """g = 1 + 2^(N-k-3)(N-4) for N >= 2; 0 for N < 2 (exact rational)."""
+    if n < 2:
+        return 0
+    g = 1 + Fraction(2) ** (n - k - 3) * (n - 4)
+    if g.denominator != 1:
+        raise ValueError(f"genus formula non-integral for N={n}, k={k}")
+    return int(g)
 
 
 def quotient(n, *rows):

@@ -232,10 +232,20 @@ def test_coset_action_json_round_trip():
     text = json.dumps(obj)  # plain ints: json cannot write numpy ones
     assert obj == {"degree": 5, "perms": {l: [i + 1 for i in A5[l]] for l in sorted(A5)}}
     back = CosetAction.from_json(json.loads(text))
-    assert back == action
+    assert back.degree == action.degree and sorted(back.perms) == sorted(action.perms)
     for l in "abc":
+        assert back.perms[l].dtype == np.intp
         assert np.array_equal(back.perms[l], action.perms[l])
         assert back.perms[l].tolist() == list(A5[l])
+
+
+def test_coset_actions_with_other_permutations_are_not_equal():
+    # the record used to compare its degree alone, so these were equal
+    # and hashed alike
+    one = CosetAction(2, {"a": [1, 0], "b": [1, 0], "c": [0, 1]})
+    other = CosetAction(2, {"a": [0, 1], "b": [1, 0], "c": [1, 0]})
+    assert one != other
+    assert len({one, other}) == 2
 
 
 @pytest.mark.parametrize("obj,message", [
@@ -244,6 +254,10 @@ def test_coset_action_json_round_trip():
      "perm for 'a' has the entry 2.0, which is not an integer"),
     ({"degree": 2, "perms": {"a": [2, 1], "b": "21", "c": [2, 1]}},
      "perm for 'b' must be a list of 1-based integers, got '21'"),
+    ({"degree": 2.7, "perms": {"a": [2, 1], "b": [2, 1], "c": [1, 2]}},
+     "degree must be an integer, got 2.7"),
+    ({"degree": "2", "perms": {"a": [2, 1], "b": [2, 1], "c": [1, 2]}},
+     "degree must be an integer, got '2'"),
 ])
 def test_coset_action_json_is_read_strictly(obj, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

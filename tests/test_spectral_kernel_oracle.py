@@ -66,7 +66,7 @@ def _oracle_power_loop(classes, chi, pair, lam):
     geodesic = 0.0 + 0.0j
     count = 0
     for c, chi_p in zip(classes, chi):
-        half = c.half_trace_arccosh
+        half = math.acosh(c.trace / 2)
         ell = 1
         while 2.0 * ell * half <= cutoff + 1e-15:
             geodesic += (

@@ -29,10 +29,12 @@ close, edges inside one side of the bipartition, duplicated x-edges and
 disconnected origamis.  An origami with no squares is left out of the
 comparison: the former report passed it, and it is now refused
 (``tests/test_origami.py``).  Faces are compared as the three arrays of
-``Faces``, exactly and in order.  The dashing and Kasteleyn checks and the
-counts are compared on random and well-dashed dashings over both face sets
-(N from 4 to 10), and on defective graphs, with the faces of the graph
-they came from.
+``Faces``, exactly and in order, and dual origamis and monodromies as
+their arrays against the frozen (tail, head, label) triples and tuple
+permutations, also exactly and in order.  The dashing and Kasteleyn
+checks and the counts are compared on random and well-dashed dashings
+over both face sets (N from 4 to 10), and on defective graphs, with the
+faces of the graph they came from.
 """
 
 import math
@@ -84,6 +86,7 @@ from adinkra_spectra.origami import (
     validate_origami_graph,
 )
 
+from test_origami import assert_perm, assert_same_graph, edge_triples, origami_graph
 from test_perms_oracle import compose, cycle_lengths, inverse
 
 # -- frozen copies -------------------------------------------------------------
@@ -284,32 +287,32 @@ def _frozen_dual(graph, faces, sides):
         directed = _frozen_cycle_orientation(graph, sides)
     edges = tuple((*directed[e], "x" if graph.edges[e][2] % 2 else "y")
                   for e in range(graph.edge_count))
-    return OrigamiGraph(len(faces), edges)
+    return len(faces), edges
 
 
-def _frozen_validate_origami(graph: OrigamiGraph) -> OrigamiReport:
+def _frozen_validate_origami(d, edges) -> OrigamiReport:
     issues = []
-    out_x = [0] * graph.d
-    out_y = [0] * graph.d
-    in_x = [0] * graph.d
-    in_y = [0] * graph.d
-    for u, v, lab in graph.edges:
+    out_x = [0] * d
+    out_y = [0] * d
+    in_x = [0] * d
+    in_y = [0] * d
+    for u, v, lab in edges:
         if lab == "x":
             out_x[u] += 1
             in_x[v] += 1
         else:
             out_y[u] += 1
             in_y[v] += 1
-    for v in range(graph.d):
+    for v in range(d):
         for name, cnt in (("outgoing x", out_x[v]), ("outgoing y", out_y[v]),
                           ("incoming x", in_x[v]), ("incoming y", in_y[v])):
             if cnt != 1:
                 issues.append(f"vertex {v}: {cnt} {name} edges (expected 1)")
-    adj: list[list[int]] = [[] for _ in range(graph.d)]
-    for u, v, _lab in graph.edges:
+    adj: list[list[int]] = [[] for _ in range(d)]
+    for u, v, _lab in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = {0} if graph.d else set()
+    seen = {0} if d else set()
     queue = deque(seen)
     while queue:
         x = queue.popleft()
@@ -317,38 +320,37 @@ def _frozen_validate_origami(graph: OrigamiGraph) -> OrigamiReport:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    connected = len(seen) == graph.d
+    connected = len(seen) == d
     if not connected:
-        issues.append(f"graph is disconnected: reached {len(seen)} of {graph.d} vertices")
+        issues.append(f"graph is disconnected: reached {len(seen)} of {d} vertices")
     return OrigamiReport(not issues, tuple(issues), connected)
 
 
-def _frozen_commutator(m: Monodromy):
-    sx, sy = m.sigma_x, m.sigma_y
+def _frozen_commutator(sx, sy):
     return compose(compose(sx, sy), compose(inverse(sx), inverse(sy)))
 
 
-def _frozen_genus(m: Monodromy) -> int:
-    d = m.degree
-    v = len(cycle_lengths(_frozen_commutator(m)))
+def _frozen_genus(sx, sy) -> int:
+    d = len(sx)
+    v = len(cycle_lengths(_frozen_commutator(sx, sy)))
     if (d - v) % 2:
         raise ValueError(f"non-integral genus: d={d}, commutator cycles={v}")
     return 1 + (d - v) // 2
 
 
-def _frozen_monodromy(graph: OrigamiGraph):
-    report = _frozen_validate_origami(graph)
+def _frozen_monodromy(d, edges):
+    """((sigma_x, sigma_y) as tuples, genus)."""
+    report = _frozen_validate_origami(d, edges)
     if not report.ok:
         raise ValueError("invalid origami graph: " + "; ".join(report.issues))
-    sx = [0] * graph.d
-    sy = [0] * graph.d
-    for u, v, lab in graph.edges:
+    sx = [0] * d
+    sy = [0] * d
+    for u, v, lab in edges:
         if lab == "x":
             sx[u] = v
         else:
             sy[u] = v
-    m = Monodromy(tuple(sx), tuple(sy))
-    return m, _frozen_genus(m)
+    return (tuple(sx), tuple(sy)), _frozen_genus(sx, sy)
 
 
 def _frozen_check_faces(graph, faces):
@@ -495,9 +497,11 @@ def check_graph(graph: Chromotopology) -> None:
             assert _same_faces(got[0], expected[0])
             assert got[1] == expected[1]
     if graph.n_colors > 2 and graph.n_colors % 2 == 0:
-        dual = _outcome(_library_dual, graph)
-        assert dual == _outcome(_frozen_full_dual, graph)
-        if isinstance(dual, OrigamiGraph):
+        dual, expected = _outcome(_library_dual, graph), _outcome(_frozen_full_dual, graph)
+        if isinstance(dual, str) or isinstance(expected, str):
+            assert dual == expected
+        else:
+            assert_same_graph(dual, *expected)
             check_origami(dual)
 
 
@@ -524,13 +528,21 @@ def check_face_consumers(graph: Chromotopology, faces: Faces, dashings) -> None:
 
 
 def check_origami(graph: OrigamiGraph) -> None:
-    assert validate_origami_graph(graph) == _frozen_validate_origami(graph)
-    got, expected = _outcome(monodromy, graph), _outcome(_frozen_monodromy, graph)
-    assert got == expected
-    if not isinstance(got, str):
-        m = got[0]
-        assert commutator(m) == _frozen_commutator(m)
-        assert genus_from_monodromy(m) == _frozen_genus(m)
+    """The library on ``graph`` against the frozen loops on its triples;
+    permutations compared as intp arrays, in order."""
+    edges = edge_triples(graph)
+    assert validate_origami_graph(graph) == _frozen_validate_origami(graph.d, edges)
+    got, expected = _outcome(monodromy, graph), _outcome(_frozen_monodromy, graph.d, edges)
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+        return
+    (m, genus), ((sx, sy), frozen_genus) = got, expected
+    assert_perm(m.sigma_x, sx)
+    assert_perm(m.sigma_y, sy)
+    assert genus == frozen_genus
+    c = commutator(m)
+    assert c.dtype == np.intp and c.tolist() == list(_frozen_commutator(sx, sy))
+    assert genus_from_monodromy(m) == _frozen_genus(sx, sy)
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -807,7 +819,7 @@ def test_random_origamis_match_frozen(m):
 @settings(max_examples=100, deadline=None)
 @given(monodromies(), st.data())
 def test_defective_origamis_match_frozen(m, data):
-    edges = list(origami_from_monodromy(m).edges)
+    edges = edge_triples(origami_from_monodromy(m))
     d = m.degree
     kind = data.draw(st.sampled_from(["duplicate x", "relabel", "retarget", "union"]),
                      label="kind")
@@ -823,14 +835,14 @@ def test_defective_origamis_match_frozen(m, data):
         edges[e] = (edges[e][0], data.draw(st.integers(0, d - 1), label="head"), edges[e][2])
     else:  # a disjoint union with a second origami
         other = origami_from_monodromy(data.draw(monodromies(), label="other"))
-        edges += [(u + d, v + d, lab) for u, v, lab in other.edges]
+        edges += [(u + d, v + d, lab) for u, v, lab in edge_triples(other)]
         d += other.d
-    check_origami(OrigamiGraph(d, tuple(edges)))
+    check_origami(origami_graph(d, edges))
 
 
 def test_disconnected_origami_is_refused_with_the_frozen_message():
-    torus = origami_from_monodromy(Monodromy((0,), (0,)))
-    two = OrigamiGraph(2, torus.edges + tuple((u + 1, v + 1, lab) for u, v, lab in torus.edges))
+    torus = edge_triples(origami_from_monodromy(Monodromy((0,), (0,))))
+    two = origami_graph(2, torus + [(u + 1, v + 1, lab) for u, v, lab in torus])
     check_origami(two)
     with pytest.raises(ValueError, match="^invalid origami graph: graph is disconnected: "
                                          "reached 1 of 2 vertices$"):

@@ -20,6 +20,15 @@ from test_perms_oracle import compose
 GKW = 0.3036630028987327  # Gauss-Kuzmin-Wirsing subleading magnitude
 
 
+def direct_apply(tm, fn, x):
+    """Pointwise (L f)(x) from the defining sum over the branches."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(len(x), dtype=complex)
+    for b in tm.system.branches:
+        out += b.deriv_abs(x) ** tm.beta * np.asarray(fn(b.apply(x)), dtype=complex)
+    return out
+
+
 def affine_half_system():
     # single branch g(x) = x/2 on [0, 1]
     return BranchSystem((Branch(0.0, 1.0, np.array([[0.5, 0.0], [0.0, 1.0]]), "h"),))
@@ -28,7 +37,7 @@ def affine_half_system():
 def test_affine_branch_constant_eigenfunction():
     tm = build_transfer_matrix(affine_half_system(), 0.0, 16)
     ones = tm.sample(lambda x: np.ones_like(x))
-    applied = tm.apply_to_samples(ones)
+    applied = tm.matrix @ ones
     assert np.max(np.abs(applied - 1.0)) < 1e-12  # row sums = branch count
     lead = tm.leading_eigenvalues(1)
     assert abs(lead[0] - 1.0) < 1e-12
@@ -49,7 +58,7 @@ def test_beta_zero_rows_sum_to_branch_count():
     sys = gauss_branch_system(7)
     tm = build_transfer_matrix(sys, 0.0, 12)
     ones = tm.sample(lambda x: np.ones_like(x))
-    assert np.max(np.abs(tm.apply_to_samples(ones) - 7.0)) < 1e-10
+    assert np.max(np.abs(tm.matrix @ ones - 7.0)) < 1e-10
 
 
 def test_polynomial_reproduction():
@@ -60,15 +69,15 @@ def test_polynomial_reproduction():
     def f(x):
         return 1.0 + 0.5 * x - 0.25 * x ** 2 + x ** 5
 
-    sampled = tm.apply_to_samples(tm.sample(f))
-    direct = tm.direct_apply(f, tm.all_nodes())
+    sampled = tm.matrix @ tm.sample(f)
+    direct = direct_apply(tm, f, np.concatenate(tm.grids))
     assert np.max(np.abs(sampled - direct)) < 1e-10
 
 
 def test_offgrid_consistency_analytic_function():
     sys = gauss_branch_system(6)
     tm = build_transfer_matrix(sys, 1.5, 32)
-    applied = tm.apply_to_samples(tm.sample(np.exp))
+    applied = tm.matrix @ tm.sample(np.exp)
     # interpolate the result at off-grid points and compare to the direct sum
     from adinkra_spectra.transfer import _bary_weights, _cardinal_matrix
 
@@ -76,7 +85,7 @@ def test_offgrid_consistency_analytic_function():
     w = _bary_weights(32)
     lo, hi = sys.hull
     pts = rng.uniform(lo, hi, 40)
-    direct = tm.direct_apply(np.exp, pts)
+    direct = direct_apply(tm, np.exp, pts)
     interp = np.zeros(len(pts), dtype=complex)
     # locate each point in its interval's grid block
     for i, p in enumerate(pts):
