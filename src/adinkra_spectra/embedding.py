@@ -146,10 +146,14 @@ def attach_faces(graph: Chromotopology) -> SurfaceData:
         quads.append(quad)
         edges.append(edge)
     ids, quads, edges = np.concatenate(ids), np.concatenate(quads), np.concatenate(edges)
-    # by colors, then by first vertex (distinct within a color pair)
     colors = np.array(pairs, dtype=INDEX)[ids]
-    order = np.lexsort((quads[:, 0], colors[:, 1], colors[:, 0]))
-    faces = Faces(quads[order], edges[order], colors[order])
+    # Faces go by colors, then by first vertex.  For N >= 3 that is the walk
+    # order (each pair has its own first color); at N = 2 the two walks
+    # share the pair (1, 2), so merge them by first vertex.
+    if n == 2:
+        order = np.argsort(quads[:, 0], kind="stable")
+        quads, edges, colors = quads[order], edges[order], colors[order]
+    faces = Faces(quads, edges, colors)
     chi = graph.vertex_count - graph.edge_count + len(faces)
     genus2 = 2 * components - chi
     surface = SurfaceData(graph, faces, chi, components, genus2 // 2,

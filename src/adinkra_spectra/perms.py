@@ -7,6 +7,7 @@ components of any graph given by its edge ends."""
 
 from __future__ import annotations
 
+import math
 import reprlib
 from collections.abc import Sequence
 
@@ -62,6 +63,21 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
+
+
+def json_float(value, name: str) -> float:
+    """A JSON number field as a finite float.  Strings, bools and
+    non-finite values are refused, not parsed or read as 0 and 1, with a
+    ValueError naming ``name``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+    return number
 
 
 def inverse(p: Perm) -> Perm:

@@ -17,19 +17,21 @@ enumerate each lattice index once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .perms import json_int
+from .perms import json_float, json_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodData:
-    """Period matrix with a marked integer vector pair (n, m)."""
+    """Period matrix with a marked integer vector pair (n, m).  The record
+    is ``eq=False``: compare ``omega``, ``n`` and ``m``."""
 
-    omega: np.ndarray = field(compare=False)
+    omega: np.ndarray
     n: tuple[int, ...]
     m: tuple[int, ...]
 
@@ -64,15 +66,21 @@ class PeriodData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodData":
-        om = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["omega"]], dtype=complex
-        )
+        om = np.array([[_json_complex(z, f"omega[{i}][{j}]") for j, z in enumerate(row)]
+                       for i, row in enumerate(obj["omega"])], dtype=complex)
         for name in ("n", "m"):
             if not isinstance(obj[name], list):
                 raise ValueError(f"{name} must be a list of integers, got {obj[name]!r}")
         n, m = (tuple(json_int(x, f"{name}[{i}]") for i, x in enumerate(obj[name]))
                 for name in ("n", "m"))
         return cls(om, n, m)
+
+
+def _json_complex(pair, name: str) -> complex:
+    """A JSON [re, im] pair of finite numbers as a complex."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{name} must be a [re, im] pair, got {reprlib.repr(pair)}")
+    return complex(json_float(pair[0], f"{name}[0]"), json_float(pair[1], f"{name}[1]"))
 
 
 def primitive_coefficients(pd: PeriodData, n=None, m=None) -> tuple[np.ndarray, float]:

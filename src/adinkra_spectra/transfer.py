@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -30,13 +30,14 @@ import numpy as np
 from .perms import cyclic_exponents, permutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch:
-    """One inverse branch: interval E_s and the Moebius matrix of g_s."""
+    """One inverse branch: interval E_s and the Moebius matrix of g_s.
+    The record is ``eq=False``: compare the intervals and matrices."""
 
     lo: float
     hi: float
-    matrix: np.ndarray = field(compare=False)  # 2x2, normalized |det| = 1
+    matrix: np.ndarray  # 2x2, normalized |det| = 1
     label: str = ""
 
     def __post_init__(self):
@@ -137,7 +138,7 @@ def _cardinal_matrix(nodes: np.ndarray, weights: np.ndarray, pts: np.ndarray) ->
     return card
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferMatrix:
     """Collocation matrix of the transfer operator.
 
@@ -146,16 +147,17 @@ class TransferMatrix:
     matrix (branch s's weighted cardinal block in columns s*k..(s+1)*k)
     and ``branch_perms`` each branch's coset permutation array, in branch
     order; ``fredholm_det`` factors cyclic coset actions from these two,
-    and ``matrix`` is assembled from them only when read.
+    and ``matrix`` is assembled from them only when read.  The record is
+    ``eq=False``: compare ``base`` and ``branch_perms``.
     """
 
     beta: complex
     system: BranchSystem
     nodes_per_interval: int
     coset_degree: int
-    grids: tuple = field(compare=False)
-    base: np.ndarray = field(compare=False)
-    branch_perms: tuple = field(compare=False)
+    grids: tuple
+    base: np.ndarray
+    branch_perms: tuple
 
     @property
     def size(self) -> int:
@@ -238,8 +240,7 @@ def extend_to_coset(
     real gives a real matrix.  Every branch label needs a permutation, and
     every permutation a branch.
     """
-    if nodes_per_interval < 2:
-        raise ValueError("need at least 2 nodes per interval")
+    grids = _grids(sys, nodes_per_interval)
     labels = sys.labels()
     missing = [l for l in labels if l not in perms]
     if missing:
@@ -250,19 +251,33 @@ def extend_to_coset(
         raise ValueError(f"coset permutations for labels the system lacks: {extra}")
     degree = len(next(iter(perms.values())))
     branch_perms = tuple(permutation(perms[l], degree, f"perm for branch {l!r}") for l in labels)
-    grids = tuple(_cheb_nodes(b.lo, b.hi, nodes_per_interval) for b in sys.branches)
-    bweights = _bary_weights(nodes_per_interval)
-    allx = np.concatenate(grids)
-    n_base = len(allx)
-    k = nodes_per_interval
-    # branch s's (all nodes) x (branch grid) weighted cardinal block, side by side
-    base = np.empty((n_base, n_base), dtype=np.result_type(allx.dtype, beta))
-    for s, b in enumerate(sys.branches):
-        base[:, s * k:(s + 1) * k] = (b.deriv_abs(allx) ** beta)[:, None] * _cardinal_matrix(
-            grids[s], bweights, b.apply(allx))
-    if np.iscomplexobj(base) and np.all(base.imag == 0.0):
-        base = np.ascontiguousarray(base.real)  # a copy, so the complex buffer is freed
+    base = _collocation_rows(sys, grids, beta, np.concatenate(grids))
     return TransferMatrix(beta, sys, nodes_per_interval, degree, grids, base, branch_perms)
+
+
+def _grids(sys: BranchSystem, k: int) -> tuple[np.ndarray, ...]:
+    """Each branch interval's k Chebyshev-Lobatto nodes, in branch order."""
+    if k < 2:
+        raise ValueError("need at least 2 nodes per interval")
+    return tuple(_cheb_nodes(b.lo, b.hi, k) for b in sys.branches)
+
+
+def _collocation_rows(sys: BranchSystem, grids: Sequence[np.ndarray], beta: complex,
+                      pts: np.ndarray) -> np.ndarray:
+    """The operator's collocation rows at the points ``pts``: branch s's
+    weighted cardinal block |g_s'(x)|^beta l_j(g_s x) in columns
+    s*k..(s+1)*k, where l_j are the cardinal functions of ``grids[s]``.
+    At the grid points themselves this is the degree-1 matrix.  A complex
+    beta whose weights come out real gives a real array."""
+    k = len(grids[0])
+    w = _bary_weights(k)
+    rows = np.empty((len(pts), k * len(grids)), dtype=np.result_type(pts.dtype, beta))
+    for s, b in enumerate(sys.branches):
+        rows[:, s * k:(s + 1) * k] = (b.deriv_abs(pts) ** beta)[:, None] * _cardinal_matrix(
+            grids[s], w, b.apply(pts))
+    if np.iscomplexobj(rows) and np.all(rows.imag == 0.0):
+        rows = np.ascontiguousarray(rows.real)  # a copy, so the complex buffer is freed
+    return rows
 
 
 @dataclass(frozen=True)
@@ -387,6 +402,12 @@ def neville_extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
     return tab[0]
 
 
+# Chebyshev-Lobatto points of the sweep's core.  At 32 and at 40 the guard
+# in _truncation_pairs passes for beta in {0.8, 1, 2.3, 4, 1.5+0.7j} with 8
+# to 64 nodes; at 16 it fails on each of them.
+CORE_RANK = 40
+
+
 def gauss_leading_pair(
     n_values: Sequence[int] = (12, 16, 20, 24, 28, 32, 36, 40),
     nodes: int = 32,
@@ -397,10 +418,12 @@ def gauss_leading_pair(
     The truncated n_max-branch operator's eigenvalues converge like a
     power series in 1/n_max; Neville extrapolation over the sweep recovers
     the infinite-branch values (1 and the Gauss-Kuzmin-Wirsing constant
-    -0.30366... at beta = 1).  The n-branch grids are the first n
-    intervals of the largest one's, so each truncated matrix is the
-    leading (n * nodes)^2 block of the max(n_values)-branch matrix, which
-    is built once.  ``n_values`` must be distinct positive integers.
+    -0.30366... at beta = 1).  Each truncation's two leading eigenvalues
+    (real parts) come from :func:`_truncation_pairs`, which works on an
+    r x r core with r = ``CORE_RANK`` and never builds an (n * nodes)^2
+    matrix.  It raises ArithmeticError when an eigenpair's eigen-equation
+    fails by more than 1e-13 relative at the points between the core's.
+    ``n_values`` must be distinct positive integers.
     """
     if not n_values:
         raise ValueError("n_values is empty")
@@ -410,12 +433,47 @@ def gauss_leading_pair(
     dup = sorted({n for n in n_values if n_values.count(n) > 1})
     if dup:
         raise ValueError(f"n_values repeats {dup}")
-    full = build_transfer_matrix(gauss_branch_system(max(n_values)), beta, nodes).matrix
-    l1s, l2s = [], []
-    for n in n_values:
-        m = n * nodes
-        lead = _arnoldi(np.ascontiguousarray(full[:m, :m]), 6)
-        l1s.append(float(lead[0].real))
-        l2s.append(float(lead[1].real))
+    l1s, l2s = _truncation_pairs(n_values, nodes, beta).real.T.tolist()
     xs = [1.0 / n for n in n_values]
     return neville_extrapolate(xs, l1s), neville_extrapolate(xs, l2s)
+
+
+def _truncation_pairs(n_values: Sequence[int], nodes: int, beta: complex) -> np.ndarray:
+    """The two eigenvalues largest in modulus of each n-branch truncated
+    Gauss matrix, n in ``n_values``, as a (len(n_values), 2) array.
+
+    The n-branch grids are the first n intervals of the largest system's,
+    so each truncation is the leading m x m block (m = n * nodes) of its
+    matrix A, whose row at x is analytic in x on the hull H (every pole
+    of a branch weight lies outside it).  Interpolating in x at r
+    Chebyshev-Lobatto points y on H gives A ~ P Q with P the cardinal
+    matrix of y at the grid and Q = A's rows at y; the truncation is then
+    P[:m] Q[:, :m], whose nonzero eigenvalues are those of the r x r core
+    Q[:, :m] P[:m].  A core eigenvector v gives the eigenfunction u =
+    P[:m] v; its image must equal lambda times its interpolant at the
+    r - 1 Chebyshev points z of the first kind, which interleave y, to
+    1e-13 * |lambda| * max|v| for both returned pairs, else ArithmeticError.
+    """
+    sys = gauss_branch_system(max(n_values))
+    grids = _grids(sys, nodes)
+    lo, hi = sys.hull
+    r = CORE_RANK
+    y = _cheb_nodes(lo, hi, r)
+    z = lo + (hi - lo) * (np.cos(np.pi * (np.arange(r - 1) + 0.5) / (r - 1)) + 1.0) / 2.0
+    w = _bary_weights(r)
+    q, q_z = _collocation_rows(sys, grids, beta, y), _collocation_rows(sys, grids, beta, z)
+    p, p_z = _cardinal_matrix(y, w, np.concatenate(grids)), _cardinal_matrix(y, w, z)
+    pairs = np.empty((len(n_values), 2), dtype=complex)
+    for i, n in enumerate(n_values):
+        m = n * nodes
+        vals, vecs = np.linalg.eig(q[:, :m] @ p[:m])
+        lead = np.argsort(-np.abs(vals), kind="stable")[:2]
+        for j, e in enumerate(lead):
+            lam, v = vals[e], vecs[:, e]
+            miss = np.abs(q_z[:, :m] @ (p[:m] @ v) - lam * (p_z @ v)).max()
+            if not miss <= 1e-13 * abs(lam) * np.abs(v).max():
+                raise ArithmeticError(
+                    f"{n}-branch eigenvalue {lam:.6g} misses its eigen-equation by {miss:.3g} "
+                    f"between the {r} core points")
+            pairs[i, j] = lam
+    return pairs

@@ -411,6 +411,32 @@ def test_torus_period_data_counts_are_read_strictly(capsys, tmp_path, n, m, mess
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("omega,message", [
+    ([[["0.2", 1.1]]], "omega[0][0][0] must be a finite number, got '0.2'"),
+    ([[[True, 1.1]]], "omega[0][0][0] must be a finite number, got True"),
+    ([[[0.2, False]]], "omega[0][0][1] must be a finite number, got False"),
+    ([[[0.2, float("nan")]]], "omega[0][0][1] must be a finite number, got nan"),
+    ([[[float("inf"), 1.1]]], "omega[0][0][0] must be a finite number, got inf"),
+    ([[[0.2, 10 ** 400]]], "omega[0][0][1] must be a finite number, got 100000000000000000...0000000000000000000"),
+    ([[0.2]], "omega[0][0] must be a [re, im] pair, got 0.2"),
+    ([[[0.2, 1.1, 0.0]]], "omega[0][0] must be a [re, im] pair, got [0.2, 1.1, 0.0]"),
+])
+def test_torus_period_matrix_is_read_strictly(capsys, tmp_path, omega, message):
+    # a string entry escaped as a TypeError traceback, and true was read as 1
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"g": 1, "omega": omega, "n": [1], "m": [0]}))
+    code, out, err = run_capture(capsys, ["torus", "action", "--omega", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_torus_period_matrix_takes_integer_entries(capsys, tmp_path):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps({"g": 1, "omega": [[[0, 1]]], "n": [0], "m": [1]}))
+    code, out, _err = run_capture(capsys, ["torus", "action", "--omega", str(path), "--box", "5"])
+    assert code == 0 and "action" in json.loads(out)
+
+
 def test_surface_emit_dual(capsys, tmp_path):
     dual_path = tmp_path / "dual.json"
     code, out, _err = run_capture(

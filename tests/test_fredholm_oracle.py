@@ -9,6 +9,11 @@ the whole coset-extended matrix, det = prod(1 - lambda), radius
 max |lambda| and the flag from every eigenvalue.  Determinants must agree to 1e-12 relative, radii to
 1e-10, flags exactly.
 
+``gauss_leading_pair`` reads each truncation's leading eigenvalues from
+an r x r core; the oracle is the sweep it replaced: ARPACK on each
+leading (n * nodes)^2 block of the largest truncated Gauss matrix.  Both
+leading eigenvalues must agree to 1e-13.
+
 ``solution_set`` tests the whole box in array passes; the oracle is the
 loop over ``itertools.product`` that evaluated one lattice point at a
 time.  Entries must agree exactly, in order.
@@ -17,6 +22,7 @@ time.  Entries must agree exactly, in order.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +59,20 @@ def _oracle_fredholm(matrix, singular_tol=1e-12):
     radius = float(np.abs(vals[0])) if len(vals) else 0.0
     singular = bool(np.any(np.abs(1.0 - vals) < singular_tol))
     return det, radius, singular
+
+
+def _oracle_truncation_pairs(n_values, nodes, beta):
+    import scipy.sparse.linalg as spla
+
+    full = build_transfer_matrix(gauss_branch_system(max(n_values)), beta, nodes).matrix
+    pairs = []
+    for n in n_values:
+        block = np.ascontiguousarray(full[:n * nodes, :n * nodes])
+        v0 = np.random.default_rng(0).standard_normal(len(block)).astype(block.dtype)
+        vals = spla.eigs(block, k=6, which="LM", v0=v0, return_eigenvectors=False,
+                         maxiter=10000, tol=1e-13)
+        pairs.append(vals[np.argsort(-np.abs(vals))][:2])
+    return np.array(pairs)
 
 
 def _oracle_solution_set(pd, box_bound, tol=1e-9):
@@ -321,6 +341,37 @@ def test_singular_affine_beta_zero_cyclic_degree_three():
         assert abs(res.value) < 1e-10
         assert abs(res.spectral_radius - radius) <= 1e-10
         assert res.eigenvalues_used == 3 * nodes
+
+
+# -- Gauss truncation sweep -------------------------------------------------
+
+SWEEP = (12, 16, 20, 24, 28, 32, 36, 40)
+
+
+@pytest.mark.parametrize("nodes", [24, 32])
+@pytest.mark.parametrize("beta", [1.0, 2.3, 1.5 + 0.7j])
+def test_truncation_pairs_match_arpack_on_the_blocks(beta, nodes):
+    got = transfer._truncation_pairs(SWEEP, nodes, beta)
+    expected = _oracle_truncation_pairs(SWEEP, nodes, beta)
+    assert got.shape == (len(SWEEP), 2)
+    assert np.abs(got - expected).max() <= 1e-13
+
+
+def test_truncation_guard_raises_on_a_core_too_small(monkeypatch):
+    monkeypatch.setattr(transfer, "CORE_RANK", 16)
+    with pytest.raises(ArithmeticError, match="misses its eigen-equation"):
+        transfer.gauss_leading_pair()
+
+
+def test_sweep_builds_no_dense_matrix():
+    # the 40-branch, 32-node matrix alone takes 12.5 MiB
+    tracemalloc.start()
+    try:
+        transfer.gauss_leading_pair()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # -- torus solution set -----------------------------------------------------

@@ -178,14 +178,27 @@ PAIRS = [("1", "2"), ("2", "2"), ("2", "3"), ("3", "3"), ("2", "4/1111"),
 
 @pytest.mark.parametrize("a,b", PAIRS)
 def test_product_surface_faces_match_rotation_tracer(a, b):
-    g1, g2 = _quotient(*FACTORS[a]), _quotient(*FACTORS[b])
-    products = [cartesian_product(_adinkra(g1), _adinkra(g2)).graph]
-    products += [fibered_product(g1, g2, r)[0]
-                 for r in range(math.gcd(g1.n_colors, g2.n_colors))]
-    for graph in products:
+    for graph in _product_graphs(a, b):
         expected = _frozen_rotation_faces(graph)
         assert expected
         assert _same_faces(attach_faces(graph).faces, expected)
+
+
+def _product_graphs(a, b):
+    g1, g2 = _quotient(*FACTORS[a]), _quotient(*FACTORS[b])
+    return [cartesian_product(_adinkra(g1), _adinkra(g2)).graph] + [
+        fibered_product(g1, g2, r)[0] for r in range(math.gcd(g1.n_colors, g2.n_colors))]
+
+
+def test_surface_faces_come_sorted_by_colors_then_first_vertex():
+    # attach_faces sorts only at N = 2: for N >= 3 the walk order is this order
+    graphs = [_quotient(n, rows) for n, rows in SEEDED]
+    graphs += [g for a, b in PAIRS for g in _product_graphs(a, b)]
+    assert {g.n_colors for g in graphs} >= set(range(2, 13))
+    for graph in graphs:
+        faces = attach_faces(graph).faces
+        order = np.lexsort((faces.vertices[:, 0], faces.colors[:, 1], faces.colors[:, 0]))
+        assert np.array_equal(order, np.arange(len(faces))), graph.n_colors
 
 
 DEFECTIVE = [(4, ("1100",)), (3, ("111",)), (4, ("1000",)), (5, ("11000",)),

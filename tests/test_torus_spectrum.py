@@ -214,6 +214,14 @@ def test_json_round_trip():
     assert back.n == pd.n and back.m == pd.m
 
 
+def test_period_data_with_other_omega_are_not_equal():
+    # omega was left out of the comparison: these two compared and hashed equal
+    a = PeriodData(np.array([[0.25 + 1.5j]]), (1,), (2,))
+    b = PeriodData(np.array([[0.5 + 1.5j]]), (1,), (2,))
+    assert a != b
+    assert len({a, b}) == 2
+
+
 def test_csv_emission():
     text = spectrum_to_csv(solution_set(pd_square(), 1))
     lines = text.strip().splitlines()

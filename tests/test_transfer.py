@@ -229,6 +229,23 @@ def test_neville_extrapolation_exact_on_polynomials():
     assert neville_extrapolate(xs, ys) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_branches_with_other_matrices_are_not_equal():
+    # the matrix was left out of the comparison: these two compared equal
+    a = Branch(0.5, 1.0, np.array([[0.0, 1.0], [1.0, 1.0]]), "1")
+    b = Branch(0.5, 1.0, np.array([[0.0, 1.0], [1.0, 2.0]]), "1")
+    assert a != b
+    assert len({a, b}) == 2
+
+
+def test_coset_extensions_with_other_permutations_are_not_equal():
+    # the permutations were left out of the comparison: these compared equal
+    sys = gauss_branch_system(2)
+    a = extend_to_coset(sys, {"1": (1, 2, 0), "2": (0, 1, 2)}, 1.5, 4)
+    b = extend_to_coset(sys, {"1": (2, 0, 1), "2": (0, 1, 2)}, 1.5, 4)
+    assert a != b
+    assert len({a, b}) == 2
+
+
 def test_branch_system_json_round_trip():
     sys = gauss_branch_system(4)
     back = BranchSystem.from_json(sys.to_json())
@@ -307,7 +324,8 @@ SWEEP = (12, 16, 20, 24, 28, 32, 36, 40)
 @pytest.mark.parametrize("nodes", [24, 32])
 @pytest.mark.parametrize("beta", [1.0, 2.3, 1.5 + 0.7j])
 def test_sweep_matrices_are_leading_blocks(beta, nodes):
-    # gauss_leading_pair reads every truncation from the largest matrix
+    # the truncations that gauss_leading_pair sweeps are the leading
+    # blocks of the largest one
     full = build_transfer_matrix(gauss_branch_system(max(SWEEP)), beta, nodes).matrix
     for n in SWEEP:
         m = n * nodes
@@ -317,7 +335,12 @@ def test_sweep_matrices_are_leading_blocks(beta, nodes):
 
 
 def test_gauss_leading_pair_default_digits():
-    assert gauss_leading_pair() == (0.9999999993946068, -0.30366300031024435)
+    got = gauss_leading_pair()
+    assert got == (0.9999999993782477, -0.3036630003046372)
+    # the digits of the ARPACK sweep on the (n * nodes)^2 blocks it replaced;
+    # Neville extrapolation amplifies 1e-15 changes in its inputs to ~1e-11
+    old = (0.9999999993946068, -0.30366300031024435)
+    assert all(abs(g - o) < 1e-9 for g, o in zip(got, old))
 
 
 @pytest.mark.parametrize("n_values,message", [
