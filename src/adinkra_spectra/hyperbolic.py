@@ -16,16 +16,56 @@ exactly the conjugacy classes.  The ball's size is estimated from its area
 before it is grown and refused above a fixed budget.
 
 Inside the ball a matrix [[a, b], [c, d]] is written in the frame that
-moves z0 to i, and is stored once, as the row (a, b, c, d) of an (n, 4)
-float array, with its rounded key indexing that row.  Each breadth-first
-round is computed in numpy: the frontier is an (F, 4) array, its products
-with the six letters are formed by broadcasting, and the cap, the
-renormalisation and the keys act on whole arrays.  Candidates whose key
-the ball already holds are skipped by dict lookups run in C; only the
-others execute Python code, in (frontier, letter) order.  Selecting S and
-forming the conjugates and the powers are batched the same way, and
-``perms.component_labels`` joins the conjugates into classes.  The public
-API takes and returns numpy arrays.
+moves z0 to i, where a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0), and is
+stored once, as the row (a, b, c, d) of an (n, 4) float array.  Each
+breadth-first round is computed in numpy: the frontier is an (F, 4)
+array, its products with the six letters are formed by broadcasting, and
+the cap and the renormalisation act on whole arrays.  One search,
+``_near_pairs``, decides which rows are one element up to sign: it sorts
+the rows and their negatives by a generic projection and compares
+neighbours in that order entry by entry.  It finds the candidates the
+ball already holds, the one-letter conjugates of the members of S, which
+``perms.component_labels`` joins into classes, and the powers that decide
+primitivity.  The public API takes and returns numpy arrays.
+
+Tolerance lemma.  Write |x| for the Frobenius norm, which bounds the
+operator norm e^(d(z0, x z0)/2); let N^2 be the cap, u = 2^-53, Lambda
+the largest norm of a letter, and eps = phi + 2u(Lambda + 1), where phi
+(``_LETTER_ERROR``) bounds each letter's error, as the tests check
+against 40-digit letters.
+(a) Separation.  Let c = cosh r, r the radius of the largest disc about
+z0 inside D.  If g != +-h and |g| <= N, some entry of g -+ h is at least
+sigma = sqrt(c (c - 1)) / N.  For k = g^-1 h moves z0 by d >= 2r, since
+D is a fundamental domain, and |tr k| <= 2 cosh(d/2), so
+|1 -+ k|^2 = 2 + 2 cosh d -+ 2 tr k >= 4c(c - 1); and
+|1 -+ k| <= |g^-1| |g -+ h|, |g^-1| = |g|, while the largest entry is at
+least half the norm.
+(b) Error.  Write a row as (1 + G) g for its element g.  A product with a
+letter and the renormalisation add at most eps max(|p|, |x|)^2 to |G|,
+p the parent and x the product: the rounding and the letter's error are
+that small relative to g, and renormalising only removes the trace of G.
+So a row is within E = eps |x| S of its element, S the sum of
+max(|p|, |x|)^2 over its word, which the ball carries from round to
+round.  A conjugate by a letter is then within
+Lambda^2 E + 9 (Lambda + 1) eps N^3 of its element, and the m-th power of
+a member of length l, formed by m - 1 products, within
+m e^(2R) (e^((m - 1) l / 2) E + 4 u N^3), since |h^j| <= e^(jl/2 + R).
+Such a row beyond 2N is more than N/2 from every member in some entry.
+These bounds are of first order in G, which is at most eps * depth * N^2,
+under 1e-6 in every ball measured up to the budget.
+(c) Two rows with bounds E1 and E2 are one element exactly when they lie
+within t of each other, for any t with E1 + E2 <= t < sigma - E1 - E2.
+The ball compares rows at t twice the largest bound so far, and the
+conjugates and powers at t the largest of their bounds plus the largest
+member's; a ball where some 2t reaches sigma is refused.  At (5,5,2),
+l_max 8, matched rows differ by at most 7e-11, the conjugates are
+compared at t = 3e-7 and sigma is 2.8e-3.
+(d) Layers.  A neighbour of a round-k element lies in round k - 1, k or
+k + 1, so a round's candidates are compared with the last two rounds and
+with each other.  That takes the cap test as exact, yet an element whose
+norm is within its error of the cap may be kept along one path and
+pruned along another; so one search over the grown ball checks it, and
+the ball is grown again against every round if that finds a pair.
 
 Spectra.  A ``SpectrumResult`` lists one ``GeodesicClass`` per primitive
 conjugacy class, each with its own word and trace, and carries the length
@@ -42,8 +82,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress, count, product, repeat
-from operator import not_
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +91,8 @@ from .errors import ResourceBoundError
 from .perms import cycle_lengths, inverse, permutation
 
 TRACE_GAP = 1e-9  # elements this close to |tr| = 2 are flagged near-parabolic
+_LETTER_ERROR = 1e-14  # bounds the float error of each of the ball's letters
+_U = 2.0 ** -53  # the unit roundoff
 
 _LETTERS = ("a", "A", "b", "B", "c", "C")
 
@@ -156,47 +196,41 @@ def _unimodular(m: np.ndarray) -> np.ndarray:
     return m
 
 
-_BOUNDARY = 0.499  # a scaled entry this far from its cell's centre is near the next cell
+_WEIGHTS = np.sqrt([1.0, 2.0, 3.0, 5.0])  # a generic projection of the rows
 
 
-def _cells(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The key of each row of m, an (n, 4) array, as int64 rows, and the
-    signed residue y - key: y is the row times 1e8, negated when its first
-    entry above 1e-8 in absolute value is negative, so the key is the row up
-    to sign rounded to 8 digits.  ``np.rint`` rounds half to even, and the
-    keys of a ball under BALL_BUDGET stay far below 2^53."""
-    lead = m[np.arange(len(m)), (np.abs(m) > 1e-8).argmax(axis=1)]
-    y = m * np.where(lead < -1e-8, -1e8, 1e8)[:, None]
-    k = np.rint(y)
-    y -= k
-    return k.astype(np.int64), y
+def _near_pairs(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of rows of x, an (n, 4) array, with x_i = +-x_j to
+    within ``tol`` in every entry, each pair once; no row may be that near
+    its own negative.
 
-
-def _find(table: dict, key: tuple[int, ...], residue: np.ndarray) -> tuple[int, ...] | None:
-    """The key under which ``table`` holds the matrix of cell ``key`` and
-    signed residue ``residue`` (from ``_cells``), or None.  Besides ``key``
-    this probes, for each entry whose residue exceeds ``_BOUNDARY`` in size,
-    the neighbouring cell it leans towards, so a copy that rounding noise
-    pushed across the boundary is still found."""
-    if key in table:
-        return key
-    cells = [(k, k + 1) if y > _BOUNDARY else (k, k - 1) if y < -_BOUNDARY else (k,)
-             for k, y in zip(key, residue.tolist())]
-    for probe in product(*cells):
-        if probe in table:
-            return probe
-    return None
-
-
-def _lookup(table: dict, m: np.ndarray) -> np.ndarray:
-    """The int that ``table`` holds for each row of m, an (n, 4) array, up
-    to sign, found as ``_find`` finds it; -1 where it holds none."""
-    keys, residue = _cells(m)
-    keys = list(zip(*keys.T.tolist()))
-    out = np.fromiter(map(table.get, keys, repeat(-1)), np.intp, len(keys))
-    for i in np.flatnonzero((np.abs(residue).max(axis=1) > _BOUNDARY) & (out < 0)).tolist():
-        out[i] = table.get(_find(table, keys[i], residue[i]), -1)
-    return out
+    The rows and their negatives are sorted by their projection on
+    (1, sqrt 2, sqrt 3, sqrt 5); rows within tol project within tol times
+    the weights' sum, doubled here for rounding, so each row is compared
+    with the k-th next, k = 1, 2, ..., while any projections are that close.
+    """
+    n = len(x)
+    both = np.concatenate((x, -x))
+    proj = both @ _WEIGHTS
+    order = np.argsort(proj)
+    proj = proj[order]
+    width = 2.0 * tol * _WEIGHTS.sum()
+    a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    live, k = np.flatnonzero(proj[1:] - proj[:-1] <= width), 1
+    while len(live):
+        lo, hi = order[live], order[live + k]
+        near = np.abs(both[lo] - both[hi]).max(axis=1) <= tol
+        a.append(lo[near])
+        b.append(hi[near])
+        k += 1
+        live = live[live < 2 * n - k]
+        live = live[proj[live + k] - proj[live] <= width]
+    a, b = np.concatenate(a), np.concatenate(b)
+    i, j = a % n, b % n
+    # (x_i, +-x_j) and (-x_i, -+x_j) are one pair: keep the one whose lower row is positive
+    keep = np.where(i < j, a, b) < n
+    i, j = i[keep], j[keep]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 @dataclass(frozen=True)
@@ -275,6 +309,19 @@ def _lorentz(x, y) -> float:
     return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
 
 
+def _normal(u, v) -> tuple[float, float, float]:
+    """The ``_lorentz`` normal of the geodesic through hyperboloid points u, v."""
+    return (u[2] * v[1] - u[1] * v[2], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _inradius(z: complex, polygon: Sequence[complex]) -> float:
+    """The radius of the largest disc about z inside a convex polygon: the
+    distance from z to the nearest of the geodesics through its sides."""
+    x, pts = _hyperboloid(z), [_hyperboloid(v) for v in polygon]
+    return min(math.asinh(abs(_lorentz(x, n)) / math.sqrt(-_lorentz(n, n)))
+               for n in (_normal(u, v) for u, v in zip(pts, pts[1:] + pts[:1])))
+
+
 def _kite(group: TriangleGroup) -> tuple[complex, float, tuple[complex, ...]]:
     """Base point z0, radius R and the four vertices of the kite D.
 
@@ -291,7 +338,7 @@ def _kite(group: TriangleGroup) -> tuple[complex, float, tuple[complex, ...]]:
     best = None
     for i, order in enumerate(group.signature):
         apex, u, v = pts[i], pts[i - 2], pts[i - 1]
-        n = (u[2] * v[1] - u[1] * v[2], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        n = _normal(u, v)
         s = _lorentz(apex, n) / _lorentz(n, n)
         foot = [a - s * m for a, m in zip(apex, n)]  # projection onto the side's plane
         mirror = [2.0 * f - a for f, a in zip(foot, apex)]
@@ -328,49 +375,42 @@ def _axis_meets(m, vertices: list[tuple[float, float]]) -> bool:
     return ~((np.minimum.reduce(values) > tol) | (np.maximum.reduce(values) < -tol))
 
 
-def _grow_ball(gens: np.ndarray, cap: float) -> tuple[dict, list[str], int, np.ndarray]:
+def _grow_ball(gens: np.ndarray, cap: float, eps: float, back: int
+               ) -> tuple[np.ndarray, list[str], int, np.ndarray, float]:
     """Breadth-first ball of the elements with a^2 + b^2 + c^2 + d^2 <= cap,
     one per element up to sign, from the letters ``gens``, a (6, 4) array
-    in ``_LETTERS`` order: ``index`` (key -> row), the words, the rounds
-    that added elements, and the matrices as an (n, 4) array, all in the
-    order found.  A word is the first found, so it has the fewest letters
-    among the paths inside the ball.
-
-    A round forms the products of the whole frontier with every letter at
-    once, drops in numpy those beyond the cap or cancelling the word's last
-    letter, and keys the rest in numpy.  The candidates are then taken in
-    (frontier, letter) order.  One whose key the ball holds, including keys
-    added earlier in the round, is skipped by a dict lookup run in C, with
-    no Python step; of the rest, one near a cell boundary is also looked up
-    with ``_find``, and the others are added.
+    in ``_LETTERS`` order: the rows, the words, the rounds that added
+    elements, each row's error bound and the tolerance the rows were
+    compared at (the module docstring's lemma).  A round's candidates are
+    compared with the last ``back`` rounds and with each other, and the
+    first in (frontier, letter) order is kept, so a word has the fewest
+    letters among the paths inside the ball.
     """
-    cancels = [_LETTERS.index(l.swapcase()) for l in _LETTERS]
-    ident = np.array([[1.0, 0.0, 0.0, 1.0]])
-    index = {tuple(_cells(ident)[0][0].tolist()): 0}
-    words, mats = [""], [ident]
-    start, cancel = 0, np.array([-1])
-    rounds = 0
+    cancels = np.array([_LETTERS.index(l.swapcase()) for l in _LETTERS])
+    words, mats = [""], [np.array([[1.0, 0.0, 0.0, 1.0]])]
+    # per row, its norm and the sum over its word of max(|parent|, |row|)^2
+    sizes, steps = [np.full(1, math.sqrt(2.0))], [np.zeros(1)]
+    cancel, tol = np.array([-1]), 0.0
     while True:
         flat, m = _products(mats[-1], gens, cancel, cap)
-        keys, residue = _cells(m)
-        keys, near = keys.T.tolist(), np.abs(residue).max(axis=1) > _BOUNDARY
-        candidates = zip(count(), zip(*keys), near.tolist(), flat.tolist())
-        # the exact-key test runs in C, as the loop reaches each candidate
-        unheld = map(not_, map(index.__contains__, zip(*keys)))
-        added, next_cancel, first = [], [], len(words)
-        for i, k, probe, f in compress(candidates, unheld):
-            if probe and _find(index, k, residue[i]) is not None:
-                continue
-            r, l = divmod(f, len(_LETTERS))
-            index[k] = len(words)
-            words.append(words[start + r] + _LETTERS[l])
-            added.append(i)
-            next_cancel.append(cancels[l])
-        if not added:
-            return index, words, rounds, np.concatenate(mats)
-        mats.append(m[added])
-        start, cancel = first, np.array(next_cancel)
-        rounds += 1
+        row, letter = np.divmod(flat, len(_LETTERS))
+        size = np.linalg.norm(m, axis=1)
+        summed = steps[-1][row] + np.maximum(sizes[-1][row], size) ** 2
+        tol = max(tol, 2.0 * eps * (summed * size).max(initial=0.0))
+        held = np.concatenate(mats[-back:] + [m])
+        copy = np.zeros(len(held), dtype=bool)
+        copy[_near_pairs(held, tol)[1]] = True
+        new = np.flatnonzero(~copy[len(held) - len(m):])
+        if not len(new):
+            error = eps * np.concatenate(steps) * np.concatenate(sizes)
+            return np.concatenate(mats), words, len(steps) - 1, error, tol
+        start = len(words) - len(mats[-1])
+        words += [words[start + r] + _LETTERS[l]
+                  for r, l in zip(row[new].tolist(), letter[new].tolist())]
+        mats.append(m[new])
+        sizes.append(size[new])
+        steps.append(summed[new])
+        cancel = cancels[letter[new]]
 
 
 def _products(frontier: np.ndarray, gens: np.ndarray, cancel: np.ndarray, cap: float
@@ -392,12 +432,13 @@ def _products(frontier: np.ndarray, gens: np.ndarray, cancel: np.ndarray, cap: f
 @dataclass(frozen=True)
 class _Classes:
     """A ball and S in the frame of ``letters`` (z0 at i; a (6, 4) array in
-    ``_LETTERS`` order): ``index``, ``words`` and ``mats`` as ``_grow_ball``
-    returns them, ``members`` the rows of S, and ``root`` per member the
-    position in ``members`` of its class's least member."""
+    ``_LETTERS`` order): ``mats``, ``words`` and ``depth`` as ``_grow_ball``
+    returns them, ``tol`` the tolerance at which conjugates and powers are
+    looked up among the members, ``members`` the rows of S, and ``root`` per
+    member the position in ``members`` of its class's least member."""
 
     letters: np.ndarray
-    index: dict
+    tol: float
     words: list[str]
     mats: np.ndarray
     depth: int
@@ -407,17 +448,19 @@ class _Classes:
     near_parabolic: int
 
 
-def _member_table(index: dict, members: np.ndarray) -> dict:
-    """key -> position in ``members``, for the ball rows ``members``."""
-    keys = list(index)
-    return {keys[r]: i for i, r in enumerate(members.tolist())}
+def _matches(members: np.ndarray, m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (row of m, position in ``members``) that are one element."""
+    i, j = _near_pairs(np.concatenate((members, m)), tol)
+    hit = (i < len(members)) & (j >= len(members))
+    return j[hit] - len(members), i[hit]
 
 
 def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     """Grow the ball for ``l_max``, select S and join one-letter conjugates.
 
     Raises ResourceBoundError, before growing anything, when the ball's
-    estimated size exceeds BALL_BUDGET.
+    estimated size exceeds BALL_BUDGET, and after growing it when a
+    tolerance of the module docstring's lemma reaches half the separation.
     """
     z0, radius, kite = _kite(group)
     reach = l_max + 2.0 * radius
@@ -433,7 +476,15 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     mvi = np.linalg.inv(mv)
     letters = np.array([(mvi @ group.letter_matrix(l) @ mv).ravel() for l in _LETTERS])
     # in this frame a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0)
-    index, words, depth, mats = _grow_ball(letters, 2.0 * math.cosh(reach) * (1.0 + 1e-9))
+    cap = 2.0 * math.cosh(reach) * (1.0 + 1e-9)
+    size = np.linalg.norm(letters, axis=1).max()
+    eps = _LETTER_ERROR + 2.0 * _U * (size + 1.0)
+    ball = _grow_ball(letters, cap, eps, 2)
+    if len(_near_pairs(ball[0], ball[4])[0]):
+        # a copy beyond the last two rounds: an element whose norm is within
+        # its error of the cap, kept along one path and pruned along another
+        ball = _grow_ball(letters, cap, eps, ball[2] + 1)
+    mats, words, depth, error, row_tol = ball
     vertices = [(abs(w) ** 2, w.real) for w in (mobius(mvi, v) for v in kite)]
     t = np.abs(mats[1:, 0] + mats[1:, 3])  # row 0 is the identity
     elliptic = int(np.count_nonzero(t <= 2.0 - TRACE_GAP))
@@ -447,13 +498,28 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     members = hyperbolic[short] + 1
     members = members[_axis_meets(mats[members].T, vertices)]
 
+    # the lemma's bounds for the conjugates and powers looked up among the
+    # members, and its check against the separation
+    e, l = error[members], 2.0 * np.arccosh(t[members - 1] / 2.0)
+    m = np.floor((l_max + 1e-9) / l)
+    power = m * math.exp(2.0 * radius) * (np.exp((m - 1.0) * l / 2.0) * e + 4.0 * _U * cap ** 1.5)
+    e = e.max(initial=0.0)
+    tol = e + max(size * size * e + 9.0 * (size + 1.0) * eps * cap ** 1.5,
+                  power[m >= 2].max(initial=0.0))
+    c = math.cosh(_inradius(z0, kite))
+    separation = math.sqrt(c * (c - 1.0) / cap)
+    if 2.0 * max(tol, row_tol) >= separation:
+        raise ResourceBoundError(
+            f"the ({p},{q},{r}) ball for l_max {l_max:g} tells elements apart at "
+            f"{max(tol, row_tol):.1e}, not below half their separation {separation:.1e}; "
+            "lower l_max")
+
     # conjugating by a, b and c finds every one-letter edge from one of its ends
     n = len(members)
     conj = _mul_rows(_mul_rows(letters[0::2, None], mats[members]), letters[1::2, None])
-    other = _lookup(_member_table(index, members), _unimodular(conj.reshape(-1, 4)))
-    hit = other >= 0
-    root = perms.component_labels(np.tile(np.arange(n), 3)[hit], other[hit], n)
-    return _Classes(letters, index, words, mats, depth, members, root, elliptic, near_parabolic)
+    edge, other = _matches(mats[members], _unimodular(conj.reshape(-1, 4)), tol)
+    root = perms.component_labels(edge % n, other, n)
+    return _Classes(letters, tol, words, mats, depth, members, root, elliptic, near_parabolic)
 
 
 def _records(classes: _Classes, l_max: float) -> list[tuple[float, float, str, bool]]:
@@ -472,10 +538,10 @@ def _records(classes: _Classes, l_max: float) -> list[tuple[float, float, str, b
         b = best.get(rt)
         if b is None or (len(word), word) < (len(words[b]), words[b]):
             best[rt] = i
-    rep = classes.mats[classes.members[list(best.values())]]
+    members = classes.mats[classes.members]
+    rep = members[list(best.values())]
     traces = np.abs(rep[:, 0] + rep[:, 3]).tolist()
     lengths = np.array([length_of_trace(t) for t in traces])
-    table = _member_table(classes.index, classes.members)
     powers = set()
     live, power, m = np.arange(len(rep)), rep, 2
     while True:
@@ -484,8 +550,8 @@ def _records(classes: _Classes, l_max: float) -> list[tuple[float, float, str, b
         if not len(live):
             break
         power = _mul_rows(power, rep[live])
-        hits = _lookup(table, _unimodular(power.copy()))
-        powers.update(classes.root[hits[hits >= 0]].tolist())
+        _row, hits = _matches(members, _unimodular(power.copy()), classes.tol)
+        powers.update(classes.root[hits].tolist())
         m += 1
     return [(length, t, words[b], rt not in powers)
             for length, t, (rt, b) in zip(lengths.tolist(), traces, best.items())]

@@ -182,16 +182,6 @@ class TransferMatrix:
         base = np.concatenate([fn(g) for g in self.grids])
         return np.tile(base, self.coset_degree)
 
-    def eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvals(self.matrix)
-        return vals[np.argsort(-np.abs(vals))]
-
-    def leading_eigenvalues(self, k: int = 2) -> np.ndarray:
-        """The k eigenvalues largest in modulus, leading first.  ARPACK is
-        asked for at least 6: with fewer wanted Ritz values it can settle
-        on the second of two close leading moduli."""
-        return _arnoldi(self.matrix, max(k, 6))[:k]
-
 
 def _arnoldi(matrix: np.ndarray, k: int, sigma: float | None = None, opinv=None) -> np.ndarray:
     """The k eigenvalues of ``matrix`` largest in modulus, or with ``sigma``

@@ -5,10 +5,12 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from adinkra_spectra import hyperbolic
 from adinkra_spectra.errors import ResourceBoundError
@@ -29,10 +31,11 @@ from adinkra_spectra.hyperbolic import (
     trivial_character,
 )
 from test_length_spectrum_oracle import (
+    _t_cell,
     _t_find,
-    _t_key,
     _t_mul,
     _t_renorm,
+    _t_table,
     _tuple_letters,
     _tuple_members,
 )
@@ -131,14 +134,15 @@ def test_inversion_closure(delta552, spectrum552):
     # inverse is a member (possibly of its own class, via an order-2 axis
     # symmetry) of a class of equal length
     members, root = _tuple_members(hyperbolic._classify(delta552, 4.0))
+    table = _t_table({r: m for r, (m, _w) in members.items()})
     length = {}
-    for key, (m, _w) in members.items():
-        length[root[key]] = length_of_trace(abs(m[0] + m[3]))
-    for key, (m, _w) in members.items():
+    for r, (m, _w) in members.items():
+        length[root[r]] = length_of_trace(abs(m[0] + m[3]))
+    for r, (m, _w) in members.items():
         a, b, c, d = m
-        inv = _t_find(members, (d, -b, -c, a))
+        inv = _t_find(table, (d, -b, -c, a))
         assert inv is not None
-        assert length[root[inv]] == pytest.approx(length[root[key]], abs=1e-10)
+        assert length[root[inv]] == pytest.approx(length[root[r]], abs=1e-10)
     for c in spectrum552.classes:
         t_inv = abs(float(np.trace(np.linalg.inv(delta552.word_matrix(c.word)))))
         assert length_of_trace(t_inv) == pytest.approx(c.length, abs=1e-10)
@@ -434,39 +438,39 @@ def test_degree_zero_action_is_refused():
 
 
 def test_ball_dedupe_is_sign_correct(delta552):
-    # M and -M never both stored: sign-canonical keys collide them
+    # M and -M never both stored: no row is another's copy up to sign
     ball = hyperbolic._classify(delta552, 4.0)
-    keys = set()
-    for key, m in zip(ball.index, ball.mats.tolist()):
-        assert _t_key(m) == _t_key(tuple(-x for x in m)) == key
-        keys.add(key)
-    assert len(keys) == len(ball.mats)
+    table = {}
+    for i, m in enumerate(ball.mats.tolist()):
+        assert _t_find(table, m) is None
+        table[_t_cell(m)] = i
 
 
-def test_lookup_probes_the_neighbouring_cell():
-    # 0.1234567850005 scales to 12345678.50005, which rounds up; a copy
-    # stored a rounding error below the cell boundary is still found
-    below = (100000000, 12345678, 0, 100000000)
-    table = {below: None}
-
-    def find(m):
-        keys, residue = hyperbolic._cells(np.array([m]))
-        return hyperbolic._find(table, tuple(keys[0].tolist()), residue[0])
-
-    assert tuple(hyperbolic._cells(np.array([[1.0, 0.1234567850005, 0.0, 1.0]]))[0][0]) != below
-    assert find((1.0, 0.1234567850005, 0.0, 1.0)) == below
-    assert find((-1.0, -0.1234567850005, -0.0, -1.0)) == below
-    assert find((1.0, 0.123456785400, 0.0, 1.0)) is None
+def _brute_force_pairs(x, tol):
+    n = len(x)
+    return {(i, j) for i in range(n) for j in range(i + 1, n)
+            if min(np.abs(x[i] - x[j]).max(), np.abs(x[i] + x[j]).max()) <= tol}
 
 
-def test_batched_lookup_probes_the_neighbouring_cell():
-    # the conjugates and powers are looked up a whole array at a time: the
-    # rows near a boundary are probed, up to sign, and a miss reads -1
-    table = {(100000000, 12345678, 0, 100000000): 7}
-    m = np.array([[1.0, 0.1234567850005, 0.0, 1.0], [-1.0, -0.1234567850005, -0.0, -1.0],
-                  [1.0, 0.123456785400, 0.0, 1.0], [1.0, 0.12345678, 0.0, 1.0]])
-    got = hyperbolic._lookup(table, m)
-    assert got.dtype == np.intp and got.tolist() == [7, 7, -1, 7]
+_ENTRIES = st.floats(-4.0, 4.0, allow_nan=False).map(lambda v: round(v, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[_ENTRIES] * 4), min_size=1, max_size=30),
+       st.lists(st.tuples(st.integers(0, 29), st.sampled_from([1.0, -1.0]),
+                          st.tuples(*[st.sampled_from([-1, 0, 1])] * 4)), max_size=30),
+       st.sampled_from([1e-9, 0.01, 0.05, 0.3]))
+def test_near_pairs_equal_brute_force_pairs(rows, copies, tol):
+    # rows on a coarse grid tie in the projection and sit exactly tol
+    # apart; copies are +-rows moved by about tol/2 or exactly tol per entry
+    x = [np.array(r) for r in rows]
+    for i, sign, shift in copies:
+        x.append(sign * x[i % len(rows)] + np.array(shift) * tol * (0.5 if i % 2 else 1.0))
+    x = np.array(x)
+    x = x[np.abs(x).max(axis=1) > tol]  # a row is never near its own negative
+    i, j = hyperbolic._near_pairs(x, tol)
+    assert i.dtype == j.dtype == np.intp
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(_brute_force_pairs(x, tol))
 
 
 @pytest.mark.parametrize("sig", [(5, 5, 2), (3, 4, 4)])
@@ -478,6 +482,110 @@ def test_ball_is_the_same_for_every_vertex_order(sig):
              for order in sorted(set(itertools.permutations(sig)))]
     counts = {(s.element_count, s.depth, s.elliptic_count) for s in specs}
     assert len(counts) == 1, counts
+
+
+def _distinct_elements(mats):
+    # rows up to sign within 1e-6 in every entry are one element: far above
+    # one element's float spread (below 1e-9) and far below the distance
+    # between distinct elements (above 1e-3) in these balls
+    n = len(mats)
+    tree = cKDTree(np.concatenate((mats, -mats)))
+    i, j = tree.query_pairs(1e-6, p=np.inf, output_type="ndarray").T % n
+    return n - len(set(np.maximum(i, j)[i != j].tolist()))
+
+
+@pytest.mark.parametrize("sig,elements", [((7, 7, 8), 8182), ((7, 8, 8), 8145), ((8, 8, 8), 10321)])
+def test_ball_holds_each_element_once(sig, elements):
+    # rounded cell keys stored 1, 2 and 1 copies in these balls
+    ball = hyperbolic._classify(triangle_generators(*sig), 5.0)
+    assert len(ball.mats) == _distinct_elements(ball.mats) == elements
+    assert not len(hyperbolic._near_pairs(ball.mats, ball.tol)[0])
+
+
+def test_a_ball_whose_error_bound_reaches_the_separation_is_refused(delta552, monkeypatch):
+    # letters trusted to only 1e-6 make the conjugates' bound exceed half
+    # the distance between distinct elements, so no tolerance is sound
+    monkeypatch.setattr(hyperbolic, "_LETTER_ERROR", 1e-6)
+    with pytest.raises(ResourceBoundError, match="not below half their separation"):
+        length_spectrum(delta552, 4.0)
+
+
+def test_a_copy_beyond_the_last_two_rounds_regrows_the_ball(delta552, monkeypatch):
+    # an element whose norm is within its error of the cap can be kept along
+    # one path and pruned along another, which would put a copy beyond the
+    # last two rounds; the sweep over the grown ball finds it, and the ball
+    # is grown again against every round
+    grow, backs = hyperbolic._grow_ball, []
+
+    def with_a_copy(gens, cap, eps, back):
+        backs.append(back)
+        mats, words, depth, error, tol = grow(gens, cap, eps, back)
+        if len(backs) == 1:
+            mats, words = np.concatenate((mats, -mats[5:6])), words + [words[5]]
+            error = np.append(error, error[5])
+        return mats, words, depth, error, tol
+
+    monkeypatch.setattr(hyperbolic, "_grow_ball", with_a_copy)
+    ball = hyperbolic._classify(delta552, 4.0)
+    assert backs == [2, ball.depth + 1]
+    assert len(ball.mats) == len(ball.words) == 947
+
+
+def test_552_spectrum_at_l_max_8_5_is_the_same_for_every_vertex_order(monkeypatch):
+    # rounded cell keys stored copies in every order, and in the (5,5,2)
+    # order a copy in S printed multiplicity 25 at length 8.472400
+    classify, balls = hyperbolic._classify, []
+
+    def keep(group, l_max):
+        balls.append(classify(group, l_max))
+        return balls[-1]
+
+    monkeypatch.setattr(hyperbolic, "_classify", keep)
+    merged = []
+    for order in ((5, 5, 2), (2, 5, 5), (5, 2, 5)):
+        spec = length_spectrum(triangle_generators(*order), 8.5)
+        ball = balls[-1]
+        assert spec.element_count == _distinct_elements(ball.mats) == 85957
+        assert not len(hyperbolic._near_pairs(ball.mats, ball.tol)[0])
+        merged.append(spec.merged())
+        assert [c.multiplicity for c in spec.merged() if abs(c.length - 8.4724) < 1e-6] == [24]
+    for other in merged[1:]:
+        assert [c.multiplicity for c in other] == [c.multiplicity for c in merged[0]]
+        assert max(abs(c.length - d.length) for c, d in zip(other, merged[0])) < 1e-9
+
+
+def test_letters_are_within_the_letter_error():
+    # the ball's letters against the same construction in 40-digit arithmetic,
+    # in the frame of the float base point
+    mp.mp.dps = 40
+
+    def mover(z):  # moves i to z
+        r = mp.sqrt(z.imag)
+        return mp.matrix([[r, z.real / r], [0, 1 / r]])
+
+    def rotation(z, angle):
+        half = mp.matrix([[mp.cos(angle / 2), mp.sin(angle / 2)],
+                          [-mp.sin(angle / 2), mp.cos(angle / 2)]])
+        return mover(z) * half * mover(z) ** -1
+
+    for sig in [(2, 3, 7), (5, 5, 2), (3, 4, 4), (8, 8, 8), (12, 12, 2), (2, 3, 50), (20, 20, 20)]:
+        group = triangle_generators(*sig)
+        al, be, ga = (mp.pi / k for k in sig)
+        side_c = mp.acosh((mp.cos(al) * mp.cos(be) + mp.cos(ga)) / (mp.sin(al) * mp.sin(be)))
+        side_b = mp.acosh((mp.cos(al) * mp.cos(ga) + mp.cos(be)) / (mp.sin(al) * mp.sin(ga)))
+        to_c = rotation(mp.mpc(0, 1), al)
+        w = mp.mpc(0, 1) * mp.e ** side_b
+        vertices = (mp.mpc(0, 1), mp.mpc(0, 1) * mp.e ** side_c,
+                    (to_c[0, 0] * w + to_c[0, 1]) / (to_c[1, 0] * w + to_c[1, 1]))
+        exact = {l: rotation(v, 2 * a) for l, v, a in zip("abc", vertices, (al, be, ga))}
+        z0 = hyperbolic._kite(group)[0]
+        frame = mover(mp.mpc(z0.real, z0.imag))
+        ball = hyperbolic._classify(group, 2.0)
+        for letter, row in zip(hyperbolic._LETTERS, ball.letters.tolist()):
+            g = exact[letter.lower()] if letter.islower() else exact[letter.lower()] ** -1
+            g = frame ** -1 * g * frame
+            error = mp.sqrt(sum((mp.mpf(x) - y) ** 2 for x, y in zip(row, g)))
+            assert error <= hyperbolic._LETTER_ERROR, (sig, letter, error)
 
 
 def test_oversized_ball_raises_before_growing(delta552, monkeypatch):
@@ -515,21 +623,22 @@ def test_members_are_every_conjugate_whose_axis_meets_the_kite(sig, l_max):
     vertices = [(abs(w) ** 2, w.real) for w in (hyperbolic.mobius(to_frame, v) for v in kite)]
     frame = _tuple_letters(ball)
     members, root_of = _tuple_members(ball)
+    table = _t_table({r: m for r, (m, _w) in members.items()})
     representatives = {}
-    for key, (m, _w) in members.items():
-        representatives.setdefault(root_of[key], m)
+    for r, (m, _w) in members.items():
+        representatives.setdefault(root_of[r], m)
     for root, m in representatives.items():
-        seen, queue = {_t_key(m)}, [m]
+        seen, queue = {_t_cell(m): True}, [m]
         while queue:
             y = queue.pop()
-            key = _t_find(members, y)
-            assert key is not None and root_of[key] == root
+            r = _t_find(table, y)
+            assert r is not None and root_of[r] == root
             for letter in "abc":
                 for g, gi in ((frame[letter], frame[letter.upper()]),
                               (frame[letter.upper()], frame[letter])):
                     z = _t_renorm(_t_mul(_t_mul(g, y), gi))
-                    if hyperbolic._axis_meets(z, vertices) and _t_key(z) not in seen:
-                        seen.add(_t_key(z))
+                    if hyperbolic._axis_meets(z, vertices) and _t_find(seen, z) is None:
+                        seen[_t_cell(z)] = True
                         queue.append(z)
             assert len(seen) < 10_000
 

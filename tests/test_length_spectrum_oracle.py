@@ -442,32 +442,46 @@ def test_spectrum_equals_descent_classifier_run_on_random_signatures(sig, l_max)
 
 # -- frozen per-element ball ------------------------------------------------
 # The displacement ball and union-find as they were before each round became
-# one numpy batch: every candidate multiplied, pruned, renormalised, keyed
-# and looked up on its own, in (frontier, letter) order, with the ball held
-# as key -> (float tuple, word).  The batch must give the same classes to
-# the bit: the ball's rows, keys and words in insertion order, its depth,
-# the members, the classes and the elliptic and near-parabolic counts.
+# one numpy batch: every candidate multiplied, pruned, renormalised and
+# looked up on its own, in (frontier, letter) order, against every element
+# held so far.  The batch must give the same classes to the bit: the ball's
+# rows and words in insertion order, its depth, the members, the classes and
+# the elliptic and near-parabolic counts.
+#
+# Its lookup shares no code with the library's search.  An element is held
+# under the cell of side _T_CELL that holds its row, and a row is looked up,
+# as itself and negated, in its own cell and in each neighbouring cell that
+# one of its entries lies within _T_SPREAD of.  Rows of one element differ
+# by less than _T_SPREAD (below 1e-9 in these balls), so a copy is always
+# found; distinct elements differ by more than 2 * _T_CELL in some entry
+# (by at least 1e-3 here), so they never share or neighbour a cell there.
+
+_T_CELL = 1e-6
+_T_SPREAD = 1e-8
 
 
-def _t_scaled(m):
-    s = 1e8
-    for x in m:
-        if abs(x) > 1e-8:
-            s = 1e8 if x > 0 else -1e8
-            break
-    return tuple(x * s for x in m)
+def _t_cell(m):
+    return tuple(math.floor(x / _T_CELL) for x in m)
 
 
 def _t_find(table, m):
-    key = _t_key(m)
-    if key in table:
-        return key
-    cells = [(k, k + 1) if y - k > 0.499 else (k, k - 1) if y - k < -0.499 else (k,)
-             for y, k in zip(_t_scaled(m), key)]
-    for probe in itertools.product(*cells):
-        if probe in table:
-            return probe
+    """What ``table``, keyed by ``_t_cell``, holds for m or -m, or None."""
+    margin = _T_SPREAD / _T_CELL
+    for sign in (1.0, -1.0):
+        cells = []
+        for x in m:
+            y = sign * x / _T_CELL
+            k = math.floor(y)
+            cells.append([k] + [k - 1] * (y - k <= margin) + [k + 1] * (k + 1 - y <= margin))
+        for probe in itertools.product(*cells):
+            if probe in table:
+                return table[probe]
     return None
+
+
+def _t_table(rows):
+    """The ``_t_find`` table of ``rows`` (position -> float tuple): cell -> position."""
+    return {_t_cell(m): i for i, m in rows.items()}
 
 
 def _t_axis_meets(m, vertices):
@@ -479,7 +493,7 @@ def _t_axis_meets(m, vertices):
 
 def _per_element_ball(letters, cap):
     ident = (1.0, 0.0, 0.0, 1.0)
-    elements = {_t_key(ident): (ident, "")}
+    elements, cells = [(ident, "")], {_t_cell(ident): 0}
     frontier = [(ident, "")]
     rounds = 0
     while True:
@@ -494,9 +508,10 @@ def _per_element_ball(letters, cap):
                 if a * a + b * b + c * c + d * d > cap:
                     continue
                 nm = _t_renorm(nm)
-                if _t_find(elements, nm) is not None:
+                if _t_find(cells, nm) is not None:
                     continue
-                elements[_t_key(nm)] = (nm, word + letter)
+                cells[_t_cell(nm)] = len(elements)
+                elements.append((nm, word + letter))
                 added.append((nm, word + letter))
         if not added:
             return elements, rounds
@@ -507,11 +522,12 @@ def _per_element_ball(letters, cap):
 @dataclass(frozen=True)
 class _TupleClasses:
     """The ball and S as the per-element loop held them: ``letters`` as
-    (letter, float tuple) pairs, ``elements`` and ``members`` as key ->
-    (float tuple, word), and ``root`` as key -> its union-find root."""
+    (letter, float tuple) pairs, ``elements`` as a list of (float tuple,
+    word), ``members`` as position -> (float tuple, word), and ``root`` as
+    position -> its union-find root."""
 
     letters: tuple
-    elements: dict
+    elements: list
     depth: int
     members: dict
     root: dict
@@ -530,7 +546,7 @@ def _per_element_classify(group, l_max):
     vertices = [(abs(w) ** 2, w.real) for w in (hyperbolic.mobius(mvi, v) for v in kite)]
     members = {}
     elliptic = near_parabolic = 0
-    for key, (mat, word) in elements.items():
+    for i, (mat, word) in enumerate(elements):
         if not word:
             continue
         t = abs(mat[0] + mat[3])
@@ -539,8 +555,9 @@ def _per_element_classify(group, l_max):
         elif t <= 2.0 + TRACE_GAP:
             near_parabolic += 1
         elif length_of_trace(t) <= l_max + 1e-12 and _t_axis_meets(mat, vertices):
-            members[key] = (mat, word)
-    root = {k: k for k in members}
+            members[i] = (mat, word)
+    table = _t_table({i: mat for i, (mat, _w) in members.items()})
+    root = {i: i for i in members}
 
     def find(k):
         while root[k] != k:
@@ -549,32 +566,33 @@ def _per_element_classify(group, l_max):
         return k
 
     frame = dict(letters)
-    for key, (mat, _word) in members.items():
+    for i, (mat, _word) in members.items():
         for g in "abc":
-            other = _t_find(members, _t_renorm(_t_mul(_t_mul(frame[g], mat), frame[g.upper()])))
+            other = _t_find(table, _t_renorm(_t_mul(_t_mul(frame[g], mat), frame[g.upper()])))
             if other is not None:
-                root[find(other)] = find(key)
-    return _TupleClasses(letters, elements, depth, members, {k: find(k) for k in members},
+                root[find(other)] = find(i)
+    return _TupleClasses(letters, elements, depth, members, {i: find(i) for i in members},
                          elliptic, near_parabolic)
 
 
 def _t_records(members, root, l_max):
     """(length, trace, word, primitive) per class, as the per-class tuple
-    loop gave them: members key -> (float tuple, word), root key -> the
-    key that names its class."""
+    loop gave them: members position -> (float tuple, word), root position
+    -> the position that names its class."""
+    table = _t_table({i: mat for i, (mat, _w) in members.items()})
     words = {}
-    for key, (mat, word) in members.items():
-        best = words.get(root[key])
+    for i, (mat, word) in members.items():
+        best = words.get(root[i])
         if best is None or (len(word), word) < (len(best[1]), best[1]):
-            words[root[key]] = (mat, word)
+            words[root[i]] = (mat, word)
     powers = set()
     for mat, _word in words.values():
         length = length_of_trace(abs(mat[0] + mat[3]))
         power, m = _t_mul(mat, mat), 2
         while m * length <= l_max + 1e-9:
-            key = _t_find(members, _t_renorm(power))
-            if key is not None:
-                powers.add(root[key])
+            i = _t_find(table, _t_renorm(power))
+            if i is not None:
+                powers.add(root[i])
             power, m = _t_mul(power, mat), m + 1
     records = []
     for rt, (mat, word) in words.items():
@@ -589,12 +607,12 @@ def _tuple_letters(ball):
 
 
 def _tuple_members(ball):
-    """The members of a ``_Classes`` in the per-element form: key ->
-    (float tuple, word), and key -> the key of its class's least member."""
-    keys = list(ball.index)
+    """The members of a ``_Classes`` in the per-element form, by ball row:
+    row -> (float tuple, word), and row -> the row of its class's least
+    member."""
     rows = ball.members.tolist()
-    members = {keys[r]: (tuple(ball.mats[r].tolist()), ball.words[r]) for r in rows}
-    root = {keys[r]: keys[rows[j]] for r, j in zip(rows, ball.root.tolist())}
+    members = {r: (tuple(ball.mats[r].tolist()), ball.words[r]) for r in rows}
+    root = {r: rows[j] for r, j in zip(rows, ball.root.tolist())}
     return members, root
 
 
@@ -607,14 +625,11 @@ def _assert_same_classes(got, ref):
     assert [(l, _hex(m)) for l, m in zip(_LETTERS, got.letters.tolist())] == \
         [(l, _hex(m)) for l, m in ref.letters]
     n = len(ref.elements)
-    assert (got.depth, len(got.index), len(got.words)) == (ref.depth, n, n)
+    assert (got.depth, len(got.words)) == (ref.depth, n)
     assert got.mats.shape == (n, 4) and got.mats.dtype == np.float64
-    assert list(got.index.values()) == list(range(n))
-    assert all(type(k) is int for key in got.index for k in key)
-    assert [(k, _hex(m), w) for k, m, w in zip(got.index, got.mats.tolist(), got.words)] == \
-        [(k, _hex(m), w) for k, (m, w) in ref.elements.items()]
-    rows = {k: i for i, k in enumerate(ref.elements)}
-    assert got.members.tolist() == [rows[k] for k in ref.members]
+    assert [(_hex(m), w) for m, w in zip(got.mats.tolist(), got.words)] == \
+        [(_hex(m), w) for m, w in ref.elements]
+    assert got.members.tolist() == list(ref.members)
     # the frozen roots are arbitrary members: name each class by its least
     # member's position, which is what component_labels gives
     position = {k: i for i, k in enumerate(ref.members)}
@@ -632,9 +647,10 @@ BATCH_CASES = ([(sig, l_max) for sig in SORTED_SIGNATURES for l_max in (3.0, 4.0
 
 
 def _batch_classify(group, l_max, headroom=1 << 30):
-    # a round that kept a key the ball holds would bring its parents back as
-    # new elements, and the rounds would grow without end: cap the address
-    # space so that this fails with MemoryError instead of exhausting the host
+    # a round that kept an element the ball holds would bring its parents
+    # back as new elements, and the rounds would grow without end: cap the
+    # address space so that this fails with MemoryError instead of
+    # exhausting the host
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     with open("/proc/self/statm") as f:
         in_use = int(f.read().split()[0]) * resource.getpagesize()
@@ -681,6 +697,7 @@ def test_one_letter_conjugates_share_the_class(sig):
     cap = 2.0 * math.cosh(l_max + 2.0 * hyperbolic._kite(group)[1]) * (1.0 + 1e-9)
     frame = _tuple_letters(ball)
     members, root = _tuple_members(ball)
+    table = _t_table({r: m for r, (m, _w) in members.items()})
     pairs = [(frame[l], frame[l.swapcase()]) for l in _LETTERS]
 
     def conjugate(pair, m):
@@ -688,22 +705,22 @@ def test_one_letter_conjugates_share_the_class(sig):
         return _t_renorm(_t_mul(_t_mul(g, m), gi))
 
     def class_of(x):
-        roots, seen, queue = set(), {_t_key(x)}, deque([x])
+        roots, seen, queue = set(), {_t_cell(x): True}, deque([x])
         while queue:
             y = queue.popleft()
-            key = _t_find(members, y)
-            if key is not None:
-                roots.add(root[key])
+            r = _t_find(table, y)
+            if r is not None:
+                roots.add(root[r])
             for pair in pairs:
                 z = conjugate(pair, y)
-                if sum(v * v for v in z) <= cap and _t_key(z) not in seen:
-                    seen.add(_t_key(z))
+                if sum(v * v for v in z) <= cap and _t_find(seen, z) is None:
+                    seen[_t_cell(z)] = True
                     queue.append(z)
         return roots
 
     representatives = {}
-    for key, (m, _w) in members.items():
-        representatives.setdefault(root[key], m)
+    for r, (m, _w) in members.items():
+        representatives.setdefault(root[r], m)
     for rt, m in representatives.items():
         for pair, letter in zip(pairs, _LETTERS):
             assert class_of(conjugate(pair, m)) == {rt}, letter
