@@ -18,11 +18,9 @@ by gathers; the GF(2) counts turn each row into one edge mask.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
-from operator import xor
+from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -30,24 +28,23 @@ import numpy as np
 from .codes import BinaryCode, _coset_table, analyze_code, format_word
 from .errors import ResourceBoundError
 from .gf2 import GF2System
-from .perms import component_labels
+from .perms import component_labels, json_int
 
 BOSON, FERMION = 0, 1
 
 # dtype of the index arrays that graphs and surfaces keep: half the memory
-# of intp, and V * N stays far below 2^31 for any graph held as tuples
+# of intp, and V * N stays far below 2^31 for any graph held in memory
 INDEX = np.int32
 
 # well_dashed_masks and well_dashed_class_ids refuse to list more entries than this
 DASH_ENUMERATION_LIMIT = 1 << 20
 
-Edge = tuple[int, int, int]  # (u index, v index, color in 1..N); u <= v
-
 
 def _int_objects(size: int) -> np.ndarray:
     """range(size) as an object array.  Lists gathered from it share one int
     object per index, where ``tolist`` on an int array makes one per entry,
-    so the faces of a surface's JSON hold one int per vertex."""
+    so the faces of a surface's JSON and the edges of a graph's hold one
+    int per vertex."""
     return np.arange(size).astype(object)
 
 
@@ -60,44 +57,56 @@ def label_text(label: Hashable, n_colors: int) -> str:
     return str(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chromotopology:
     """Colored bipartite graph skeleton of an Adinkra.
 
     ``vertices`` hold opaque labels (ints for code quotients, pairs for
-    products, strings after JSON ingestion); edges refer to vertex indices.
+    products, strings after JSON ingestion); ``edges`` is a read-only (E, 3)
+    ``INDEX`` array of (u, v, color) over vertex indices, and
+    ``bipartition`` a read-only (V,) ``INDEX`` array of vertex classes 0
+    and 1, both converted once from any sequence of integers.  As arrays they leave
+    equality to identity; compare them with ``np.array_equal``.
     ``warnings`` carries construction-time defect notes (loops, parallel
     edges, non-doubly-even code), never validation results.
 
-    ``edge_array`` holds the edges as a (E, 3) array of (u, v, color).
     ``slot_table`` is the per-(vertex, color) incidence as three (V, N)
     arrays, indexed by ``[v, color - 1]``: the other endpoint, the edge
-    index, and the count of such edges, scattered from ``edge_array``.  A
-    loop counts once; where the count is not 1 the first two hold the
+    index, and the count of such edges, scattered from ``edges``.  A loop
+    counts once; where the count is not 1 the first two hold the
     lowest-indexed such edge, or -1 when there is none.
     """
 
     n_colors: int
     vertices: tuple[Hashable, ...]
-    edges: tuple[Edge, ...]
-    bipartition: tuple[int, ...]
+    edges: np.ndarray
+    bipartition: np.ndarray
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.bipartition) != len(self.vertices):
             raise ValueError("bipartition length mismatch")
-        if not self.edges:
-            return
-        us, vs, cs = zip(*self.edges)
-        ends = us + vs
-        if (0 <= min(ends) and max(ends) < len(self.vertices)
-                and 1 <= min(cs) and max(cs) <= self.n_colors):
-            return
-        for u, v, c in self.edges:  # name the first offending edge
-            if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
+        arrays = {}
+        for name, shape in (("edges", (len(self.edges), 3)), ("bipartition", (len(self.vertices),))):
+            value = np.asarray(getattr(self, name))
+            if value.size and (value.dtype.kind not in "iu" or value.shape != shape):
+                raise ValueError(f"{name} must be integers of shape {shape}")
+            arrays[name] = value.reshape(shape)
+        us, vs, cs = arrays["edges"].T
+        vcount = len(self.vertices)
+        missing = (us < 0) | (us >= vcount) | (vs < 0) | (vs >= vcount)
+        bad = np.flatnonzero(missing | (cs < 1) | (cs > self.n_colors))
+        if bad.size:  # name the first offending edge
+            u, v, c = arrays["edges"][bad[0]].tolist()
+            if missing[bad[0]]:
                 raise ValueError(f"edge ({u},{v}) references missing vertex")
-            if not 1 <= c <= self.n_colors:
-                raise ValueError(f"edge color {c} out of range 1..{self.n_colors}")
+            raise ValueError(f"edge color {c} out of range 1..{self.n_colors}")
+        if np.count_nonzero(arrays["bipartition"] >> 1):
+            raise ValueError("bipartition classes must be 0 or 1")
+        for name, value in arrays.items():  # checked in range, so the cast is exact
+            value = value.astype(INDEX)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def vertex_count(self) -> int:
@@ -112,16 +121,10 @@ class Chromotopology:
         return {label: i for i, label in enumerate(self.vertices)}
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a (E, 3) array of (u, v, color)."""
-        return np.fromiter(chain.from_iterable(self.edges), INDEX,
-                           3 * len(self.edges)).reshape(-1, 3)
-
-    @cached_property
     def slot_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(other endpoint, edge index, edge count), each indexed ``[v, color - 1]``."""
         n, size = self.n_colors, self.vertex_count * self.n_colors
-        us, vs, cs = self.edge_array.T
+        us, vs, cs = self.edges.T
         # the slots of both ends, edge by edge; a loop's second end goes to
         # the spare slot ``size``, so that a loop counts once
         keys = np.stack((us * n + cs - 1, vs * n + cs - 1), axis=1).ravel()
@@ -137,17 +140,19 @@ class Chromotopology:
         edge = np.full(size + 1, -1, dtype=INDEX)
         other = np.full(size + 1, -1, dtype=INDEX)
         edge[filled] = end >> 1
-        other[filled] = self.edge_array[end >> 1, 1 - end % 2]
+        other[filled] = self.edges[end >> 1, 1 - end % 2]
         shape = (self.vertex_count, n)
         return other[:size].reshape(shape), edge[:size].reshape(shape), count.reshape(shape)
 
     @cached_property
     def incident_edge_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for e, (u, v, _c) in enumerate(self.edges):
-            masks[u] |= 1 << e
-            masks[v] |= 1 << e
-        return tuple(masks)
+        """Per vertex, the int mask of its edges, set byte by byte."""
+        e = np.arange(self.edge_count)
+        bits = (1 << (e & 7)).astype(np.uint8)
+        table = np.zeros((self.vertex_count, -(-self.edge_count // 8)), dtype=np.uint8)
+        for ends in self.edges[:, :2].T:
+            np.bitwise_or.at(table, (ends, e >> 3), bits)
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in table)
 
     def slot(self, v: int, color: int) -> tuple[int, int]:
         """(edge index, other endpoint) of the unique color edge at vertex
@@ -161,20 +166,16 @@ class Chromotopology:
     def edges_of_color(self, color: int) -> list[int]:
         if not 1 <= color <= self.n_colors:
             raise ValueError(f"color {color} out of range 1..{self.n_colors}")
-        return [e for e, (_u, _v, c) in enumerate(self.edges) if c == color]
+        return np.flatnonzero(self.edges[:, 2] == color).tolist()
 
     @cached_property
     def component_count(self) -> int:
         """Connected components, as the roots of ``perms.component_labels``."""
-        us, vs, _cs = self.edge_array.T
-        roots = component_labels(us, vs, self.vertex_count)
+        roots = component_labels(*self.edges[:, :2].T, self.vertex_count)
         return int(np.count_nonzero(roots == np.arange(self.vertex_count)))
 
     def is_connected(self) -> bool:
         return self.component_count <= 1
-
-    def label_texts(self) -> tuple[str, ...]:
-        return tuple(label_text(l, self.n_colors) for l in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,6 @@ class Ranking:
     """Integer height per vertex index (bosons even, fermions odd)."""
 
     values: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -307,34 +305,34 @@ def build_quotient(n: int, code: BinaryCode) -> Chromotopology:
 
     # color c joins coset i to i ^ units[c - 1], an involution, so each edge
     # is emitted once, from its end without the top bit of the step (the one
-    # end of a loop): (color, u, v) order by construction.  The edges share
-    # one int object per coset, since the graph outlives this call.
-    cosets = list(range(len(reps)))
-    edges: list[Edge] = []
+    # end of a loop): (color, u, v) order by construction
+    cosets = np.arange(len(reps), dtype=INDEX)
+    parts = []
     for color, step in enumerate(units, start=1):
-        top = 1 << step.bit_length() >> 1
-        lower = cosets
-        if top:
-            lower = [i for s in range(0, len(reps), 2 * top) for i in cosets[s:s + top]]
-        edges += zip(lower, map(cosets.__getitem__, map(xor, lower, repeat(step))), repeat(color))
+        lower = cosets[(cosets & (1 << step.bit_length() >> 1)) == 0]
+        parts.append(np.stack((lower, lower ^ step, np.full_like(lower, color)), axis=1))
+    edges = np.concatenate(parts)
+    us, vs, cs = edges.T
 
     # a loop of color i needs e_i in the code, and two colors i, j joining
     # the same pair need e_i + e_j: scan only for defects the weights allow
     weights = report.weight_distribution
     if 1 in weights:
+        loops = np.flatnonzero(us == vs)
         warnings += [f"loop: color {color} fixes coset {format_word(reps[u], n)}"
-                     for u, color in sorted((u, c) for u, v, c in edges if u == v)]
+                     for u, color in edges[loops[np.lexsort((cs[loops], us[loops]))], ::2].tolist()]
     if 2 in weights:
-        pair_counts = Counter((u, v) for u, v, _c in edges if u != v)
-        for (u, v), cnt in sorted(pair_counts.items()):
-            if cnt > 1:
+        keys, counts = np.unique(us.astype(np.intp) * len(reps) + vs, return_counts=True)
+        for key, cnt in zip(keys.tolist(), counts.tolist()):
+            u, v = divmod(key, len(reps))
+            if cnt > 1 and u != v:
                 warnings.append(
                     f"parallel edges: {cnt} colors join {format_word(reps[u], n)} "
                     f"and {format_word(reps[v], n)}"
                 )
 
-    bipartition = tuple(r.bit_count() & 1 for r in reps)
-    return Chromotopology(n, tuple(reps), tuple(edges), bipartition, tuple(warnings))
+    bipartition = [r.bit_count() & 1 for r in reps]
+    return Chromotopology(n, tuple(reps), edges, bipartition, tuple(warnings))
 
 
 # starts x pairs walked in one array pass: each temporary array of a walk
@@ -363,8 +361,7 @@ def _walk_four_cycles(
     pairs, starts = list(pairs), np.asarray(starts, dtype=np.intp)
     bad = next((p for p, (i, j) in enumerate(pairs) if not (1 <= i <= n and 1 <= j <= n)),
                len(pairs))
-    us, vs, _cs = graph.edge_array.T
-    loops = bool(np.count_nonzero(us == vs))
+    loops = bool(np.count_nonzero(graph.edges[:, 0] == graph.edges[:, 1]))
     count = graph.slot_table[2]
     unique = count == 1 if np.count_nonzero(count != 1) else None
     width = max(1, _WALK_CELLS // max(len(starts), 1))
@@ -460,20 +457,20 @@ def two_colored_four_cycles(
 def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
     """Check the chromotopology axioms, reporting witnesses for failures.
 
-    The per-edge checks compare the columns of ``edge_array`` and name the
+    The per-edge checks compare the columns of ``edges`` and name the
     first edge (or least vertex pair) that fails; the 4-cycle axiom is one
     walk of every color pair from every vertex on the slot arrays.
     """
     checks = []
     n, vcount = graph.n_colors, graph.vertex_count
-    us, vs, _cs = graph.edge_array.T
+    us, vs, _cs = graph.edges.T
 
     is_loop = us == vs
     loops = np.flatnonzero(is_loop)
     loop = int(loops[0]) if loops.size else None
     checks.append(AxiomCheck(
         "simple: no loops", loop is None,
-        "" if loop is None else f"edge {loop} loops at vertex {graph.edges[loop][0]}"))
+        "" if loop is None else f"edge {loop} loops at vertex {us[loop]}"))
 
     # (u, v) pairs as ints u * V + v (in intp: V^2 passes 2^31 at N = 16),
     # sorted: the least repeated one is the witness
@@ -502,12 +499,12 @@ def validate_chromotopology(graph: Chromotopology) -> ValidationReport:
         f"{n}-regular", bad_deg is None,
         "" if bad_deg is None else f"vertex {bad_deg[0]} has degree {bad_deg[1]}"))
 
-    side = np.array(graph.bipartition, dtype=np.intp)
+    side = graph.bipartition
     same = np.flatnonzero(side[us] == side[vs])
-    cross = int(same[0]) if same.size else None
+    cross = tuple(graph.edges[same[0], :2].tolist()) if same.size else None
     checks.append(AxiomCheck(
         "bipartite: edges cross the bipartition", cross is None,
-        "" if cross is None else f"edge {graph.edges[cross][:2]} joins same-class vertices"))
+        "" if cross is None else f"edge {cross} joins same-class vertices"))
 
     checks.append(AxiomCheck(
         "one edge of each color per vertex", bad is None,
@@ -538,28 +535,24 @@ def default_ranking(graph: Chromotopology) -> Ranking:
     disagrees with the stored bipartition (odd codes).
     """
     start = graph.vertex_index.get(0, 0)
-    dist = [-1] * graph.vertex_count
+    # breadth first, one level per pass over the edges read both ways
+    tails, heads = np.concatenate((graph.edges[:, :2], graph.edges[:, 1::-1])).T
+    dist = np.full(graph.vertex_count, -1)
     dist[start] = 0
-    queue = deque([start])
-    adj: list[list[int]] = [[] for _ in graph.vertices]
-    for u, v, _c in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    if min(dist) < 0:
+    level = 0
+    while (reach := heads[dist[tails] == level]).size:
+        level += 1
+        dist[reach[dist[reach] < 0]] = level
+    if np.count_nonzero(dist < 0):
         raise ValueError("graph is disconnected: ranking undefined")
-    for i, d in enumerate(dist):
-        if d & 1 != graph.bipartition[i]:
-            raise ValueError(
-                f"bipartition inconsistency at vertex {i}: distance {d} vs "
-                f"class {graph.bipartition[i]} (odd code?)"
-            )
-    return Ranking(tuple(dist))
+    wrong = np.flatnonzero(dist % 2 != graph.bipartition)
+    if wrong.size:
+        i = int(wrong[0])
+        raise ValueError(
+            f"bipartition inconsistency at vertex {i}: distance {dist[i]} vs "
+            f"class {graph.bipartition[i]} (odd code?)"
+        )
+    return Ranking(tuple(dist.tolist()))
 
 
 def _check_faces(graph: Chromotopology, faces: Faces) -> None:
@@ -606,23 +599,19 @@ def dashing_class(graph: Chromotopology, dashing: Dashing) -> int:
 def dimer_from_color(graph: Chromotopology, color: int) -> tuple[int, ...]:
     """Edges of one color as a perfect matching (validated)."""
     edges = graph.edges_of_color(color)
-    touched = Counter()
-    for e in edges:
-        u, v, _c = graph.edges[e]
-        touched[u] += 1
-        touched[v] += 1
-    if set(touched) != set(range(graph.vertex_count)) or set(touched.values()) != {1}:
+    touched = np.bincount(graph.edges[edges, :2].ravel(), minlength=graph.vertex_count)
+    if np.count_nonzero(touched != 1) or not touched.size:
         raise ValueError(f"color {color} edges are not a perfect matching")
     return tuple(edges)
 
 
 def _heads(graph: Chromotopology, dashing: Dashing) -> np.ndarray:
     """Head vertex per edge: the fermion end, the other end where dashed."""
-    us, vs, _cs = graph.edge_array.T
-    side = np.array(graph.bipartition, dtype=np.intp)
+    us, vs, _cs = graph.edges.T
+    side = graph.bipartition
     same = np.flatnonzero(side[us] == side[vs])
     if same.size:
-        u, v, _c = graph.edges[same[0]]
+        u, v, _c = graph.edges[same[0]].tolist()
         raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
     return np.where((side[vs] == FERMION) != np.array(dashing.bits, dtype=bool), vs, us)
 
@@ -737,15 +726,19 @@ def well_dashed_class_ids(graph: Chromotopology, faces: Faces | None = None) -> 
 
 
 def graph_to_json(graph: Chromotopology, dashing: Dashing | None = None) -> dict:
-    d = dashing.bits if dashing is not None else (0,) * graph.edge_count
+    if dashing is None:
+        dashing = Dashing.solid(graph.edge_count)
+    _check_dashing(graph, dashing)
+    # one int object per vertex, shared by every edge at it
+    us, vs = _int_objects(graph.vertex_count)[graph.edges[:, :2].T].tolist()
     obj = {
         "n": graph.n_colors,
-        "vertices": list(graph.label_texts()),
+        "vertices": [label_text(label, graph.n_colors) for label in graph.vertices],
         "edges": [
-            {"u": u, "v": v, "color": c, "dash": d[e]}
-            for e, (u, v, c) in enumerate(graph.edges)
+            {"u": u, "v": v, "color": c, "dash": d}
+            for u, v, c, d in zip(us, vs, graph.edges[:, 2].tolist(), dashing.bits)
         ],
-        "bipartition": list(graph.bipartition),
+        "bipartition": graph.bipartition.tolist(),
     }
     if graph.warnings:
         obj["warnings"] = list(graph.warnings)
@@ -753,13 +746,17 @@ def graph_to_json(graph: Chromotopology, dashing: Dashing | None = None) -> dict
 
 
 def graph_from_json(obj: dict) -> tuple[Chromotopology, Dashing]:
-    edges = tuple((int(e["u"]), int(e["v"]), int(e["color"])) for e in obj["edges"])
+    """The graph and dashing of ``graph_to_json``, every integer field read
+    by ``perms.json_int`` (a ValueError names the entry that is not one)."""
+    rows = obj["edges"]
+    edges = [[json_int(e[key], f"edges[{i}].{key}") for key in ("u", "v", "color")]
+             for i, e in enumerate(rows)]
     graph = Chromotopology(
-        int(obj["n"]),
+        json_int(obj["n"], "n"),
         tuple(obj["vertices"]),
         edges,
-        tuple(int(b) for b in obj["bipartition"]),
+        [json_int(b, f"bipartition[{i}]") for i, b in enumerate(obj["bipartition"])],
         tuple(obj.get("warnings", ())),
     )
-    dashing = Dashing(tuple(int(e["dash"]) for e in obj["edges"]))
+    dashing = Dashing(tuple(json_int(e["dash"], f"edges[{i}].dash") for i, e in enumerate(rows)))
     return graph, dashing

@@ -43,7 +43,7 @@ from .origami import (
     origami_from_monodromy,
     validate_origami_graph,
 )
-from .perms import one_based_table
+from .perms import json_complex, one_based_table
 from .spectral import dirac_action, laplace_action_conjugacy, make_test_pair, super_action
 from .torus_spectrum import (
     PeriodData,
@@ -237,7 +237,9 @@ def cmd_action(config: PipelineConfig) -> None:
     else:
         if p["chi"]:
             chi_obj = json.loads(Path(p["chi"]).read_text())
-            chi_map = {w: complex(v[0], v[1]) for w, v in chi_obj.items()}
+            if not isinstance(chi_obj, dict):
+                raise ValueError("chi must be an object of [re, im] pairs by class word")
+            chi_map = {w: json_complex(v, f"chi[{w!r}]") for w, v in chi_obj.items()}
             chi = [chi_map[c.word] for c in classes]
         else:
             chi = [1.0 + 0j] * len(classes)

@@ -21,6 +21,7 @@ heads, is_x) arrays over the primal edges.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,12 +129,11 @@ def attach_faces(graph: Chromotopology) -> SurfaceData:
         none = Faces(np.zeros((0, 4), INDEX), np.zeros((0, 4), INDEX), np.zeros((0, 2), INDEX))
         return SurfaceData(graph, none, 2 * components, components, 0, (n, n, 2),
                            graph.edge_count)
-    side = np.array(graph.bipartition, dtype=np.intp)
-    ends = graph.edge_array
-    same = np.flatnonzero(side[ends[:, 0]] == side[ends[:, 1]])
+    side = graph.bipartition
+    same = np.flatnonzero(side[graph.edges[:, 0]] == side[graph.edges[:, 1]])
     if same.size:
         e = int(same[0])
-        raise ValueError(f"edge {e} {graph.edges[e]} does not cross the bipartition")
+        raise ValueError(f"edge {e} {tuple(graph.edges[e].tolist())} does not cross the bipartition")
     fermions = np.flatnonzero(side == FERMION)
     walks = [([(i, i % n + 1) for i in range(1, n + 1)], fermions)]
     if n == 2:
@@ -173,7 +173,8 @@ def _edge_sides(graph: Chromotopology, face_edges: np.ndarray) -> np.ndarray:
     if wrong.size:
         e = int(wrong[0])
         raise ValueError(
-            f"not a closed surface: edge {e} {graph.edges[e]} lies on {count[e]} faces"
+            f"not a closed surface: edge {e} {tuple(graph.edges[e].tolist())} "
+            f"lies on {count[e]} faces"
         )
     sides = np.argsort(at, kind="stable").reshape(-1, 2)
     return np.stack((sides[:, 0] >> 2, sides[:, 0] % 4, sides[:, 1] >> 2, sides[:, 1] % 4),
@@ -230,7 +231,7 @@ def _frame_orientation(
     other = across >> 2
     # frame[other] = frame[face] + turn, mod 4
     turn = (across % 4 - np.arange(4) - 2) % 4
-    start = 1 - graph.edge_array[edge_at[:, 0], 2] % 2  # the first odd position
+    start = 1 - graph.edges[edge_at[:, 0], 2] % 2  # the first odd position
     frame = np.full(len(faces), -1)
     while (unframed := np.flatnonzero(frame < 0)).size:
         ring = unframed[:1]
@@ -268,7 +269,7 @@ def _cycle_orientation(
     """
     tails = np.empty(len(sides), dtype=np.intp)
     heads = np.empty(len(sides), dtype=np.intp)
-    odd = graph.edge_array[:, 2] % 2
+    odd = graph.edges[:, 2] % 2
     for parity in (1, 0):  # x edges (odd colors) first
         members = np.flatnonzero(odd == parity)
         low, high = sides[members, 0], sides[members, 2]
@@ -317,7 +318,7 @@ def dual_origami_graph(surface: SurfaceData) -> OrigamiGraph:
     directed = _frame_orientation(graph, surface.edge_sides)
     if directed is None:
         directed = _cycle_orientation(graph, surface.edge_sides)
-    return OrigamiGraph(len(surface.faces), *directed, graph.edge_array[:, 2] % 2 == 1)
+    return OrigamiGraph(len(surface.faces), *directed, graph.edges[:, 2] % 2 == 1)
 
 
 def dessin_action(graph: Chromotopology) -> CosetAction:
@@ -333,8 +334,8 @@ def dessin_action(graph: Chromotopology) -> CosetAction:
     _other, edge, count = graph.slot_table
     if np.count_nonzero(count != 1):
         raise ValueError("dessin action needs one edge of each color per vertex")
-    us, vs, cs = graph.edge_array.T
-    side = np.array(graph.bipartition, dtype=np.intp)
+    us, vs, cs = graph.edges.T
+    side = graph.bipartition
     if np.count_nonzero(side[us] == side[vs]):
         raise ValueError("dessin action needs every edge to cross the bipartition")
     from_u = side[us] == FERMION
@@ -352,40 +353,26 @@ def cartesian_product(a1: Adinkra, a2: Adinkra) -> Adinkra:
     which makes the product of well-dashed factors well-dashed.
     """
     g1, g2 = a1.graph, a2.graph
-    n1, n2 = g1.n_colors, g2.n_colors
-    labels = []
-    bip = []
-    ranks = []
-    for i1, l1 in enumerate(g1.vertices):
-        for i2, l2 in enumerate(g2.vertices):
-            labels.append((l1, l2))
-            bip.append(g1.bipartition[i1] ^ g2.bipartition[i2])
-            ranks.append(a1.ranking.values[i1] + a2.ranking.values[i2])
-
-    def pid(i1: int, i2: int) -> int:
-        return i1 * g2.vertex_count + i2
-
-    edges = []
-    dash = []
-    for e1, (u1, v1, c) in enumerate(g1.edges):
-        for i2 in range(g2.vertex_count):
-            p, q = pid(u1, i2), pid(v1, i2)
-            edges.append((min(p, q), max(p, q), c))
-            dash.append(a1.dashing.bits[e1])
-    for e2, (u2, v2, c) in enumerate(g2.edges):
-        for i1 in range(g1.vertex_count):
-            p, q = pid(i1, u2), pid(i1, v2)
-            edges.append((min(p, q), max(p, q), c + n1))
-            dash.append((a2.dashing.bits[e2] + a1.ranking.values[i1]) % 2)
-    order = sorted(range(len(edges)), key=lambda e: (edges[e][2], edges[e][0], edges[e][1]))
-    graph = Chromotopology(
-        n1 + n2, tuple(labels), tuple(edges[e] for e in order), tuple(bip)
-    )
-    return Adinkra(graph, Ranking(tuple(ranks)), Dashing(tuple(dash[e] for e in order)))
+    n1, v1, v2 = g1.n_colors, g1.vertex_count, g2.vertex_count
+    h1, h2, d1, d2 = (np.array(values, dtype=np.intp) for values in (
+        a1.ranking.values, a2.ranking.values, a1.dashing.bits, a2.dashing.bits))
+    # vertex (i1, i2) is i1 * V2 + i2; the A1-direction edges come edge by
+    # edge over i2, then the A2-direction edges edge by edge over i1
+    ends = np.concatenate(((g1.edges[:, None, :2] * v2 + np.arange(v2)[:, None]).reshape(-1, 2),
+                           (np.arange(v1)[:, None] * v2 + g2.edges[:, None, :2]).reshape(-1, 2)))
+    ends.sort(axis=1)
+    colors = np.concatenate((np.repeat(g1.edges[:, 2], v2), np.repeat(g2.edges[:, 2] + n1, v1)))
+    dash = np.concatenate((np.repeat(d1, v2), ((d2[:, None] + h1) % 2).ravel()))
+    order = np.lexsort((ends[:, 1], ends[:, 0], colors))
+    graph = Chromotopology(n1 + g2.n_colors, tuple(itertools.product(g1.vertices, g2.vertices)),
+                           np.column_stack((ends, colors))[order],
+                           (g1.bipartition[:, None] ^ g2.bipartition).ravel())
+    ranks = (h1[:, None] + h2).ravel()
+    return Adinkra(graph, Ranking(tuple(ranks.tolist())), Dashing(tuple(dash[order].tolist())))
 
 
-def _crt_color(a: int, b: int, residue: int, n1: int, n2: int) -> int:
-    """Position of the 0-based color pair (a, b) along the rainbow orbit
+def _crt_color(a: np.ndarray, b: np.ndarray, residue: int, n1: int, n2: int) -> np.ndarray:
+    """Position of each 0-based color pair (a, b) along the rainbow orbit
     through (residue, 0): j = b mod n2 and j = a - residue mod n1."""
     g = math.gcd(n1, n2)
     lcm = n1 * n2 // g
@@ -417,36 +404,28 @@ def fibered_product(
         raise ValueError(f"rainbow residue {residue} not in 0..{g - 1}")
     lcm = n1 * n2 // g
 
-    labels = []
-    bip = []
-    ranks = []
-    index = {}
-    for i1, l1 in enumerate(g1.vertices):
-        for i2, l2 in enumerate(g2.vertices):
-            if g1.bipartition[i1] != g2.bipartition[i2]:
-                continue
-            index[(i1, i2)] = len(labels)
-            labels.append((l1, l2))
-            bip.append(g1.bipartition[i1])
-            ranks.append(h1.values[i1] * h2.values[i2])
-
-    edges = []
-    for (u1, v1, c1) in g1.edges:
-        for (u2, v2, c2) in g2.edges:
-            if (c1 - c2) % g != residue % g:
-                continue
-            color = _crt_color(c1 - 1, c2 - 1, residue, n1, n2) + 1
-            # orient the pair so both ends are parity-matched
-            b1u = g1.bipartition[u1]
-            b2u = g2.bipartition[u2]
-            if b1u == b2u:
-                p, q = index[(u1, u2)], index[(v1, v2)]
-            else:
-                p, q = index[(u1, v2)], index[(v1, u2)]
-            edges.append((min(p, q), max(p, q), color))
-    edges.sort(key=lambda e: (e[2], e[0], e[1]))
-    graph = Chromotopology(lcm, tuple(labels), tuple(edges), tuple(bip))
-    return graph, Ranking(tuple(ranks))
+    side1, side2 = g1.bipartition, g2.bipartition
+    # the parity-matched pairs (i1, i2), numbered in row-major order
+    i1, i2 = np.nonzero(side1[:, None] == side2)
+    index = np.full((g1.vertex_count, g2.vertex_count), -1)
+    index[i1, i2] = np.arange(len(i1))
+    # edge pairs (e1, e2) on the rainbow orbit, e1-major; each is oriented
+    # so that both of its ends are parity-matched
+    e1, e2 = np.nonzero((g1.edges[:, 2, None] - g2.edges[:, 2]) % g == residue)
+    (u1, v1, c1), (u2, v2, c2) = g1.edges[e1].T, g2.edges[e2].T
+    flip = side1[u1] != side2[u2]
+    keys = ((u1, np.where(flip, v2, u2)), (v1, np.where(flip, u2, v2)))
+    ends = np.stack([index[key] for key in keys], axis=1)
+    if (missing := np.flatnonzero(ends < 0)).size:  # an edge inside one class
+        pair, end = divmod(int(missing[0]), 2)
+        raise KeyError(tuple(int(part[pair]) for part in keys[end]))
+    ends.sort(axis=1)
+    colors = _crt_color(c1 - 1, c2 - 1, residue, n1, n2) + 1
+    order = np.lexsort((ends[:, 1], ends[:, 0], colors))
+    labels = tuple((g1.vertices[a], g2.vertices[b]) for a, b in zip(i1.tolist(), i2.tolist()))
+    graph = Chromotopology(lcm, labels, np.column_stack((ends, colors))[order], side1[i1])
+    ranks = np.array(h1.values, dtype=np.intp)[i1] * np.array(h2.values, dtype=np.intp)[i2]
+    return graph, Ranking(tuple(ranks.tolist()))
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,24 @@ def json_float(value, name: str) -> float:
     return number
 
 
+def json_floats(value, shape: tuple[int, ...], name: str) -> list:
+    """A nested JSON list of ``shape`` whose entries ``json_float`` reads
+    as ``name[i][j]...``; a value that is not a list of the stated length
+    is refused with a ValueError naming it."""
+    if not shape:
+        return json_float(value, name)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ValueError(f"{name} must be a list of {shape[0]}, got {reprlib.repr(value)}")
+    return [json_floats(x, shape[1:], f"{name}[{i}]") for i, x in enumerate(value)]
+
+
+def json_complex(pair, name: str) -> complex:
+    """A JSON [re, im] pair of finite numbers as a complex."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{name} must be a [re, im] pair, got {reprlib.repr(pair)}")
+    return complex(json_float(pair[0], f"{name}[0]"), json_float(pair[1], f"{name}[1]"))
+
+
 def inverse(p: Perm) -> Perm:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p))

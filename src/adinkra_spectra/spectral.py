@@ -132,7 +132,6 @@ class TestFunctionPair:
     h: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     dh: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     nodes: int = 200
-    support_radius: float = 1.0
     _quad: tuple = field(init=False, repr=False, compare=False, default=None)
     _fold: tuple = field(init=False, repr=False, compare=False, default=None)
 
@@ -372,7 +371,7 @@ def _power_sum(
         raise ValueError("hyperbolic trace formula needs genus >= 2")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"Lambda must be positive and finite, got {lam}")
-    cutoff = pair.support_radius / lam
+    cutoff = 1.0 / lam
     classes = _coerce_spectrum(spectrum, cutoff)
     if chi is None:
         chi = [1.0] * len(classes)

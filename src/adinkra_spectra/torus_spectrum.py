@@ -17,13 +17,12 @@ enumerate each lattice index once.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .perms import json_float, json_int
+from .perms import json_complex, json_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +65,7 @@ class PeriodData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodData":
-        om = np.array([[_json_complex(z, f"omega[{i}][{j}]") for j, z in enumerate(row)]
+        om = np.array([[json_complex(z, f"omega[{i}][{j}]") for j, z in enumerate(row)]
                        for i, row in enumerate(obj["omega"])], dtype=complex)
         for name in ("n", "m"):
             if not isinstance(obj[name], list):
@@ -74,13 +73,6 @@ class PeriodData:
         n, m = (tuple(json_int(x, f"{name}[{i}]") for i, x in enumerate(obj[name]))
                 for name in ("n", "m"))
         return cls(om, n, m)
-
-
-def _json_complex(pair, name: str) -> complex:
-    """A JSON [re, im] pair of finite numbers as a complex."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ValueError(f"{name} must be a [re, im] pair, got {reprlib.repr(pair)}")
-    return complex(json_float(pair[0], f"{name}[0]"), json_float(pair[1], f"{name}[1]"))
 
 
 def primitive_coefficients(pd: PeriodData, n=None, m=None) -> tuple[np.ndarray, float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import reprlib
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .perms import cyclic_exponents, permutation
+from .perms import cyclic_exponents, json_floats, permutation
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +96,20 @@ class BranchSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BranchSystem":
-        labels = obj.get("labels") or [""] * len(obj["intervals"])
-        return cls(tuple(
-            Branch(float(lo), float(hi), np.array(m, dtype=float), lab)
-            for (lo, hi), m, lab in zip(obj["intervals"], obj["maps"], labels)
-        ))
+        """One branch per [lo, hi] interval, with its 2 x 2 map and label
+        (empty when ``labels`` is missing), every number read by
+        ``perms.json_float``; a ValueError names a wrong entry or length."""
+        if not isinstance(obj["intervals"], list):
+            raise ValueError(f"intervals must be a list of [lo, hi] pairs, "
+                             f"got {reprlib.repr(obj['intervals'])}")
+        count = len(obj["intervals"])
+        intervals = json_floats(obj["intervals"], (count, 2), "intervals")
+        maps = json_floats(obj["maps"], (count, 2, 2), "maps")
+        labels = obj.get("labels") or [""] * count
+        if not isinstance(labels, list) or len(labels) != count:
+            raise ValueError(f"labels must be a list of {count}, got {reprlib.repr(labels)}")
+        return cls(tuple(Branch(lo, hi, np.array(m), label)
+                         for (lo, hi), m, label in zip(intervals, maps, labels)))
 
 
 def gauss_branch_system(n_max: int) -> BranchSystem:

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from adinkra_spectra.adinkra import (
@@ -32,10 +33,11 @@ def square():
 def validate_ranking(graph, ranking):
     """Issues with a ranking: parity per class, |dh| = 1 across edges."""
     issues = []
+    side = graph.bipartition.tolist()
     for i, h in enumerate(ranking.values):
-        if h & 1 != graph.bipartition[i]:
-            issues.append(f"vertex {i}: rank {h} parity mismatches class {graph.bipartition[i]}")
-    for u, v, c in graph.edges:
+        if h & 1 != side[i]:
+            issues.append(f"vertex {i}: rank {h} parity mismatches class {side[i]}")
+    for u, v, c in graph.edges.tolist():
         if abs(ranking.values[u] - ranking.values[v]) != 1:
             issues.append(f"edge ({u},{v},{c}): rank step {ranking.values[u]}->{ranking.values[v]}")
     return issues
@@ -51,7 +53,7 @@ def test_square_is_the_two_cube():
     assert g.edge_count == 4
     assert g.n_colors == 2
     assert validate_chromotopology(g).ok
-    assert g.bipartition == (0, 1, 1, 0)
+    assert g.bipartition.tolist() == [0, 1, 1, 0]
 
 
 def test_a41_shape():
@@ -98,10 +100,10 @@ def test_weight_two_word_creates_parallel_edges():
 
 def test_recolored_edge_fails_one_per_color():
     g = square()
-    edges = list(g.edges)
+    edges = g.edges.tolist()
     u, v, c = edges[0]
     edges[0] = (u, v, 3 - c)  # swap color 1 <-> 2
-    bad = Chromotopology(2, g.vertices, tuple(edges), g.bipartition)
+    bad = Chromotopology(2, g.vertices, edges, g.bipartition)
     rep = validate_chromotopology(bad)
     failed = [c for c in rep.checks if not c.passed]
     assert any("one edge of each color" in c.name for c in failed)
@@ -171,7 +173,7 @@ def test_walk_on_a_color_outside_1_to_n_raises_the_slot_error(pair, message):
 
 def test_slot_reports_missing_and_repeated_colors():
     g = square()
-    edges = (g.edges[0], g.edges[0]) + g.edges[2:]  # (1,3,1) becomes a second (0,2,1)
+    edges = g.edges[[0, 0, 2, 3]]  # (1,3,1) becomes a second (0,2,1)
     bad = Chromotopology(2, g.vertices, edges, g.bipartition)
     # the repeated slots keep the first edge; the empty ones hold -1
     assert _flat(bad.slot_table) == ((2, 1, -1, 0, 0, 3, -1, 2), (0, 2, -1, 2, 0, 3, -1, 3),
@@ -378,5 +380,94 @@ def test_graph_json_round_trip():
     g2, d2 = graph_from_json(obj)
     assert graph_to_json(g2, d2) == obj
     assert d2 == d
-    assert g2.edges == g.edges
-    assert g2.bipartition == g.bipartition
+    assert np.array_equal(g2.edges, g.edges)
+    assert np.array_equal(g2.bipartition, g.bipartition)
+
+
+def test_graph_arrays_are_read_only_copies():
+    edges = np.array([(0, 2, 1), (1, 3, 1), (0, 1, 2), (2, 3, 2)])
+    side = np.array([0, 1, 1, 0])
+    g = Chromotopology(2, (0, 1, 2, 3), edges, side)
+    for array, given in ((g.edges, edges), (g.bipartition, side)):
+        assert array.dtype == np.int32 and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+        assert array is not given and given.flags.writeable
+    edges[0] = (1, 3, 1)  # the caller's array stays the caller's
+    assert g.edges[0].tolist() == [0, 2, 1]
+    assert not square().edges.flags.writeable
+
+
+@pytest.mark.parametrize("edges,side,name", [
+    (((0, 2, 1.0), (1, 3, 1)), (0, 1, 1, 0), "edges"),
+    (np.array([(0, 2, 1), (1, 3, 1)], dtype=float), (0, 1, 1, 0), "edges"),
+    (np.ones((2, 3), dtype=bool), (0, 1, 1, 0), "edges"),
+    ((("0", "2", "1"),), (0, 1, 1, 0), "edges"),
+    (((0, 2), (1, 3)), (0, 1, 1, 0), "edges"),
+    (((0, 2, 1),), (0.0, 1.0, 1.0, 0.0), "bipartition"),
+    (((0, 2, 1),), (False, True, True, False), "bipartition"),
+])
+def test_non_integer_edges_and_classes_are_refused(edges, side, name):
+    with pytest.raises(ValueError, match=f"^{name} must be integers of shape"):
+        Chromotopology(2, (0, 1, 2, 3), edges, side)
+
+
+@pytest.mark.parametrize("side", [(0, 1, 2, 0), (0, -1, 1, 0), (0, 1, 1, 2 ** 32)])
+def test_classes_other_than_0_and_1_are_refused(side):
+    with pytest.raises(ValueError, match="^bipartition classes must be 0 or 1$"):
+        Chromotopology(2, (0, 1, 2, 3), ((0, 2, 1),), side)
+
+
+def test_graphs_compare_by_identity():
+    g, h = square(), square()
+    assert g == g and g != h
+    assert np.array_equal(g.edges, h.edges) and np.array_equal(g.bipartition, h.bipartition)
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("edges", 0, "u"), 0.9, "edges[0].u must be an integer, got 0.9"),
+    (("edges", 1, "v"), "1", "edges[1].v must be an integer, got '1'"),
+    (("edges", 2, "color"), True, "edges[2].color must be an integer, got True"),
+    (("edges", 3, "dash"), 1.0, "edges[3].dash must be an integer, got 1.0"),
+    (("bipartition", 1), True, "bipartition[1] must be an integer, got True"),
+    (("n",), 2.0, "n must be an integer, got 2.0"),
+])
+def test_graph_from_json_refuses_non_integers(path, value, message):
+    obj = graph_to_json(square())
+    *parents, key = path
+    target = obj
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        graph_from_json(obj)
+
+
+QUOTIENTS = [(2, []), (4, ["1111"]), (5, ["11000"]), (4, ["1000"]), (6, ["111100"]),
+             (8, ["11110000", "00111100"])]
+
+
+@pytest.mark.parametrize("n,rows", QUOTIENTS)
+def test_incident_edge_masks_match_a_loop_over_the_edges(n, rows):
+    g = build_quotient(n, BinaryCode.from_strings(n, rows))
+    masks = [0] * g.vertex_count
+    for e, (u, v, _c) in enumerate(g.edges.tolist()):
+        masks[u] |= 1 << e
+        masks[v] |= 1 << e
+    assert g.incident_edge_masks == tuple(masks)
+
+
+@pytest.mark.parametrize("n,rows", [q for q in QUOTIENTS if q[1] != ["1000"]])
+def test_default_ranking_matches_a_queue_search(n, rows):
+    g = build_quotient(n, BinaryCode.from_strings(n, rows))
+    adjacent = [[] for _ in g.vertices]
+    for u, v, _c in g.edges.tolist():
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    dist, queue = {0: 0}, [0]
+    for x in queue:
+        for y in adjacent[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    assert default_ranking(g).values == tuple(dist[v] for v in range(g.vertex_count))

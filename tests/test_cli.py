@@ -468,3 +468,83 @@ def test_version(capsys):
 def test_unknown_subcommand(capsys):
     code, _out, _err = run_capture(capsys, ["frobnicate"])
     assert code == 1
+
+
+def _system_json():
+    return gauss_branch_system(2).to_json()
+
+
+def _set(obj, path, value):
+    *parents, key = path
+    for part in parents:
+        obj = obj[part]
+    obj[key] = value
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("intervals", 0, 0), "0.5", "intervals[0][0] must be a finite number, got '0.5'"),
+    (("intervals", 1, 1), True, "intervals[1][1] must be a finite number, got True"),
+    (("maps", 0, 1, 0), "1", "maps[0][1][0] must be a finite number, got '1'"),
+    (("maps", 1, 1, 1), float("nan"), "maps[1][1][1] must be a finite number, got nan"),
+    (("maps", 1, 0), [0.0, 1.0, 2.0], "maps[1][0] must be a list of 2, got [0.0, 1.0, 2.0]"),
+    (("intervals", 0), [0.5], "intervals[0] must be a list of 2, got [0.5]"),
+    (("maps",), [[[0.0, 1.0], [1.0, 1.0]]], "maps must be a list of 2, got [[[0.0, 1.0], [1.0, 1.0]]]"),
+    (("labels",), ["1"], "labels must be a list of 2, got ['1']"),
+    (("intervals",), 5, "intervals must be a list of [lo, hi] pairs, got 5"),
+])
+def test_zeta_branch_system_is_read_strictly(capsys, tmp_path, path, value, message):
+    # a string or bool end was read by float() into the same det, and a
+    # short list of maps or labels dropped a branch through zip
+    obj = _system_json()
+    _set(obj, path, value)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_capture(capsys, ["zeta", "--system", str(path), "--beta", "1.0", "--nodes", "8"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_zeta_branch_system_file_gives_the_gauss_det(capsys, tmp_path):
+    obj = _system_json()
+    obj["maps"][0] = [[0, 1], [1, 1]]  # integer entries are numbers too
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(obj))
+    args = ["--beta", "1.0", "--nodes", "8"]
+    code, out, _err = run_capture(capsys, ["zeta", "--system", str(path), *args])
+    assert code == 0
+    assert json.loads(out) == json.loads(run_capture(capsys, ["zeta", "--gauss", "2", *args])[1])
+    del obj["labels"]
+    path.write_text(json.dumps(obj))
+    assert run_capture(capsys, ["zeta", "--system", str(path), *args])[1] == out
+
+
+@pytest.mark.parametrize("chi,message", [
+    ({"ab": ["1.0", 0.0]}, "chi['ab'][0] must be a finite number, got '1.0'"),
+    ({"ab": [1.0]}, "chi['ab'] must be a [re, im] pair, got [1.0]"),
+    ({"ab": [True, 0.0]}, "chi['ab'][0] must be a finite number, got True"),
+    ({"ab": [0.0, float("inf")]}, "chi['ab'][1] must be a finite number, got inf"),
+    ([[1.0, 0.0]], "chi must be an object of [re, im] pairs by class word"),
+])
+def test_action_chi_is_read_strictly(capsys, tmp_path, chi, message):
+    # a string escaped as a TypeError traceback, a short pair as an
+    # IndexError traceback, and true was read as 1
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(chi))
+    code, out, err = run_capture(capsys, ["action", "dirac", "--genus", "2", "--lam", "1.0",
+                                          "--chi", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_action_chi_takes_integer_entries(capsys, tmp_path):
+    spectrum = tmp_path / "spec.csv"
+    run_capture(capsys, ["--out", str(spectrum), "geodesics", "--p", "5", "--q", "5", "--r", "2",
+                         "--lmax", "2.0"])
+    words = [line.split(",")[3] for line in spectrum.read_text().splitlines()
+             if line[:1].isdigit()]
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({word: [1, 0] for word in words}))
+    args = ["action", "dirac", "--genus", "2", "--spectrum", str(spectrum), "--lam", "0.6"]
+    code, out, _err = run_capture(capsys, [*args, "--chi", str(path)])
+    assert code == 0 and json.loads(out)["contributing_class_count"] >= 1
+    assert out == run_capture(capsys, args)[1]  # chi = 1 is the default

@@ -21,6 +21,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,7 +100,7 @@ def _frozen_build_quotient(n: int, code: BinaryCode) -> Chromotopology:
 def _incidence(graph: Chromotopology) -> list[dict[int, list[tuple[int, int]]]]:
     """Per vertex: color -> list of (edge index, other endpoint)."""
     inc: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in graph.vertices]
-    for e, (u, v, c) in enumerate(graph.edges):
+    for e, (u, v, c) in enumerate(graph.edges.tolist()):
         inc[u].setdefault(c, []).append((e, v))
         if v != u:
             inc[v].setdefault(c, []).append((e, u))
@@ -140,21 +141,22 @@ def _frozen_walk(graph, incidence, first, second, starts):
 
 def _frozen_validate(graph: Chromotopology) -> ValidationReport:
     incidence = _incidence(graph)
+    edges, side = graph.edges.tolist(), graph.bipartition.tolist()
     checks = []
 
-    loops = [(e, graph.edges[e]) for e in range(graph.edge_count) if graph.edges[e][0] == graph.edges[e][1]]
+    loops = [(e, edges[e]) for e in range(graph.edge_count) if edges[e][0] == edges[e][1]]
     checks.append(AxiomCheck(
         "simple: no loops", not loops,
         "" if not loops else f"edge {loops[0][0]} loops at vertex {loops[0][1][0]}"))
 
-    pair_counts = Counter((u, v) for u, v, _c in graph.edges if u != v)
+    pair_counts = Counter((u, v) for u, v, _c in edges if u != v)
     parallel = [(p, c) for p, c in sorted(pair_counts.items()) if c > 1]
     checks.append(AxiomCheck(
         "simple: no parallel edges", not parallel,
         "" if not parallel else f"vertices {parallel[0][0]} joined by {parallel[0][1]} edges"))
 
     degrees = [0] * graph.vertex_count
-    for u, v, _c in graph.edges:
+    for u, v, _c in edges:
         degrees[u] += 1
         degrees[v] += 1
     bad_deg = [(i, d) for i, d in enumerate(degrees) if d != graph.n_colors]
@@ -162,8 +164,7 @@ def _frozen_validate(graph: Chromotopology) -> ValidationReport:
         f"{graph.n_colors}-regular", not bad_deg,
         "" if not bad_deg else f"vertex {bad_deg[0][0]} has degree {bad_deg[0][1]}"))
 
-    cross = [(u, v) for u, v, _c in graph.edges
-             if graph.bipartition[u] == graph.bipartition[v]]
+    cross = [(u, v) for u, v, _c in edges if side[u] == side[v]]
     checks.append(AxiomCheck(
         "bipartite: edges cross the bipartition", not cross,
         "" if not cross else f"edge {cross[0]} joins same-class vertices"))
@@ -223,10 +224,10 @@ def _frozen_face_walk_error(graph: Chromotopology) -> str | None:
     """The error ``attach_faces`` raised from its bipartition check and its
     face-family walks (N >= 3), or None when they all close."""
     n = graph.n_colors
-    side = graph.bipartition
-    for e, (u, v, _c) in enumerate(graph.edges):
+    side = graph.bipartition.tolist()
+    for e, (u, v, c) in enumerate(graph.edges.tolist()):
         if side[u] == side[v]:
-            return f"edge {e} {graph.edges[e]} does not cross the bipartition"
+            return f"edge {e} {(u, v, c)} does not cross the bipartition"
     incidence = _incidence(graph)
     fermions = [v for v in range(graph.vertex_count) if side[v] == FERMION]
     try:
@@ -298,8 +299,8 @@ def test_quotient_and_validation_match_frozen(code):
     expected = _frozen_build_quotient(code.length, code)
     assert enumerate_cosets(code) == list(expected.vertices)
     assert graph.vertices == expected.vertices
-    assert graph.edges == expected.edges
-    assert graph.bipartition == expected.bipartition
+    assert np.array_equal(graph.edges, expected.edges)
+    assert np.array_equal(graph.bipartition, expected.bipartition)
     assert graph.warnings == expected.warnings
     assert validate_chromotopology(graph).to_json() == _frozen_validate(expected).to_json()
 
@@ -415,8 +416,8 @@ def _disjoint_union(*graphs: Chromotopology) -> Chromotopology:
     vertices, edges, side, offset = [], [], [], 0
     for g in graphs:
         vertices += [(offset, label) for label in g.vertices]
-        edges += [(u + offset, v + offset, c) for u, v, c in g.edges]
-        side += g.bipartition
+        edges += [(u + offset, v + offset, c) for u, v, c in g.edges.tolist()]
+        side += g.bipartition.tolist()
         offset += g.vertex_count
     return Chromotopology(graphs[0].n_colors, tuple(vertices), tuple(edges), tuple(side))
 
@@ -427,10 +428,10 @@ def test_component_count_matches_frozen(parts):
     graph = _disjoint_union(*[build_quotient(5, code)] * parts)
     assert graph.component_count == _frozen_components(graph, _incidence(graph)) == parts
     # reversed edges meet the union-find in another order
-    flipped = Chromotopology(5, graph.vertices, tuple((v, u, c) for u, v, c in graph.edges[::-1]),
-                             graph.bipartition)
+    flipped = Chromotopology(5, graph.vertices, graph.edges[::-1, [1, 0, 2]], graph.bipartition)
     assert flipped.component_count == parts
-    isolated = Chromotopology(5, graph.vertices + ("x",), graph.edges, graph.bipartition + (0,))
+    isolated = Chromotopology(5, graph.vertices + ("x",), graph.edges,
+                              np.append(graph.bipartition, 0))
     assert isolated.component_count == parts + 1
 
 

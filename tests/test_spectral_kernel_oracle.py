@@ -47,7 +47,7 @@ GENUS = 3
 
 
 def _oracle_laplace_geodesic(classes, pair, lam):
-    cutoff = pair.support_radius / lam
+    cutoff = 1.0 / lam
     identity = lam * lam * (GENUS - 1) * _identity_tanh(pair, lam)
     geodesic = 0.0
     count = 0
@@ -62,7 +62,7 @@ def _oracle_laplace_geodesic(classes, pair, lam):
 
 
 def _oracle_power_loop(classes, chi, pair, lam):
-    cutoff = pair.support_radius / lam
+    cutoff = 1.0 / lam
     geodesic = 0.0 + 0.0j
     count = 0
     for c, chi_p in zip(classes, chi):
@@ -124,7 +124,7 @@ def _oracle_super_geodesic(classes, chi, pair, lam, variant):
     def h_lambda(t):
         return lam * math.exp(-t * (lam - 1.0) / 2.0) * float(pair.h_at(lam * t))
 
-    cutoff = pair.support_radius / lam
+    cutoff = 1.0 / lam
     geodesic = 0.0 + 0.0j
     count = 0
     for c, chi_p in zip(classes, chi):

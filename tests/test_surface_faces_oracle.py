@@ -50,7 +50,7 @@ def _same_faces(faces: Faces, expected: tuple[FrozenFace, ...]) -> bool:
 def _incidence(graph: Chromotopology) -> list[dict[int, list[tuple[int, int]]]]:
     """Per vertex: color -> list of (edge index, other endpoint)."""
     inc: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in graph.vertices]
-    for e, (u, v, c) in enumerate(graph.edges):
+    for e, (u, v, c) in enumerate(graph.edges.tolist()):
         inc[u].setdefault(c, []).append((e, v))
         if v != u:
             inc[v].setdefault(c, []).append((e, u))
@@ -64,6 +64,7 @@ def _frozen_rotation_faces(graph: Chromotopology) -> tuple[FrozenFace, ...]:
     must lie on exactly two faces."""
     n = graph.n_colors
     incidence = _incidence(graph)
+    side = graph.bipartition.tolist()
 
     def lookup(v: int, color: int) -> tuple[int, int]:
         slots = incidence[v].get(color, [])
@@ -72,7 +73,7 @@ def _frozen_rotation_faces(graph: Chromotopology) -> tuple[FrozenFace, ...]:
         return slots[0]
 
     def next_dart(tail: int, head: int, color: int) -> tuple[int, int, int]:
-        if graph.bipartition[head] == 1:  # fermion: descend the rainbow
+        if side[head] == 1:  # fermion: descend the rainbow
             c = color - 1 if color > 1 else n
         else:
             c = color + 1 if color < n else 1
@@ -80,7 +81,7 @@ def _frozen_rotation_faces(graph: Chromotopology) -> tuple[FrozenFace, ...]:
 
     darts_seen: set[tuple[int, int, int]] = set()
     faces: list[FrozenFace] = []
-    for e, (u, v, c) in enumerate(graph.edges):
+    for e, (u, v, c) in enumerate(graph.edges.tolist()):
         for tail, head in ((u, v), (v, u)):
             if (tail, head, c) in darts_seen:
                 continue

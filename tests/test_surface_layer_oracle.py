@@ -112,7 +112,7 @@ def _frozen_slot_table(graph: Chromotopology):
     n = graph.n_colors
     size = graph.vertex_count * n
     other, edge, count = [-1] * size, [-1] * size, [0] * size
-    edges = graph.edges
+    edges = graph.edges.tolist()
     # backwards: the first edge is written last
     for e, (u, v, c) in zip(range(len(edges) - 1, -1, -1), reversed(edges)):
         i = u * n + c - 1
@@ -174,7 +174,7 @@ def _frozen_walk(graph, table, first, second, starts):
 
 def _frozen_component_count(graph: Chromotopology) -> int:
     parent = list(range(graph.vertex_count))
-    for u, v, _c in graph.edges:
+    for u, v, _c in graph.edges.tolist():
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -184,7 +184,7 @@ def _frozen_component_count(graph: Chromotopology) -> int:
 
 
 def _frozen_edge_sides(graph, faces):
-    sides = [()] * len(graph.edges)
+    sides = [()] * graph.edge_count
     for fi, f in enumerate(faces):
         for j, e in enumerate(f.edge_indices):
             sides[e] += (fi, j)
@@ -195,10 +195,10 @@ def _frozen_attach(graph: Chromotopology):
     """(faces, edge sides) of the face-attached surface, N >= 2."""
     n = graph.n_colors
     table = _frozen_slot_table(graph)
-    side = graph.bipartition
-    for e, (u, v, _c) in enumerate(graph.edges):
+    side = graph.bipartition.tolist()
+    for e, (u, v, c) in enumerate(graph.edges.tolist()):
         if side[u] == side[v]:
-            raise ValueError(f"edge {e} {graph.edges[e]} does not cross the bipartition")
+            raise ValueError(f"edge {e} {(u, v, c)} does not cross the bipartition")
     fermions = [v for v in range(graph.vertex_count) if side[v] == FERMION]
     walks = [((i, i % n + 1), fermions) for i in range(1, n + 1)]
     if n == 2:
@@ -217,7 +217,8 @@ def _frozen_attach(graph: Chromotopology):
     for e, s in enumerate(sides):
         if len(s) != 4:
             raise ValueError(
-                f"not a closed surface: edge {e} {graph.edges[e]} lies on {len(s) // 2} faces"
+                f"not a closed surface: edge {e} {tuple(graph.edges[e].tolist())} "
+                f"lies on {len(s) // 2} faces"
             )
     if genus2 % 2:
         raise ValueError(f"odd 2-2g count: chi={chi}, components={components}")
@@ -259,7 +260,7 @@ def _frozen_cycle_orientation(graph, sides):
     directed: dict[int, tuple[int, int]] = {}
     for parity in (1, 0):
         ends: dict[int, list[tuple[int, int]]] = {}
-        members = [e for e in range(graph.edge_count) if graph.edges[e][2] % 2 == parity]
+        members = [e for e, c in enumerate(graph.edges[:, 2].tolist()) if c % 2 == parity]
         for e in members:
             fa, _ja, fb, _jb = sides[e]
             ends.setdefault(fa, []).append((e, fb))
@@ -285,8 +286,8 @@ def _frozen_dual(graph, faces, sides):
     directed = _frozen_frame_orientation(faces, sides)
     if directed is None:
         directed = _frozen_cycle_orientation(graph, sides)
-    edges = tuple((*directed[e], "x" if graph.edges[e][2] % 2 else "y")
-                  for e in range(graph.edge_count))
+    edges = tuple((*directed[e], "x" if c % 2 else "y")
+                  for e, c in enumerate(graph.edges[:, 2].tolist()))
     return len(faces), edges
 
 
@@ -368,8 +369,9 @@ def _frozen_well_dashed(graph, faces, dashing):
 
 def _frozen_heads(graph, dashing):
     heads = []
-    for e, (u, v, _c) in enumerate(graph.edges):
-        bu, bv = graph.bipartition[u], graph.bipartition[v]
+    side = graph.bipartition.tolist()
+    for e, (u, v, _c) in enumerate(graph.edges.tolist()):
+        bu, bv = side[u], side[v]
         if bu == bv:
             raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
         head = v if bv == FERMION else u
