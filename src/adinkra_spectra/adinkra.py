@@ -57,6 +57,13 @@ def label_text(label: Hashable, n_colors: int) -> str:
     return str(label)
 
 
+def _holds_bool(rows) -> bool:
+    """Whether a nested sequence that numpy read as integers holds a bool
+    (``(0, 2, True)`` is an int array); an array is taken as it is."""
+    return not isinstance(rows, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(rows, dtype=object).ravel())
+
+
 @dataclass(frozen=True, eq=False)
 class Chromotopology:
     """Colored bipartite graph skeleton of an Adinkra.
@@ -88,8 +95,10 @@ class Chromotopology:
             raise ValueError("bipartition length mismatch")
         arrays = {}
         for name, shape in (("edges", (len(self.edges), 3)), ("bipartition", (len(self.vertices),))):
-            value = np.asarray(getattr(self, name))
-            if value.size and (value.dtype.kind not in "iu" or value.shape != shape):
+            given = getattr(self, name)
+            value = np.asarray(given)
+            if value.size and (value.dtype.kind not in "iu" or value.shape != shape
+                               or (name == "edges" and _holds_bool(given))):
                 raise ValueError(f"{name} must be integers of shape {shape}")
             arrays[name] = value.reshape(shape)
         us, vs, cs = arrays["edges"].T

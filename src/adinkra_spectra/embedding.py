@@ -418,7 +418,12 @@ def fibered_product(
     ends = np.stack([index[key] for key in keys], axis=1)
     if (missing := np.flatnonzero(ends < 0)).size:  # an edge inside one class
         pair, end = divmod(int(missing[0]), 2)
-        raise KeyError(tuple(int(part[pair]) for part in keys[end]))
+        factor, (u, v, c) = ((1, (u1, v1, c1)) if side1[u1[pair]] == side1[v1[pair]]
+                             else (2, (u2, v2, c2)))
+        raise ValueError(
+            f"edge ({u[pair]},{v[pair]}) of color {c[pair]} in factor {factor} lies inside one "
+            f"parity class, so the vertex pair {tuple(int(part[pair]) for part in keys[end])} "
+            f"is not parity-matched")
     ends.sort(axis=1)
     colors = _crt_color(c1 - 1, c2 - 1, residue, n1, n2) + 1
     order = np.lexsort((ends[:, 1], ends[:, 0], colors))

@@ -66,6 +66,8 @@ class BranchSystem:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
+        if not self.branches:
+            raise ValueError("a branch system needs at least one branch")
         ivs = sorted((b.lo, b.hi) for b in self.branches)
         for (l1, h1), (l2, h2) in zip(ivs[:-1], ivs[1:]):
             if l2 < h1 - 1e-12:

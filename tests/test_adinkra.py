@@ -406,6 +406,9 @@ def test_graph_arrays_are_read_only_copies():
     (((0, 2), (1, 3)), (0, 1, 1, 0), "edges"),
     (((0, 2, 1),), (0.0, 1.0, 1.0, 0.0), "bipartition"),
     (((0, 2, 1),), (False, True, True, False), "bipartition"),
+    # numpy reads a sequence that mixes bools with ints as an int array
+    (((0, 2, True),), (0, 1, 1, 0), "edges"),
+    ([[0, 2, 1], [1, 3, np.True_]], (0, 1, 1, 0), "edges"),
 ])
 def test_non_integer_edges_and_classes_are_refused(edges, side, name):
     with pytest.raises(ValueError, match=f"^{name} must be integers of shape"):

@@ -158,6 +158,18 @@ def test_product_fibered(capsys):
     assert payload["genus_report"]["g_product"] == 0
 
 
+def test_product_fibered_refuses_an_edge_inside_one_class(capsys):
+    # the odd code 1000 gives the second factor a loop
+    code, out, err = run_capture(
+        capsys, ["product", "fibered", "--n1", "2", "--n2", "4", "--code2", "1000", "--residue", "1"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "edge (0,0) of color 1 in factor 2 lies inside one parity class, "
+                   "so the vertex pair (1, 0) is not parity-matched",
+    }
+
+
 def test_product_cartesian(capsys):
     code, out, _err = run_capture(
         capsys,
@@ -502,6 +514,15 @@ def test_zeta_branch_system_is_read_strictly(capsys, tmp_path, path, value, mess
     code, out, err = run_capture(capsys, ["zeta", "--system", str(path), "--beta", "1.0", "--nodes", "8"])
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_zeta_empty_branch_system_is_refused(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"intervals": [], "maps": []}))
+    code, out, err = run_capture(capsys, ["zeta", "--system", str(path), "--beta", "1.0", "--nodes", "8"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "a branch system needs at least one branch"}
 
 
 def test_zeta_branch_system_file_gives_the_gauss_det(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -437,6 +438,14 @@ def test_fibered_product_names_the_first_pair_with_no_vertex():
         for residue in range(math.gcd(g1.n_colors, g2.n_colors)):
             with pytest.raises(KeyError) as expected:
                 _frozen_fibered(g1, g2, h1, h2, residue)
-            with pytest.raises(KeyError) as got:
+            pair = expected.value.args[0]
+            with pytest.raises(ValueError) as got:
                 fibered_product(g1, g2, residue)
-            assert got.value.args == expected.value.args
+            found = re.fullmatch(r"edge \((\d+),(\d+)\) of color (\d+) in factor ([12]) lies inside "
+                                 r"one parity class, so the vertex pair \((\d+), (\d+)\) is not "
+                                 r"parity-matched", str(got.value))
+            u, v, color, factor, *named = map(int, found.groups())
+            assert tuple(named) == pair
+            graph = (g1, g2)[factor - 1]
+            assert [u, v, color] in graph.edges.tolist()
+            assert graph.bipartition[u] == graph.bipartition[v]

@@ -418,6 +418,12 @@ def test_origami_action_matches_loop(pd, box):
 
 
 def test_solution_set_chunks_keep_loop_order(monkeypatch):
-    pd, box = TORUS_CASES[3]
+    # a fresh record: the shared one may already hold its solution set
+    case, box = TORUS_CASES[3]
+    pd = PeriodData(case.omega, case.n, case.m)
+    searches, search = [], torus_spectrum._search
     monkeypatch.setattr(torus_spectrum, "_CHUNK_ROWS", 37)
+    monkeypatch.setattr(torus_spectrum, "_search",
+                        lambda *args: searches.append(args[1:]) or search(*args))
     assert _fields(solution_set(pd, box)) == _fields(_oracle_solution_set(pd, box))
+    assert searches == [(box, 1e-9)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adinkra_spectra import torus_spectrum
 from adinkra_spectra.torus_spectrum import (
     PeriodData,
     direct_theta_sum,
@@ -14,6 +15,7 @@ from adinkra_spectra.torus_spectrum import (
     solution_set,
     spectrum_to_csv,
 )
+from test_fredholm_oracle import TORUS_CASES
 
 
 def pd_square(n=(0,), m=(1,)):
@@ -227,3 +229,69 @@ def test_csv_emission():
     lines = text.strip().splitlines()
     assert lines[0] == "n,m,lambda,rho"
     assert len(lines) == 1 + 8
+
+
+def _frozen_csv(entries):
+    # the per-entry formatter that spectrum_to_csv replaced
+    def to_row(e):
+        ns = " ".join(str(x) for x in e.n)
+        ms = " ".join(str(x) for x in e.m)
+        return f"{ns},{ms},{e.lam!r},{e.rho!r}"
+
+    rows = ["n,m,lambda,rho"]
+    rows += [to_row(e) for e in entries]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("pd,box", TORUS_CASES)
+def test_csv_matches_the_row_formatter(pd, box):
+    entries = solution_set(pd, box)
+    assert spectrum_to_csv(entries) == _frozen_csv(entries)
+
+
+def test_csv_of_no_entries_is_the_header():
+    assert spectrum_to_csv([]) == _frozen_csv([]) == "n,m,lambda,rho\n"
+
+
+def _count_searches(monkeypatch):
+    calls, search = [], torus_spectrum._search
+
+    def counted(pd, box_bound, tol):
+        calls.append((box_bound, tol))
+        return search(pd, box_bound, tol)
+
+    monkeypatch.setattr(torus_spectrum, "_search", counted)
+    return calls
+
+
+def test_action_and_solution_set_share_one_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    pd = PeriodData(np.array([[0.25 + 1.5j]]), (1,), (2,))
+    res = origami_action(pd, gaussian(1.0), 1.0, 6)
+    entries = solution_set(pd, 6)
+    assert calls == [(6, 1e-9)]
+    assert res.entry_count == len(entries) == 13 ** 2 - 1
+
+
+def test_another_box_tol_or_record_searches_again(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    pd = PeriodData(np.array([[0.25 + 1.5j]]), (1,), (2,))
+    for box, tol in ((4, 1e-9), (5, 1e-9), (4, 1e-6), (4, 1e-9), (5, 1e-6)):
+        solution_set(pd, box, tol)
+    assert calls == [(4, 1e-9), (5, 1e-9), (4, 1e-6), (5, 1e-6)]
+    solution_set(PeriodData(pd.omega, pd.n, pd.m), 4)
+    assert calls[-1] == (4, 1e-9) and len(calls) == 5
+
+
+def test_omega_is_a_read_only_copy():
+    omega = np.array([[0.25 + 1.5j]])
+    pd = PeriodData(omega, [1], [2])
+    assert pd.n == (1,) and pd.m == (2,)
+    assert not pd.omega.flags.writeable and not np.shares_memory(pd.omega, omega)
+    before = solution_set(pd, 3)
+    omega[0, 0] = 0.5 + 2.0j  # the caller's array stays the caller's
+    assert pd.omega[0, 0] == 0.25 + 1.5j
+    assert solution_set(pd, 3) == before
+    assert solution_set(PeriodData(pd.omega, pd.n, pd.m), 3) == before
+    with pytest.raises(ValueError, match="read-only"):
+        pd.omega[0, 0] = 1j
