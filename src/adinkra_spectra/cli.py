@@ -240,6 +240,9 @@ def cmd_action(config: PipelineConfig) -> None:
             if not isinstance(chi_obj, dict):
                 raise ValueError("chi must be an object of [re, im] pairs by class word")
             chi_map = {w: json_complex(v, f"chi[{w!r}]") for w, v in chi_obj.items()}
+            missing = next((c.word for c in classes if c.word not in chi_map), None)
+            if missing is not None:
+                raise ValueError(f"chi has no value for class {missing!r}")
             chi = [chi_map[c.word] for c in classes]
         else:
             chi = [1.0 + 0j] * len(classes)

@@ -9,10 +9,18 @@ moment
 
     T = int_0^inf r f(r) dr = -int_{-1}^{1} h'(t)/t dt
 
-plus an exponentially convergent correction, which keeps conditionally
-convergent tails (C^1 windows decay like 1/r^2) out of the quadrature.
-T is taken on the nodes of the pair's rule, so it needs an even node
-count: an odd rule has a node at t = 0, and there it is refused.
+plus a correction in closed form.  T is taken on the nodes of the pair's
+rule, so it needs an even node count: an odd rule has a node at t = 0, and
+there it is refused.  With f(r) = sum_j c_j cos(x_j r) on the folded rule
+and u_j = x_j / (2 Lambda), Gradshteyn-Ryzhik 3.911.2 differentiated in b
+gives the Bose correction
+
+    int_0^inf 2 r f(r) / (e^{2 pi Lambda r} - 1) dr = sum_j c_j (1 - u_j^2 / sinh^2 u_j) / x_j^2,
+
+and the tanh term's Fermi weight is two Bose weights.  The weights fall
+below e^-45 only at r = 45/(2 pi Lambda); where that lies past the node
+count, f is no longer the transform of h there, and the Laplace and Dirac
+results are ``flagged``.
 
 Every action is an identity term plus one geodesic power sum, truncated
 exactly by supp h, with Lambda the cutoff scale:
@@ -43,7 +51,7 @@ note.  Every quadrature takes its nodes from ``_gauss_legendre``, which
 builds the rule once per node count and checks that its nodes are exactly
 symmetric.  Every transform folds onto the positive half of the rule: f
 sums one cosine per node pair +-t (``TestFunctionPair._fold``), the
-correction integral evaluates f once over all its panels' points, and the
+Bose corrections sum one kernel value per positive node, and the
 supertrace table is exponentiated on the positive nodes only, the rows of
 the mirror nodes -t being its reciprocals.
 """
@@ -244,50 +252,51 @@ def _result(identity, geodesic, count, lam, imag_residual=0.0, flagged=False) ->
                         imag_residual, flagged)
 
 
-def _gl_panel_integral(fn, lo: float, hi: float, panels: int, nodes: int) -> float:
-    """Composite Gauss-Legendre over [lo, hi] with geometric panel growth.
-
-    ``fn`` is called once, on the points of every panel; the panel sums
-    are added in panel order.
-    """
-    x, w = _gauss_legendre(nodes)
-    edges = np.geomspace(1.0, 2.0 ** panels, panels + 1) - 1.0
-    edges = lo + (hi - lo) * edges / edges[-1]
-    mid, half = (edges[:-1] + edges[1:]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    vals = fn((mid[:, None] + half[:, None] * x).ravel()).reshape(panels, nodes)
-    total = 0.0
-    for half_k, vals_k in zip(half, vals):
-        total += half_k * float(np.sum(w * vals_k))
-    return total
+# 1 - u^2 / sinh^2 u = sum_k (2k - 1) 4^k B_2k / (2k)! u^2k with B_2k = p/q, k = 1..13,
+# each coefficient rounded once (int / int); below u = 1/2 the 13th term is under 1e-20
+_BOSE_SERIES = np.array([(2 * k - 1) * 4 ** k * p / (q * math.factorial(2 * k))
+                         for k, (p, q) in enumerate((
+                             (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+                             (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+                             (854513, 138), (-236364091, 2730), (8553103, 6)), 1)])
 
 
-def _identity_tanh(pair, lam: float, quad_nodes: int = 64) -> float:
-    """int_0^inf r f(r) tanh(Lambda pi r) dr, via the exact first moment
-    minus the exponentially small (1 - tanh) correction."""
+def _bose_kernel(u: np.ndarray) -> np.ndarray:
+    """1 - u^2 / sinh^2 u: its Taylor series below u = 1/2, where the
+    difference cancels, and 1 - (2u e^-u / expm1(-2u))^2 above, which
+    does not overflow at any finite u."""
+    out = np.empty_like(u)
+    low = u < 0.5
+    u2 = u[low] ** 2
+    out[low] = u2 * np.polynomial.polynomial.polyval(u2, _BOSE_SERIES)
+    v = u[~low]
+    out[~low] = 1.0 - (2.0 * v * np.exp(-v) / np.expm1(-2.0 * v)) ** 2
+    return out
+
+
+def _bose_correction(pair, lam: float) -> float:
+    """int_0^inf 2 r f(r) / (e^{2 pi Lambda r} - 1) dr
+    = sum_j c_j (1 - u_j^2 / sinh^2 u_j) / x_j^2."""
+    xp, cp, _c0 = pair._fold
+    return float((cp / (xp * xp)) @ _bose_kernel(xp / (2.0 * lam)))
+
+
+def _identity_tanh(pair, lam: float) -> float:
+    """int_0^inf r f(r) tanh(Lambda pi r) dr = T - int_0^inf 2 r f(r) /
+    (e^{2 pi Lambda r} + 1) dr, by 1/(e^x + 1) = 1/(e^x - 1) - 2/(e^{2x} - 1)."""
     t_moment = pair.radial_first_moment()
-    cut = 45.0 / (2.0 * lam * math.pi)
-
-    def integrand(r):
-        return -2.0 * r * pair.f(r) / (np.exp(2.0 * lam * math.pi * r) + 1.0)
-
-    corr = _gl_panel_integral(integrand, 0.0, cut, panels=8, nodes=quad_nodes)
-    return t_moment + corr
+    return t_moment + 2.0 * _bose_correction(pair, 2.0 * lam) - _bose_correction(pair, lam)
 
 
-def _identity_coth(pair, lam: float, quad_nodes: int = 64) -> float:
-    """int_R r f(r) coth(Lambda pi r) dr = 2 [T + int_0^inf 2 r f(r) /
-    (e^{2 Lambda pi r} - 1) dr]; the integrand extends continuously to
-    f(0)/(Lambda pi) at r = 0."""
-    t_moment = pair.radial_first_moment()
-    cut = 45.0 / (2.0 * lam * math.pi)
+def _identity_coth(pair, lam: float) -> float:
+    """int_R r f(r) coth(Lambda pi r) dr = 2 [T + the Bose correction]."""
+    return 2.0 * (pair.radial_first_moment() + _bose_correction(pair, lam))
 
-    def integrand(r):
-        r = np.asarray(r, dtype=float)
-        x = 2.0 * lam * math.pi * r
-        return 2.0 * r * pair.f(r) / np.expm1(x)
 
-    corr = _gl_panel_integral(integrand, 0.0, cut, panels=8, nodes=quad_nodes)
-    return 2.0 * (t_moment + corr)
+def _past_exact_range(pair, lam: float) -> bool:
+    """Whether the Bose and Fermi weights are still above e^-45 at r = nodes,
+    past which the pair's quadrature f stops being the transform of h."""
+    return 45.0 / (2.0 * math.pi * lam) > pair.nodes
 
 
 def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> complex:
@@ -413,17 +422,17 @@ def laplace_action_geodesic(
     spectrum: Sequence[GeodesicClass] | SpectrumResult,
     pair: TestFunctionPair,
     lam: float,
-    quad_nodes: int = 64,
 ) -> ActionResult:
     """Laplace spectral action, oriented-geodesic form.
 
     The spectrum must contain every closed geodesic (primitives and
     powers) of length <= 1/Lambda; entries beyond the cutoff contribute
-    exactly zero and are skipped.
+    exactly zero and are skipped.  The result is ``flagged`` where the
+    identity weight reaches past the range in which the pair's f is exact.
     """
     geodesic, count = _power_sum(genus, spectrum, pair, lam, _laplace_phi(lam))
-    identity = lam * lam * (genus - 1) * _identity_tanh(pair, lam, quad_nodes)
-    return _result(identity, geodesic, count, lam)
+    identity = lam * lam * (genus - 1) * _identity_tanh(pair, lam)
+    return _result(identity, geodesic, count, lam, flagged=_past_exact_range(pair, lam))
 
 
 def laplace_action_conjugacy(
@@ -431,17 +440,16 @@ def laplace_action_conjugacy(
     primitive_classes: Sequence[GeodesicClass] | SpectrumResult,
     pair: TestFunctionPair,
     lam: float,
-    quad_nodes: int = 64,
 ) -> ActionResult:
     """Laplace spectral action, primitive-conjugacy-class form.
 
     Powers are generated internally over the finite sets
-    S_Lambda(P) = {l : l L_P <= 1/Lambda}.
+    S_Lambda(P) = {l : l L_P <= 1/Lambda}.  Flagged as the geodesic form is.
     """
     geodesic, count = _power_sum(genus, primitive_classes, pair, lam, _laplace_phi(lam),
                                  power_form="conjugacy form")
-    identity = lam * lam * (genus - 1) * _identity_tanh(pair, lam, quad_nodes)
-    return _result(identity, geodesic, count, lam)
+    identity = lam * lam * (genus - 1) * _identity_tanh(pair, lam)
+    return _result(identity, geodesic, count, lam, flagged=_past_exact_range(pair, lam))
 
 
 def dirac_action(
@@ -450,19 +458,18 @@ def dirac_action(
     chi: Sequence[complex],
     pair: TestFunctionPair,
     lam: float,
-    quad_nodes: int = 64,
 ) -> ActionResult:
     """Dirac spectral action with spin-character weights.
 
     ``chi`` lists chi(P) per primitive class, in order; the geodesic term
     weights each power by chi(P)^l, so chi == 1 reproduces the Laplace
     conjugacy-form geodesic term.  The identity kernel is r f(r)
-    coth(Lambda pi r) over the whole line.
+    coth(Lambda pi r) over the whole line.  Flagged as the Laplace actions are.
     """
     geodesic, count = _power_sum(genus, primitive_classes, pair, lam, _laplace_phi(lam),
                                  chi=chi, power_form="Dirac action")
-    identity = lam * lam * (genus - 1) * _identity_coth(pair, lam, quad_nodes)
-    return _result(identity, geodesic, count, lam)
+    identity = lam * lam * (genus - 1) * _identity_coth(pair, lam)
+    return _result(identity, geodesic, count, lam, flagged=_past_exact_range(pair, lam))
 
 
 def supertrace_g(x: float | np.ndarray, chi: complex | np.ndarray, h_fn):

@@ -53,6 +53,7 @@ from adinkra_spectra.transfer import (
 )
 
 from test_embedding import closed_form_genus
+from test_spectral_kernel_oracle import _unfolded_coth, _unfolded_tanh
 
 GKW = 0.3036630028987327
 
@@ -232,10 +233,11 @@ def test_criterion_8_dirac_laplace_consistency():
     for kind in ("smooth_bump", "cosine_window", "polynomial"):
         p = make_test_pair(kind)
         for lam in (0.5, 1.0, 2.0, 10.0):
-            assert abs(_identity_tanh(p, lam, 64) - _identity_tanh(p, lam, 128)) < 1e-10
-            assert abs(_identity_coth(p, lam, 64) - _identity_coth(p, lam, 128)) < 1e-10
+            assert abs(_identity_tanh(p, lam) - _unfolded_tanh(p, lam, 128)) < 1e-10
+            assert abs(_identity_coth(p, lam) - _unfolded_coth(p, lam, 128)) < 1e-10
     report(8, "Dirac/Laplace consistency",
-           f"chi=1 geodesic agreement worst rel {worst:.2e}; quadratures stable 1e-10")
+           f"chi=1 geodesic agreement worst rel {worst:.2e}; "
+           "closed-form identity terms match panel quadrature to 1e-10")
 
 
 def test_criterion_9_super_reductions():

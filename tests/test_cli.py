@@ -569,3 +569,20 @@ def test_action_chi_takes_integer_entries(capsys, tmp_path):
     code, out, _err = run_capture(capsys, [*args, "--chi", str(path)])
     assert code == 0 and json.loads(out)["contributing_class_count"] >= 1
     assert out == run_capture(capsys, args)[1]  # chi = 1 is the default
+
+
+@pytest.mark.parametrize("flavor", ["dirac", "super"])
+def test_action_chi_missing_a_class_is_refused_by_name(capsys, tmp_path, flavor):
+    # a class with no chi value escaped as a bare KeyError
+    spectrum = tmp_path / "spec.csv"
+    run_capture(capsys, ["--out", str(spectrum), "geodesics", "--p", "5", "--q", "5", "--r", "2",
+                         "--lmax", "3.0"])
+    words = [line.split(",")[3] for line in spectrum.read_text().splitlines()
+             if line[:1].isdigit()]
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({word: [1, 0] for word in words if word != words[1]}))
+    code, out, err = run_capture(capsys, ["action", flavor, "--genus", "2", "--spectrum",
+                                          str(spectrum), "--lam", "0.6", "--chi", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"chi has no value for class {words[1]!r}"}

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,6 +17,8 @@ from adinkra_spectra.spectral import (
     super_action,
     supertrace_g,
 )
+
+from test_spectral_kernel_oracle import _unfolded_coth, _unfolded_tanh
 
 
 def f_coswin_closed(r):
@@ -167,15 +171,78 @@ def test_identity_term_against_direct_quadrature():
 @pytest.mark.parametrize("kind", ["smooth_bump", "cosine_window", "polynomial"])
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 10.0])
 def test_identity_terms_stable_under_node_doubling(kind, lam):
+    # the closed form against the frozen panel quadrature at 64 and 128
+    # nodes per panel
     from adinkra_spectra.spectral import _identity_coth, _identity_tanh
 
     pair = make_test_pair(kind, 200)
-    assert _identity_tanh(pair, lam, 64) == pytest.approx(
-        _identity_tanh(pair, lam, 128), abs=1e-10
-    )
-    assert _identity_coth(pair, lam, 64) == pytest.approx(
-        _identity_coth(pair, lam, 128), abs=1e-10
-    )
+    for quad_nodes in (64, 128):
+        assert _identity_tanh(pair, lam) == pytest.approx(
+            _unfolded_tanh(pair, lam, quad_nodes), abs=1e-13
+        )
+        assert _identity_coth(pair, lam) == pytest.approx(
+            _unfolded_coth(pair, lam, quad_nodes), abs=1e-13
+        )
+
+
+def _kernel_reference(u):
+    """u^2 K_F(u) = u^2 cosh u / sinh^2 u - 1 and u^2 K_B(u) = 1 - u^2 / sinh^2 u
+    in 40-digit arithmetic, with the size of what the double forms subtract
+    above u = 1/2, where they cancel."""
+    with mpmath.workdps(40):
+        m = mpmath.mpf(u)
+        fermi = m ** 2 * mpmath.cosh(m) / mpmath.sinh(m) ** 2 - 1
+        bose = 1 - m ** 2 / mpmath.sinh(m) ** 2
+        return float(fermi), float(bose), (2.0 if u >= 0.5 else 0.0)
+
+
+KERNEL_POINTS = np.concatenate([
+    np.geomspace(1e-6, 800.0, 300),
+    [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.49999, 0.50001,
+     np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e150, 1e300],
+])
+
+
+def test_fermi_and_bose_kernels_match_mpmath():
+    # the tanh term takes its Fermi kernel from two Bose kernels,
+    # by 1/(e^x + 1) = 1/(e^x - 1) - 2/(e^{2x} - 1)
+    from adinkra_spectra.spectral import _bose_kernel
+
+    bose = _bose_kernel(KERNEL_POINTS)
+    fermi = bose - 2.0 * _bose_kernel(KERNEL_POINTS / 2.0)
+    ulp = np.finfo(float).eps
+    for u, got_f, got_b in zip(KERNEL_POINTS, fermi, bose):
+        ref_f, ref_b, cancelled = _kernel_reference(u)
+        assert abs(got_f - ref_f) <= 4 * ulp * max(abs(ref_f), cancelled), (u, got_f, ref_f)
+        assert abs(got_b - ref_b) <= 4 * ulp * max(abs(ref_b), cancelled), (u, got_b, ref_b)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-6, 1e-3, 1e3, 1e6, 1e200])
+def test_identity_terms_are_finite_without_warnings(lam):
+    from adinkra_spectra.spectral import _identity_coth, _identity_tanh
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("smooth_bump", "cosine_window", "polynomial"):
+            pair = make_test_pair(kind)
+            assert math.isfinite(_identity_tanh(pair, lam))
+            assert math.isfinite(_identity_coth(pair, lam))
+
+
+@pytest.mark.parametrize("nodes", [200, 64, 2])
+def test_identity_terms_are_flagged_where_the_transform_stops_being_exact(nodes):
+    # the identity weights reach r = 45/(2 pi Lambda); f is exact only up
+    # to about the node count
+    pair = make_test_pair("polynomial", nodes)
+    edge = 45.0 / (2.0 * math.pi * nodes)
+    cls = synthetic_class(0.5)
+    for lam, flagged in ((edge * 0.99, True), (edge * 1.01, False)):
+        results = (laplace_action_geodesic(2, [cls], pair, lam),
+                   laplace_action_conjugacy(2, [cls], pair, lam),
+                   dirac_action(2, [cls], [-1.0], pair, lam))
+        for res in results:
+            assert res.flagged is flagged and res.to_json()["flagged"] is flagged
+            assert math.isfinite(res.identity_term)
 
 
 def test_single_geodesic_hand_value():
@@ -296,13 +363,12 @@ def test_dirac_missing_character_rejected():
 
 
 def test_dirac_identity_integrand_finite_at_zero():
-    # integrand -> f(0)/(Lambda pi): two-resolution agreement
+    # integrand -> f(0)/(Lambda pi): the closed form against the frozen panel
+    # quadrature, which samples the integrand next to r = 0
     from adinkra_spectra.spectral import _identity_coth
 
     pair = make_test_pair("smooth_bump", 200)
-    v1 = _identity_coth(pair, 2.0, 64)
-    v2 = _identity_coth(pair, 2.0, 160)
-    assert v1 == pytest.approx(v2, abs=1e-10)
+    assert _identity_coth(pair, 2.0) == pytest.approx(_unfolded_coth(pair, 2.0, 160), abs=1e-13)
 
 
 def test_supertrace_g_zero():
