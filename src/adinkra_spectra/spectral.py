@@ -248,8 +248,11 @@ class ActionResult:
 
 
 def _result(identity, geodesic, count, lam, imag_residual=0.0, flagged=False) -> ActionResult:
-    return ActionResult(identity, geodesic, identity + geodesic, count, lam,
-                        imag_residual, flagged)
+    total = identity + geodesic
+    if not (np.isfinite(identity) and np.isfinite(total)):
+        raise ValueError(f"the action overflows at Lambda = {lam}: identity term {identity}, "
+                         f"total {total}")
+    return ActionResult(identity, geodesic, total, count, lam, imag_residual, flagged)
 
 
 # 1 - u^2 / sinh^2 u = sum_k (2k - 1) 4^k B_2k / (2k)! u^2k with B_2k = p/q, k = 1..13,

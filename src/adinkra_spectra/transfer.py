@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import reprlib
 import warnings
@@ -212,11 +213,17 @@ def _arnoldi(matrix: np.ndarray, k: int, sigma: float | None = None, opinv=None)
         import scipy.sparse.linalg as spla
 
         op = None if opinv is None else spla.LinearOperator(matrix.shape, opinv, dtype=matrix.dtype)
-        v0 = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
-        vals = spla.eigs(matrix, k=k, sigma=sigma, OPinv=op, which="LM", v0=v0,
-                         return_eigenvectors=False, maxiter=10000, tol=1e-13)
+        vals = _arpack(matrix, k, sigma=sigma, OPinv=op, return_eigenvectors=False)
     dist = -np.abs(vals) if sigma is None else np.abs(vals - sigma)
     return vals[np.argsort(dist)][:k]
+
+
+def _arpack(matrix: np.ndarray, k: int, **options):
+    """scipy's ``eigs`` ("LM") with the settings :func:`_arnoldi` names."""
+    import scipy.sparse.linalg as spla
+
+    v0 = np.random.default_rng(0).standard_normal(matrix.shape[0]).astype(matrix.dtype)
+    return spla.eigs(matrix, k=k, which="LM", v0=v0, maxiter=10000, tol=1e-13, **options)
 
 
 def build_transfer_matrix(
@@ -270,7 +277,8 @@ def _collocation_rows(sys: BranchSystem, grids: Sequence[np.ndarray], beta: comp
     weighted cardinal block |g_s'(x)|^beta l_j(g_s x) in columns
     s*k..(s+1)*k, where l_j are the cardinal functions of ``grids[s]``.
     At the grid points themselves this is the degree-1 matrix.  A complex
-    beta whose weights come out real gives a real array."""
+    beta whose weights come out real gives a real array.  The columns of
+    grids past the last branch are left unset."""
     k = len(grids[0])
     w = _bary_weights(k)
     rows = np.empty((len(pts), k * len(grids)), dtype=np.result_type(pts.dtype, beta))
@@ -394,88 +402,74 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     return FredholmResult(complex(functools.reduce(operator.mul, dets)), radius, singular, size)
 
 
-def neville_extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Polynomial extrapolation to x = 0 (Richardson in the truncation size)."""
-    n = len(xs)
-    tab = list(map(float, ys))
-    for j in range(1, n):
-        for i in range(n - j):
-            tab[i] = tab[i] + (tab[i] - tab[i + 1]) * xs[i] / (xs[i + j] - xs[i])
-    return tab[0]
+# N branches, k nodes and the tail degree K of Mayer's full Gauss operator (README)
+GAUSS_BRANCHES = 16
+GAUSS_NODES = 20
+TAIL_DEGREE = 6
+# B_2i / (2i)!, i = 1..6: the Euler-Maclaurin corrections of _hurwitz_zeta
+_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000])
 
 
-# Chebyshev-Lobatto points of the sweep's core.  At 32 and at 40 the guard
-# in _truncation_pairs passes for beta in {0.8, 1, 2.3, 4, 1.5+0.7j} with 8
-# to 64 nodes; at 16 it fails on each of them.
-CORE_RANK = 40
+def _hurwitz_zeta(s, q) -> np.ndarray:
+    """zeta(s, q) = sum_{m >= 0} (q + m)^-s for real s > 1, broadcast: ten terms, then Euler-
+    Maclaurin at Q = q + 10 with B_2i / (2i)! s (s + 1) ... (s + 2i - 2) Q^(1 - s - 2i), i <= 6."""
+    s, q = np.asarray(s, float)[..., None], np.asarray(q, float)[..., None]
+    big, rising = q + 10.0, np.cumprod(s + np.arange(11.0), axis=-1)[..., ::2]
+    head = ((q + np.arange(10)) ** -s).sum(axis=-1) + (big ** (1 - s) / (s - 1) + big ** -s / 2)[..., 0]
+    return head + (rising * big ** (-s - np.arange(1.0, 12.0, 2.0))) @ _BERNOULLI
 
 
-def gauss_leading_pair(
-    n_values: Sequence[int] = (12, 16, 20, 24, 28, 32, 36, 40),
-    nodes: int = 32,
-    beta: float = 1.0,
-) -> tuple[float, float]:
-    """(lambda_1, lambda_2) of the full Gauss operator by truncation sweep.
+def _gauss_grids() -> tuple[np.ndarray, ...]:
+    """The full Gauss operator's grids: the N branch intervals', then [0, 1/(N + 1)]'s."""
+    n, k = GAUSS_BRANCHES, GAUSS_NODES
+    return _grids(gauss_branch_system(n), k) + (_cheb_nodes(0.0, 1.0 / (n + 1), k),)
 
-    The truncated n_max-branch operator's eigenvalues converge like a
-    power series in 1/n_max; Neville extrapolation over the sweep recovers
-    the infinite-branch values (1 and the Gauss-Kuzmin-Wirsing constant
-    -0.30366... at beta = 1).  Each truncation's two leading eigenvalues
-    (real parts) come from :func:`_truncation_pairs`, which works on an
-    r x r core with r = ``CORE_RANK`` and never builds an (n * nodes)^2
-    matrix.  It raises ArithmeticError when an eigenpair's eigen-equation
-    fails by more than 1e-13 relative at the points between the core's.
-    ``n_values`` must be distinct positive integers.
+
+def _tail_fit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The powers (t/h)^j, j <= K, at the points t of [0, h], and the least-squares map from
+    samples there to power coefficients, solved in the Chebyshev basis and read at K + 1 t."""
+    s, j = t * (GAUSS_BRANCHES + 1), np.arange(TAIL_DEGREE + 1)
+    vand, cheb = s[:, None] ** j, np.cos(np.arccos(2.0 * s - 1.0)[:, None] * j)
+    at = np.linspace(0, len(t) - 1, TAIL_DEGREE + 1).round().astype(int)
+    return vand, np.linalg.solve(vand[at], cheb[at] @ np.linalg.solve(cheb.T @ cheb, cheb.T))
+
+
+def _gauss_rows(beta: float, x: np.ndarray) -> np.ndarray:
+    """The full Gauss operator's collocation rows at the points x: at the
+    nodes of :func:`_gauss_grids`, its (N + 1) k square matrix."""
+    n, k, grids, powers = GAUSS_BRANCHES, GAUSS_NODES, _gauss_grids(), np.arange(TAIL_DEGREE + 1)
+    rows = _collocation_rows(gauss_branch_system(n), grids, beta, x)  # [0, h] has no branch
+    # sum_{m > n} (x + m)^(-2 beta) (1 / (h (x + m)))^j = h^-j zeta(2 beta + j, x + n + 1)
+    rows[:, -k:] = (_hurwitz_zeta(2.0 * beta + powers, x[:, None] + n + 1)
+                    * float(n + 1) ** powers) @ _tail_fit(grids[-1])[1]
+    return rows
+
+
+def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
+    """(lambda_1, lambda_2) of Mayer's Gauss operator
+    (L f)(x) = sum_{n >= 1} (x + n)^(-2 beta) f(1 / (x + n)), every branch
+    kept: 1 and -0.30366... (Gauss-Kuzmin-Wirsing) at beta = 1, from one
+    ARPACK run on its collocation matrix (README, "Full Gauss operator").
+    ``beta`` must be real, finite and above 1/2, where the sum converges.
+    An ArithmeticError names an eigenpair (lambda, v), max|v| = 1, whose
+    tail fit misses v's samples on [0, h] by more than 1e-10 |lambda| once
+    weighted by the tail's largest row sum zeta(2 beta, N + 1), or whose
+    L v misses lambda times v's interpolant between the nodes by 1e-12 |lambda|.
     """
-    if not n_values:
-        raise ValueError("n_values is empty")
-    bad = [n for n in n_values if n < 1]
-    if bad:
-        raise ValueError(f"n_values must be positive, got {bad}")
-    dup = sorted({n for n in n_values if n_values.count(n) > 1})
-    if dup:
-        raise ValueError(f"n_values repeats {dup}")
-    l1s, l2s = _truncation_pairs(n_values, nodes, beta).real.T.tolist()
-    xs = [1.0 / n for n in n_values]
-    return neville_extrapolate(xs, l1s), neville_extrapolate(xs, l2s)
-
-
-def _truncation_pairs(n_values: Sequence[int], nodes: int, beta: complex) -> np.ndarray:
-    """The two eigenvalues largest in modulus of each n-branch truncated
-    Gauss matrix, n in ``n_values``, as a (len(n_values), 2) array.
-
-    The n-branch grids are the first n intervals of the largest system's,
-    so each truncation is the leading m x m block (m = n * nodes) of its
-    matrix A, whose row at x is analytic in x on the hull H (every pole
-    of a branch weight lies outside it).  Interpolating in x at r
-    Chebyshev-Lobatto points y on H gives A ~ P Q with P the cardinal
-    matrix of y at the grid and Q = A's rows at y; the truncation is then
-    P[:m] Q[:, :m], whose nonzero eigenvalues are those of the r x r core
-    Q[:, :m] P[:m].  A core eigenvector v gives the eigenfunction u =
-    P[:m] v; its image must equal lambda times its interpolant at the
-    r - 1 Chebyshev points z of the first kind, which interleave y, to
-    1e-13 * |lambda| * max|v| for both returned pairs, else ArithmeticError.
-    """
-    sys = gauss_branch_system(max(n_values))
-    grids = _grids(sys, nodes)
-    lo, hi = sys.hull
-    r = CORE_RANK
-    y = _cheb_nodes(lo, hi, r)
-    z = lo + (hi - lo) * (np.cos(np.pi * (np.arange(r - 1) + 0.5) / (r - 1)) + 1.0) / 2.0
-    w = _bary_weights(r)
-    q, q_z = _collocation_rows(sys, grids, beta, y), _collocation_rows(sys, grids, beta, z)
-    p, p_z = _cardinal_matrix(y, w, np.concatenate(grids)), _cardinal_matrix(y, w, z)
-    pairs = np.empty((len(n_values), 2), dtype=complex)
-    for i, n in enumerate(n_values):
-        m = n * nodes
-        vals, vecs = np.linalg.eig(q[:, :m] @ p[:m])
-        lead = np.argsort(-np.abs(vals), kind="stable")[:2]
-        for j, e in enumerate(lead):
-            lam, v = vals[e], vecs[:, e]
-            miss = np.abs(q_z[:, :m] @ (p[:m] @ v) - lam * (p_z @ v)).max()
-            if not miss <= 1e-13 * abs(lam) * np.abs(v).max():
-                raise ArithmeticError(
-                    f"{n}-branch eigenvalue {lam:.6g} misses its eigen-equation by {miss:.3g} "
-                    f"between the {r} core points")
-            pairs[i, j] = lam
-    return pairs
+    if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and beta > 0.5):
+        raise ValueError(f"beta must be real, finite and above 1/2, got {beta!r}")
+    grids, k = _gauss_grids(), GAUSS_NODES
+    vals, vecs = _arpack(_gauss_rows(beta, np.concatenate(grids)), 6)
+    lead = np.argsort(-np.abs(vals), kind="stable")[:2]
+    mid = (np.cos(np.pi * (np.arange(k - 1) + 0.5) / (k - 1)) + 1.0) / 2.0  # first kind, descending
+    a_mid = _gauss_rows(beta, np.concatenate([g[-1] + (g[0] - g[-1]) * mid for g in grids]))
+    card = _cardinal_matrix(_cheb_nodes(0.0, 1.0, k), _bary_weights(k), mid)
+    (vand, fit), weight = _tail_fit(grids[-1]), _hurwitz_zeta(2.0 * beta, GAUSS_BRANCHES + 1)
+    for lam, v in zip(vals[lead].real, vecs[:, lead].T):
+        v = (v / v[np.abs(v).argmax()]).real  # the real eigenvector, max|v| = 1
+        fit_miss = weight * np.abs(vand @ (fit @ v[-k:]) - v[-k:]).max() / abs(lam)
+        eq_miss = np.abs(a_mid @ v - lam * (v.reshape(-1, k) @ card.T).ravel()).max() / abs(lam)
+        if not (fit_miss <= 1e-10 and eq_miss <= 1e-12):
+            raise ArithmeticError(f"eigenvalue {lam:.6g}: the degree-{TAIL_DEGREE} tail fit misses "
+                                  f"by {fit_miss:.3g} (limit 1e-10), L v by {eq_miss:.3g} (1e-12)")
+    return float(vals[lead[0]].real), float(vals[lead[1]].real)

@@ -261,6 +261,8 @@ def test_action_refuses_lambda_beyond_csv_certificate(capsys, tmp_path, flavor):
      "tolerance must be positive and finite, got inf"),
     (["--tolerance", "nan", "geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", "4.0"],
      "tolerance must be positive and finite, got nan"),
+    (["action", "laplace", "--genus", "2", "--lam", "1e200"],
+     "the action overflows at Lambda = 1e+200: identity term inf, total inf"),
 ])
 def test_non_finite_parameters_are_refused(capsys, argv, message):
     code, out, err = run_capture(capsys, argv)

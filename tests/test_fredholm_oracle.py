@@ -9,10 +9,13 @@ the whole coset-extended matrix, det = prod(1 - lambda), radius
 max |lambda| and the flag from every eigenvalue.  Determinants must agree to 1e-12 relative, radii to
 1e-10, flags exactly.
 
-``gauss_leading_pair`` reads each truncation's leading eigenvalues from
-an r x r core; the oracle is the sweep it replaced: ARPACK on each
-leading (n * nodes)^2 block of the largest truncated Gauss matrix.  Both
-leading eigenvalues must agree to 1e-13.
+``gauss_leading_pair`` reads the pair from one collocation matrix of the
+full Gauss operator.  Its Perron eigenvalue must lie within the
+Collatz-Wielandt bounds, its guard must refuse a tail degree or a node
+count too small, and its traced memory must stay small.  Its other
+oracles are the exact constants and the same construction at twice the
+branches and nodes (``test_transfer``), and the Euler product over the
+primitive classes (``test_gauss_euler_product_oracle``).
 
 ``solution_set`` tests the whole box in array passes; the oracle is the
 loop over ``itertools.product`` that evaluated one lattice point at a
@@ -26,8 +29,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from adinkra_spectra import torus_spectrum, transfer
 from adinkra_spectra.perms import cyclic_exponents
@@ -59,20 +64,6 @@ def _oracle_fredholm(matrix, singular_tol=1e-12):
     radius = float(np.abs(vals[0])) if len(vals) else 0.0
     singular = bool(np.any(np.abs(1.0 - vals) < singular_tol))
     return det, radius, singular
-
-
-def _oracle_truncation_pairs(n_values, nodes, beta):
-    import scipy.sparse.linalg as spla
-
-    full = build_transfer_matrix(gauss_branch_system(max(n_values)), beta, nodes).matrix
-    pairs = []
-    for n in n_values:
-        block = np.ascontiguousarray(full[:n * nodes, :n * nodes])
-        v0 = np.random.default_rng(0).standard_normal(len(block)).astype(block.dtype)
-        vals = spla.eigs(block, k=6, which="LM", v0=v0, return_eigenvectors=False,
-                         maxiter=10000, tol=1e-13)
-        pairs.append(vals[np.argsort(-np.abs(vals))][:2])
-    return np.array(pairs)
 
 
 def _oracle_solution_set(pd, box_bound, tol=1e-9):
@@ -250,8 +241,6 @@ def test_radius_below_one_skips_shift_invert(monkeypatch):
 
 
 def test_arpack_failure_is_raised(monkeypatch):
-    import scipy.sparse.linalg as spla
-
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
@@ -345,23 +334,30 @@ def test_singular_affine_beta_zero_cyclic_degree_three():
         assert res.eigenvalues_used == 3 * nodes
 
 
-# -- Gauss truncation sweep -------------------------------------------------
-
-SWEEP = (12, 16, 20, 24, 28, 32, 36, 40)
+# -- full Gauss operator ---------------------------------------------------
 
 
-@pytest.mark.parametrize("nodes", [24, 32])
-@pytest.mark.parametrize("beta", [1.0, 2.3, 1.5 + 0.7j])
-def test_truncation_pairs_match_arpack_on_the_blocks(beta, nodes):
-    got = transfer._truncation_pairs(SWEEP, nodes, beta)
-    expected = _oracle_truncation_pairs(SWEEP, nodes, beta)
-    assert got.shape == (len(SWEEP), 2)
-    assert np.abs(got - expected).max() <= 1e-13
+def test_gauss_leading_pair_is_inside_the_collatz_wielandt_bounds():
+    # the operator's values on the constant 1, zeta(2 beta, x + 1) for x in
+    # [0, 1], bound its Perron eigenvalue: [zeta(1.2) - 1, zeta(1.2)] here;
+    # the truncation sweep gave 3.741
+    l1, _l2 = transfer.gauss_leading_pair(0.6)
+    assert zeta(1.2) - 1.0 <= l1 <= zeta(1.2)
+    assert abs(l1 - 5.327058091154663) <= 1e-12
 
 
-def test_truncation_guard_raises_on_a_core_too_small(monkeypatch):
-    monkeypatch.setattr(transfer, "CORE_RANK", 16)
-    with pytest.raises(ArithmeticError, match="misses its eigen-equation"):
+def test_tail_guard_raises_on_a_degree_too_small(monkeypatch):
+    # degree 2 misses lambda_1 by 6e-10 and lambda_2 by 1e-7
+    monkeypatch.setattr(transfer, "TAIL_DEGREE", 2)
+    with pytest.raises(ArithmeticError, match="the degree-2 tail fit misses by"):
+        transfer.gauss_leading_pair()
+
+
+def test_eigen_equation_guard_raises_on_too_few_nodes(monkeypatch):
+    # at 8 nodes the tail fit still holds to 2e-14, but L v misses lambda
+    # times v's interpolant between the nodes by 2e-9
+    monkeypatch.setattr(transfer, "GAUSS_NODES", 8)
+    with pytest.raises(ArithmeticError, match="L v by"):
         transfer.gauss_leading_pair()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -346,6 +347,22 @@ def test_non_finite_or_non_positive_lambda_rejected(lam):
     ):
         with pytest.raises(ValueError, match="Lambda must be positive and finite"):
             action()
+
+
+def test_overflowing_actions_are_refused():
+    # the Laplace and Dirac identity terms reach inf at Lambda = 1e200 and the
+    # super one at 1e307; each came back as a total of inf, not flagged
+    pair = make_test_pair("smooth_bump")
+    cls = synthetic_class(0.8)
+    for lam, action in (
+        (1e200, lambda lam: laplace_action_conjugacy(2, [cls], pair, lam)),
+        (1e200, lambda lam: laplace_action_geodesic(2, [cls], pair, lam)),
+        (1e200, lambda lam: dirac_action(2, [cls], [1.0], pair, lam)),
+        (1e307, lambda lam: super_action(2, [cls], [1.0], pair, lam)),
+    ):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=re.escape(f"the action overflows at Lambda = {lam}: ")):
+            action(lam)
 
 
 @pytest.mark.parametrize("mult", [0, -3])
