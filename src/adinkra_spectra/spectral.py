@@ -45,15 +45,18 @@ and in their identity term:
 
 The supertrace identity integrand f(ir + 1/2) grows exponentially for
 compact-support pairs, so that integral is evaluated over a documented
-symmetric window (``identity_window``).  All its panel points share one
-real exponential table, which also gives the mirror points; see the README
-note.  Every quadrature takes its nodes from ``_gauss_legendre``, which
-builds the rule once per node count and checks that its nodes are exactly
-symmetric.  Every transform folds onto the positive half of the rule: f
-sums one cosine per node pair +-t (``TestFunctionPair._fold``), the
-Bose corrections sum one kernel value per positive node, and the
-supertrace table is exponentiated on the positive nodes only, the rows of
-the mirror nodes -t being its reciprocals.
+symmetric window (``identity_window``).  Its 16 panels are equal, so the
+exponential at a panel point is the product of one at the panel's
+midpoint and one at the rule node's offset: an n x 16 and an n x q real
+table give f at every panel point and, with the coefficients reversed, at
+the mirror points; see the README note.  Every quadrature takes its nodes
+from ``_gauss_legendre``, which builds the rule once per node count and
+checks that its nodes are exactly symmetric.  Every transform folds onto
+the positive half of the rule: f sums one cosine per node pair +-t
+(``TestFunctionPair._fold``), the Bose corrections sum one kernel value
+per positive node, and the two supertrace tables are exponentiated on the
+positive nodes only, the rows of the mirror nodes -t being their
+reciprocals.
 """
 
 from __future__ import annotations
@@ -305,32 +308,43 @@ def _past_exact_range(pair, lam: float) -> bool:
 def _identity_super(pair, lam: float, window: float, quad_nodes: int = 64) -> complex:
     """int f(ir + 1/2) tanh(Lambda pi r) dr over [-window, window].
 
-    16 Gauss-Legendre panels cover [0, window], each paired with its
-    mirror image.  Over the pair's nodes t, f(ir + 1/2) = (w h e^{it/2}) @
-    e^{-t r}, so one real table e^{-t r} over every panel point r serves
-    all 16 panels, and with the coefficients reversed it gives f at -r
-    (``leggauss`` nodes are exactly symmetric, t[::-1] == -t).  The table
-    is exponentiated on the positive nodes only: the row of a mirror node
-    -t is the reciprocal of the row of t, and the t = 0 row of an odd rule
-    is 1.  Each point and its mirror are summed as complex values.  The
-    coefficients of t and -t stay separate, so when the sampled h is
-    exactly even the two coefficient rows are conjugate and the real part
-    cancels exactly; what is left measures the asymmetry of the samples.
+    16 Gauss-Legendre panels of half-width h = window/32 cover [0, window],
+    each paired with its mirror image.  Over the pair's nodes t,
+    f(ir + 1/2) = (w h e^{it/2}) @ e^{-t r}, and the point of panel p at
+    node x_j is r = c_p + h x_j with c_p = (2p + 1) h, so e^{-t r} =
+    e^{-t c_p} e^{-t h x_j}: the coefficients times the n x 16 midpoint
+    table, times the n x q offset table, give f at all 16 q points in one
+    product per part.  With the coefficients reversed the same tables give
+    f at -r (``leggauss`` nodes are exactly symmetric, t[::-1] == -t).  Both
+    tables are exponentiated on the positive nodes only: the row of a
+    mirror node -t is the reciprocal of the row of t, and the t = 0 row of
+    an odd rule is 1.  Each point and its mirror are summed as complex
+    values.  The coefficients of t and -t stay separate, so when the
+    sampled h is exactly even the two real coefficient rows are equal and
+    the real part cancels exactly; what is left measures the asymmetry of
+    the samples.
     """
     x, w = _gauss_legendre(quad_nodes)
     t, wt, ht = pair._quad
-    edges = np.linspace(0.0, window, 17)[:, None]
-    half = (edges[1:] - edges[:-1]) / 2.0
-    pts = (edges[:-1] + edges[1:]) / 2.0 + half * x  # one row per panel
     n, m = len(t), len(t) // 2
-    table = np.empty((n, pts.size))
-    np.exp(-np.outer(t[n - m:], pts), out=table[n - m:])
-    np.divide(1.0, table[n - m:][::-1], out=table[:m])
-    table[m:n - m] = 1.0
+
+    def exp_table(r: np.ndarray) -> np.ndarray:
+        """e^{-t r}, one row per node t and one column per r."""
+        table = np.empty((n, len(r)))
+        np.exp(-np.outer(t[n - m:], r), out=table[n - m:])
+        np.divide(1.0, table[n - m:][::-1], out=table[:m])
+        table[m:n - m] = 1.0
+        return table
+
+    half = window / 32.0
+    mid = (2.0 * np.arange(16.0) + 1.0) * half
     coef = wt * ht * np.exp(0.5j * t)
     coef = np.stack([coef, coef[::-1]])  # rows: f at r, f at -r
-    f_pos, f_neg = (coef.real @ table + 1j * (coef.imag @ table)).reshape(2, *pts.shape)
-    tanh = np.tanh(lam * math.pi * pts)
+    parts = np.stack([coef.real, coef.imag])[:, :, None, :] * exp_table(mid).T
+    f_re, f_im = parts @ exp_table(half * x)  # (2 rows, 16 panels, q) each
+    f_pos, f_neg = f_re + 1j * f_im
+    with np.errstate(over="ignore"):  # tanh(inf) = 1 is the limit
+        tanh = np.tanh(lam * math.pi * (mid[:, None] + half * x))
     return complex(np.sum(half * w * (f_pos * tanh - f_neg * tanh)))
 
 

@@ -16,14 +16,17 @@ enumerate each lattice index once.
 The box is searched once per record, box bound and tolerance: the kept
 rows are memoized on the ``PeriodData`` (whose ``omega`` is a read-only
 copy), so ``origami_action`` and ``solution_set`` on the same record
-share one search.  The parallelism test runs on arrays, but each kept
-row's ratio w (``np.vdot``) and lambda (Python scalar arithmetic) are
-evaluated one row at a time: array forms of either change the last bit.
+share one search.  The parallelism test runs on arrays.  Each kept row's
+product with the base vector is one ``np.vdot``, mapped over the rows into
+an array, which is then divided by |base|^2 in one array operation, and
+lambda is Python scalar arithmetic per row: array forms of the product or
+of lambda change the last bit.
 Entries are ``SpectrumEntry`` named tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -152,10 +155,10 @@ def _search(pd: PeriodData, box_bound: int, tol: float) -> tuple[np.ndarray, ...
     (lambda, n', m') order.
 
     The parallelism test runs on arrays, a chunk of lattice points at a
-    time.  The kept rows' w (numpy's vdot) and lambda (Python scalar
-    arithmetic) repeat the one-point-at-a-time evaluation operation for
-    operation, so the values do not depend on the chunking and match it
-    bit for bit.
+    time.  The kept rows' w (numpy's vdot per row, then one array
+    division) and lambda (Python scalar arithmetic) repeat the
+    one-point-at-a-time evaluation operation for operation, so the values
+    do not depend on the chunking and match it bit for bit.
     """
     _c0, a0 = primitive_coefficients(pd)
     base = _u_vector(pd, pd.n, pd.m)
@@ -177,10 +180,12 @@ def _search(pd: PeriodData, box_bound: int, tol: float) -> tuple[np.ndarray, ...
         kept_idx.append(idx[keep])
         kept_u.append(u[keep])
     idx = np.concatenate(kept_idx)
-    ratios = [complex(np.vdot(base, u) / norm0 ** 2) for u in np.concatenate(kept_u)]
-    lams = [2.0 * a0 * abs(w) ** 2 for w in ratios]
+    dots = np.fromiter(map(functools.partial(np.vdot, base), np.concatenate(kept_u)),
+                       dtype=complex, count=len(idx))
+    ratios = dots / norm0 ** 2
+    lams = [2.0 * a0 * abs(w) ** 2 for w in ratios.tolist()]
     order = np.lexsort((*idx.T[::-1], lams))
-    found = idx[order], np.array(ratios, dtype=complex)[order], np.array(lams, dtype=float)[order]
+    found = idx[order], ratios[order], np.array(lams, dtype=float)[order]
     for arr in found:
         arr.flags.writeable = False
     return found

@@ -419,10 +419,12 @@ def _hurwitz_zeta(s, q) -> np.ndarray:
     return head + (rising * big ** (-s - np.arange(1.0, 12.0, 2.0))) @ _BERNOULLI
 
 
-def _gauss_grids() -> tuple[np.ndarray, ...]:
-    """The full Gauss operator's grids: the N branch intervals', then [0, 1/(N + 1)]'s."""
+def _gauss_grids(system: BranchSystem | None = None) -> tuple[np.ndarray, ...]:
+    """The full Gauss operator's grids: the N branch intervals' of ``system`` (the
+    N-branch Gauss system, built when not given), then [0, 1/(N + 1)]'s."""
     n, k = GAUSS_BRANCHES, GAUSS_NODES
-    return _grids(gauss_branch_system(n), k) + (_cheb_nodes(0.0, 1.0 / (n + 1), k),)
+    system = gauss_branch_system(n) if system is None else system
+    return _grids(system, k) + (_cheb_nodes(0.0, 1.0 / (n + 1), k),)
 
 
 def _tail_fit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,11 +436,15 @@ def _tail_fit(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vand, np.linalg.solve(vand[at], cheb[at] @ np.linalg.solve(cheb.T @ cheb, cheb.T))
 
 
-def _gauss_rows(beta: float, x: np.ndarray) -> np.ndarray:
+def _gauss_rows(beta: float, x: np.ndarray, system: BranchSystem | None = None,
+                grids: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """The full Gauss operator's collocation rows at the points x: at the
-    nodes of :func:`_gauss_grids`, its (N + 1) k square matrix."""
-    n, k, grids, powers = GAUSS_BRANCHES, GAUSS_NODES, _gauss_grids(), np.arange(TAIL_DEGREE + 1)
-    rows = _collocation_rows(gauss_branch_system(n), grids, beta, x)  # [0, h] has no branch
+    nodes of :func:`_gauss_grids`, its (N + 1) k square matrix.  The
+    N-branch system and its grids are built when not given."""
+    n, k, powers = GAUSS_BRANCHES, GAUSS_NODES, np.arange(TAIL_DEGREE + 1)
+    system = gauss_branch_system(n) if system is None else system
+    grids = _gauss_grids(system) if grids is None else grids
+    rows = _collocation_rows(system, grids, beta, x)  # [0, h] has no branch
     # sum_{m > n} (x + m)^(-2 beta) (1 / (h (x + m)))^j = h^-j zeta(2 beta + j, x + n + 1)
     rows[:, -k:] = (_hurwitz_zeta(2.0 * beta + powers, x[:, None] + n + 1)
                     * float(n + 1) ** powers) @ _tail_fit(grids[-1])[1]
@@ -458,11 +464,13 @@ def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
     """
     if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and beta > 0.5):
         raise ValueError(f"beta must be real, finite and above 1/2, got {beta!r}")
-    grids, k = _gauss_grids(), GAUSS_NODES
-    vals, vecs = _arpack(_gauss_rows(beta, np.concatenate(grids)), 6)
+    system, k = gauss_branch_system(GAUSS_BRANCHES), GAUSS_NODES
+    grids = _gauss_grids(system)
+    vals, vecs = _arpack(_gauss_rows(beta, np.concatenate(grids), system, grids), 6)
     lead = np.argsort(-np.abs(vals), kind="stable")[:2]
     mid = (np.cos(np.pi * (np.arange(k - 1) + 0.5) / (k - 1)) + 1.0) / 2.0  # first kind, descending
-    a_mid = _gauss_rows(beta, np.concatenate([g[-1] + (g[0] - g[-1]) * mid for g in grids]))
+    a_mid = _gauss_rows(beta, np.concatenate([g[-1] + (g[0] - g[-1]) * mid for g in grids]),
+                        system, grids)
     card = _cardinal_matrix(_cheb_nodes(0.0, 1.0, k), _bary_weights(k), mid)
     (vand, fit), weight = _tail_fit(grids[-1]), _hurwitz_zeta(2.0 * beta, GAUSS_BRANCHES + 1)
     for lam, v in zip(vals[lead].real, vecs[:, lead].T):

@@ -270,6 +270,18 @@ def test_non_finite_parameters_are_refused(capsys, argv, message):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_super_action_warns_nothing(capsys):
+    # tanh(Lambda pi r) overflows its argument to inf, whose tanh is the limit 1;
+    # stderr is the JSON error alone
+    code, out, err = run_capture(capsys, ["action", "super", "--genus", "2", "--lam", "1e307"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "the action overflows at Lambda = 1e+307: identity term inf, total inf",
+    }
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
 def test_pipeline_config_refuses_bad_tolerance(tol):
     with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):

@@ -361,6 +361,19 @@ def test_eigen_equation_guard_raises_on_too_few_nodes(monkeypatch):
         transfer.gauss_leading_pair()
 
 
+def test_gauss_leading_pair_builds_one_branch_system(monkeypatch):
+    # the operator's rows at the nodes and between them share one system and its grids
+    built = []
+
+    def counting(n_max):
+        built.append(n_max)
+        return gauss_branch_system(n_max)
+
+    monkeypatch.setattr(transfer, "gauss_branch_system", counting)
+    transfer.gauss_leading_pair()
+    assert built == [transfer.GAUSS_BRANCHES]
+
+
 def test_sweep_builds_no_dense_matrix():
     # the 40-branch, 32-node matrix alone takes 12.5 MiB
     tracemalloc.start()

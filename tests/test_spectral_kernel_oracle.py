@@ -14,13 +14,15 @@ its length-based super loop see the same primitive length.
 
 A second frozen oracle keeps the unfolded quadrature: f(r) over all nodes
 of the rule, the panel integral with one f call per panel, and the
-supertrace identity table exponentiated at every node.  The library folds
-each onto the positive nodes; f must agree to 1e-14 of sum |w h|, and every
-identity term to 1e-14 relative.
+supertrace identity table exponentiated at every node and panel point.
+The library folds each onto the positive nodes, and factors the
+supertrace table into panel midpoints and node offsets; f must agree to
+1e-14 of sum |w h|, and every identity term to 1e-14 relative.
 """
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -310,3 +312,33 @@ def test_folded_super_identity_matches_unfolded(kind, nodes, lam, window, quad_n
     res = super_action(GENUS, [], [], pair, lam, identity_window=window, quad_nodes=quad_nodes)
     assert res.imag_residual == 0.0 and not res.flagged
     assert_close(res.identity_term, (1j * lam * (GENUS - 1) * ref).real)
+
+
+def test_super_identity_exponentiates_two_small_tables(monkeypatch):
+    # (n/2)(16 + q) real exponentials: 100 x 16 midpoints and 100 x 64 offsets,
+    # where one table over every panel point took 100 x 1024
+    pair, counted = PAIRS["smooth_bump"], []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if not np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    _identity_super(pair, 0.7, 12.0, 64)
+    assert sum(counted) == 100 * (16 + 64)
+
+
+def test_super_identity_peak_memory():
+    # the 200 x 1024 table of one exponential per node and panel point
+    # peaked at 2.5 MiB
+    pair = PAIRS["smooth_bump"]
+    _identity_super(pair, 0.7, 12.0, 64)  # the rule is built once, outside the trace
+    tracemalloc.start()
+    try:
+        _identity_super(pair, 0.7, 12.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
