@@ -138,13 +138,13 @@ def _bary_weights(k: int) -> np.ndarray:
 
 
 def _cardinal_matrix(nodes: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Rows: evaluation points; columns: Lagrange cardinal functions."""
-    diff = pts[:, None] - nodes[None, :]
-    exact = np.abs(diff) < 1e-14
+    """Rows: evaluation points; columns: Lagrange cardinal functions.  The
+    barycentric quotients are formed in place, in the one output array."""
+    card = pts[:, None] - nodes[None, :]
+    exact = (card < 1e-14) & (card > -1e-14)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tmp = weights[None, :] / diff
-        den = tmp.sum(axis=1)
-        card = tmp / den[:, None]
+        np.divide(weights[None, :], card, out=card)
+        card /= card.sum(axis=1)[:, None]
     hit = exact.any(axis=1)
     card[hit] = 0.0
     card[exact] = 1.0
@@ -159,9 +159,12 @@ class TransferMatrix:
     this is exactly the base discretization.  ``base`` is the degree-1
     matrix (branch s's weighted cardinal block in columns s*k..(s+1)*k)
     and ``branch_perms`` each branch's coset permutation array, in branch
-    order; ``fredholm_det`` factors cyclic coset actions from these two,
-    and ``matrix`` is assembled from them only when read.  The record is
-    ``eq=False``: compare ``base`` and ``branch_perms``.
+    order; ``matrix`` is assembled from these two only when read.
+    ``fredholm_det`` never reads it: it takes the determinant through the
+    r x r core of :func:`_core_factors`, built from ``system``, ``grids``
+    and ``beta``, and falls back to ``base`` itself when the core does not
+    reproduce it.  The record is ``eq=False``: compare ``base`` and
+    ``branch_perms``.
     """
 
     beta: complex
@@ -182,18 +185,29 @@ class TransferMatrix:
         holds branch s's columns of ``base``."""
         if self.coset_degree == 1:
             return self.base
-        n_base, k = len(self.base), self.nodes_per_interval
-        big = np.zeros((self.size, self.size), dtype=self.base.dtype)
-        for a in range(self.coset_degree):
-            for s, p in enumerate(self.branch_perms):
-                col = p[a] * n_base + s * k
-                big[a * n_base:(a + 1) * n_base, col:col + k] = self.base[:, s * k:(s + 1) * k]
-        return big
+        return _assemble(self.base, None, self.nodes_per_interval, self.branch_perms)
 
     def sample(self, fn) -> np.ndarray:
         """Sample a function on the grid (tiled over cosets)."""
         base = np.concatenate([fn(g) for g in self.grids])
         return np.tile(base, self.coset_degree)
+
+
+def _assemble(q: np.ndarray, p: np.ndarray | None, k: int, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """The coset-extended operator with rows ``q`` and columns mapped by
+    ``p``: block (a, g_s a) gets branch s's piece q[:, s*k:(s+1)*k] @ p[s*k:(s+1)*k],
+    so pieces of branches with the same g_s a add up.  With ``p`` None (the
+    identity) each piece is branch s's k columns, put at column s*k of its block."""
+    m, d = len(q), len(perms[0])
+    width = q.shape[1] if p is None else p.shape[1]
+    big = np.zeros((d * m, d * width), dtype=q.dtype if p is None else np.result_type(q, p))
+    for s, g in enumerate(perms):
+        cols = slice(s * k, (s + 1) * k)
+        piece, off = (q[:, cols], s * k) if p is None else (q[:, cols] @ p[cols], 0)
+        for a in range(d):
+            col = g[a] * width + off
+            big[a * m:(a + 1) * m, col:col + piece.shape[1]] += piece
+    return big
 
 
 def _arnoldi(matrix: np.ndarray, k: int, sigma: float | None = None, opinv=None) -> np.ndarray:
@@ -290,14 +304,61 @@ def _collocation_rows(sys: BranchSystem, grids: Sequence[np.ndarray], beta: comp
     return rows
 
 
+# rows of base - P Q formed at a time by the core's guard
+_GUARD_ROWS = 32
+
+
+def _core_rank(k: int) -> int:
+    """The core's order r for k nodes per interval."""
+    return 2 * k + 16
+
+
+def _core_factors(tm: TransferMatrix) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """(Q, P, residual) with ``tm.base`` = P Q to rounding: Q is the
+    operator's collocation rows at r = 2k + 16 Chebyshev-Lobatto points y
+    on the system's hull, P the cardinal matrix of y at the grid nodes
+    (each row of the base is analytic in its node x on the hull, so it is
+    interpolated from its values at y).  ``residual`` is max|base - P Q|
+    over every node, relative to max|base|, formed _GUARD_ROWS rows at a
+    time.  The guard keeps the core when the residual is at most n eps
+    (n = len(base)), the entrywise backward error bound gamma_n of the
+    dense LU's own factors of 1 - L; otherwise, or when r >= n, it returns
+    (base, None, residual) with None standing for the identity P, so the
+    determinant is the dense one.  A NaN anywhere fails the guard."""
+    base, k = tm.base, tm.nodes_per_interval
+    n, r = len(base), _core_rank(k)
+    if r >= n:
+        return base, None, 0.0
+    y = _cheb_nodes(*tm.system.hull, r)
+    p = _cardinal_matrix(y, _bary_weights(r), np.concatenate(tm.grids))
+    q = _collocation_rows(tm.system, tm.grids, tm.beta, y)
+    miss = scale = 0.0
+    for i in range(0, n, _GUARD_ROWS):
+        rows = base[i:i + _GUARD_ROWS]
+        chunk = p[i:i + _GUARD_ROWS] @ q
+        chunk -= rows
+        miss = np.maximum(miss, np.abs(chunk).max())  # np.maximum keeps a NaN
+        scale = np.maximum(scale, np.abs(rows).max())
+    residual = float(miss / scale if scale else miss)
+    if residual <= n * np.finfo(float).eps:
+        return q, p, residual
+    return base, None, residual
+
+
 @dataclass(frozen=True)
 class FredholmResult:
-    """det(1 - L) with spectral diagnostics."""
+    """det(1 - L) with spectral diagnostics.  ``core_size`` is the order of
+    the largest block factored (the r x r core, d r for a non-cyclic coset
+    action; the base or dense order when the identity core is used) and
+    ``core_residual`` the core guard's relative max|base - P Q| (0.0 when no
+    guard ran: a bare array, or r >= n)."""
 
     value: complex
     spectral_radius: float
     singular: bool
     eigenvalues_used: int
+    core_size: int
+    core_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -306,6 +367,8 @@ class FredholmResult:
             "spectral_radius": self.spectral_radius,
             "singular": self.singular,
             "eigenvalues_used": self.eigenvalues_used,
+            "core_size": self.core_size,
+            "core_residual": self.core_residual,
         }
 
 
@@ -318,46 +381,55 @@ def _character(m: int, d: int) -> complex:
     return complex(math.cos(2 * math.pi * m / d), math.sin(2 * math.pi * m / d))
 
 
-def _det_blocks(tm: TransferMatrix | np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-    """The operators whose determinants multiply to det(1 - L), one at a
-    time, each with the power its determinant enters with.
+def _det_blocks(tm: TransferMatrix, q: np.ndarray, p: np.ndarray | None
+                ) -> Iterator[tuple[np.ndarray, int]]:
+    """The cores whose determinants multiply to det(1 - L), one at a time,
+    each with the power its determinant enters with, from the factors
+    base = P Q of :func:`_core_factors` (p None: the identity, q = base).
 
-    A cyclic coset action with g_s = t^e_s splits L into the twisted
-    operators L_j = sum_s omega^(j e_s) B_s, j = 0..d-1, where B_s is the
-    base matrix restricted to branch s's columns.  For a real base L_j and
-    L_(d-j) are conjugate, so only j <= d/2 is yielded, the complex ones
-    with power 2 (entering as |det|^2).  Anything else is one dense block.
+    Since det(1 - P X) = det(1 - X P), a block P X of the base's order is
+    replaced by its core X P.  A cyclic coset action with g_s = t^e_s
+    splits L into the twisted operators L_j = sum_s omega^(j e_s) B_s,
+    j = 0..d-1, where B_s is the base restricted to branch s's columns:
+    core (Q chi_j) P.  For a real base L_j and L_(d-j) are conjugate, so
+    only j <= d/2 is yielded, the complex ones with power 2 (entering as
+    |det|^2).  Degree 1 is the core Q P, and any other action one core of
+    order d r assembled by :func:`_assemble`, as ``matrix`` is.
     """
-    if not isinstance(tm, TransferMatrix):
-        yield np.asarray(tm), 1
-        return
     d, k = tm.coset_degree, tm.nodes_per_interval
     exps = cyclic_exponents(tm.branch_perms, d) if d > 1 else None
-    if exps is None:
-        yield tm.matrix, 1
+    if d > 1 and exps is None:
+        yield _assemble(q, p, k, tm.branch_perms), 1
         return
     real = not np.iscomplexobj(tm.base)
     for j in range(d // 2 + 1 if real else d):
-        if j == 0:
-            yield tm.base, 1
-            continue
-        chars = np.array([_character(j * e, d) for e in exps])
-        if not chars.imag.any():
-            chars = chars.real
-        yield tm.base * np.repeat(chars, k)[None, :], 2 if real and 2 * j < d else 1
+        twisted = q
+        if j:
+            chars = np.array([_character(j * e, d) for e in exps])
+            if not chars.imag.any():
+                chars = chars.real
+            twisted = q * np.repeat(chars, k)[None, :]
+        yield twisted if p is None else twisted @ p, 2 if j and real and 2 * j < d else 1
 
 
 def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -> FredholmResult:
     """det(1 - L) of the discretized operator, from LU factorisations.
 
-    A ``TransferMatrix`` whose coset permutations are powers g_s = t^e_s of
-    one d-cycle t among them is factored by the characters of Z/d
-    (Venkov-Zograf): det(1 - L) = prod_j det(1 - L_j) with the twisted
-    operators L_j = sum_s omega^(j e_s) B_s of base size.  For a real
-    base, L_j and L_(d-j) are conjugate, so j <= d/2 is factored and the
-    complex blocks enter as |det_j|^2: a real operator's det has an
-    imaginary part of exactly 0.0.  Any other action, degree 1 and a bare
-    array are one dense block.
+    A ``TransferMatrix`` goes through an r x r core, r = 2k + 16 for k
+    nodes per interval (:func:`_core_factors`): its base is P Q to
+    rounding, with Q the operator's rows at r Chebyshev-Lobatto points on
+    the hull and P their cardinal matrix at the nodes, and
+    det(1 - P Q) = det(1 - Q P).  A guard checks max|base - P Q| at every
+    node against n eps max|base|; when it fails, or r >= n, the core is the
+    base itself (P the identity), which is the dense determinant bit for bit.
+    Coset permutations that are powers g_s = t^e_s of one d-cycle t among
+    them are factored by the characters of Z/d (Venkov-Zograf):
+    det(1 - L) = prod_j det(1 - L_j) with the twisted operators
+    L_j = sum_s omega^(j e_s) B_s, each through its core (Q chi_j) P.  For a
+    real base, L_j and L_(d-j) are conjugate, so j <= d/2 is factored and
+    the complex blocks enter as |det_j|^2: a real operator's det has an
+    imaginary part of exactly 0.0.  Any other action is one core of order
+    d r, and a bare array one dense block.
 
     Each block's 1 - L_j is factored in place in a Fortran-ordered copy;
     its determinant is the product of U's diagonal times the sign of the
@@ -372,13 +444,20 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     the eigenvalue nearest 1, from shift-invert Arnoldi on the same LU
     factors; ``singular`` is any block's flag.
     ``eigenvalues_used`` is the full matrix size, the number of factors
-    1 - lambda in the determinant.
+    1 - lambda in the determinant; ``core_size`` and ``core_residual`` say
+    which core was factored and how closely it reproduced the base.
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-    dets, radius, singular = [], 0.0, False
-    for block, power in _det_blocks(tm):
+    if isinstance(tm, TransferMatrix):
+        q, p, residual = _core_factors(tm)
+        blocks = _det_blocks(tm, q, p)
+    else:
+        blocks, residual = [(np.asarray(tm), 1)], 0.0
+    dets, radius, singular, core_size = [], 0.0, False, 0
+    for block, power in blocks:
         n = block.shape[0]
+        core_size = max(core_size, n)
         work = np.negative(block, out=np.empty(block.shape, np.result_type(block, np.float64), order="F"))
         work[np.diag_indices(n)] += 1.0
         with warnings.catch_warnings():
@@ -399,7 +478,8 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
                                 opinv=lambda x: -lu_solve((lu, piv), x, check_finite=False))
                 singular = bool(abs(1.0 - near[0]) < singular_tol)
     size = tm.size if isinstance(tm, TransferMatrix) else n
-    return FredholmResult(complex(functools.reduce(operator.mul, dets)), radius, singular, size)
+    return FredholmResult(complex(functools.reduce(operator.mul, dets)), radius, singular, size,
+                          core_size, residual)
 
 
 # N branches, k nodes and the tail degree K of Mayer's full Gauss operator (README)
@@ -459,8 +539,12 @@ def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
     ``beta`` must be real, finite and above 1/2, where the sum converges.
     An ArithmeticError names an eigenpair (lambda, v), max|v| = 1, whose
     tail fit misses v's samples on [0, h] by more than 1e-10 |lambda| once
-    weighted by the tail's largest row sum zeta(2 beta, N + 1), or whose
-    L v misses lambda times v's interpolant between the nodes by 1e-12 |lambda|.
+    weighted by the tail's largest row sum zeta(2 beta, N + 1), whose
+    L v misses lambda times v's interpolant between the nodes by 1e-12 |lambda|,
+    or whose rounding floor eps max|L| / |lambda| (the relative accuracy
+    that entries of size max|L| leave lambda) is above 1e-11.  That floor is
+    6 to 160 times lambda_2's measured error for beta in [4, 25], and it
+    refuses beta from about 10.1 on, where lambda_2 is 2.2e-5 and 6e-13 off.
     """
     if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and beta > 0.5):
         raise ValueError(f"beta must be real, finite and above 1/2, got {beta!r}")
@@ -473,11 +557,14 @@ def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
                         system, grids)
     card = _cardinal_matrix(_cheb_nodes(0.0, 1.0, k), _bary_weights(k), mid)
     (vand, fit), weight = _tail_fit(grids[-1]), _hurwitz_zeta(2.0 * beta, GAUSS_BRANCHES + 1)
+    top = np.finfo(float).eps * np.abs(a_mid).max()
     for lam, v in zip(vals[lead].real, vecs[:, lead].T):
         v = (v / v[np.abs(v).argmax()]).real  # the real eigenvector, max|v| = 1
         fit_miss = weight * np.abs(vand @ (fit @ v[-k:]) - v[-k:]).max() / abs(lam)
         eq_miss = np.abs(a_mid @ v - lam * (v.reshape(-1, k) @ card.T).ravel()).max() / abs(lam)
-        if not (fit_miss <= 1e-10 and eq_miss <= 1e-12):
+        floor = top / abs(lam)
+        if not (fit_miss <= 1e-10 and eq_miss <= 1e-12 and floor <= 1e-11):
             raise ArithmeticError(f"eigenvalue {lam:.6g}: the degree-{TAIL_DEGREE} tail fit misses "
-                                  f"by {fit_miss:.3g} (limit 1e-10), L v by {eq_miss:.3g} (1e-12)")
+                                  f"by {fit_miss:.3g} (limit 1e-10), L v by {eq_miss:.3g} (1e-12); "
+                                  f"rounding floor {floor:.3g} (1e-11)")
     return float(vals[lead[0]].real), float(vals[lead[1]].real)

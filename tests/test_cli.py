@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from adinkra_spectra.cli import PipelineConfig, run
@@ -324,6 +325,17 @@ def test_zeta_gauss(capsys):
     assert payload["matrix_size"] == 12 * 16
     assert not payload["singular"]
     assert payload["spectral_radius"] < 1.0
+
+
+def test_zeta_reports_its_core(capsys):
+    # 12 branches x 16 nodes: a 48^2 core for the 192^2 operator
+    code, out, _err = run_capture(capsys, ["zeta", "--beta", "2.0", "--gauss", "12", "--nodes", "16"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["core_size"] == 48 and payload["eigenvalues_used"] == 192
+    assert 0.0 < payload["core_residual"] <= 192 * np.finfo(float).eps
+    dense = fredholm_det(build_transfer_matrix(gauss_branch_system(12), 2.0, 16).matrix).value
+    assert abs(complex(*payload["det"]) - dense) <= 1e-12 * abs(dense)
 
 
 def test_zeta_complex_beta(capsys):

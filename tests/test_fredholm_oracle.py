@@ -4,10 +4,15 @@ their earlier implementations.
 ``fredholm_det`` factors 1 - L by LU, takes the spectral radius from
 Arnoldi and decides the singular flag from the radius or by shift-invert
 Arnoldi at 1; on cyclic coset actions it does so per character block.
+A ``TransferMatrix`` goes through an r x r core Q P (r = 2k + 16), whose
+guard checks base = P Q at every node; when the guard fails, or r >= n,
+the core is the base itself and the result is the dense one bit for bit.
 The oracle is the eigen-product it replaced: a full dense eigensolve of
 the whole coset-extended matrix, det = prod(1 - lambda), radius
 max |lambda| and the flag from every eigenvalue.  Determinants must agree to 1e-12 relative, radii to
-1e-10, flags exactly.
+1e-10, flags exactly.  Both routes are checked: the core on Gauss
+systems (random ones too), the identity core on systems with a branch
+whose pole lies near the hull, and with a rank too small for the core.
 
 ``gauss_leading_pair`` reads the pair from one collocation matrix of the
 full Gauss operator.  Its Perron eigenvalue must lie within the
@@ -306,20 +311,123 @@ NON_CYCLIC_ACTIONS = {
 }
 
 
+def _gap_system(gap, n_gauss=12):
+    """The n-branch Gauss system and one branch g mapping [0, 1] onto
+    [0.01, 0.07] with its pole at 1 + gap, a distance gap from the hull:
+    g(x) = 0.01 + c x / (1 + gap - x)."""
+    e0, e1, pole = 0.01, 0.07, 1.0 + gap
+    c = (e1 - e0) * gap
+    near = Branch(e0, e1, np.array([[c - e0, e0 * pole], [-1.0, pole]]), str(n_gauss + 1))
+    return BranchSystem(gauss_branch_system(n_gauss).branches + (near,))
+
+
+def _det_fields(res):
+    return res.value, res.spectral_radius, res.singular, res.eigenvalues_used
+
+
+def _assert_identity_core(tm):
+    """The guard fails: the core is the base and the det the dense one, bit for bit."""
+    res = fredholm_det(tm)
+    n = len(tm.base)
+    assert not res.core_residual <= n * np.finfo(float).eps
+    assert res.core_size == tm.size
+    assert _det_fields(res) == _det_fields(fredholm_det(tm.matrix))
+    return res
+
+
 @pytest.mark.parametrize("beta", [1.7, 1.5 + 0.7j])
 @pytest.mark.parametrize("name", sorted(NON_CYCLIC_ACTIONS))
 def test_non_cyclic_actions_stay_dense(name, beta):
+    # the core route: one (d r)^2 core, r = 40, in place of the (d n)^2 matrix, n = 72
     d, gens = NON_CYCLIC_ACTIONS[name]
     tm = extend_to_coset(gauss_branch_system(6), {str(s + 1): g for s, g in enumerate(gens)}, beta, 12)
     assert cyclic_exponents(tm.branch_perms, d) is None
-    assert fredholm_det(tm) == fredholm_det(tm.matrix)
+    res = _assert_matches_oracle(tm)
+    assert res.core_size == d * 40 < tm.size
+    # a pole 0.1 from the hull fails the guard (r = 32, n = 48): the dense matrix itself
+    tm = extend_to_coset(_gap_system(0.1, 5), {str(s + 1): g for s, g in enumerate(gens)}, beta, 8)
+    _assert_identity_core(tm)
     _assert_matches_oracle(tm)
 
 
 def test_degree_one_is_the_dense_path():
+    # the core route: a 48^2 core for the 160^2 base
     tm = build_transfer_matrix(gauss_branch_system(10), 2.3, 16)
     assert tm.base is tm.matrix
-    assert fredholm_det(tm) == fredholm_det(tm.matrix)
+    res = _assert_matches_oracle(tm)
+    assert res.core_size == 48 and res.core_residual <= 160 * np.finfo(float).eps
+    # a pole 0.1 from the hull fails the guard: the base itself
+    tm = build_transfer_matrix(_gap_system(0.1), 2.3, 16)
+    _assert_identity_core(tm)
+    _assert_matches_oracle(tm)
+
+
+def _action(kind, m, d, seed):
+    """Permutations of d cosets for m branches: the identity (d = 1), a
+    seeded cyclic action, or a non-cyclic generator list repeated."""
+    if kind == "cyclic":
+        return _cyclic_action(m, d, seed)
+    gens = [(0,)] if kind == "degree-1" else NON_CYCLIC_ACTIONS[kind][1]
+    return {str(s + 1): gens[s % len(gens)] for s in range(m)}
+
+
+_ACTIONS = ["degree-1", "cyclic", *sorted(NON_CYCLIC_ACTIONS)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_core_matches_oracle_on_random_gauss_systems(data):
+    kind = data.draw(st.sampled_from(_ACTIONS), "action")
+    d = (1 if kind == "degree-1" else data.draw(st.integers(2, 6), "d") if kind == "cyclic"
+         else NON_CYCLIC_ACTIONS[kind][0])
+    k = data.draw(st.integers(4, 48), "nodes")
+    # the oracle's dense eigensolve stays below 600^2; the core (r = 2k + 16)
+    # needs more than 2 + 16 / k branches
+    most = max(2, min(24, 600 // (k * d)))
+    m = data.draw(st.integers(min(most, 3 + 16 // k), most), "branches")
+    if data.draw(st.booleans(), "complex"):
+        beta = complex(data.draw(st.floats(1.1, 3.0)), data.draw(st.floats(-2.0, 2.0)))
+    else:
+        beta = data.draw(st.floats(1.1, 3.0), "beta")
+    tm = extend_to_coset(gauss_branch_system(m), _action(kind, m, d, data.draw(st.integers(0, 99))),
+                         beta, k)
+    res = _assert_matches_oracle(tm)
+    if res.core_residual <= m * k * np.finfo(float).eps and transfer._core_rank(k) < m * k:
+        assert res.core_size < tm.size
+
+
+@pytest.mark.parametrize("gap", [1.0, 0.1, 0.01, 0.001])
+def test_a_pole_near_the_hull_fails_the_guard(gap):
+    # 12 Gauss branches and one whose pole lies gap from the hull [0, 1]; unguarded,
+    # the core's det is off by 1e-15 (gap 1), 4e-6, 1e-2 and a factor of 4 (gap 1e-3)
+    tm = build_transfer_matrix(_gap_system(gap), 1.0, 16)
+    q, p, residual = transfer._core_factors(tm)
+    if gap == 1.0:
+        res = _assert_matches_oracle(tm)
+        assert p is not None and res.core_size == 48 and res.core_residual == residual
+        assert residual <= 208 * np.finfo(float).eps
+        return
+    assert p is None and q is tm.base and residual > 1e-3
+    _assert_identity_core(tm)
+    _assert_matches_oracle(tm)
+    # the interpolant the guard refused
+    dense = np.linalg.det(np.eye(208) - tm.base)
+    y = transfer._cheb_nodes(*tm.system.hull, 48)
+    rows = transfer._collocation_rows(tm.system, tm.grids, 1.0, y)
+    card = transfer._cardinal_matrix(y, transfer._bary_weights(48), np.concatenate(tm.grids))
+    assert abs(np.linalg.det(np.eye(48) - rows @ card) - dense) > 1e-6 * abs(dense)
+
+
+@pytest.mark.parametrize("rank", [8, 32, 48, 64])
+def test_a_rank_too_small_falls_to_the_dense_route(monkeypatch, rank):
+    # r = 2k + 16 = 80 at k = 32 interpolates the rows to 1.3e-14 of max|base|;
+    # these miss by 0.88, 1e-2, 1.7e-7 and 1.3e-13, above n eps = 8.5e-14
+    monkeypatch.setattr(transfer, "_core_rank", lambda k: rank)
+    perms = {str(s + 1): ((1, 0, 2), (1, 2, 0))[s % 2] for s in range(12)}
+    for tm in (build_transfer_matrix(gauss_branch_system(12), 2.0, 32),
+               extend_to_coset(gauss_branch_system(12), perms, 2.0, 32)):
+        _assert_identity_core(tm)
+        _assert_matches_oracle(tm)
 
 
 def test_singular_affine_beta_zero_cyclic_degree_three():
@@ -361,6 +469,14 @@ def test_eigen_equation_guard_raises_on_too_few_nodes(monkeypatch):
         transfer.gauss_leading_pair()
 
 
+def test_gauss_leading_pair_refuses_a_pair_below_its_rounding_floor():
+    # at beta = 20, lambda_2 = -1.7e-9 is 4.5e-9 off relative against 40 branches
+    # and 48 nodes while both other checks pass; entries of order 1 already
+    # leave lambda_1 = 4.4e-9 a floor eps max|L| / |lambda_1| = 4.8e-8
+    with pytest.raises(ArithmeticError, match=r"rounding floor 4.8\de-08 \(1e-11\)"):
+        transfer.gauss_leading_pair(20.0)
+
+
 def test_gauss_leading_pair_builds_one_branch_system(monkeypatch):
     # the operator's rows at the nodes and between them share one system and its grids
     built = []
@@ -372,6 +488,22 @@ def test_gauss_leading_pair_builds_one_branch_system(monkeypatch):
     monkeypatch.setattr(transfer, "gauss_branch_system", counting)
     transfer.gauss_leading_pair()
     assert built == [transfer.GAUSS_BRANCHES]
+
+
+def test_core_det_builds_no_dense_work_copy():
+    # 20 branches x 64 nodes: the 1280^2 dense work copy alone takes 12.5 MiB;
+    # the core's factors are 2 x 1.4 MiB and the guard forms 32 rows at a time
+    tm = build_transfer_matrix(gauss_branch_system(20), 2.0, 64)
+    fredholm_det(build_transfer_matrix(gauss_branch_system(4), 2.0, 8))  # imports and ARPACK
+    tracemalloc.start()
+    try:
+        res = fredholm_det(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.core_size == 144 and peak < 4 * 2 ** 20
+    sign, logdet = np.linalg.slogdet(np.eye(1280) - tm.base)
+    assert abs(res.value - sign * math.exp(logdet)) <= 1e-12 * math.exp(logdet)
 
 
 def test_sweep_builds_no_dense_matrix():
