@@ -16,12 +16,17 @@ enumerate each lattice index once.
 The box is searched once per record, box bound and tolerance: the kept
 rows are memoized on the ``PeriodData`` (whose ``omega`` is a read-only
 copy), so ``origami_action`` and ``solution_set`` on the same record
-share one search.  The parallelism test runs on arrays.  Each kept row's
-product with the base vector is one ``np.vdot``, mapped over the rows into
-an array, which is then divided by |base|^2 in one array operation, and
-lambda is Python scalar arithmetic per row: array forms of the product or
-of lambda change the last bit.
-Entries are ``SpectrumEntry`` named tuples.
+share one search.  A box of more than ``BOX_BUDGET`` lattice points is
+refused before it is searched.  The search tests half the box, the
+lattice points above the zero vector in C order, and takes each kept
+x's partner -x by exact negation.  The parallelism test runs on arrays.
+Each kept row's product with the base vector is one ``np.vdot``, mapped
+over the rows into an array, which is then divided by |base|^2 in one
+array operation, and lambda is Python scalar arithmetic per row: array
+forms of the product or of lambda change the last bit.
+Entries are ``SpectrumEntry`` named tuples; equal n' (or m') rows share
+one tuple object.  ``spectrum_to_csv`` writes by column: each distinct n
+or m text once, and each run of adjacent equal (lambda, rho) once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import ResourceBoundError
 from .perms import json_complex, json_int
 
 
@@ -52,6 +58,8 @@ class PeriodData:
         om = np.array(self.omega, dtype=complex)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:
             raise ValueError("period matrix must be square")
+        if not np.isfinite(om).all():
+            raise ValueError(f"omega must have finite entries, got {om.tolist()}")
         if np.max(np.abs(om - om.T)) > 1e-10:
             raise ValueError("period matrix must be symmetric")
         try:
@@ -128,21 +136,43 @@ def solution_set(pd: PeriodData, box_bound: int, tol: float = 1e-9) -> list[Spec
     """
     g = pd.genus
     idx, ratios, lams = _solutions(pd, box_bound, tol)
-    cols = idx.T.tolist()  # a list per coordinate: a list per row costs 0.8 MiB at genus 1, box 40
     # np.sqrt is correctly rounded, like math.sqrt
     return list(map(SpectrumEntry._make, zip(
-        zip(*cols[:g]), zip(*cols[g:]), ratios.tolist(), lams.tolist(), np.sqrt(lams).tolist())))
+        _shared_tuples(idx[:, :g], box_bound), _shared_tuples(idx[:, g:], box_bound),
+        ratios.tolist(), lams.tolist(), np.sqrt(lams).tolist())))
+
+
+def _shared_tuples(rows: np.ndarray, box_bound: int) -> list[tuple[int, ...]]:
+    """Each row of ``rows`` (entries in [-B, B]) as a tuple of ints, one
+    tuple object per distinct row: a tuple per row costs 0.8 MiB at genus 1,
+    box 40, where the n' column holds 81 distinct values."""
+    keys = (rows + box_bound) @ (2 * box_bound + 1) ** np.arange(rows.shape[1])
+    _keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    table = list(map(tuple, rows[first].tolist()))
+    return list(map(table.__getitem__, inverse.tolist()))
 
 
 # lattice points per array pass: memory stays bounded when (2B + 1)^{2g} is large
 _CHUNK_ROWS = 1 << 16
+BOX_BUDGET = 1 << 24  # lattice points (2B + 1)^{2g} above which the search refuses
 
 
 def _solutions(pd: PeriodData, box_bound: int, tol: float) -> tuple[np.ndarray, ...]:
     """The solution set of ``_search``, searched once per record, box
-    bound and tolerance and kept on the record."""
+    bound and tolerance and kept on the record.
+
+    Raises ResourceBoundError, before searching, when the box holds more
+    than BOX_BUDGET lattice points.
+    """
     if box_bound < 1:
         raise ValueError("box bound must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    points = (2 * box_bound + 1) ** (2 * pd.genus)
+    if points > BOX_BUDGET:
+        raise ResourceBoundError(
+            f"the genus-{pd.genus} box of bound {box_bound} holds {points} lattice "
+            f"points, above the bound of {BOX_BUDGET}; lower the box bound")
     key = (box_bound, tol)
     if key not in pd._solved:
         pd._solved[key] = _search(pd, box_bound, tol)
@@ -153,6 +183,15 @@ def _search(pd: PeriodData, box_bound: int, tol: float) -> tuple[np.ndarray, ...
     """The solution set as read-only arrays: rows (n', m') of an int array,
     the ratios w (complex) and the eigenvalues lambda (float), in
     (lambda, n', m') order.
+
+    Only half the box is tested.  In C order flat index f and
+    ``total - 1 - f`` are negatives of each other and the zero vector is
+    the centre, so the flats above the centre hold one of each pair
+    +-x.  Negation is exact at every step (integer products, sums, the
+    vdot, the division by |base|^2 and abs), so -x passes the test
+    exactly when x does, with ratio -w and the same lambda.  The ratio is
+    taken as ``0.0 - w``: a zero part then reads +0.0, as the sums of
+    cancelling terms give it when -x is evaluated itself.
 
     The parallelism test runs on arrays, a chunk of lattice points at a
     time.  The kept rows' w (numpy's vdot per row, then one array
@@ -168,24 +207,26 @@ def _search(pd: PeriodData, box_bound: int, tol: float) -> tuple[np.ndarray, ...
     shape = (2 * box_bound + 1,) * (2 * g)
     total = math.prod(shape)
     kept_idx, kept_u = [], []
-    for start in range(0, total, _CHUNK_ROWS):
+    for start in range(total // 2 + 1, total, _CHUNK_ROWS):
         # C order over the box is itertools.product order over [-B, B]^{2g}
         flat = np.arange(start, min(start + _CHUNK_ROWS, total))
         idx = np.stack(np.unravel_index(flat, shape), axis=1) - box_bound
-        idx = idx[idx.any(axis=1)]
         u = idx[:, g:] - (idx[:, :g, None] * conj_omega[None]).sum(axis=1)
         w = (u @ np.conj(base)) / norm0 ** 2
         resid = np.linalg.norm(u - w[:, None] * base, axis=1)
         keep = resid <= tol * np.maximum(1.0, np.linalg.norm(u, axis=1))
         kept_idx.append(idx[keep])
         kept_u.append(u[keep])
-    idx = np.concatenate(kept_idx)
+    half = np.concatenate(kept_idx)
     dots = np.fromiter(map(functools.partial(np.vdot, base), np.concatenate(kept_u)),
-                       dtype=complex, count=len(idx))
-    ratios = dots / norm0 ** 2
-    lams = [2.0 * a0 * abs(w) ** 2 for w in ratios.tolist()]
+                       dtype=complex, count=len(half))
+    half_ratios = dots / norm0 ** 2
+    half_lams = [2.0 * a0 * abs(w) ** 2 for w in half_ratios.tolist()]
+    idx = np.concatenate((half, -half))
+    ratios = np.concatenate((half_ratios, 0.0 - half_ratios))
+    lams = np.array(half_lams * 2, dtype=float)
     order = np.lexsort((*idx.T[::-1], lams))
-    found = idx[order], ratios[order], np.array(lams, dtype=float)[order]
+    found = idx[order], ratios[order], lams[order]
     for arr in found:
         arr.flags.writeable = False
     return found
@@ -330,8 +371,33 @@ def poisson_reference(
     )
 
 
+def _tuple_texts(col: Sequence[tuple[int, ...]]) -> list[str]:
+    """Space-joined text of each int tuple, built once per distinct tuple."""
+    text = {t: " ".join(map(str, t)) for t in set(col)}
+    return list(map(text.__getitem__, col))
+
+
 def spectrum_to_csv(entries: Sequence[SpectrumEntry]) -> str:
-    rows = ["n,m,lambda,rho\n"]
-    for n, m, _w, lam, rho in entries:
-        rows.append(f"{' '.join(map(str, n))},{' '.join(map(str, m))},{lam!r},{rho!r}\n")
-    return "".join(rows)
+    """One row n,m,lambda,rho per entry, written by column.
+
+    The n and m text is built once per distinct tuple, and the
+    ",lambda,rho" tail (two ``repr`` calls) once per run of adjacent
+    entries whose lambda and rho have the same bits: equal values may
+    print differently (0.0 and -0.0).  Entries come sorted by lambda, so
+    each +-(n', m') pair shares one tail.
+    """
+    header = "n,m,lambda,rho\n"
+    if not entries:
+        return header
+    count = len(entries)
+    vals = np.empty((count, 2))
+    vals[:, 0] = [e[3] for e in entries]
+    vals[:, 1] = [e[4] for e in entries]
+    bits = vals.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1))))
+    tails = np.array([f",{lam!r},{rho!r}\n" for lam, rho in vals[starts].tolist()], dtype=object)
+    parts = [","] * (4 * count)  # n, ",", m, tail per row: no string per row
+    parts[0::4] = _tuple_texts([e[0] for e in entries])
+    parts[2::4] = _tuple_texts([e[1] for e in entries])
+    parts[3::4] = np.repeat(tails, np.diff(np.append(starts, count))).tolist()
+    return header + "".join(parts)

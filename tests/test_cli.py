@@ -468,6 +468,18 @@ def test_torus_period_matrix_is_read_strictly(capsys, tmp_path, omega, message):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+def test_torus_genus_three_at_the_default_box_is_refused(capsys, tmp_path):
+    # (2 * 30 + 1)^6 lattice points: hours of search before the box budget
+    eye = [[[0.0, 1.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+    path = tmp_path / "omega3.json"
+    path.write_text(json.dumps({"g": 3, "omega": eye, "n": [0, 0, 0], "m": [1, 0, 0]}))
+    code, out, err = run_capture(capsys, ["torus", "action", "--omega", str(path)])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "resource-bound"
+    assert "51520374361 lattice points" in payload["message"]
+
+
 def test_torus_period_matrix_takes_integer_entries(capsys, tmp_path):
     path = tmp_path / "omega.json"
     path.write_text(json.dumps({"g": 1, "omega": [[[0, 1]]], "n": [0], "m": [1]}))

@@ -22,9 +22,11 @@ oracles are the exact constants and the same construction at twice the
 branches and nodes (``test_transfer``), and the Euler product over the
 primitive classes (``test_gauss_euler_product_oracle``).
 
-``solution_set`` tests the whole box in array passes; the oracle is the
-loop over ``itertools.product`` that evaluated one lattice point at a
-time.  Entries must agree exactly, in order.
+``solution_set`` tests half the box in array passes and takes the other
+half by negation; the oracle is the loop over ``itertools.product`` that
+evaluated every lattice point one at a time.  Entries must agree exactly,
+in order, on fixed cases and on random genus-1 and genus-2 period
+matrices.
 """
 
 import dataclasses
@@ -542,11 +544,17 @@ def _fields(entries):
     return [(e.n, e.m, e.c_ratio, e.lam, e.rho) for e in entries]
 
 
+def _bits(entries):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(e.n, e.m, *(x.hex() for x in (e.c_ratio.real, e.c_ratio.imag, e.lam, e.rho)))
+            for e in entries]
+
+
 @pytest.mark.parametrize("pd,box", TORUS_CASES)
 def test_solution_set_matches_loop(pd, box):
     got = solution_set(pd, box)
     want = _oracle_solution_set(pd, box)
-    assert _fields(got) == _fields(want)
+    assert _bits(got) == _bits(want)
     assert all(type(x) is int for e in got for x in e.n + e.m)
     assert (pd.n, pd.m) in {(e.n, e.m) for e in got}
 
@@ -556,6 +564,38 @@ def test_origami_action_matches_loop(pd, box):
     fn = gaussian(1.3)
     got = dataclasses.astuple(origami_action(pd, fn, 0.8, box))
     assert got == _oracle_action(pd, fn, 0.8, box)
+
+
+@st.composite
+def period_data(draw):
+    """Genus 1 or 2.  A diagonal genus-2 matrix is marked on its first
+    handle, so every (n1', m1') is kept, not only the multiples."""
+    g = draw(st.integers(1, 2), "genus")
+    entry = st.floats(-1.0, 1.0)
+    re = np.array(draw(st.lists(entry, min_size=g * g, max_size=g * g), "re")).reshape(g, g)
+    im = np.array(draw(st.lists(entry, min_size=g * g, max_size=g * g), "im")).reshape(g, g)
+    omega = (re + re.T) / 2 + 1j * (im @ im.T + 0.5 * np.eye(g))
+    counts = st.lists(st.integers(-2, 2), min_size=g, max_size=g)
+    n, m = draw(counts, "n"), draw(counts, "m")
+    if g == 2 and draw(st.booleans(), "diagonal"):
+        omega = np.diag(np.diag(omega))
+        n[1] = m[1] = 0
+    assume(any(n) or any(m))
+    return _period(omega, n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(period_data(), st.integers(1, 4))
+def test_half_box_search_matches_loop(pd, box):
+    entries = solution_set(pd, box)
+    assert _bits(entries) == _bits(_oracle_solution_set(pd, box))
+    fn = gaussian(1.3)
+    assert dataclasses.astuple(origami_action(pd, fn, 0.8, box)) == _oracle_action(pd, fn, 0.8, box)
+    by_index = {(e.n, e.m): e for e in entries}
+    for e in entries:
+        neg = by_index[tuple(-x for x in e.n), tuple(-x for x in e.m)]
+        assert neg.c_ratio == -e.c_ratio
+        assert (neg.lam, neg.rho) == (e.lam, e.rho)
 
 
 def test_solution_set_chunks_keep_loop_order(monkeypatch):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinkra_spectra import torus_spectrum
+from adinkra_spectra.errors import ResourceBoundError
 from adinkra_spectra.torus_spectrum import (
     PeriodData,
+    SpectrumEntry,
     direct_theta_sum,
     dual_theta_sum,
     gaussian,
@@ -29,6 +33,52 @@ def test_period_validation():
         PeriodData(np.array([[-1j]]), (0,), (1,))
     with pytest.raises(ValueError, match="nonzero"):
         PeriodData(np.array([[1j]]), (0,), (0,))
+
+
+@pytest.mark.parametrize("omega", [
+    [[complex(0.0, math.inf)]], [[complex(math.inf, 1.0)]], [[complex(math.nan, 1.0)]],
+    [[1j, 0.0], [0.0, complex(0.0, math.inf)]],
+])
+def test_non_finite_period_matrices_are_refused(omega):
+    # NaN failed the symmetry test silently and Cholesky passed +inf, so the
+    # action came out 0.0 over 0 entries
+    with pytest.raises(ValueError, match="omega must have finite entries"):
+        PeriodData(np.array(omega), (0,) * len(omega), (1,) + (0,) * (len(omega) - 1))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, -math.inf])
+def test_bad_tolerances_are_refused(tol):
+    # NaN and negative tolerances gave an empty solution set
+    with pytest.raises(ValueError, match=f"tolerance must be finite and >= 0, got {tol}"):
+        solution_set(pd_square(), 3, tol)
+
+
+def test_zero_tolerance_is_allowed():
+    assert len(solution_set(pd_square(), 2, 0.0)) > 0
+
+
+def _no_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(torus_spectrum, "_search", lambda *args: calls.append(args[1:]) or ())
+    return calls
+
+
+def test_an_oversized_box_is_refused_before_searching(monkeypatch):
+    calls = _no_search(monkeypatch)
+    pd3 = PeriodData(np.diag([1j, 1j, 1j]), (0, 0, 0), (1, 0, 0))
+    with pytest.raises(ResourceBoundError, match="51520374361 lattice points"):
+        solution_set(pd3, 30)
+    with pytest.raises(ResourceBoundError, match="lower the box bound"):
+        origami_action(pd3, gaussian(1.0), 1.0, 8)  # 17^6 > 2^24
+    assert calls == []
+
+
+def test_the_box_budget_admits_genus_two_at_box_30(monkeypatch):
+    calls = _no_search(monkeypatch)
+    assert 61 ** 4 <= torus_spectrum.BOX_BUDGET < 17 ** 6
+    torus_spectrum._solutions(PeriodData(np.diag([1j, 1j]), (0, 0), (1, 0)), 30, 1e-9)
+    torus_spectrum._solutions(PeriodData(np.diag([1j, 1j, 1j]), (0, 0, 0), (1, 0, 0)), 7, 1e-9)
+    assert calls == [(30, 1e-9), (7, 1e-9)]
 
 
 def test_coefficients_flat_torus():
@@ -224,6 +274,12 @@ def test_period_data_with_other_omega_are_not_equal():
     assert len({a, b}) == 2
 
 
+def test_equal_rows_share_one_tuple():
+    entries = solution_set(PeriodData(np.array([[0.25 + 1.5j]]), (1,), (2,)), 40)
+    assert len({id(e.n) for e in entries}) == len({id(e.m) for e in entries}) == 81
+    assert all(type(x) is int for e in entries for x in e.n + e.m)
+
+
 def test_csv_emission():
     text = spectrum_to_csv(solution_set(pd_square(), 1))
     lines = text.strip().splitlines()
@@ -251,6 +307,26 @@ def test_csv_matches_the_row_formatter(pd, box):
 
 def test_csv_of_no_entries_is_the_header():
     assert spectrum_to_csv([]) == _frozen_csv([]) == "n,m,lambda,rho\n"
+
+
+def test_csv_keeps_equal_values_that_print_differently():
+    # 0.0 == -0.0, but each prints as itself; repeats and shared tuples too
+    entries = [SpectrumEntry((0, 1), (2,), 0j, lam, rho) for lam, rho in (
+        (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (1.5, 1.5), (1.5, 1.5),
+        (math.nan, math.inf), (math.nan, -math.inf), (2.0, 0.1 + 0.2))]
+    text = spectrum_to_csv(entries)
+    assert text == _frozen_csv(entries)
+    assert text.splitlines()[2] == "0 1,2,-0.0,0.0"
+
+
+_CSV_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 0.3, 1e-300, math.inf, math.nan])
+_CSV_INTS = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(SpectrumEntry, _CSV_INTS, _CSV_INTS, st.just(0j), _CSV_FLOATS, _CSV_FLOATS)))
+def test_csv_matches_the_row_formatter_on_hand_made_entries(entries):
+    assert spectrum_to_csv(entries) == _frozen_csv(entries)
 
 
 def _count_searches(monkeypatch):
