@@ -8,25 +8,29 @@ over a/b/c with uppercase for inverses.  A hyperbolic element of absolute
 trace t > 2 translates along its axis by l = 2*arccosh(t/2).
 
 Length spectrum.  The triangle and its mirror image in one side form a
-kite D, a fundamental domain with base point z0 and radius R.  An element
-of length at most L whose axis meets D moves z0 by at most L + 2R, so a
-breadth-first ball pruned at that displacement holds the set S of all of
-them.  A union-find joins one-letter conjugates in S; its components are
-exactly the conjugacy classes.  The ball's size is estimated from its area
-before it is grown and refused above a fixed budget.
+kite D, a fundamental domain with base point z0 and radius R: every point
+of D lies within R of z0.  An element h of length at most L whose axis
+meets D moves z0 by at most d_h = 2 asinh(sinh(L/2) cosh R) (Beardon,
+The Geometry of Discrete Groups, Thm 7.35.1), and each tile g D that the
+segment [z0, h z0] meets has g z0 within R of it.  So a breadth-first
+ball pruned at the displacement min(L + 2R, d_h + R), the reach, holds
+the set S of all of them (``length_spectrum`` gives the proof).  A
+union-find joins one-letter conjugates in S; its components are exactly
+the conjugacy classes.  The ball's size is estimated from the area of the
+disc of that reach before it is grown and refused above a fixed budget.
 
 Inside the ball a matrix [[a, b], [c, d]] is written in the frame that
 moves z0 to i, where a^2 + b^2 + c^2 + d^2 = 2 cosh d(z0, h z0), and is
 stored once, as the row (a, b, c, d) of an (n, 4) float array.  Each
 breadth-first round is computed in numpy: the frontier is an (F, 4)
-array, its products with the six letters are formed by broadcasting, and
+array, its products with the letters are formed by broadcasting, and
 the cap and the renormalisation act on whole arrays.  One search,
 ``_near_pairs``, decides which rows are one element up to sign: it sorts
-the rows and their negatives by a generic projection and compares
-neighbours in that order entry by entry.  It finds the candidates the
-ball already holds, the one-letter conjugates of the members of S, which
-``perms.component_labels`` joins into classes, and the powers that decide
-primitivity.  The public API takes and returns numpy arrays.
+the rows by the absolute value of a generic projection and compares
+neighbours in that order entry by entry, as a difference and as a sum.
+It finds the candidates the ball already holds, the one-letter conjugates
+of the members of S, which ``perms.component_labels`` joins into
+classes, and the powers that decide primitivity.  The public API takes and returns numpy arrays.
 
 Tolerance lemma.  Write |x| for the Frobenius norm, which bounds the
 operator norm e^(d(z0, x z0)/2); let N^2 be the cap, u = 2^-53, Lambda
@@ -65,7 +69,14 @@ k + 1, so a round's candidates are compared with the last two rounds and
 with each other.  That takes the cap test as exact, yet an element whose
 norm is within its error of the cap may be kept along one path and
 pruned along another; so one search over the grown ball checks it, and
-the ball is grown again against every round if that finds a pair.
+the ball is grown again against every round if that finds a pair.  The
+letters are a generator and its inverse, except for a generator of order
+2, whose inverse is the same element up to sign: a product with the
+inverse letter would be a copy of the product with the letter, which
+comes first in (frontier, letter) order and is kept, so that letter
+alone is used, and it is not followed by itself as the others are not by
+their inverses.  The ball's rows, words and rounds are those that all six
+letters give.
 
 Spectra.  A ``SpectrumResult`` lists one ``GeodesicClass`` per primitive
 conjugacy class, each with its own word and trace, and carries the length
@@ -126,14 +137,24 @@ class TriangleGroup:
     generators: dict[str, np.ndarray] = field(compare=False)
     vertices: tuple[complex, complex, complex]
     relation_residual: float
+    _inverses: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inverses = {}
+        for letter, base in self.generators.items():
+            inverses[letter] = np.linalg.inv(base)
+            inverses[letter].setflags(write=False)
+        object.__setattr__(self, "_inverses", inverses)
 
     @property
     def signature(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)
 
     def letter_matrix(self, letter: str) -> np.ndarray:
-        base = self.generators[letter.lower()]
-        return base if letter.islower() else np.linalg.inv(base)
+        """The generator of a lowercase letter, or its inverse for an
+        uppercase one (inverted once per group, read-only)."""
+        lower = letter.lower()
+        return self.generators[lower] if letter.islower() else self._inverses[lower]
 
     def word_matrix(self, word: str) -> np.ndarray:
         m = np.eye(2)
@@ -201,17 +222,17 @@ _WEIGHTS = np.sqrt([1.0, 2.0, 3.0, 5.0])  # a generic projection of the rows
 
 def _near_pairs(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j of rows of x, an (n, 4) array, with x_i = +-x_j to
-    within ``tol`` in every entry, each pair once; no row may be that near
-    its own negative.
+    within ``tol`` in every entry, each pair once.
 
-    The rows and their negatives are sorted by their projection on
-    (1, sqrt 2, sqrt 3, sqrt 5); rows within tol project within tol times
-    the weights' sum, doubled here for rounding, so each row is compared
-    with the k-th next, k = 1, 2, ..., while any projections are that close.
+    The rows are sorted by the absolute value of their projection on
+    (1, sqrt 2, sqrt 3, sqrt 5).  Rows x_i, x_j with x_i = +-x_j within tol
+    project within tol times the weights' sum of each other up to sign, so
+    their absolute projections are that close too, whichever the sign; the
+    width is doubled here for rounding.  So each row is compared with the
+    k-th next, k = 1, 2, ..., while any absolute projections are that close,
+    and each such pair is tested as x_i - x_j and as x_i + x_j.
     """
-    n = len(x)
-    both = np.concatenate((x, -x))
-    proj = both @ _WEIGHTS
+    proj = np.abs(x @ _WEIGHTS)
     order = np.argsort(proj)
     proj = proj[order]
     width = 2.0 * tol * _WEIGHTS.sum()
@@ -219,18 +240,16 @@ def _near_pairs(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     live, k = np.flatnonzero(proj[1:] - proj[:-1] <= width), 1
     while len(live):
         lo, hi = order[live], order[live + k]
-        near = np.abs(both[lo] - both[hi]).max(axis=1) <= tol
+        xl, xh = x[lo], x[hi]
+        near = np.abs(xl - xh).max(axis=1) <= tol
+        near |= np.abs(xl + xh).max(axis=1) <= tol
         a.append(lo[near])
         b.append(hi[near])
         k += 1
-        live = live[live < 2 * n - k]
+        live = live[live < len(x) - k]
         live = live[proj[live + k] - proj[live] <= width]
     a, b = np.concatenate(a), np.concatenate(b)
-    i, j = a % n, b % n
-    # (x_i, +-x_j) and (-x_i, -+x_j) are one pair: keep the one whose lower row is positive
-    keep = np.where(i < j, a, b) < n
-    i, j = i[keep], j[keep]
-    return np.minimum(i, j), np.maximum(i, j)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 @dataclass(frozen=True)
@@ -375,25 +394,27 @@ def _axis_meets(m, vertices: list[tuple[float, float]]) -> bool:
     return ~((np.minimum.reduce(values) > tol) | (np.maximum.reduce(values) < -tol))
 
 
-def _grow_ball(gens: np.ndarray, cap: float, eps: float, back: int
+def _grow_ball(gens: np.ndarray, alphabet: str, cap: float, eps: float, back: int
                ) -> tuple[np.ndarray, list[str], int, np.ndarray, float]:
     """Breadth-first ball of the elements with a^2 + b^2 + c^2 + d^2 <= cap,
-    one per element up to sign, from the letters ``gens``, a (6, 4) array
-    in ``_LETTERS`` order: the rows, the words, the rounds that added
+    one per element up to sign, from the letters ``gens``, a (k, 4) array
+    in ``alphabet`` order: the rows, the words, the rounds that added
     elements, each row's error bound and the tolerance the rows were
     compared at (the module docstring's lemma).  A round's candidates are
     compared with the last ``back`` rounds and with each other, and the
     first in (frontier, letter) order is kept, so a word has the fewest
-    letters among the paths inside the ball.
+    letters among the paths inside the ball.  A letter is not followed by
+    its inverse, nor by itself when it is its own inverse.
     """
-    cancels = np.array([_LETTERS.index(l.swapcase()) for l in _LETTERS])
+    cancels = np.array([alphabet.index(l.swapcase() if l.swapcase() in alphabet else l)
+                        for l in alphabet])
     words, mats = [""], [np.array([[1.0, 0.0, 0.0, 1.0]])]
     # per row, its norm and the sum over its word of max(|parent|, |row|)^2
     sizes, steps = [np.full(1, math.sqrt(2.0))], [np.zeros(1)]
     cancel, tol = np.array([-1]), 0.0
     while True:
         flat, m = _products(mats[-1], gens, cancel, cap)
-        row, letter = np.divmod(flat, len(_LETTERS))
+        row, letter = np.divmod(flat, len(alphabet))
         size = np.linalg.norm(m, axis=1)
         summed = steps[-1][row] + np.maximum(sizes[-1][row], size) ** 2
         tol = max(tol, 2.0 * eps * (summed * size).max(initial=0.0))
@@ -405,7 +426,7 @@ def _grow_ball(gens: np.ndarray, cap: float, eps: float, back: int
             error = eps * np.concatenate(steps) * np.concatenate(sizes)
             return np.concatenate(mats), words, len(steps) - 1, error, tol
         start = len(words) - len(mats[-1])
-        words += [words[start + r] + _LETTERS[l]
+        words += [words[start + r] + alphabet[l]
                   for r, l in zip(row[new].tolist(), letter[new].tolist())]
         mats.append(m[new])
         sizes.append(size[new])
@@ -463,9 +484,14 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     tolerance of the module docstring's lemma reaches half the separation.
     """
     z0, radius, kite = _kite(group)
-    reach = l_max + 2.0 * radius
     p, q, r = group.signature
-    estimate = (math.cosh(reach) - 1.0) / (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
+    try:
+        # the reach of ``length_spectrum``'s proof
+        through = 2.0 * math.asinh(math.sinh(l_max / 2.0) * math.cosh(radius))
+        reach = min(l_max + 2.0 * radius, through + radius)
+        estimate = (math.cosh(reach) - 1.0) / (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
+    except OverflowError:  # a reach above about 710, far beyond any budget
+        estimate = math.inf
     if estimate > BALL_BUDGET:
         raise ResourceBoundError(
             f"the ({p},{q},{r}) ball for l_max {l_max:g} would hold about "
@@ -479,11 +505,14 @@ def _classify(group: TriangleGroup, l_max: float) -> _Classes:
     cap = 2.0 * math.cosh(reach) * (1.0 + 1e-9)
     size = np.linalg.norm(letters, axis=1).max()
     eps = _LETTER_ERROR + 2.0 * _U * (size + 1.0)
-    ball = _grow_ball(letters, cap, eps, 2)
+    # a generator of order 2 is its own inverse up to sign: one letter
+    alphabet = "".join(l + l.upper() * (order > 2) for l, order in zip("abc", group.signature))
+    gens = letters[[_LETTERS.index(l) for l in alphabet]]
+    ball = _grow_ball(gens, alphabet, cap, eps, 2)
     if len(_near_pairs(ball[0], ball[4])[0]):
         # a copy beyond the last two rounds: an element whose norm is within
         # its error of the cap, kept along one path and pruned along another
-        ball = _grow_ball(letters, cap, eps, ball[2] + 1)
+        ball = _grow_ball(gens, alphabet, cap, eps, ball[2] + 1)
     mats, words, depth, error, row_tol = ball
     vertices = [(abs(w) ** 2, w.real) for w in (mobius(mvi, v) for v in kite)]
     t = np.abs(mats[1:, 0] + mats[1:, 3])  # row 0 is the identity
@@ -561,12 +590,25 @@ def length_spectrum(group: TriangleGroup, l_max: float, dedupe_tol: float = 1e-9
     """Primitive geodesic classes with length <= l_max, one entry each.
 
     Every class of length l <= l_max has a member h whose axis meets the
-    kite D at some y.  Each tile g D that the axis crosses from y to h y
-    has d(z0, g z0) <= l + 2R, and consecutive tiles differ by one letter,
-    so the ball pruned at l_max + 2R reaches every such h: S is complete.
-    The members of one class in S are joined through the tiles along their
-    axis, so the union-find components are exactly the classes, and the
-    result is always converged and certified below l_max.
+    kite D at some y.  The ball is pruned at the reach min(l_max + 2R,
+    d_h + R), d_h = 2 asinh(sinh(l_max / 2) cosh R), and reaches every
+    such h, by either of two arguments.  Both use that every point of a
+    tile g D lies within R of g z0, and that tiles across a side differ
+    by one letter.
+    (i) Each tile that the axis crosses from y to h y holds a point w of
+    it, so d(z0, g z0) <= d(z0, y) + d(y, w) + R <= l + 2R.
+    (ii) The axis passes within R of z0, and a hyperbolic element of
+    length l whose axis lies at distance delta from z moves z by d with
+    sinh(d / 2) = cosh(delta) sinh(l / 2) (Beardon, The Geometry of
+    Discrete Groups, Thm 7.35.1), so d(z0, h z0) <= d_h.  Each tile that
+    the segment [z0, h z0] meets holds a point w of it, so
+    d(z0, g z0) <= d(z0, w) + R <= d_h + R.
+    In either case the tiles met, which include every tile about a vertex
+    passed through, join D to h D through shared sides, so h is reached
+    along a path inside the ball: S is complete.  The members of one class
+    in S are joined through the tiles along their axis, so the union-find
+    components are exactly the classes, and the result is always converged
+    and certified below l_max.
 
     Each class is stored with multiplicity 1 and its own word and trace,
     sorted by (length, trace, word); ``dedupe_tol`` is recorded for the

@@ -94,6 +94,19 @@ def test_resource_bound_exit_code(capsys):
     assert payload["error"] == "resource-bound"
 
 
+@pytest.mark.parametrize("lmax", ["800", "1e300"])
+def test_an_lmax_beyond_the_float_range_of_the_estimate_is_refused(capsys, lmax):
+    # cosh of the reach overflows from lmax of about 709 on, sinh(lmax / 2)
+    # from about 1420: the ball is refused as too large, not a traceback
+    code, _out, err = run_capture(
+        capsys, ["geodesics", "--p", "5", "--q", "5", "--r", "2", "--lmax", lmax]
+    )
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "resource-bound"
+    assert "above the bound of 400000" in payload["message"]
+
+
 def test_origami_embeddings_count(capsys):
     code, out, _err = run_capture(
         capsys, ["origami", "--embeddings", "--n", "4", "--code", "1111"]

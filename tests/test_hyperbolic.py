@@ -517,9 +517,9 @@ def test_a_copy_beyond_the_last_two_rounds_regrows_the_ball(delta552, monkeypatc
     # is grown again against every round
     grow, backs = hyperbolic._grow_ball, []
 
-    def with_a_copy(gens, cap, eps, back):
+    def with_a_copy(gens, alphabet, cap, eps, back):
         backs.append(back)
-        mats, words, depth, error, tol = grow(gens, cap, eps, back)
+        mats, words, depth, error, tol = grow(gens, alphabet, cap, eps, back)
         if len(backs) == 1:
             mats, words = np.concatenate((mats, -mats[5:6])), words + [words[5]]
             error = np.append(error, error[5])
@@ -528,7 +528,7 @@ def test_a_copy_beyond_the_last_two_rounds_regrows_the_ball(delta552, monkeypatc
     monkeypatch.setattr(hyperbolic, "_grow_ball", with_a_copy)
     ball = hyperbolic._classify(delta552, 4.0)
     assert backs == [2, ball.depth + 1]
-    assert len(ball.mats) == len(ball.words) == 947
+    assert len(ball.mats) == len(ball.words) == 739
 
 
 def test_552_spectrum_at_l_max_8_5_is_the_same_for_every_vertex_order(monkeypatch):
@@ -545,13 +545,43 @@ def test_552_spectrum_at_l_max_8_5_is_the_same_for_every_vertex_order(monkeypatc
     for order in ((5, 5, 2), (2, 5, 5), (5, 2, 5)):
         spec = length_spectrum(triangle_generators(*order), 8.5)
         ball = balls[-1]
-        assert spec.element_count == _distinct_elements(ball.mats) == 85957
+        assert spec.element_count == _distinct_elements(ball.mats) == 66299
         assert not len(hyperbolic._near_pairs(ball.mats, ball.tol)[0])
         merged.append(spec.merged())
         assert [c.multiplicity for c in spec.merged() if abs(c.length - 8.4724) < 1e-6] == [24]
     for other in merged[1:]:
         assert [c.multiplicity for c in other] == [c.multiplicity for c in merged[0]]
         assert max(abs(c.length - d.length) for c, d in zip(other, merged[0])) < 1e-9
+
+
+def test_552_ball_at_l_max_8_holds_one_count_in_every_vertex_order():
+    # the ball is one set of group elements whichever vertex is which
+    counts = {length_spectrum(triangle_generators(*order), 8.0).element_count
+              for order in ((5, 5, 2), (2, 5, 5), (5, 2, 5))}
+    assert counts == {40363}
+
+
+def _per_call_letter(group, letter):
+    # letter_matrix as it was, inverting on every call
+    base = group.generators[letter.lower()]
+    return base if letter.islower() else np.linalg.inv(base)
+
+
+@pytest.mark.parametrize("sig", [(5, 5, 2), (2, 3, 7), (3, 4, 4)])
+def test_cached_inverses_equal_the_per_call_inverse(sig):
+    group = triangle_generators(*sig)
+    words = ["", "aAbBcC", "CBAcba"] + [c.word for c in length_spectrum(group, 5.0).classes]
+    for word in words:
+        m = np.eye(2)
+        for letter in word:
+            m = m @ _per_call_letter(group, letter)
+        m = m / math.sqrt(abs(float(np.linalg.det(m))))
+        assert group.word_matrix(word).tobytes() == m.tobytes(), word
+    z0 = hyperbolic._kite(group)[0]
+    mv = hyperbolic._mover(z0)
+    mvi = np.linalg.inv(mv)
+    frame = np.array([(mvi @ _per_call_letter(group, l) @ mv).ravel() for l in hyperbolic._LETTERS])
+    assert hyperbolic._classify(group, 3.0).letters.tobytes() == frame.tobytes()
 
 
 def test_letters_are_within_the_letter_error():
@@ -595,6 +625,22 @@ def test_oversized_ball_raises_before_growing(delta552, monkeypatch):
     monkeypatch.setattr(hyperbolic, "_grow_ball", no_growth)
     with pytest.raises(ResourceBoundError, match=r"about \d+ elements, above the bound of 400000"):
         length_spectrum(delta552, 12.0)
+
+
+def test_the_budget_estimate_uses_the_sharper_reach(delta552, monkeypatch):
+    # the (5,5,2) estimate reaches the budget at l_max 10.04 with the reach
+    # l_max + 2R, and at 10.29 with min(l_max + 2R, d_h + R)
+    class Grown(Exception):
+        pass
+
+    def grown(*args):
+        raise Grown
+
+    monkeypatch.setattr(hyperbolic, "_grow_ball", grown)
+    with pytest.raises(Grown):
+        length_spectrum(delta552, 10.2)
+    with pytest.raises(ResourceBoundError, match="above the bound of 400000"):
+        length_spectrum(delta552, 10.35)
 
 
 def test_axis_meets_closed_polygon():

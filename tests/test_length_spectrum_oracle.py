@@ -18,8 +18,12 @@ in ``test_hyperbolic`` instead.
 
 A third copy is the displacement ball and union-find computed one
 candidate at a time on float tuples, before each breadth-first round
-became one numpy batch; there the batch must return the same ball, members
-and classes to the bit.  A fourth is the per-class tuple loop that named
+became one numpy batch, with six letters whatever the generators' orders.
+Grown at the library's reach, it must return the same ball, members and
+classes to the bit.  Grown at the older, larger reach l_max + 2R, whose
+completeness argument does not use the sharper bound, it must hold the
+same members as elements, split into the same classes with the same
+records.  A fourth is the per-class tuple loop that named
 each class and found its powers, before the powers were formed one
 exponent at a time over all classes; its records must be equal too.
 """
@@ -444,9 +448,9 @@ def test_spectrum_equals_descent_classifier_run_on_random_signatures(sig, l_max)
 # The displacement ball and union-find as they were before each round became
 # one numpy batch: every candidate multiplied, pruned, renormalised and
 # looked up on its own, in (frontier, letter) order, against every element
-# held so far.  The batch must give the same classes to the bit: the ball's
-# rows and words in insertion order, its depth, the members, the classes and
-# the elliptic and near-parabolic counts.
+# held so far.  At the same reach the batch must give the same classes to
+# the bit: the ball's rows and words in insertion order, its depth, the
+# members, the classes and the elliptic and near-parabolic counts.
 #
 # Its lookup shares no code with the library's search.  An element is held
 # under the cell of side _T_CELL that holds its row, and a row is looked up,
@@ -535,9 +539,23 @@ class _TupleClasses:
     near_parabolic: int
 
 
-def _per_element_classify(group, l_max):
-    z0, radius, kite = hyperbolic._kite(group)
-    reach = l_max + 2.0 * radius
+def _old_reach(group, l_max):
+    """l_max + 2R: each tile that the axis of h crosses from y in D to h y
+    has its g z0 within l_max + R of y."""
+    return l_max + 2.0 * hyperbolic._kite(group)[1]
+
+
+def _sharp_reach(group, l_max):
+    """min(l_max + 2R, d_h + R), d_h = 2 asinh(sinh(l_max / 2) cosh R), the
+    library's reach: d_h bounds d(z0, h z0) when the axis of h meets D, and
+    each tile the segment [z0, h z0] meets has its g z0 within R of it."""
+    radius = hyperbolic._kite(group)[1]
+    through = 2.0 * math.asinh(math.sinh(l_max / 2.0) * math.cosh(radius))
+    return min(l_max + 2.0 * radius, through + radius)
+
+
+def _per_element_classify(group, l_max, reach):
+    z0, _radius, kite = hyperbolic._kite(group)
     mv = hyperbolic._mover(z0)
     mvi = np.linalg.inv(mv)
     letters = tuple((l, tuple(map(float, (mvi @ group.letter_matrix(l) @ mv).ravel())))
@@ -640,6 +658,29 @@ def _assert_same_classes(got, ref):
     assert (got.elliptic, got.near_parabolic) == (ref.elliptic, ref.near_parabolic)
 
 
+def _assert_same_classes_as_a_larger_ball(got, ref, l_max):
+    """The members, classes and records of ``got`` against ``ref``, grown at
+    a larger reach: each member of ``got`` is one member of ``ref`` as an
+    element, the two split them into the same classes, and the records
+    agree to the bit, so the larger ball's classes and words are found."""
+    table = _t_table({k: m for k, (m, _w) in ref.members.items()})
+    found = [_t_find(table, m) for m in got.mats[got.members].tolist()]
+    assert None not in found and sorted(found) == sorted(ref.members)
+    labels = set(zip(got.root.tolist(), (ref.root[k] for k in found)))
+    assert len(labels) == len({a for a, _b in labels}) == len({b for _a, b in labels})
+    assert sorted(hyperbolic._records(got, l_max)) == \
+        sorted(_t_records(ref.members, ref.root, l_max))
+
+
+def _assert_same_as_per_element(group, l_max):
+    # the ball, to the bit, at the library's reach; the classes and records
+    # at the old reach l_max + 2R, whose completeness argument is independent
+    ball = _batch_classify(group, l_max)
+    _assert_same_classes(ball, _per_element_classify(group, l_max, _sharp_reach(group, l_max)))
+    _assert_same_classes_as_a_larger_ball(
+        ball, _per_element_classify(group, l_max, _old_reach(group, l_max)), l_max)
+
+
 SORTED_SIGNATURES = [s for s in itertools.combinations_with_replacement(range(2, 9), 3)
                      if Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1]
 BATCH_CASES = ([(sig, l_max) for sig in SORTED_SIGNATURES for l_max in (3.0, 4.0)]
@@ -664,8 +705,7 @@ def _batch_classify(group, l_max, headroom=1 << 30):
 @pytest.mark.parametrize("sig,l_max", BATCH_CASES,
                          ids=[f"{p},{q},{r}@{l_max}" for (p, q, r), l_max in BATCH_CASES])
 def test_batch_ball_equals_per_element_ball(sig, l_max):
-    group = triangle_generators(*sig)
-    _assert_same_classes(_batch_classify(group, l_max), _per_element_classify(group, l_max))
+    _assert_same_as_per_element(triangle_generators(*sig), l_max)
 
 
 @settings(max_examples=20, deadline=None)
@@ -673,8 +713,7 @@ def test_batch_ball_equals_per_element_ball(sig, l_max):
     lambda s: Fraction(1, s[0]) + Fraction(1, s[1]) + Fraction(1, s[2]) < 1),
     st.floats(3.0, 5.0))
 def test_batch_ball_equals_per_element_ball_in_any_vertex_order(sig, l_max):
-    group = triangle_generators(*sig)
-    _assert_same_classes(_batch_classify(group, l_max), _per_element_classify(group, l_max))
+    _assert_same_as_per_element(triangle_generators(*sig), l_max)
 
 
 @pytest.mark.parametrize("sig,l_max", BATCH_CASES,
