@@ -335,12 +335,22 @@ def _gram_matrix(pd: PeriodData) -> np.ndarray:
     ])
 
 
+# lattice points of a theta sum formed at a time: boxes up to 63 are one array
+_THETA_POINTS = 128 ** 2
+
+
 def direct_theta_sum(mat: np.ndarray, box_bound: int) -> float:
-    """sum over Z^2 (boxed) of exp(-pi v^T M v)."""
+    """sum over Z^2 (boxed) of exp(-pi v^T M v), about _THETA_POINTS terms
+    at a time: a chunk of rows p against every column q.  A box of at most
+    _THETA_POINTS points is one chunk, summed as one array."""
     idx = np.arange(-box_bound, box_bound + 1)
-    p, q = np.meshgrid(idx, idx, indexing="ij")
-    quad = (mat[0, 0] * p ** 2 + 2.0 * mat[0, 1] * p * q + mat[1, 1] * q ** 2)
-    return float(np.exp(-math.pi * quad).sum())
+    rows = max(1, _THETA_POINTS // len(idx))
+    total = 0.0
+    for start in range(0, len(idx), rows):
+        p = idx[start:start + rows, None]
+        quad = (mat[0, 0] * p ** 2 + 2.0 * mat[0, 1] * p * idx + mat[1, 1] * idx ** 2)
+        total += float(np.exp(-math.pi * quad).sum())
+    return total
 
 
 def dual_theta_sum(mat: np.ndarray, box_bound: int) -> float:

@@ -13,6 +13,10 @@ the local-determination form of the pullback sum over F-preimages (each
 on Chebyshev-Lobatto grids per interval; applying the matrix to samples
 interpolates barycentrically at the mapped points, so analytic branch
 maps converge spectrally in the node count.
+
+Fredholm determinants det(1 - L) come from numpy's LU (``slogdet``) of
+small cores, and spectral radii and leading eigenpairs from a numpy
+Arnoldi iteration; the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 import numbers
 import operator
 import reprlib
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -139,15 +142,16 @@ def _bary_weights(k: int) -> np.ndarray:
 
 def _cardinal_matrix(nodes: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Rows: evaluation points; columns: Lagrange cardinal functions.  The
-    barycentric quotients are formed in place, in the one output array."""
+    barycentric quotients are formed in place, in the one output array; a
+    row whose point is within 1e-14 of a node becomes that node's unit row."""
     card = pts[:, None] - nodes[None, :]
-    exact = (card < 1e-14) & (card > -1e-14)
+    exact = np.abs(card) < 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(weights[None, :], card, out=card)
         card /= card.sum(axis=1)[:, None]
-    hit = exact.any(axis=1)
-    card[hit] = 0.0
-    card[exact] = 1.0
+    if exact.any():
+        card[exact.any(axis=1)] = 0.0
+        card[exact] = 1.0
     return card
 
 
@@ -210,34 +214,98 @@ def _assemble(q: np.ndarray, p: np.ndarray | None, k: int, perms: Sequence[np.nd
     return big
 
 
-def _arnoldi(matrix: np.ndarray, k: int, sigma: float | None = None, opinv=None) -> np.ndarray:
-    """The k eigenvalues of ``matrix`` largest in modulus, or with ``sigma``
-    the k nearest sigma, in that order.
+# a Ritz value theta is accepted when its residual |h_(m+1,m) s_(m,i)| <= _RITZ_TOL |theta|
+_RITZ_TOL = 1e-13
+# rows the Arnoldi basis grows by
+_BASIS_STEP = 32
 
-    ARPACK (tol 1e-13, maxiter 10000) runs in shift-invert mode when sigma
-    is given, with ``opinv`` applying (matrix - sigma)^-1 to a vector; a run
-    that does not converge raises.  The start vector is fixed, so a repeated
-    call gives the same digits.  Matrices of size <= max(8, k + 2) get a
-    dense eigensolve instead.
+
+def _leading(theta: np.ndarray, k: int, real: bool) -> np.ndarray:
+    """Indices of the k entries of ``theta`` largest in modulus, in that
+    order; for a real matrix one more when the k-th is the first of a
+    conjugate pair (LAPACK puts the positive imaginary part first), so
+    pairs stay whole."""
+    order = np.argsort(-np.abs(theta), kind="stable")
+    count = min(k, len(theta))
+    if real and count < len(theta) and theta[order[count - 1]].imag > 0:
+        count += 1
+    return order[:count]
+
+
+def _steps_to_converge(miss: float, last: tuple[int, float] | None, m: int) -> int:
+    """Arnoldi steps until the next convergence check: the residual ratio
+    ``miss`` (1 is converged) extrapolated at the rate it fell since the
+    ``last`` check (m, miss), kept between m // 8 and m // 2 (and at least
+    1); m // 8 without a falling, finite pair.  So a run that does not
+    converge before m = n checks O(log n) times."""
+    least, most = max(1, m // 8), max(1, m // 2)
+    if last is None or not 1.0 < miss < last[1] < math.inf:
+        return least
+    rate = math.log(last[1] / miss) / (m - last[0])
+    return min(max(least, math.ceil(math.log(miss) / rate)), most)
+
+
+def _arnoldi(matrix: np.ndarray, k: int, vectors: bool = False):
+    """The k eigenvalues of ``matrix`` largest in modulus, in that order,
+    and with ``vectors`` their unit eigenvectors as columns: (values, vectors).
+    A real matrix gets k + 1 when the k-th value's conjugate would be cut.
+
+    Arnoldi from a fixed start vector (``default_rng(0)``, so a repeated
+    call gives the same digits), orthogonalised by two classical
+    Gram-Schmidt passes per step; the basis and the Hessenberg matrix grow
+    _BASIS_STEP rows at a time.  At m = k steps, and then as often as
+    :func:`_steps_to_converge` predicts, the m x m Hessenberg matrix H is
+    diagonalised, and the iteration stops once each wanted Ritz value
+    theta_i has |h_(m+1,m) s_(m,i)| <= 1e-13 |theta_i| (ARPACK's test; s_i
+    is theta_i's unit eigenvector of H, and the left side is the residual
+    of the Ritz pair).  At breakdown (h_(m+1,m) at most n eps
+    times the largest |A v_j| so far, so the basis spans an invariant
+    subspace to rounding) or at m = n, H's eigenvalues are exact, and
+    fewer than k come back when m < k.  Zero eigenvalues end the iteration
+    through breakdown, or at m = n.  Matrices of size <= max(8, k + 2) get
+    a dense eigensolve instead.
     """
     n = matrix.shape[0]
+    real = not np.iscomplexobj(matrix)
     if n <= max(8, k + 2):
-        vals = np.linalg.eigvals(matrix)
-    else:
-        import scipy.sparse.linalg as spla
-
-        op = None if opinv is None else spla.LinearOperator(matrix.shape, opinv, dtype=matrix.dtype)
-        vals = _arpack(matrix, k, sigma=sigma, OPinv=op, return_eigenvectors=False)
-    dist = -np.abs(vals) if sigma is None else np.abs(vals - sigma)
-    return vals[np.argsort(dist)][:k]
-
-
-def _arpack(matrix: np.ndarray, k: int, **options):
-    """scipy's ``eigs`` ("LM") with the settings :func:`_arnoldi` names."""
-    import scipy.sparse.linalg as spla
-
-    v0 = np.random.default_rng(0).standard_normal(matrix.shape[0]).astype(matrix.dtype)
-    return spla.eigs(matrix, k=k, which="LM", v0=v0, maxiter=10000, tol=1e-13, **options)
+        vals, vecs = np.linalg.eig(matrix) if vectors else (np.linalg.eigvals(matrix), None)
+        keep = _leading(vals, k, real)
+        return (vals[keep], vecs[:, keep]) if vectors else vals[keep]
+    dtype = np.result_type(matrix, np.float64)
+    v = np.random.default_rng(0).standard_normal(n).astype(dtype)
+    basis = np.empty((_BASIS_STEP, n), dtype)  # orthonormal rows v_0, v_1, ...
+    hess = np.zeros((_BASIS_STEP + 1, _BASIS_STEP), dtype)
+    basis[0] = v / np.linalg.norm(v)
+    floor, scale = n * np.finfo(float).eps, 0.0
+    check, last = k, None
+    for m in range(1, n + 1):
+        w = matrix @ basis[m - 1]
+        span = basis[:m]
+        h = np.zeros(m, dtype)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            step = span @ w if real else (span @ w.conj()).conj()
+            w -= step @ span
+            h += step
+        beta = float(np.linalg.norm(w))
+        hess[:m, m - 1] = h
+        hess[m, m - 1] = beta
+        scale = max(scale, math.hypot(float(np.linalg.norm(h)), beta))
+        exact = m == n or beta <= floor * scale
+        if m >= check or exact:
+            theta, s = np.linalg.eig(hess[:m, :m])
+            keep = _leading(theta, k, real)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                miss = float(np.max(beta * np.abs(s[-1, keep]) / (_RITZ_TOL * np.abs(theta[keep]))))
+            if exact or miss <= 1.0:
+                break
+            check, last = m + _steps_to_converge(miss, last, m), (m, miss)
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty((_BASIS_STEP, n), dtype)])
+            hess = np.pad(hess, ((0, _BASIS_STEP), (0, _BASIS_STEP)))
+        basis[m] = w / beta
+    if vectors:
+        return theta[keep], basis[:m].T @ s[:, keep]
+    return theta[keep]
 
 
 def build_transfer_matrix(
@@ -413,7 +481,7 @@ def _det_blocks(tm: TransferMatrix, q: np.ndarray, p: np.ndarray | None
 
 
 def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -> FredholmResult:
-    """det(1 - L) of the discretized operator, from LU factorisations.
+    """det(1 - L) of the discretized operator, from numpy's LU factorisations.
 
     A ``TransferMatrix`` goes through an r x r core, r = 2k + 16 for k
     nodes per interval (:func:`_core_factors`): its base is P Q to
@@ -431,24 +499,22 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     imaginary part of exactly 0.0.  Any other action is one core of order
     d r, and a bare array one dense block.
 
-    Each block's 1 - L_j is factored in place in a Fortran-ordered copy;
-    its determinant is the product of U's diagonal times the sign of the
-    row pivots.  The spectral radius is the largest over the blocks of
-    the modulus of the leading eigenvalue from Arnoldi with six wanted
-    Ritz values: with one, ARPACK can converge to the second of two
-    eigenvalues whose moduli differ by 4e-4 (relative) and report it as
-    the radius.  An eigenvalue within ``singular_tol`` of 1 marks a zeta
-    zero/pole candidate via ``singular`` rather than failing: a block's
-    flag is False without further work when its radius is below
-    1 - singular_tol, True on an exactly zero pivot, and otherwise set by
-    the eigenvalue nearest 1, from shift-invert Arnoldi on the same LU
-    factors; ``singular`` is any block's flag.
+    Each block's determinant is sign exp(log|det|) from
+    ``np.linalg.slogdet`` of 1 - L_j, and exp(2 log|det|) for a block
+    entering as |det_j|^2.  The spectral radius is the largest over the
+    blocks of the modulus of the leading eigenvalue from :func:`_arnoldi`
+    with six wanted Ritz values: with one, ARPACK converged to the second
+    of two eigenvalues whose moduli differ by 4e-4 (relative) and reported
+    it as the radius.  An eigenvalue within ``singular_tol`` of 1 marks a
+    zeta zero/pole candidate via ``singular`` rather than failing: a
+    block's flag is False without further work when its radius is below
+    1 - singular_tol, True when the LU has an exactly zero pivot (a zero
+    sign), and otherwise set by the eigenvalue nearest 1 in the block's
+    dense ``np.linalg.eigvals``; ``singular`` is any block's flag.
     ``eigenvalues_used`` is the full matrix size, the number of factors
     1 - lambda in the determinant; ``core_size`` and ``core_residual`` say
     which core was factored and how closely it reproduced the base.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
     if isinstance(tm, TransferMatrix):
         q, p, residual = _core_factors(tm)
         blocks = _det_blocks(tm, q, p)
@@ -458,25 +524,16 @@ def fredholm_det(tm: TransferMatrix | np.ndarray, singular_tol: float = 1e-12) -
     for block, power in blocks:
         n = block.shape[0]
         core_size = max(core_size, n)
-        work = np.negative(block, out=np.empty(block.shape, np.result_type(block, np.float64), order="F"))
+        work = np.negative(block, dtype=np.result_type(block, np.float64))
         work[np.diag_indices(n)] += 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot sets ``singular``
-            lu, piv = lu_factor(work, overwrite_a=True, check_finite=False)
-        pivots = np.diagonal(lu)
-        swaps = np.count_nonzero(piv != np.arange(n))
-        block_det = (-1.0) ** swaps * np.prod(pivots)
-        dets.append(block_det if power == 1 else abs(block_det) ** 2)
+        sign, logabs = np.linalg.slogdet(work)
+        del work
+        dets.append(sign * np.exp(logabs) if power == 1 else np.exp(2.0 * logabs))
         block_radius = float(np.abs(_arnoldi(block, 6)[0])) if n else 0.0
         radius = max(radius, block_radius)
         if block_radius >= 1.0 - singular_tol and not singular:
-            if not pivots.all():
-                singular = True
-            else:
-                # (L - 1)^-1 x = -(1 - L)^-1 x
-                near = _arnoldi(block, 1, sigma=1.0,
-                                opinv=lambda x: -lu_solve((lu, piv), x, check_finite=False))
-                singular = bool(abs(1.0 - near[0]) < singular_tol)
+            # a zero sign is an exactly zero pivot
+            singular = bool(sign == 0 or np.abs(1.0 - np.linalg.eigvals(block)).min() < singular_tol)
     size = tm.size if isinstance(tm, TransferMatrix) else n
     return FredholmResult(complex(functools.reduce(operator.mul, dets)), radius, singular, size,
                           core_size, residual)
@@ -534,8 +591,9 @@ def _gauss_rows(beta: float, x: np.ndarray, system: BranchSystem | None = None,
 def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
     """(lambda_1, lambda_2) of Mayer's Gauss operator
     (L f)(x) = sum_{n >= 1} (x + n)^(-2 beta) f(1 / (x + n)), every branch
-    kept: 1 and -0.30366... (Gauss-Kuzmin-Wirsing) at beta = 1, from one
-    ARPACK run on its collocation matrix (README, "Full Gauss operator").
+    kept: 1 and -0.30366... (Gauss-Kuzmin-Wirsing) at beta = 1, the two
+    leading Ritz pairs of one :func:`_arnoldi` run (six wanted values, with
+    vectors) on its collocation matrix (README, "Full Gauss operator").
     ``beta`` must be real, finite and above 1/2, where the sum converges.
     An ArithmeticError names an eigenpair (lambda, v), max|v| = 1, whose
     tail fit misses v's samples on [0, h] by more than 1e-10 |lambda| once
@@ -550,15 +608,14 @@ def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
         raise ValueError(f"beta must be real, finite and above 1/2, got {beta!r}")
     system, k = gauss_branch_system(GAUSS_BRANCHES), GAUSS_NODES
     grids = _gauss_grids(system)
-    vals, vecs = _arpack(_gauss_rows(beta, np.concatenate(grids), system, grids), 6)
-    lead = np.argsort(-np.abs(vals), kind="stable")[:2]
+    vals, vecs = _arnoldi(_gauss_rows(beta, np.concatenate(grids), system, grids), 6, vectors=True)
     mid = (np.cos(np.pi * (np.arange(k - 1) + 0.5) / (k - 1)) + 1.0) / 2.0  # first kind, descending
     a_mid = _gauss_rows(beta, np.concatenate([g[-1] + (g[0] - g[-1]) * mid for g in grids]),
                         system, grids)
     card = _cardinal_matrix(_cheb_nodes(0.0, 1.0, k), _bary_weights(k), mid)
     (vand, fit), weight = _tail_fit(grids[-1]), _hurwitz_zeta(2.0 * beta, GAUSS_BRANCHES + 1)
     top = np.finfo(float).eps * np.abs(a_mid).max()
-    for lam, v in zip(vals[lead].real, vecs[:, lead].T):
+    for lam, v in zip(vals[:2].real, vecs[:, :2].T):
         v = (v / v[np.abs(v).argmax()]).real  # the real eigenvector, max|v| = 1
         fit_miss = weight * np.abs(vand @ (fit @ v[-k:]) - v[-k:]).max() / abs(lam)
         eq_miss = np.abs(a_mid @ v - lam * (v.reshape(-1, k) @ card.T).ravel()).max() / abs(lam)
@@ -567,4 +624,4 @@ def gauss_leading_pair(beta: float = 1.0) -> tuple[float, float]:
             raise ArithmeticError(f"eigenvalue {lam:.6g}: the degree-{TAIL_DEGREE} tail fit misses "
                                   f"by {fit_miss:.3g} (limit 1e-10), L v by {eq_miss:.3g} (1e-12); "
                                   f"rounding floor {floor:.3g} (1e-11)")
-    return float(vals[lead[0]].real), float(vals[lead[1]].real)
+    return float(vals[0].real), float(vals[1].real)

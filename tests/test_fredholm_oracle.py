@@ -1,9 +1,10 @@
 """Fredholm determinants and torus solution sets against frozen copies of
 their earlier implementations.
 
-``fredholm_det`` factors 1 - L by LU, takes the spectral radius from
-Arnoldi and decides the singular flag from the radius or by shift-invert
-Arnoldi at 1; on cyclic coset actions it does so per character block.
+``fredholm_det`` takes det(1 - L) from numpy's LU (``slogdet``), the
+spectral radius from Arnoldi, and the singular flag from the radius, a
+zero pivot or a dense eigensolve; on cyclic coset actions it does so per
+character block.
 A ``TransferMatrix`` goes through an r x r core Q P (r = 2k + 16), whose
 guard checks base = P Q at every node; when the guard fails, or r >= n,
 the core is the base itself and the result is the dense one bit for bit.
@@ -13,6 +14,10 @@ max |lambda| and the flag from every eigenvalue.  Determinants must agree to 1e-
 1e-10, flags exactly.  Both routes are checked: the core on Gauss
 systems (random ones too), the identity core on systems with a branch
 whose pole lies near the hull, and with a rank too small for the core.
+
+``_arnoldi`` is checked against ``np.linalg.eigvals`` on random, Gauss-like,
+Jordan and rank-deficient matrices, and against scipy's ARPACK, which it
+replaced, on the Gauss cores.
 
 ``gauss_leading_pair`` reads the pair from one collocation matrix of the
 full Gauss operator.  Its Perron eigenvalue must lie within the
@@ -203,25 +208,137 @@ def _spectrum_matrix(eigenvalues, seed):
     return q @ np.diag(eigenvalues) @ q.T
 
 
-def _record_shifts(monkeypatch):
-    shifts = []
-    arnoldi = transfer._arnoldi
+def _block_matrix(blocks, complex_entries, rng):
+    """The block-diagonal matrix of ``blocks`` in a random orthonormal
+    (unitary) basis: normal, except where a block is a Jordan block."""
+    t = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex if complex_entries else float)
+    at = 0
+    for b in blocks:
+        t[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    z = rng.standard_normal(t.shape)
+    if complex_entries:
+        z = z + 1j * rng.standard_normal(t.shape)
+    q, _ = np.linalg.qr(z)
+    return q @ t @ q.conj().T
 
-    def recording(matrix, k, sigma=None, opinv=None):
-        shifts.append(sigma)
-        return arnoldi(matrix, k, sigma, opinv)
 
-    monkeypatch.setattr(transfer, "_arnoldi", recording)
-    return shifts
+def _eigen_blocks(moduli, size, complex_entries, rng):
+    """Blocks of total order ``size``, one per leading entry of ``moduli``: a
+    complex eigenvalue, or for a real matrix a real one or a 2 x 2 rotation
+    block carrying a conjugate pair."""
+    blocks, left = [], size
+    for r in moduli[:size]:
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        if complex_entries:
+            blocks.append(np.array([[r * complex(math.cos(phase), math.sin(phase))]]))
+        elif left == 1 or rng.random() < 0.5:
+            blocks.append(np.array([[r * rng.choice([-1.0, 1.0])]]))
+        else:
+            a, b = r * math.cos(phase), r * math.sin(phase)
+            blocks.append(np.array([[a, b], [-b, a]]))
+        left -= len(blocks[-1])
+        if not left:
+            return blocks
+    return blocks
 
 
-def test_shift_invert_finds_eigenvalue_next_to_one(monkeypatch):
+@st.composite
+def arnoldi_cases(draw):
+    """(matrix, k, zeros): a matrix of order 9..120 with k <= 6 wanted values,
+    drawn from four families, and whether it has exact zero eigenvalues."""
+    n, k = draw(st.integers(9, 120), "n"), draw(st.integers(1, 6), "k")
+    complex_entries = draw(st.booleans(), "complex")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), "seed"))
+    family = draw(st.sampled_from(["random", "decaying", "jordan", "zeros"]), "family")
+    if family == "random":
+        m = rng.standard_normal((n, n))
+        if complex_entries:
+            m = m + 1j * rng.standard_normal((n, n))
+        return m / math.sqrt(n), k, False
+    if family == "decaying":  # Gauss-like moduli 0.4^j: Arnoldi stops long before n
+        blocks = _eigen_blocks(0.4 ** np.arange(n), n, complex_entries, rng)
+    elif family == "jordan":  # a Jordan block of 0.1, below the wanted moduli
+        size = draw(st.integers(2, 5), "jordan")
+        jordan = 0.1 * np.eye(size) + np.eye(size, k=1)
+        blocks = _eigen_blocks(np.linspace(1.0, 0.3, n), n - size, complex_entries, rng) + [jordan]
+    else:  # rank r, maybe below k, and n - r exact zeros
+        r = draw(st.integers(0, n - 1), "rank")
+        blocks = _eigen_blocks(rng.uniform(0.2, 1.0, n), r, complex_entries, rng) + [np.zeros((n - r, n - r))]
+    return _block_matrix(blocks, complex_entries, rng), k, family == "zeros"
+
+
+@settings(max_examples=150, deadline=None)
+@given(arnoldi_cases())
+def test_arnoldi_matches_dense_eigenvalues(case):
+    m, k, zeros = case
+    got = transfer._arnoldi(m, k)
+    want = np.linalg.eigvals(m)
+    want = want[np.argsort(-np.abs(want), kind="stable")]
+    radius = abs(want[0])
+    assert len(got) <= k + 1 and np.all(np.diff(np.abs(got)) <= 0)
+    if zeros:
+        # a rank below k ends at breakdown with rank + 1 values; exact zeros
+        # have no relative digits, so moduli are compared to 1e-12 of the radius too
+        rank = np.count_nonzero(np.abs(want) > 1e-8 * radius) if radius else 0
+        assert min(k, rank + 1) <= len(got)
+        np.testing.assert_allclose(np.abs(got), np.abs(want[:len(got)]), rtol=1e-10, atol=1e-12 * radius)
+    else:
+        assert len(got) >= k
+        np.testing.assert_allclose(np.abs(got), np.abs(want[:len(got)]), rtol=1e-10)
+    if not np.iscomplexobj(m):  # conjugate pairs are kept whole
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+
+
+def _gauss_cores():
+    """The blocks ``fredholm_det`` hands to Arnoldi on Gauss systems: real
+    and complex beta, degree 1 and the twisted blocks of a cyclic action."""
+    perms = {str(s): tuple((a + s) % 4 for a in range(4)) for s in range(1, 11)}
+    for tm in (build_transfer_matrix(gauss_branch_system(20), 2.0, 32),
+               build_transfer_matrix(gauss_branch_system(40), 1.0, 32),
+               build_transfer_matrix(gauss_branch_system(10), 1.5 + 0.7j, 16),
+               extend_to_coset(gauss_branch_system(10), perms, 1.7, 32)):
+        q, p, _residual = transfer._core_factors(tm)
+        yield from (block for block, _power in transfer._det_blocks(tm, q, p))
+
+
+@pytest.mark.parametrize("block", list(_gauss_cores()), ids=lambda b: f"{len(b)}-{b.dtype}")
+def test_arnoldi_matches_arpack_on_gauss_cores(block):
+    # scipy's ARPACK, which fredholm_det ran before, as a second oracle
+    v0 = np.random.default_rng(0).standard_normal(len(block)).astype(block.dtype)
+    ref = spla.eigs(block, k=6, which="LM", v0=v0, maxiter=10000, tol=1e-13, return_eigenvectors=False)
+    ref = ref[np.argsort(-np.abs(ref), kind="stable")]
+    got, vecs = transfer._arnoldi(block, 6, vectors=True)
+    # the cores are far from normal: past the third value both routes, and the
+    # dense eigvals, disagree by up to 4e-7 relative, within the values' condition
+    assert abs(got[0] - ref[0]) <= 1e-13 * abs(ref[0])
+    np.testing.assert_allclose(got[:3], ref[:3], rtol=1e-10)
+    # each Ritz pair meets the stopping rule: a unit vector with residual <= 1e-13 |theta|
+    np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=1e-12)
+    miss = np.linalg.norm(block @ vecs - vecs * got, axis=0)
+    assert np.all(miss <= 1e-12 * np.abs(got))
+
+
+def _record_eigensolves(monkeypatch):
+    """The shapes of the dense eigensolves ``np.linalg.eigvals`` runs."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return shapes
+
+
+def test_dense_eigensolve_finds_eigenvalue_next_to_one(monkeypatch):
     vals = np.linspace(-0.9, 0.9, 29)
     m = _spectrum_matrix(np.append(vals, 1.0 + 1e-13), 1)
     assert m.shape[0] > 8
-    shifts = _record_shifts(monkeypatch)
+    shapes = _record_eigensolves(monkeypatch)
     res = fredholm_det(m)
-    assert shifts == [None, 1.0]  # the radius, then shift-invert at 1
+    assert shapes == [m.shape]  # the radius is >= 1 - tol: one dense eigensolve
     assert res.singular
     # det(1 - L) is ~1e-13 here, known to either route only to ~1e-15
     # absolute, so the determinants are compared absolutely
@@ -230,31 +347,54 @@ def test_shift_invert_finds_eigenvalue_next_to_one(monkeypatch):
     assert abs(res.value - det) <= 1e-12
 
 
-def test_shift_invert_clears_flag_without_eigenvalue_near_one(monkeypatch):
+def test_dense_eigensolve_clears_flag_without_eigenvalue_near_one(monkeypatch):
     vals = np.linspace(-0.9, 0.9, 29)
     m = _spectrum_matrix(np.append(vals, 1.5), 2)
-    shifts = _record_shifts(monkeypatch)
-    res = _assert_matches_oracle(m)
-    assert shifts == [None, 1.0]
+    shapes = _record_eigensolves(monkeypatch)
+    res = fredholm_det(m)
+    assert shapes == [m.shape]
+    assert _det_fields(res) == _det_fields(_assert_matches_oracle(m))
     assert not res.singular
     assert res.spectral_radius == pytest.approx(1.5, abs=1e-10)
 
 
-def test_radius_below_one_skips_shift_invert(monkeypatch):
+def test_radius_below_one_skips_the_dense_eigensolve(monkeypatch):
     m = _spectrum_matrix(np.linspace(-0.9, 0.9, 30), 3)
-    shifts = _record_shifts(monkeypatch)
-    assert not _assert_matches_oracle(m).singular
-    assert shifts == [None]
+    shapes = _record_eigensolves(monkeypatch)
+    res = fredholm_det(m)
+    assert shapes == []
+    assert not res.singular
+    assert _det_fields(res) == _det_fields(_assert_matches_oracle(m))
 
 
-def test_arpack_failure_is_raised(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+def test_arnoldi_without_converged_ritz_values_ends_at_n(monkeypatch):
+    # no Ritz value passes a tolerance of 0, so the iteration runs to m = n,
+    # where the Hessenberg eigenvalues are the matrix's own
+    orders = []
+    eig = np.linalg.eig
 
-    monkeypatch.setattr(spla, "eigs", no_convergence)
+    def recording(a):
+        orders.append(len(a))
+        return eig(a)
+
+    monkeypatch.setattr(transfer, "_RITZ_TOL", 0.0)
+    monkeypatch.setattr(np.linalg, "eig", recording)
     m = _spectrum_matrix(np.linspace(-0.9, 0.9, 30), 4)
-    with pytest.raises(spla.ArpackNoConvergence):
-        fredholm_det(m)
+    res = fredholm_det(m)
+    assert orders[-1] == 30
+    det, radius, singular = _oracle_fredholm(m)
+    assert abs(res.value - det) <= 1e-12 * abs(det)
+    assert abs(res.spectral_radius - radius) <= 1e-10 and abs(radius - 0.9) <= 1e-10
+    assert not res.singular and not singular
+
+
+def test_zero_pivot_is_singular_without_an_eigensolve(monkeypatch):
+    # 1 - L = diag(0, 0.5, ..., 0.5) has an exactly zero pivot
+    m = np.diag([1.0] + [0.5] * 11)
+    shapes = _record_eigensolves(monkeypatch)
+    res = fredholm_det(m)
+    assert shapes == []
+    assert res.singular and res.value == 0.0 and res.spectral_radius == pytest.approx(1.0, abs=1e-14)
 
 
 def test_repeated_calls_give_identical_digits():
@@ -346,8 +486,8 @@ def test_non_cyclic_actions_stay_dense(name, beta):
     assert cyclic_exponents(tm.branch_perms, d) is None
     res = _assert_matches_oracle(tm)
     assert res.core_size == d * 40 < tm.size
-    # a pole 0.1 from the hull fails the guard (r = 32, n = 48): the dense matrix itself
-    tm = extend_to_coset(_gap_system(0.1, 5), {str(s + 1): g for s, g in enumerate(gens)}, beta, 8)
+    # a pole 0.1 from the hull fails the guard (r = 40, n = 72): the dense matrix itself
+    tm = extend_to_coset(_gap_system(0.1, 5), {str(s + 1): g for s, g in enumerate(gens)}, beta, 12)
     _assert_identity_core(tm)
     _assert_matches_oracle(tm)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,41 @@ def test_poisson_dual_involution():
     twice = dual_theta_sum(inv, b) / math.sqrt(np.linalg.det(gram))
     assert twice == pytest.approx(direct_theta_sum(gram, b) / 1.0, rel=1e-12)
     assert once == pytest.approx(direct_theta_sum(inv, b) / math.sqrt(np.linalg.det(gram)))
+
+
+def _full_grid_theta_sum(mat, box_bound):
+    """``direct_theta_sum`` as it was: one (2B+1)^2 meshgrid."""
+    idx = np.arange(-box_bound, box_bound + 1)
+    p, q = np.meshgrid(idx, idx, indexing="ij")
+    quad = (mat[0, 0] * p ** 2 + 2.0 * mat[0, 1] * p * q + mat[1, 1] * q ** 2)
+    return float(np.exp(-math.pi * quad).sum())
+
+
+THETA_FORMS = [np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[2.0, 0.3], [0.3, 1.0]]),
+               np.array([[0.011, -0.004], [-0.004, 0.0063]])]
+
+
+@pytest.mark.parametrize("box", [0, 1, 10, 40, 50, 63])
+@pytest.mark.parametrize("form", range(len(THETA_FORMS)))
+def test_theta_sum_keeps_its_bits_up_to_one_chunk(form, box):
+    # (2 * 63 + 1)^2 points fit one chunk; box 50 is the CLI's and the pinned torus runs'
+    mat = THETA_FORMS[form]
+    for m in (mat, np.linalg.inv(mat)):
+        assert direct_theta_sum(m, box).hex() == _full_grid_theta_sum(m, box).hex()
+
+
+@pytest.mark.parametrize("form", range(len(THETA_FORMS)))
+def test_theta_sum_memory_is_bounded(form):
+    # the full 601^2 grid took 13.8 MiB of traced memory at box 300
+    mat = THETA_FORMS[form]
+    tracemalloc.start()
+    try:
+        got = direct_theta_sum(mat, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert got == pytest.approx(_full_grid_theta_sum(mat, 300), rel=1e-13)
 
 
 def test_poisson_wide_gaussian_ratio_tends_to_one():

@@ -1,9 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinkra_spectra import transfer
 from adinkra_spectra.perms import cyclic_exponents, permutation
@@ -99,6 +105,38 @@ def test_offgrid_consistency_analytic_function():
                 interp[i] = (card @ applied[s * 32:(s + 1) * 32])[0]
                 break
     assert np.max(np.abs(interp - direct)) < 1e-9
+
+
+def _frozen_cardinal_matrix(nodes, weights, pts):
+    """``_cardinal_matrix`` as it was: two comparisons and an ``&`` for the
+    node hits, and both masks written on every call."""
+    card = pts[:, None] - nodes[None, :]
+    exact = (card < 1e-14) & (card > -1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights[None, :], card, out=card)
+        card /= card.sum(axis=1)[:, None]
+    hit = exact.any(axis=1)
+    card[hit] = 0.0
+    card[exact] = 1.0
+    return card
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 48), st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_cardinal_matrix_matches_its_frozen_copy(k, n_gauss, seed, hits):
+    # bit for bit, -0.0 and NaN included: at the nodes, at the branches' mapped
+    # points, next to the nodes (inside and outside 1e-14) and at random points
+    sys = gauss_branch_system(n_gauss)
+    grids = transfer._grids(sys, k)
+    nodes, w = grids[-1], transfer._bary_weights(k)
+    rng = np.random.default_rng(seed)
+    pts = [np.concatenate(grids), rng.uniform(*sys.hull, 3 * k)]
+    pts += [b.apply(np.concatenate(grids)) for b in sys.branches]
+    if hits:
+        pts += [nodes, nodes + 5e-15, nodes - 9e-15, nodes + 2e-14, np.array([math.nan, math.inf])]
+    for x in pts:
+        got = transfer._cardinal_matrix(nodes, w, x)
+        assert got.tobytes() == _frozen_cardinal_matrix(nodes, w, x).tobytes()
 
 
 def test_overlapping_intervals_rejected():
@@ -350,3 +388,25 @@ def test_gauss_leading_pair_refuses_bad_beta(beta):
     with pytest.raises(ValueError, match=re.escape(f"beta must be real, finite and above 1/2, "
                                                    f"got {beta!r}")):
         gauss_leading_pair(beta)
+
+
+NO_SCIPY = """
+import sys
+from adinkra_spectra import cli
+from adinkra_spectra.transfer import extend_to_coset, fredholm_det, gauss_branch_system, gauss_leading_pair
+perms = {str(s): tuple((a + s) % 4 for a in range(4)) for s in range(1, 11)}
+fredholm_det(extend_to_coset(gauss_branch_system(10), perms, 1.7, 16))
+gauss_leading_pair()
+assert cli.run(["zeta", "--gauss", "20", "--beta", "2.0", "--nodes", "32"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_transfer_layer_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter, since this one has it loaded
+    src = str(Path(transfer.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
